@@ -29,10 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityExceeded, DepthExceeded, KeyMismatch
+from .errors import CapacityExceeded, DepthExceeded, IntegrityError, KeyMismatch
 
 _KEY_LEN = 16
 _NONCE_LEN = 16
+HEADER_LEN = _KEY_LEN + _NONCE_LEN + 4  # key, nonce, capacity; the slot payload follows
 
 
 def _as_key_bytes(key_id) -> bytes:
@@ -123,7 +124,7 @@ class SlotVector:
     backstage, not part of the encrypted-domain contract.
     """
 
-    __slots__ = ("slots", "logical_len", "depth_used", "rotations_used", "mults_used", "key_id", "ctx")
+    __slots__ = ("slots", "logical_len", "depth_used", "rotations_used", "mults_used", "ctx")
 
     def __init__(self, slots, logical_len, depth_used, rotations_used, mults_used, ctx):
         self.slots = slots
@@ -131,7 +132,6 @@ class SlotVector:
         self.depth_used = depth_used
         self.rotations_used = rotations_used
         self.mults_used = mults_used
-        self.key_id = ctx.key_id
         self.ctx = ctx
 
     def __repr__(self):
@@ -139,18 +139,6 @@ class SlotVector:
             f"SlotVector(capacity={self.slots.shape[0]}, logical_len={self.logical_len}, "
             f"depth={self.depth_used}, rot={self.rotations_used}, mult={self.mults_used})"
         )
-
-
-def _new(ctx, slots, logical_len, depth, rot, mul) -> SlotVector:
-    sv = SlotVector.__new__(SlotVector)
-    sv.slots = slots
-    sv.logical_len = logical_len
-    sv.depth_used = depth
-    sv.rotations_used = rot
-    sv.mults_used = mul
-    sv.key_id = ctx.key_id
-    sv.ctx = ctx
-    return sv
 
 
 def encrypt(plain, ctx: EncryptionContext) -> SlotVector:
@@ -161,18 +149,18 @@ def encrypt(plain, ctx: EncryptionContext) -> SlotVector:
         raise CapacityExceeded(f"plaintext length {n} > slot capacity {ctx.slot_capacity}")
     slots = np.zeros(ctx.slot_capacity, dtype=np.float64)
     slots[:n] = pv.values
-    return _new(ctx, slots, n, 0, 0, 0)
+    return SlotVector(slots, n, 0, 0, 0, ctx)
 
 
 def decrypt(sv: SlotVector, ctx: EncryptionContext) -> PlainVector:
     """Return the first logical_len slots; requires the producing key."""
-    if sv.key_id != ctx.key_id:
+    if sv.ctx.key_id != ctx.key_id:
         raise KeyMismatch("decrypt with a foreign context (missing secret key)")
     return PlainVector(sv.slots[: sv.logical_len].copy())
 
 
 def _check_pair(a: SlotVector, b: SlotVector):
-    if a.key_id != b.key_id:
+    if a.ctx.key_id != b.ctx.key_id:
         raise KeyMismatch("binary op across ciphertexts under different keys")
     if a.slots.shape[0] != b.slots.shape[0]:
         raise ValueError("binary op across ciphertexts of different capacities")
@@ -181,27 +169,26 @@ def _check_pair(a: SlotVector, b: SlotVector):
 def add(a: SlotVector, b: SlotVector) -> SlotVector:
     """Slot-wise sum.  Depth is max of the inputs; counters merge."""
     _check_pair(a, b)
-    sv = SlotVector.__new__(SlotVector)
-    sv.slots = a.slots + b.slots
-    sv.logical_len = a.logical_len if a.logical_len >= b.logical_len else b.logical_len
-    sv.depth_used = a.depth_used if a.depth_used >= b.depth_used else b.depth_used
-    sv.rotations_used = a.rotations_used + b.rotations_used
-    sv.mults_used = a.mults_used + b.mults_used
-    sv.key_id = a.key_id
-    sv.ctx = a.ctx
-    return sv
+    return SlotVector(
+        a.slots + b.slots,
+        a.logical_len if a.logical_len >= b.logical_len else b.logical_len,
+        a.depth_used if a.depth_used >= b.depth_used else b.depth_used,
+        a.rotations_used + b.rotations_used,
+        a.mults_used + b.mults_used,
+        a.ctx,
+    )
 
 
 def sub(a: SlotVector, b: SlotVector) -> SlotVector:
     """Slot-wise difference; same accounting as add."""
     _check_pair(a, b)
-    return _new(
-        a.ctx,
+    return SlotVector(
         a.slots - b.slots,
         max(a.logical_len, b.logical_len),
         a.depth_used if a.depth_used >= b.depth_used else b.depth_used,
         a.rotations_used + b.rotations_used,
         a.mults_used + b.mults_used,
+        a.ctx,
     )
 
 
@@ -215,13 +202,13 @@ def mult(a: SlotVector, b: SlotVector) -> SlotVector:
     slots = a.slots * b.slots
     if ctx.noise_stddev > 0.0:
         slots = slots + ctx._noise_rng.normal(0.0, ctx.noise_stddev, slots.shape[0])
-    return _new(
-        ctx,
+    return SlotVector(
         slots,
         max(a.logical_len, b.logical_len),
         depth,
         a.rotations_used + b.rotations_used,
         a.mults_used + b.mults_used + 1,
+        ctx,
     )
 
 
@@ -249,15 +236,7 @@ def mult_plain(a: SlotVector, scalars) -> SlotVector:
         vals = scalars
     else:
         vals = _coerce_scalars(scalars, a.slots.shape[0])
-    sv = SlotVector.__new__(SlotVector)
-    sv.slots = a.slots * vals
-    sv.logical_len = a.logical_len
-    sv.depth_used = depth
-    sv.rotations_used = a.rotations_used
-    sv.mults_used = a.mults_used + 1
-    sv.key_id = a.key_id
-    sv.ctx = ctx
-    return sv
+    return SlotVector(a.slots * vals, a.logical_len, depth, a.rotations_used, a.mults_used + 1, ctx)
 
 
 def add_plain(a: SlotVector, scalars) -> SlotVector:
@@ -266,7 +245,7 @@ def add_plain(a: SlotVector, scalars) -> SlotVector:
     Free of depth cost (plaintext additions do not consume a level).
     """
     vals = _coerce_scalars(scalars, a.slots.shape[0])
-    return _new(a.ctx, a.slots + vals, a.logical_len, a.depth_used, a.rotations_used, a.mults_used)
+    return SlotVector(a.slots + vals, a.logical_len, a.depth_used, a.rotations_used, a.mults_used, a.ctx)
 
 
 def rotate_left(a: SlotVector, k: int) -> SlotVector:
@@ -286,15 +265,7 @@ def rotate_left(a: SlotVector, k: int) -> SlotVector:
         out[cap - k :] = s[:k]
     else:
         out = s.copy()
-    sv = SlotVector.__new__(SlotVector)
-    sv.slots = out
-    sv.logical_len = a.logical_len
-    sv.depth_used = a.depth_used
-    sv.rotations_used = a.rotations_used + 1
-    sv.mults_used = a.mults_used
-    sv.key_id = a.key_id
-    sv.ctx = a.ctx
-    return sv
+    return SlotVector(out, a.logical_len, a.depth_used, a.rotations_used + 1, a.mults_used, a.ctx)
 
 
 # --- keyed serialization -----------------------------------------------------
@@ -324,7 +295,7 @@ def serialize_ciphertext(sv: SlotVector, ctx: EncryptionContext, mask: bool = Tr
     if mask:
         ks = _keystream(ctx.masking_seed, nonce, len(payload))
         payload = (np.frombuffer(payload, dtype=np.uint8) ^ np.frombuffer(ks, dtype=np.uint8)).tobytes()
-    return sv.key_id + nonce + struct.pack("<I", cap) + payload
+    return sv.ctx.key_id + nonce + struct.pack("<I", cap) + payload
 
 
 def deserialize_ciphertext(blob: bytes, ctx: EncryptionContext, masked: bool = True) -> SlotVector:
@@ -333,19 +304,22 @@ def deserialize_ciphertext(blob: bytes, ctx: EncryptionContext, masked: bool = T
     Depth/op counters are not part of the wire format; the result carries
     zeroed accounting and logical_len = capacity.  Callers that track depth
     across persistence restore it from what they know produced the value.
+    A blob whose header or payload has the wrong length raises IntegrityError.
     """
+    if len(blob) < HEADER_LEN:
+        raise IntegrityError(f"ciphertext blob of {len(blob)} bytes is shorter than its {HEADER_LEN}-byte header")
     key = blob[:_KEY_LEN]
     if key != ctx.key_id:
         raise KeyMismatch("serialized ciphertext belongs to a different key")
     nonce = blob[_KEY_LEN : _KEY_LEN + _NONCE_LEN]
-    (cap,) = struct.unpack("<I", blob[_KEY_LEN + _NONCE_LEN : _KEY_LEN + _NONCE_LEN + 4])
+    (cap,) = struct.unpack("<I", blob[_KEY_LEN + _NONCE_LEN : HEADER_LEN])
     if cap != ctx.slot_capacity:
         raise ValueError(f"blob capacity {cap} != context capacity {ctx.slot_capacity}")
-    payload = blob[_KEY_LEN + _NONCE_LEN + 4 :]
+    payload = blob[HEADER_LEN:]
     if len(payload) != cap * 8:
-        raise ValueError("truncated ciphertext blob")
+        raise IntegrityError(f"ciphertext payload is {len(payload)} bytes, expected {cap * 8}")
     if masked:
         ks = _keystream(ctx.masking_seed, nonce, len(payload))
         payload = (np.frombuffer(payload, dtype=np.uint8) ^ np.frombuffer(ks, dtype=np.uint8)).tobytes()
     slots = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return _new(ctx, slots, cap, 0, 0, 0)
+    return SlotVector(slots, cap, 0, 0, 0, ctx)

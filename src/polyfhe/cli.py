@@ -104,6 +104,14 @@ def _sizes(spec: str) -> list:
     return [int(x) for x in spec.split(",")]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1 (a usage error otherwise)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _dataset_from_args(args) -> list:
     if args.dataset:
         return load_dataset(args.dataset)
@@ -234,7 +242,7 @@ def cmd_identify(args) -> int:
     rows = []
     hits = 0
     for i, probe in enumerate(probes):
-        ranked = pipeline.identify(probe, gallery, jobs=args.jobs)[: args.top]
+        ranked = pipeline.identify(probe, gallery)[: args.top]
         for rank, (sid, score) in enumerate(ranked, start=1):
             rows.append([i, probe.subject_id, rank, sid, repr(score)])
         top_sid = ranked[0][0]
@@ -263,7 +271,6 @@ def cmd_eval_leakage(args) -> int:
         c_range=args.c_range,
         seed=args.seed,
         epochs=args.epochs,
-        jobs=args.jobs,
     )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -311,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out-dir", default="runs")
         p.add_argument("--config", help="INI config file; flags override its values")
 
@@ -350,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--gallery-dir", required=True)
     p.add_argument("--probes", required=True, help="probe dataset CSV")
-    p.add_argument("--top", type=int, default=5)
+    p.add_argument("--top", type=_positive_int, default=5)
     p.add_argument("--approx-degree", type=int, default=16)
     p.set_defaults(func=cmd_identify)
 

@@ -60,3 +60,11 @@ class ZeroBaseline(PolyFheError):
 
 class UnknownParamsId(PolyFheError):
     """A gallery record references a params_id absent from the store."""
+
+
+class IntegrityError(PolyFheError, ValueError):
+    """A serialized ciphertext is cut short or has the wrong length."""
+
+
+class EmptyDataset(PolyFheError):
+    """A dataset file holds a header but no samples."""

@@ -17,13 +17,12 @@ vote is the stronger trivial attacker on imbalanced labels.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import EncryptionContext, as_plain, encrypt, serialize_ciphertext
+from .backend import HEADER_LEN, EncryptionContext, as_plain, encrypt, serialize_ciphertext
 from .errors import DegenerateLabels, DimensionMismatch, InfeasibleParams, ZeroBaseline
 from .pipeline import ATTRIBUTE_CLASSES, compress_prefix
 from .polyprotect import chunk_embedding, gen_params, protect_encrypted, protect_plain
@@ -142,7 +141,7 @@ def ciphertext_features(records, ctx: EncryptionContext, masked: bool = True) ->
         hist = np.bincount(all_bytes, minlength=256).astype(np.float64) / len(all_bytes)
         values = []
         for blob in blobs:
-            payload = np.frombuffer(blob[36:], dtype="<f8")
+            payload = np.frombuffer(blob[HEADER_LEN:], dtype="<f8")
             values.append(np.clip(np.nan_to_num(payload, nan=0.0, posinf=10.0, neginf=-10.0), -10.0, 10.0))
         out.append(as_plain(np.concatenate([hist] + values)))
     return out
@@ -203,7 +202,6 @@ def run_leakage_suite(
     epochs: int = 300,
     lr: float = 0.5,
     weight_decay: float = 0.3,
-    jobs: int = 1,
 ) -> list:
     """Train the attacker per (attribute x variant) and report PG/SR.
 
@@ -211,10 +209,6 @@ def run_leakage_suite(
     every row).  Protection uses one shared parameter set -- the attacker of
     the full-disclosure model knows the parameters, so leakage is measured on
     the transform itself rather than on parameter diversity.
-
-    jobs > 1 parallelizes the (variant x attribute) training grid; feature
-    building stays serial so the seeded serialization nonce stream keeps a
-    deterministic order.
     """
     if ctx is None:
         ctx = EncryptionContext(max(128, compress_dim), 16, key_id=f"leakage-{seed}", nonce_seed=seed)
@@ -235,11 +229,7 @@ def run_leakage_suite(
 
     cells = [("none", attr) for attr in ATTRIBUTE_CLASSES]
     cells += [(v, attr) for v in protection_variants if v != "none" for attr in ATTRIBUTE_CLASSES]
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            accs = dict(zip(cells, pool.map(lambda c: cell_accuracy(*c), cells)))
-    else:
-        accs = {cell: cell_accuracy(*cell) for cell in cells}
+    accs = {cell: cell_accuracy(*cell) for cell in cells}
 
     reports = []
     for variant in protection_variants:

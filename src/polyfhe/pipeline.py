@@ -1,7 +1,5 @@
 """End-to-end 1:N identification: compress -> encrypt -> protect -> search.
 
-The stage order is fixed (prefix compression first, then encryption, then the
-window polynomial); building a pipeline with any other order refuses to run.
 Synthetic labeled datasets stand in for real face-embedding corpora: per-
 identity Gaussian clusters on the unit sphere, with a configurable fraction
 of coordinates carrying attribute-aligned mean shifts so attribute
@@ -17,7 +15,6 @@ packed templates are normalized by a public, params-derived scale estimate
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 import math
@@ -27,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .backend import EncryptionContext, decrypt, deserialize_ciphertext, encrypt, serialize_ciphertext
-from .errors import UnknownParamsId, ZeroPrefix
+from .errors import EmptyDataset, UnknownParamsId, ZeroPrefix
 from .invsqrt import PolyApprox, fit_inv_sqrt
 from .polyprotect import (
     PolyProtectParams,
@@ -50,8 +47,6 @@ ATTRIBUTE_CLASSES = {
     "age_band": ("0-22", "23-40", "41-59", "60+"),
     "ethnicity": ("hispanic", "white", "black", "asian"),
 }
-
-_CANONICAL_STAGES = ("compress", "encrypt", "protect")
 
 
 @dataclass(frozen=True)
@@ -192,7 +187,6 @@ def identify(
     ctx: EncryptionContext,
     plan: NormalizationPlan,
     approx: PolyApprox,
-    jobs: int = 1,
 ) -> list:
     """Encrypted 1:N search: (subject_id, score) sorted by descending score.
 
@@ -202,11 +196,7 @@ def identify(
     """
     if not gallery:
         raise ValueError("identify needs a nonempty gallery")
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            scores = list(pool.map(lambda r: _score_record(probe, r, params_store, ctx, plan, approx), gallery))
-    else:
-        scores = [_score_record(probe, rec, params_store, ctx, plan, approx) for rec in gallery]
+    scores = [_score_record(probe, rec, params_store, ctx, plan, approx) for rec in gallery]
     return sorted(scores, key=lambda t: (-t[1], t[0]))
 
 
@@ -243,7 +233,6 @@ class PipelineConfig:
     noise_stddev: float = 0.0
     encrypted: bool = True
     seed: int = 0
-    stage_order: tuple = _CANONICAL_STAGES
 
 
 class Pipeline:
@@ -255,8 +244,6 @@ class Pipeline:
     """
 
     def __init__(self, cfg: PipelineConfig):
-        if tuple(cfg.stage_order) != _CANONICAL_STAGES:
-            raise ValueError(f"stage order must be {_CANONICAL_STAGES}, got {tuple(cfg.stage_order)}")
         self.cfg = cfg
         self.ctx = EncryptionContext(
             cfg.slot_capacity,
@@ -287,9 +274,9 @@ class Pipeline:
             return enroll(e, params, self.ctx, self.cfg.compress_dim)
         return enroll_plain(e, params, self.cfg.compress_dim)
 
-    def identify(self, probe: Embedding, gallery: list, jobs: int = 1) -> list:
+    def identify(self, probe: Embedding, gallery: list) -> list:
         if self.cfg.encrypted:
-            return identify(probe, gallery, self.params_store, self.ctx, self.plan, self.approx, jobs)
+            return identify(probe, gallery, self.params_store, self.ctx, self.plan, self.approx)
         return identify_plain(probe, gallery, self.params_store)
 
 
@@ -316,7 +303,7 @@ def build_gallery(dataset: list, pipeline: Pipeline) -> tuple:
     return gallery, probes
 
 
-def rank1_accuracy(dataset: list, cfg: PipelineConfig, jobs: int = 1) -> float:
+def rank1_accuracy(dataset: list, cfg: PipelineConfig) -> float:
     """Fraction of probes whose top-scored gallery identity is correct."""
     pipeline = Pipeline(cfg)
     gallery, probes = build_gallery(dataset, pipeline)
@@ -324,7 +311,7 @@ def rank1_accuracy(dataset: list, cfg: PipelineConfig, jobs: int = 1) -> float:
         raise ValueError("dataset leaves no probes after the enroll split")
     hits = 0
     for probe in probes:
-        ranked = pipeline.identify(probe, gallery, jobs=jobs)
+        ranked = pipeline.identify(probe, gallery)
         hits += ranked[0][0] == probe.subject_id
     return hits / len(probes)
 
@@ -346,14 +333,16 @@ def save_dataset(dataset: list, path):
 
 
 def load_dataset(path) -> list:
+    """Read a CSV written by save_dataset; a file with no samples is an error."""
     out = []
     with open(path, newline="") as f:
         r = csv.reader(f)
-        header = next(r)
-        dim = len(header) - 4
+        dim = len(next(r, [])) - 4
         for row in r:
             attrs = {"gender": row[1], "age_band": row[2], "ethnicity": row[3]}
             out.append(Embedding(np.array([float(x) for x in row[4 : 4 + dim]]), row[0], attrs))
+    if not out:
+        raise EmptyDataset(f"dataset {path} has no samples")
     return out
 
 

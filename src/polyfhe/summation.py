@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import EncryptionContext, SlotVector, _new, add, encrypt, mult_plain, rotate_left
+from .backend import EncryptionContext, SlotVector, add, encrypt, mult_plain, rotate_left
 
 
 @dataclass
@@ -73,7 +73,7 @@ def fold_add_all(c: SlotVector, n: int) -> SlotVector:
         acc = add(acc, rotate_left(acc, 1 << i))
     # The running ciphertext feeds both sides of each add, so the lineage-sum
     # merge inflates the counters; report the physical k rotations instead.
-    return _new(c.ctx, acc.slots, acc.logical_len, acc.depth_used, c.rotations_used + k, c.mults_used)
+    return SlotVector(acc.slots, acc.logical_len, acc.depth_used, c.rotations_used + k, c.mults_used, c.ctx)
 
 
 def dft_sum(c: SlotVector, n: int) -> SlotVector:

@@ -17,7 +17,8 @@ from polyfhe.backend import (
     serialize_ciphertext,
     sub,
 )
-from polyfhe.errors import CapacityExceeded, DepthExceeded, KeyMismatch
+from polyfhe.errors import CapacityExceeded, DepthExceeded, IntegrityError, KeyMismatch
+from polyfhe.summation import dft_sum, fold_add_all, naive_add_all
 
 
 @pytest.fixture
@@ -191,6 +192,29 @@ def test_rotation_group_law(a, b):
     sv = encrypt(np.arange(16.0), ctx)
     composed = rotate_left(rotate_left(sv, a), b)
     assert composed.slots.tolist() == rotate_left(sv, a + b).slots.tolist()
+    assert composed.rotations_used == 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(log_cap=st.integers(min_value=0, max_value=8), key=st.text(max_size=8), k=st.integers(min_value=0, max_value=300))
+def test_every_op_carries_its_input_context(log_cap, key, k):
+    ctx = EncryptionContext(1 << log_cap, 16, key_id=key)
+    a = encrypt([0.5], ctx)
+    b = encrypt([2.0], ctx)
+    results = [
+        a,
+        add(a, b),
+        sub(a, b),
+        mult(a, b),
+        mult_plain(a, 3.0),
+        add_plain(a, 1.0),
+        rotate_left(a, k),
+        deserialize_ciphertext(serialize_ciphertext(a, ctx), ctx),
+        naive_add_all(a, 1 << log_cap),
+        fold_add_all(a, 1 << log_cap),
+        dft_sum(a, 1 << log_cap),
+    ]
+    assert all(r.ctx is ctx for r in results)
 
 
 def test_depth_monotone_along_chains(ctx):
@@ -257,6 +281,16 @@ def test_deserialize_foreign_key_rejected(ctx):
     blob = serialize_ciphertext(encrypt([1.0], ctx), ctx)
     with pytest.raises(KeyMismatch):
         deserialize_ciphertext(blob, other)
+
+
+@pytest.mark.parametrize("size", [0, 20, 34, 35, 36, 37, 99, 101])
+def test_deserialize_wrong_length_is_integrity_error(ctx, size):
+    blob = serialize_ciphertext(encrypt([1.0, 2.0], ctx), ctx)  # 100 bytes at capacity 8
+    blob = (blob + b"\0")[:size]
+    with pytest.raises(IntegrityError):
+        deserialize_ciphertext(blob, ctx)
+    with pytest.raises(ValueError):  # IntegrityError is also a ValueError
+        deserialize_ciphertext(blob, ctx)
 
 
 def test_serialize_unmasked_debug_mode(ctx):

@@ -1,10 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import polyfhe
 from polyfhe.cli import main
 from polyfhe.pipeline import identify, load_dataset, load_gallery
 from polyfhe.invsqrt import fit_inv_sqrt, load_approx
@@ -14,22 +17,21 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_module(*argv):
+    """Run the CLI in a child process that imports this checkout's package."""
+    src = str(Path(polyfhe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "polyfhe.cli", *argv], capture_output=True, text=True, env=env)
+
+
 def test_unknown_flag_exits_2():
-    proc = subprocess.run(
-        [sys.executable, "-m", "polyfhe.cli", "bench-sum", "--frobnicate"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("bench-sum", "--frobnicate")
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
 
 
 def test_unknown_command_exits_2():
-    proc = subprocess.run(
-        [sys.executable, "-m", "polyfhe.cli", "no-such-command"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("no-such-command")
     assert proc.returncode == 2
 
 
@@ -185,3 +187,55 @@ def test_config_file_defaults_and_override(tmp_path):
 def test_missing_config_file_errors(tmp_path, capsys):
     rc = run_cli("gen-params", "--config", str(tmp_path / "absent.ini"), "--out-dir", str(tmp_path))
     assert rc == 1
+
+
+def _enrolled(tmp_path):
+    out = tmp_path / "run"
+    rc = run_cli("enroll", "--num-ids", "2", "--samples-per-id", "2", "--dim", "64", "--seed", "3",
+                 "--out-dir", str(out), "--save-probes")
+    assert rc == 0
+    return out
+
+
+@pytest.mark.parametrize("size", [34, 100])
+def test_identify_truncated_blob_exits_1(tmp_path, capsys, size):
+    out = _enrolled(tmp_path)
+    blob = out / "gallery" / "blobs" / "0_3.ct"
+    blob.write_bytes(blob.read_bytes()[:size])
+    rc = run_cli("identify", "--gallery-dir", str(out / "gallery"), "--probes", str(out / "probes.csv"),
+                 "--out-dir", str(out / "id"))
+    assert rc == 1
+    assert "error: IntegrityError:" in capsys.readouterr().err
+
+
+def test_identify_empty_probes_exits_1(tmp_path, capsys):
+    out = _enrolled(tmp_path)
+    probes = out / "probes.csv"
+    probes.write_text(probes.read_text().splitlines()[0] + "\n")
+    rc = run_cli("identify", "--gallery-dir", str(out / "gallery"), "--probes", str(probes),
+                 "--out-dir", str(out / "id"))
+    assert rc == 1
+    assert "error: EmptyDataset:" in capsys.readouterr().err
+
+
+def test_empty_dataset_flag_exits_1(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("id,gender,age_band,ethnicity,v0\n")
+    rc = run_cli("eval-leakage", "--dataset", str(path), "--out-dir", str(tmp_path / "leak"))
+    assert rc == 1
+    assert "error: EmptyDataset:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_identify_top_below_one_is_usage_error(tmp_path, capsys, top):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("identify", "--gallery-dir", str(tmp_path), "--probes", str(tmp_path / "p.csv"), "--top", top)
+    assert exc.value.code == 2
+    assert "--top" in capsys.readouterr().err
+
+
+def test_jobs_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("gen-params", "--jobs", "8", "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyfhe.backend import EncryptionContext, encrypt
 from polyfhe.summation import (
@@ -119,6 +121,24 @@ def test_kernel_agreement_and_counters(ctx, n):
         assert abs(df.slots[0] - expected) < 1e-9
         assert na.rotations_used == n - 1
         assert fo.rotations_used == (n - 1).bit_length()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=200),
+    extra=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_kernels_sum_any_n_in_any_larger_capacity(n, extra, seed):
+    # capacity: the next power of two at or above n, then up to 8x larger
+    ctx = EncryptionContext(1 << ((n - 1).bit_length() + extra), 16, key_id="sum")
+    data = np.random.default_rng(seed).uniform(-1, 1, n)
+    sv = encrypt(data, ctx)
+    expected = data.sum()
+    for kernel, rotations in ((fold_add_all, (n - 1).bit_length()), (naive_add_all, n - 1), (dft_sum, n - 1)):
+        out = kernel(sv, n)
+        assert out.slots[0] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert out.rotations_used == rotations
 
 
 def test_kernels_reject_oversize(ctx):
