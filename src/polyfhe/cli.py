@@ -50,6 +50,8 @@ from .summation import bench_summation, write_bench_csv
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict):
+    # func is the subcommand's function object; its repr holds a memory address.
+    config = {key: value for key, value in config.items() if key != "func"}
     out_dir.mkdir(parents=True, exist_ok=True)
     canon = json.dumps(config, sort_keys=True, default=str)
     manifest = {

@@ -68,3 +68,11 @@ class IntegrityError(PolyFheError, ValueError):
 
 class EmptyDataset(PolyFheError):
     """A dataset file holds a header but no samples."""
+
+
+class MalformedDataset(PolyFheError):
+    """A dataset row has the wrong number of fields or a value that is not a finite number."""
+
+
+class EmptyGallery(PolyFheError):
+    """A saved gallery lists no records."""

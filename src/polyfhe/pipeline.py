@@ -5,12 +5,18 @@ identity Gaussian clusters on the unit sphere, with a configurable fraction
 of coordinates carrying attribute-aligned mean shifts so attribute
 classifiers have something to find.
 
-Because protection parameters are per-user, a 1:N search re-protects the
-probe with each gallery record's own parameters before scoring -- N times the
-protect cost, which is the price of user-specific transforms.  Encrypted
-cosine needs the scaled denominator inside the inverse-sqrt fit domain, so
-packed templates are normalized by a public, params-derived scale estimate
-(the same scale on both sides of a comparison, so scores are unchanged).
+Because protection parameters are per-user, a 1:N search protects the probe
+under each gallery record's own parameters before scoring.  The work that
+depends only on the probe is shared: its windows are encrypted once per
+search in a strided layout, and their powers are computed once and reused by
+every record with the same (compress_dim, m, overlap), so each record pays
+only for its coefficient and placement masks, a short fold and the cosine.
+The work that depends only on the record -- packing its template into one
+ciphertext -- is done on its first search and cached on the record.
+Encrypted cosine needs the scaled denominator inside the inverse-sqrt fit
+domain, so packed templates are normalized by a public, params-derived scale
+estimate (the same scale on both sides of a comparison, so scores are
+unchanged).
 """
 
 from __future__ import annotations
@@ -23,13 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import EncryptionContext, decrypt, deserialize_ciphertext, encrypt, serialize_ciphertext
-from .errors import EmptyDataset, UnknownParamsId, ZeroPrefix
+from .backend import EncryptionContext, SlotVector, decrypt, deserialize_ciphertext, encrypt, serialize_ciphertext
+from .errors import EmptyDataset, EmptyGallery, MalformedDataset, UnknownParamsId, ZeroPrefix
 from .invsqrt import PolyApprox, fit_inv_sqrt
 from .polyprotect import (
     PolyProtectParams,
     ProtectedTemplate,
     chunk_embedding,
+    encrypt_probe_windows,
     expected_template_norm,
     gen_params,
     output_len,
@@ -38,6 +45,7 @@ from .polyprotect import (
     params_to_dict,
     protect_depth,
     protect_encrypted,
+    protect_packed,
     protect_plain,
 )
 from .similarity import NormalizationPlan, cosine_encrypted, cosine_plain, make_normalization_plan
@@ -92,6 +100,7 @@ class GalleryRecord:
     params_id: str
     compress_dim: int
     blobs: tuple = field(default=None, repr=False, compare=False)
+    packed: SlotVector = field(default=None, repr=False, compare=False)  # scaled pack, filled by identify
 
 
 _ATTR_SHIFT = 2.5
@@ -166,20 +175,6 @@ def enroll_plain(e: Embedding, params: PolyProtectParams, d: int) -> GalleryReco
     return GalleryRecord(e.subject_id, protect_plain(v.values, params), params.params_id, d)
 
 
-def _score_record(probe, rec, params_store, ctx, plan, approx):
-    params = params_store.get(rec.params_id)
-    if params is None:
-        raise UnknownParamsId(f"no parameters stored for params_id {rec.params_id}")
-    v = compress_prefix(probe, rec.compress_dim)
-    windows = [encrypt(chunk, ctx) for chunk in chunk_embedding(v.values, params)]
-    probe_pt = protect_encrypted(windows, params, ctx)
-    scale = 1.0 / expected_template_norm(params, rec.compress_dim)
-    packed_gal = pack_template(rec.protected, scale)
-    packed_probe = pack_template(probe_pt, scale)
-    ct = cosine_encrypted(packed_gal, packed_probe, probe_pt.k, plan, approx, ctx)
-    return rec.subject_id, float(decrypt(ct, ctx).values[0])
-
-
 def identify(
     probe: Embedding,
     gallery: list,
@@ -190,13 +185,32 @@ def identify(
 ) -> list:
     """Encrypted 1:N search: (subject_id, score) sorted by descending score.
 
-    The probe is re-protected under each record's own parameters; scores are
-    decrypted with the user context before ranking.  Ties break by subject_id
-    for a stable order.
+    The probe is protected under each record's own parameters.  Its windows
+    are encrypted once per (compress_dim, m, overlap) in the strided layout
+    and their power chains are shared across records; each record's packed,
+    scaled template is built on its first search and kept in rec.packed.
+    Scores are decrypted with the user context before ranking.  Ties break
+    by subject_id for a stable order.
     """
     if not gallery:
         raise ValueError("identify needs a nonempty gallery")
-    scores = [_score_record(probe, rec, params_store, ctx, plan, approx) for rec in gallery]
+    probe_windows = {}
+    scores = []
+    for rec in gallery:
+        params = params_store.get(rec.params_id)
+        if params is None:
+            raise UnknownParamsId(f"no parameters stored for params_id {rec.params_id}")
+        layout = (rec.compress_dim, params.m, params.overlap)
+        windows = probe_windows.get(layout)
+        if windows is None:
+            v = compress_prefix(probe, rec.compress_dim)
+            windows = probe_windows[layout] = encrypt_probe_windows(v.values, params, ctx)
+        scale = 1.0 / expected_template_norm(params, rec.compress_dim)
+        if rec.packed is None:
+            rec.packed = pack_template(rec.protected, scale)
+        packed_probe = protect_packed(windows, params, scale)
+        ct = cosine_encrypted(rec.packed, packed_probe, windows.k, plan, approx, ctx)
+        scores.append((rec.subject_id, float(decrypt(ct, ctx).values[0])))
     return sorted(scores, key=lambda t: (-t[1], t[0]))
 
 
@@ -333,14 +347,29 @@ def save_dataset(dataset: list, path):
 
 
 def load_dataset(path) -> list:
-    """Read a CSV written by save_dataset; a file with no samples is an error."""
+    """Read a CSV written by save_dataset.
+
+    A file with no samples raises EmptyDataset; a row whose field count
+    differs from the header's, or whose values are not finite numbers,
+    raises MalformedDataset naming the file and line.
+    """
     out = []
     with open(path, newline="") as f:
         r = csv.reader(f)
-        dim = len(next(r, [])) - 4
+        width = len(next(r, []))
         for row in r:
+            if width < 5:
+                raise MalformedDataset(f"{path}, line 1: header has {width} fields; needs id, 3 attributes, values")
+            if len(row) != width:
+                raise MalformedDataset(f"{path}, line {r.line_num}: {len(row)} fields, header has {width}")
+            try:
+                values = np.array([float(x) for x in row[4:]])
+            except ValueError as exc:
+                raise MalformedDataset(f"{path}, line {r.line_num}: {exc}") from None
+            if not np.isfinite(values).all():
+                raise MalformedDataset(f"{path}, line {r.line_num}: value is not finite")
             attrs = {"gender": row[1], "age_band": row[2], "ethnicity": row[3]}
-            out.append(Embedding(np.array([float(x) for x in row[4 : 4 + dim]]), row[0], attrs))
+            out.append(Embedding(values, row[0], attrs))
     if not out:
         raise EmptyDataset(f"dataset {path} has no samples")
     return out
@@ -399,11 +428,14 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
 
     Blob bytes are kept on each record so a subsequent save is bit-identical.
     Ciphertext depth is not on the wire; it is restored from the protection
-    parameters that produced each template.
+    parameters that produced each template.  A manifest with no records
+    raises EmptyGallery.
     """
     src = Path(in_dir)
     with open(src / "manifest.json") as f:
         manifest = json.load(f)
+    if not manifest["records"]:
+        raise EmptyGallery(f"gallery {in_dir} lists no records")
     meta = manifest["ctx"]
     if ctx is None:
         ctx = EncryptionContext(meta["slot_capacity"], meta["depth_budget"], key_id=bytes.fromhex(meta["key_id"]))

@@ -14,6 +14,12 @@ exponent (square-and-multiply, shared sub-powers), then a single plaintext
 mask both selects that branch's slot and applies its coefficient.  Depth per
 window is ceil(log2 max_exp) + 2 (power chain, coefficient mask, broadcast
 mask).
+
+A search probe uses a strided layout instead (SIMD packing after Smart and
+Vercauteren, masked rotate-and-sum after Halevi and Shoup): window j sits in
+slots j..j+m-1 of ciphertext j mod s, s = 2^ceil(log2 m), so min(s, k)
+ciphertexts and their power chains serve every user's parameters, and
+protect_packed turns them into the packed template directly.
 """
 
 from __future__ import annotations
@@ -21,11 +27,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import EncryptionContext, SlotVector, add, as_plain, mult, mult_plain, rotate_left
+from .backend import EncryptionContext, SlotVector, add, as_plain, encrypt, mult, mult_plain, rotate_left
 from .errors import CapacityExceeded, InfeasibleParams, InputTooShort
 from .summation import broadcast_slot0, fold_add_all
 
@@ -189,6 +195,67 @@ def pack_template(pt: ProtectedTemplate, scale: float = 1.0) -> SlotVector:
         mask[j] = scale
         branch = mult_plain(placed, mask)
         acc = branch if acc is None else add(acc, branch)
+    return acc
+
+
+@dataclass(frozen=True)
+class ProbeWindows:
+    """An embedding's k windows in the strided layout, with their power memos.
+
+    Window j holds slots j..j+m-1 (mod capacity) of cts[j % s], where
+    s = 2^ceil(log2 m); memos[g] caches the powers of cts[g] computed so far,
+    so every parameter set with this (m, overlap) shares one power chain.
+    """
+
+    cts: tuple
+    k: int
+    m: int
+    overlap: int
+    memos: tuple = field(repr=False, compare=False)
+
+
+def encrypt_probe_windows(v, params: PolyProtectParams, ctx: EncryptionContext) -> ProbeWindows:
+    """Encrypt v's windows in the strided layout: min(s, k) encryptions."""
+    windows = np.stack([w.values for w in chunk_embedding(v, params)])
+    k, m = windows.shape
+    cap = ctx.slot_capacity
+    if max(k, m) > cap:
+        raise CapacityExceeded(f"{k} windows of width {m} do not fit slot capacity {cap}")
+    s = 1 << (m - 1).bit_length()
+    j = np.arange(k)
+    slots = np.zeros((min(s, k), cap), dtype=np.float64)
+    slots[(j % s)[:, None], (j[:, None] + np.arange(m)) % cap] = windows
+    cts = tuple(encrypt(row, ctx) for row in slots)
+    return ProbeWindows(cts, k, m, params.overlap, tuple({} for _ in cts))
+
+
+def protect_packed(windows: ProbeWindows, params: PolyProtectParams, scale: float = 1.0) -> SlotVector:
+    """The packed template of strided windows under params, scale * p_j in slot j.
+
+    Slot-for-slot the same values as pack_template(protect_encrypted(...),
+    scale): per group, one coefficient mask per branch puts c_i at slot j+i of
+    every window j, the fold leaves p_j in slot j (windows of a group lie at
+    least s apart and the fold sums any s consecutive slots), and one
+    placement mask keeps slot j scaled.  Depth ceil(log2 max_exp) + 2.
+    """
+    if (windows.m, windows.overlap) != (params.m, params.overlap):
+        raise ValueError("probe windows were laid out for a different window width or overlap")
+    m, k = params.m, windows.k
+    groups = len(windows.cts)  # min(s, k), so j % groups == j % s for every window j < k
+    cap = windows.cts[0].slots.shape[0]
+    j = np.arange(k)
+    coeff_masks = np.zeros((groups, m, cap), dtype=np.float64)
+    coeff_masks[(j % groups)[:, None], np.arange(m), (j[:, None] + np.arange(m)) % cap] = params.coeffs
+    place_masks = np.zeros((groups, cap), dtype=np.float64)
+    place_masks[j % groups, j] = scale
+    acc = None
+    for g, (ct, memo) in enumerate(zip(windows.cts, windows.memos)):
+        combined = None
+        for i in range(m):
+            branch = mult_plain(_pow_ct(ct, params.exps[i], memo), coeff_masks[g, i])
+            combined = branch if combined is None else add(combined, branch)
+        placed = mult_plain(fold_add_all(combined, m), place_masks[g])
+        acc = placed if acc is None else add(acc, placed)
     return acc
 
 

@@ -57,11 +57,15 @@ def naive_add_all(c: SlotVector, n: int) -> SlotVector:
 def fold_add_all(c: SlotVector, n: int) -> SlotVector:
     """Sum the first n slots with ceil(log2 n) power-of-two rotations.
 
-    Expects zeros in slots n .. 2^ceil(log2 n); callers zero-pad.  Only
-    slot 0 of the result is guaranteed to hold the sum.  The loop runs the
-    final rotate-by-1 step inclusively: the halving recursion needs offsets
-    2^(k-1) .. 2^0 to cover every slot, and stopping one step early leaves
-    the sum incomplete for n > 2.
+    For every start j, slot j of the result holds the sum of slots
+    [j, j + 2^ceil(log2 n)) of the input, cyclically over the capacity, in
+    the same order of additions whatever j is.  So with zeros in slots
+    n .. 2^ceil(log2 n) (callers zero-pad) slot 0 holds the sum of the first
+    n slots, and data starting at any slot j sums into slot j; several
+    n-wide blocks at least 2^ceil(log2 n) apart are summed by one call.  The
+    loop runs the final rotate-by-1 step inclusively: the halving recursion
+    needs offsets 2^(k-1) .. 2^0 to cover every slot, and stopping one step
+    early leaves the sum incomplete for n > 2.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

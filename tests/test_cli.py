@@ -62,6 +62,17 @@ def test_gen_params_writes_file_and_manifest(tmp_path):
     assert "config_hash" in manifest and "versions" in manifest
 
 
+def test_manifest_config_hash_repeats(tmp_path):
+    hashes = []
+    for _ in range(2):
+        assert run_cli("gen-params", "--seed", "3", "--out-dir", str(tmp_path)) == 0
+        with open(tmp_path / "run_manifest.json") as f:
+            manifest = json.load(f)
+        assert "func" not in manifest["config"]
+        hashes.append(manifest["config_hash"])
+    assert hashes[0] == hashes[1]
+
+
 def test_bench_sum_csv_and_determinism(tmp_path):
     for sub in ("a", "b"):
         rc = run_cli("bench-sum", "--sizes", "2..64", "--seed", "1", "--out-dir", str(tmp_path / sub))
@@ -239,3 +250,41 @@ def test_jobs_flag_is_gone(tmp_path, capsys):
         run_cli("gen-params", "--jobs", "8", "--out-dir", str(tmp_path))
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["non-numeric value", "short row"])
+def test_identify_malformed_probes_exits_1(tmp_path, capsys, fault):
+    out = _enrolled(tmp_path)
+    probes = out / "probes.csv"
+    header, first = probes.read_text().splitlines()[:2]
+    fields = first.split(",")
+    if fault == "non-numeric value":
+        fields[5] = "abc"
+    else:
+        fields = fields[:-3]
+    probes.write_text("\n".join([header, first, ",".join(fields)]) + "\n")
+    rc = run_cli("identify", "--gallery-dir", str(out / "gallery"), "--probes", str(probes),
+                 "--out-dir", str(out / "id"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: MalformedDataset:" in err and "line 3" in err
+
+
+def test_malformed_dataset_flag_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("id,gender,age_band,ethnicity,v0\nid0,female,0-22,white,abc\n")
+    rc = run_cli("eval-leakage", "--dataset", str(path), "--out-dir", str(tmp_path / "leak"))
+    assert rc == 1
+    assert "error: MalformedDataset:" in capsys.readouterr().err
+
+
+def test_identify_gallery_without_records_exits_1(tmp_path, capsys):
+    out = _enrolled(tmp_path)
+    manifest_path = out / "gallery" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["records"] = []
+    manifest_path.write_text(json.dumps(manifest))
+    rc = run_cli("identify", "--gallery-dir", str(out / "gallery"), "--probes", str(out / "probes.csv"),
+                 "--out-dir", str(out / "id"))
+    assert rc == 1
+    assert "error: EmptyGallery:" in capsys.readouterr().err

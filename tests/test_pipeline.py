@@ -1,8 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 
-from polyfhe.backend import decrypt
-from polyfhe.errors import EmptyDataset, IntegrityError, UnknownParamsId, ZeroPrefix
+from polyfhe import pipeline as pl
+from polyfhe import polyprotect as pp
+from polyfhe.backend import decrypt, encrypt
+from polyfhe.errors import (
+    CapacityExceeded,
+    EmptyDataset,
+    EmptyGallery,
+    IntegrityError,
+    MalformedDataset,
+    UnknownParamsId,
+    ZeroPrefix,
+)
 from polyfhe.pipeline import (
     ATTRIBUTE_CLASSES,
     Embedding,
@@ -22,7 +34,15 @@ from polyfhe.pipeline import (
     save_dataset,
     save_gallery,
 )
-from polyfhe.polyprotect import protect_plain, template_correlation
+from polyfhe.polyprotect import (
+    chunk_embedding,
+    expected_template_norm,
+    pack_template,
+    protect_encrypted,
+    protect_plain,
+    template_correlation,
+)
+from polyfhe.similarity import cosine_encrypted
 
 
 def small_spec(**kw):
@@ -155,6 +175,82 @@ def test_identify_empty_gallery():
         identify_plain(ds[0], [], {})
 
 
+def _identify_per_record(probe, gallery, pipe):
+    # The search as it was before the shared probe windows: the probe is
+    # encrypted and protected from scratch for every record, and both
+    # templates are packed for every comparison.
+    scores = []
+    for rec in gallery:
+        params = pipe.params_store[rec.params_id]
+        v = compress_prefix(probe, rec.compress_dim)
+        probe_pt = protect_encrypted([encrypt(c, pipe.ctx) for c in chunk_embedding(v.values, params)], params, pipe.ctx)
+        scale = 1.0 / expected_template_norm(params, rec.compress_dim)
+        ct = cosine_encrypted(
+            pack_template(rec.protected, scale), pack_template(probe_pt, scale), probe_pt.k, pipe.plan, pipe.approx,
+            pipe.ctx,
+        )
+        scores.append((rec.subject_id, float(decrypt(ct, pipe.ctx).values[0])))
+    return sorted(scores, key=lambda t: (-t[1], t[0]))
+
+
+@pytest.mark.parametrize("cfg", [
+    PipelineConfig(seed=4),
+    PipelineConfig(compress_dim=48, m=3, overlap=1, seed=5),
+    PipelineConfig(compress_dim=130, m=3, overlap=2, seed=6),  # k = 128 = capacity
+])
+def test_identify_scores_equal_per_record_protection(cfg):
+    ds = gen_synthetic_dataset(small_spec(num_ids=6, samples_per_id=2, seed=cfg.seed))
+    pipe = Pipeline(cfg)
+    gallery, probes = build_gallery(ds, pipe)
+    for probe in probes[:2] + probes[:1]:  # the last search runs on a warm gallery
+        assert pipe.identify(probe, gallery) == _identify_per_record(probe, gallery, pipe)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("num_ids", [2, 5, 9])
+def test_identify_encrypts_probe_windows_once(monkeypatch, num_ids):
+    ds = gen_synthetic_dataset(small_spec(num_ids=num_ids, samples_per_id=2))
+    pipe = Pipeline(PipelineConfig(seed=4))
+    gallery, probes = build_gallery(ds, pipe)
+    encrypts = _counting(monkeypatch, pp, "encrypt")
+    enroll_encrypts = _counting(monkeypatch, pl, "encrypt")
+    pipe.identify(probes[0], gallery)
+    assert len(encrypts) == min(8, pipe.k)  # s = 8 for m = 5
+    assert not enroll_encrypts
+
+
+def test_identify_packs_each_record_once(monkeypatch):
+    ds = gen_synthetic_dataset(small_spec(num_ids=4, samples_per_id=2))
+    pipe = Pipeline(PipelineConfig(seed=4))
+    gallery, probes = build_gallery(ds, pipe)
+    packs = _counting(monkeypatch, pl, "pack_template")
+    first = pipe.identify(probes[0], gallery)
+    assert len(packs) == len(gallery)
+    assert pipe.identify(probes[0], gallery) == first
+    pipe.identify(probes[1], gallery)
+    assert len(packs) == len(gallery)
+    assert all(rec.packed is not None for rec in gallery)
+
+
+def test_identify_template_longer_than_capacity():
+    ds = gen_synthetic_dataset(small_spec(num_ids=2, samples_per_id=2))
+    pipe = Pipeline(PipelineConfig(slot_capacity=32, seed=4))  # k = 60 windows
+    gallery, probes = build_gallery(ds, pipe)
+    with pytest.raises(CapacityExceeded):
+        pipe.identify(probes[0], gallery)
+
+
 def test_identify_unknown_params_id():
     ds = gen_synthetic_dataset(small_spec(num_ids=3, samples_per_id=1))
     pipe = Pipeline(PipelineConfig(seed=4))
@@ -229,6 +325,41 @@ def test_load_dataset_without_samples_is_error(tmp_path, text):
     path.write_text(text)
     with pytest.raises(EmptyDataset):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("row,line", [
+    ("id0,female,0-22,white,0.5,abc", "line 3"),
+    ("id0,female,0-22,white,0.5", "line 3"),
+    ("id0,female", "line 3"),
+    ("", "line 3"),
+    ("id0,female,0-22,white,0.5,0.25,0.1", "line 3"),
+    ("id0,female,0-22,white,0.5,nan", "line 3"),
+])
+def test_load_dataset_malformed_row_is_error(tmp_path, row, line):
+    path = tmp_path / "bad.csv"
+    path.write_text("id,gender,age_band,ethnicity,v0,v1\nid1,male,23-40,asian,0.1,0.2\n" + row + "\n")
+    with pytest.raises(MalformedDataset) as exc:
+        load_dataset(path)
+    assert str(path) in str(exc.value) and line in str(exc.value)
+
+
+def test_load_dataset_header_without_values_is_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("id,gender,age_band,ethnicity\nid1,male,23-40,asian\n")
+    with pytest.raises(MalformedDataset):
+        load_dataset(path)
+
+
+def test_load_gallery_without_records_is_error(tmp_path):
+    ds = gen_synthetic_dataset(small_spec(num_ids=2, samples_per_id=1))
+    pipe = Pipeline(PipelineConfig(seed=6))
+    gallery, _ = build_gallery(ds, pipe)
+    save_gallery(gallery, pipe.ctx, pipe.params_store, tmp_path / "g")
+    manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
+    manifest["records"] = []
+    (tmp_path / "g" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(EmptyGallery):
+        load_gallery(tmp_path / "g")
 
 
 def test_gallery_persistence_round_trip(tmp_path):

@@ -10,6 +10,7 @@ from polyfhe.errors import CapacityExceeded, InfeasibleParams, InputTooShort
 from polyfhe.polyprotect import (
     PolyProtectParams,
     chunk_embedding,
+    encrypt_probe_windows,
     gen_params,
     load_params,
     output_len,
@@ -18,6 +19,7 @@ from polyfhe.polyprotect import (
     params_to_dict,
     protect_depth,
     protect_encrypted,
+    protect_packed,
     protect_plain,
     save_params,
     template_correlation,
@@ -239,6 +241,52 @@ def test_pack_template_capacity_limit(ctx):
     enc = protect_encrypted(windows, p, ctx)
     with pytest.raises(CapacityExceeded):
         pack_template(enc)
+
+
+def _packed_cases(cap=128):
+    # every m in 2..7 and overlap in 0..m-1, at one window (k = 1), a mid-size
+    # embedding, and the longest embedding that still fits (k = cap, whose
+    # last windows wrap round the ring)
+    for m in range(2, 8):
+        for overlap in range(m):
+            for n in (m, 64, (cap - 1) * (m - overlap) + m):
+                yield m, overlap, n
+
+
+@pytest.mark.parametrize("m,overlap,n", list(_packed_cases()))
+def test_protect_packed_equals_pack_of_protect_encrypted(m, overlap, n):
+    ctx = EncryptionContext(128, 16, key_id="packed")
+    p = gen_params(m, overlap, 50, seed=[m, overlap, n])
+    v = np.random.default_rng(n).normal(size=n)
+    windows = [encrypt(c, ctx) for c in chunk_embedding(v, p)]
+    old = pack_template(protect_encrypted(windows, p, ctx), 0.37)
+    probe = encrypt_probe_windows(v, p, ctx)
+    assert len(probe.cts) == min(1 << (m - 1).bit_length(), probe.k)
+    new = protect_packed(probe, p, 0.37)
+    k = output_len(n, m, overlap)
+    assert probe.k == k
+    assert np.array_equal(new.slots[:k], old.slots[:k])
+    assert not new.slots[k:].any()
+    assert new.depth_used == protect_depth(p) == old.depth_used - 1
+    # a second parameter set reuses the same windows and their power memos
+    q = gen_params(m, overlap, 50, seed=[m, overlap, n, 1])
+    again = pack_template(protect_encrypted(windows, q, ctx), 0.37)
+    assert np.array_equal(protect_packed(probe, q, 0.37).slots[:k], again.slots[:k])
+
+
+def test_encrypt_probe_windows_capacity_limit(ctx):
+    p = gen_params(2, 1, 50, seed=3)  # k = 15 windows, too many for capacity 8
+    with pytest.raises(CapacityExceeded):
+        encrypt_probe_windows(np.ones(16), p, ctx)
+
+
+def test_protect_packed_rejects_other_layout(ctx):
+    v = np.random.default_rng(1).normal(size=8)
+    probe = encrypt_probe_windows(v, gen_params(3, 2, 50, seed=1), ctx)
+    with pytest.raises(ValueError):
+        protect_packed(probe, gen_params(3, 1, 50, seed=1))
+    with pytest.raises(ValueError):
+        protect_packed(probe, gen_params(4, 2, 50, seed=1))
 
 
 def test_params_json_round_trip(tmp_path):

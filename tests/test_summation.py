@@ -128,10 +128,12 @@ def test_kernel_agreement_and_counters(ctx, n):
     n=st.integers(min_value=1, max_value=200),
     extra=st.integers(min_value=0, max_value=3),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    start=st.integers(min_value=0, max_value=2**11 - 1),
 )
-def test_kernels_sum_any_n_in_any_larger_capacity(n, extra, seed):
+def test_kernels_sum_any_n_in_any_larger_capacity(n, extra, seed, start):
     # capacity: the next power of two at or above n, then up to 8x larger
-    ctx = EncryptionContext(1 << ((n - 1).bit_length() + extra), 16, key_id="sum")
+    cap = 1 << ((n - 1).bit_length() + extra)
+    ctx = EncryptionContext(cap, 16, key_id="sum")
     data = np.random.default_rng(seed).uniform(-1, 1, n)
     sv = encrypt(data, ctx)
     expected = data.sum()
@@ -139,6 +141,11 @@ def test_kernels_sum_any_n_in_any_larger_capacity(n, extra, seed):
         out = kernel(sv, n)
         assert out.slots[0] == pytest.approx(expected, rel=1e-9, abs=1e-9)
         assert out.rotations_used == rotations
+    # fold is shift-invariant: the same data starting at any slot j (wrapping
+    # round the ring) sums into slot j, bit for bit as at slot 0
+    j = start % cap
+    shifted = fold_add_all(encrypt(np.roll(sv.slots, j), ctx), n)
+    assert shifted.slots[j] == fold_add_all(sv, n).slots[0]
 
 
 def test_kernels_reject_oversize(ctx):
