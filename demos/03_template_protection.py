@@ -3,15 +3,17 @@
 
 Each user gets private coefficients C and exponents E; m-wide windows of the
 embedding collapse to single protected values p_j = sum c_i * v_i^e_i.  The
-encrypted path computes the same numbers without ever decrypting, storing
-each p_j replicated across the first m slots of its own ciphertext.
+encrypted path computes the same numbers without ever decrypting and packs
+them into one ciphertext, p_j in slot j: the template a gallery stores.
 """
 import numpy as np
 
-from polyfhe.backend import EncryptionContext, decrypt, encrypt
+from polyfhe.backend import EncryptionContext, decrypt
 from polyfhe.polyprotect import (
-    chunk_embedding,
+    encrypt_windows,
     gen_params,
+    pack_template,
+    protect_depth,
     protect_encrypted,
     protect_plain,
     template_correlation,
@@ -29,13 +31,14 @@ print(f"\n16-dim embedding -> {plain.k} protected values (dimensionality reducti
 print("plaintext  :", np.round(plain.values, 6))
 
 ctx = EncryptionContext(8, 16, key_id="user-0")
-windows = [encrypt(chunk, ctx) for chunk in chunk_embedding(embedding, params)]
-enc = protect_encrypted(windows, params, ctx)
-decrypted = np.array([decrypt(ct, ctx).values[0] for ct in enc.values])
-print("encrypted  :", np.round(decrypted, 6))
-print(f"max |diff| : {np.max(np.abs(decrypted - plain.values)):.2e}")
-print(f"depth used : {enc.values[0].depth_used} (bound: ceil(log2 m) + 2 = {(params.m - 1).bit_length() + 2})")
-print("one ciphertext, replicated:", np.round(decrypt(enc.values[0], ctx).values[:5], 6))
+windows = encrypt_windows(embedding, params, ctx)  # window j in slots j..j+m-1 of ciphertext j mod 8
+template = pack_template(protect_encrypted(windows, params))
+decrypted = decrypt(template, ctx).values
+print(f"{len(windows)} windows in {len(windows.cts)} encryptions, packed into one {ctx.slot_capacity}-slot ciphertext")
+print("encrypted  :", np.round(decrypted[: plain.k], 6))
+print(f"max |diff| : {np.max(np.abs(decrypted[: plain.k] - plain.values)):.2e}")
+print(f"depth used : {template.depth_used} (protect_depth: ceil(log2 max exp) + 2 = {protect_depth(params)})")
+print("slots after the template:", decrypted[plain.k :])
 
 # unlinkability precursor: the same face under different users' params does
 # not correlate on average (individual draws scatter widely, so use a longer

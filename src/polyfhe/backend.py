@@ -271,16 +271,14 @@ def rotate_left(a: SlotVector, k: int) -> SlotVector:
 # --- keyed serialization -----------------------------------------------------
 #
 # Byte layout: [key_id: 16][nonce: 16][capacity: 4 LE][masked slots: cap x 8 LE].
-# Slots are XOR-masked (on their IEEE-754 byte image) with a SHA-256 counter
-# keystream derived from (masking_seed, nonce), so the payload of any two
-# plaintexts is byte-indistinguishable without the seed, and unmasking is exact.
+# Slots are XOR-masked (on their IEEE-754 byte image) with a SHAKE-256
+# keystream, the first cap x 8 output bytes for input masking_seed + nonce,
+# so the payload of any two plaintexts is byte-indistinguishable without the
+# seed, and unmasking is exact.
 
 
 def _keystream(seed: bytes, nonce: bytes, nbytes: int) -> bytes:
-    blocks = []
-    for ctr in range((nbytes + 31) // 32):
-        blocks.append(hashlib.sha256(seed + nonce + ctr.to_bytes(8, "little")).digest())
-    return b"".join(blocks)[:nbytes]
+    return hashlib.shake_256(seed + nonce).digest(nbytes)
 
 
 def serialize_ciphertext(sv: SlotVector, ctx: EncryptionContext, mask: bool = True) -> bytes:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .backend import HEADER_LEN, EncryptionContext, as_plain, encrypt, serialize_ciphertext
 from .errors import DegenerateLabels, DimensionMismatch, InfeasibleParams, ZeroBaseline
-from .pipeline import ATTRIBUTE_CLASSES, compress_prefix
-from .polyprotect import chunk_embedding, gen_params, protect_encrypted, protect_plain
+from .pipeline import ATTRIBUTE_CLASSES, compress_prefix, enroll
+from .polyprotect import gen_params, protect_plain
 
 VARIANTS = ("none", "polyprotect", "mrl", "mrl+polyprotect", "mrl+fhe", "mrl+polyprotect+fhe")
 
@@ -126,24 +126,20 @@ def chance_level(labels) -> float:
 def ciphertext_features(records, ctx: EncryptionContext, masked: bool = True) -> list:
     """Featurize serialized ciphertexts -- without the masking seed.
 
-    Each sample (one SlotVector, or a sequence of them for multi-ciphertext
-    templates) becomes a normalized byte histogram of its full dump plus a
-    bounded value channel (slot payload bytes reinterpreted as floats, NaN/inf
-    squashed, clipped to [-10, 10]).  With masking on both channels are
-    keystream noise; masked=False is the control arm where the value channel
-    carries the actual slots.
+    Each sample (one SlotVector) becomes a normalized byte histogram of its
+    full dump plus a bounded value channel (slot payload bytes reinterpreted
+    as floats, NaN/inf squashed, clipped to [-10, 10]).  With masking on both
+    channels are keystream noise; masked=False is the control arm where the
+    value channel carries the actual slots.
     """
     out = []
-    for rec in records:
-        cts = rec if isinstance(rec, (list, tuple)) else (rec,)
-        blobs = [serialize_ciphertext(ct, ctx, mask=masked) for ct in cts]
-        all_bytes = np.frombuffer(b"".join(blobs), dtype=np.uint8)
+    for ct in records:
+        blob = serialize_ciphertext(ct, ctx, mask=masked)
+        all_bytes = np.frombuffer(blob, dtype=np.uint8)
         hist = np.bincount(all_bytes, minlength=256).astype(np.float64) / len(all_bytes)
-        values = []
-        for blob in blobs:
-            payload = np.frombuffer(blob[HEADER_LEN:], dtype="<f8")
-            values.append(np.clip(np.nan_to_num(payload, nan=0.0, posinf=10.0, neginf=-10.0), -10.0, 10.0))
-        out.append(as_plain(np.concatenate([hist] + values)))
+        payload = np.frombuffer(blob[HEADER_LEN:], dtype="<f8")
+        values = np.clip(np.nan_to_num(payload, nan=0.0, posinf=10.0, neginf=-10.0), -10.0, 10.0)
+        out.append(as_plain(np.concatenate([hist, values])))
     return out
 
 
@@ -175,12 +171,8 @@ def _variant_features(variant, dataset, ctx, params, compress_dim):
         cts = [encrypt(compress_prefix(e, compress_dim).values, ctx) for e in dataset]
         return ciphertext_features(cts, ctx)
     if variant == "mrl+polyprotect+fhe":
-        samples = []
-        for e in dataset:
-            v = compress_prefix(e, compress_dim)
-            windows = [encrypt(chunk, ctx) for chunk in chunk_embedding(v.values, params)]
-            samples.append(protect_encrypted(windows, params, ctx).values)
-        return ciphertext_features(samples, ctx)
+        cts = [enroll(e, params, ctx, compress_dim).protected.values for e in dataset]
+        return ciphertext_features(cts, ctx)
     raise ValueError(f"unknown variant {variant!r}")
 
 

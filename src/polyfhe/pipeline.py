@@ -5,18 +5,17 @@ identity Gaussian clusters on the unit sphere, with a configurable fraction
 of coordinates carrying attribute-aligned mean shifts so attribute
 classifiers have something to find.
 
-Because protection parameters are per-user, a 1:N search protects the probe
-under each gallery record's own parameters before scoring.  The work that
-depends only on the probe is shared: its windows are encrypted once per
-search in a strided layout, and their powers are computed once and reused by
-every record with the same (compress_dim, m, overlap), so each record pays
-only for its coefficient and placement masks, a short fold and the cosine.
-The work that depends only on the record -- packing its template into one
-ciphertext -- is done on its first search and cached on the record.
-Encrypted cosine needs the scaled denominator inside the inverse-sqrt fit
-domain, so packed templates are normalized by a public, params-derived scale
-estimate (the same scale on both sides of a comparison, so scores are
-unchanged).
+A gallery record is one packed ciphertext, built at enrollment by the same
+encrypted transform that a search applies to the probe.  Because protection
+parameters are per-user, a 1:N search protects the probe under each gallery
+record's own parameters before scoring.  The work that depends only on the
+probe is shared: its windows are encrypted once per search in a strided
+layout, and their powers are computed once and reused by every record with
+the same (compress_dim, m, overlap), so each record pays only for its
+coefficient and placement masks, a short fold and the cosine.  Encrypted
+cosine needs the scaled denominator inside the inverse-sqrt fit domain, so
+packed templates are normalized by a public, params-derived scale estimate
+(the same scale on both sides of a comparison, so scores are unchanged).
 """
 
 from __future__ import annotations
@@ -29,14 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import EncryptionContext, SlotVector, decrypt, deserialize_ciphertext, encrypt, serialize_ciphertext
-from .errors import EmptyDataset, EmptyGallery, MalformedDataset, UnknownParamsId, ZeroPrefix
+from .backend import EncryptionContext, decrypt, deserialize_ciphertext, serialize_ciphertext
+from .errors import EmptyDataset, EmptyGallery, IntegrityError, MalformedDataset, UnknownParamsId, ZeroPrefix
 from .invsqrt import PolyApprox, fit_inv_sqrt
 from .polyprotect import (
     PolyProtectParams,
     ProtectedTemplate,
-    chunk_embedding,
-    encrypt_probe_windows,
+    encrypt_windows,
     expected_template_norm,
     gen_params,
     output_len,
@@ -45,7 +43,6 @@ from .polyprotect import (
     params_to_dict,
     protect_depth,
     protect_encrypted,
-    protect_packed,
     protect_plain,
 )
 from .similarity import NormalizationPlan, cosine_encrypted, cosine_plain, make_normalization_plan
@@ -99,8 +96,7 @@ class GalleryRecord:
     protected: ProtectedTemplate
     params_id: str
     compress_dim: int
-    blobs: tuple = field(default=None, repr=False, compare=False)
-    packed: SlotVector = field(default=None, repr=False, compare=False)  # scaled pack, filled by identify
+    blob: bytes = field(default=None, repr=False, compare=False)  # the template as saved or loaded
 
 
 _ATTR_SHIFT = 2.5
@@ -162,11 +158,12 @@ def compress_prefix(e: Embedding, d: int) -> Embedding:
 
 
 def enroll(e: Embedding, params: PolyProtectParams, ctx: EncryptionContext, d: int) -> GalleryRecord:
-    """compress -> chunk -> encrypt -> protect; returns the persistable record."""
+    """compress -> encrypt -> protect -> pack, scaled as identify scales a
+    probe; returns the persistable record."""
     v = compress_prefix(e, d)
-    windows = [encrypt(chunk, ctx) for chunk in chunk_embedding(v.values, params)]
-    protected = protect_encrypted(windows, params, ctx)
-    return GalleryRecord(e.subject_id, protected, params.params_id, d)
+    windows = encrypt_windows(v.values, params, ctx)
+    packed = pack_template(protect_encrypted(windows, params), 1.0 / expected_template_norm(params, d))
+    return GalleryRecord(e.subject_id, ProtectedTemplate(packed, params.params_id, windows.k), params.params_id, d)
 
 
 def enroll_plain(e: Embedding, params: PolyProtectParams, d: int) -> GalleryRecord:
@@ -185,12 +182,11 @@ def identify(
 ) -> list:
     """Encrypted 1:N search: (subject_id, score) sorted by descending score.
 
-    The probe is protected under each record's own parameters.  Its windows
-    are encrypted once per (compress_dim, m, overlap) in the strided layout
-    and their power chains are shared across records; each record's packed,
-    scaled template is built on its first search and kept in rec.packed.
-    Scores are decrypted with the user context before ranking.  Ties break
-    by subject_id for a stable order.
+    The probe is protected under each record's own parameters and scored
+    against the record's stored ciphertext.  Its windows are encrypted once
+    per (compress_dim, m, overlap) in the strided layout and their power
+    chains are shared across records.  Scores are decrypted with the user
+    context before ranking.  Ties break by subject_id for a stable order.
     """
     if not gallery:
         raise ValueError("identify needs a nonempty gallery")
@@ -204,12 +200,10 @@ def identify(
         windows = probe_windows.get(layout)
         if windows is None:
             v = compress_prefix(probe, rec.compress_dim)
-            windows = probe_windows[layout] = encrypt_probe_windows(v.values, params, ctx)
+            windows = probe_windows[layout] = encrypt_windows(v.values, params, ctx)
         scale = 1.0 / expected_template_norm(params, rec.compress_dim)
-        if rec.packed is None:
-            rec.packed = pack_template(rec.protected, scale)
-        packed_probe = protect_packed(windows, params, scale)
-        ct = cosine_encrypted(rec.packed, packed_probe, windows.k, plan, approx, ctx)
+        packed_probe = pack_template(protect_encrypted(windows, params), scale)
+        ct = cosine_encrypted(rec.protected.values, packed_probe, windows.k, plan, approx, ctx)
         scores.append((rec.subject_id, float(decrypt(ct, ctx).values[0])))
     return sorted(scores, key=lambda t: (-t[1], t[0]))
 
@@ -378,8 +372,11 @@ def load_dataset(path) -> list:
 # --- gallery persistence ---------------------------------------------------------
 
 
+GALLERY_VERSION = 2
+
+
 def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_dir):
-    """Write manifest.json, per-params JSON, and binary ciphertext blobs.
+    """Write manifest.json, per-params JSON, and one ciphertext blob per record.
 
     Records loaded from disk keep their original blob bytes, so a
     save -> load -> save round trip is bit-identical (re-serializing would
@@ -390,28 +387,23 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
     (out / "params").mkdir(exist_ok=True)
     records_meta = []
     for i, rec in enumerate(gallery):
-        blobs = rec.blobs
-        if blobs is None:
-            blobs = tuple(serialize_ciphertext(ct, ctx) for ct in rec.protected.values)
-            rec.blobs = blobs
-        paths = []
-        for j, blob in enumerate(blobs):
-            rel = f"blobs/{i}_{j}.ct"
-            (out / rel).write_bytes(blob)
-            paths.append(rel)
+        if rec.blob is None:
+            rec.blob = serialize_ciphertext(rec.protected.values, ctx)
+        rel = f"blobs/{i}.ct"
+        (out / rel).write_bytes(rec.blob)
         records_meta.append(
             {
                 "subject_id": rec.subject_id,
                 "params_id": rec.params_id,
                 "compress_dim": rec.compress_dim,
-                "blob_paths": paths,
+                "blob_path": rel,
             }
         )
     for pid, params in params_store.items():
         with open(out / "params" / f"{pid}.json", "w") as f:
             json.dump(params_to_dict(params), f, indent=2)
     manifest = {
-        "version": 1,
+        "version": GALLERY_VERSION,
         "ctx": {
             "slot_capacity": ctx.slot_capacity,
             "depth_budget": ctx.depth_budget,
@@ -423,22 +415,52 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
         json.dump(manifest, f, indent=2)
 
 
+def _read_manifest(src: Path) -> dict:
+    """manifest.json of a version-2 gallery, its shape checked."""
+
+    def check(obj, keys: dict, where: str):
+        if not isinstance(obj, dict):
+            raise IntegrityError(f"gallery {src}: {where} is not a JSON object")
+        for key, typ in keys.items():
+            if type(obj.get(key)) is not typ:
+                raise IntegrityError(f"gallery {src}: {where} needs {key!r} as a JSON {typ.__name__}")
+
+    try:
+        manifest = json.loads((src / "manifest.json").read_bytes())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise IntegrityError(f"gallery {src}: manifest.json is not valid JSON ({exc})") from None
+    check(manifest, {"version": int}, "manifest")
+    if manifest["version"] != GALLERY_VERSION:
+        hint = " (one blob per window); re-enroll it" if manifest["version"] == 1 else ""
+        raise IntegrityError(f"gallery {src} has format version {manifest['version']}, not {GALLERY_VERSION}{hint}")
+    check(manifest, {"ctx": dict, "records": list}, "manifest")
+    check(manifest["ctx"], {"slot_capacity": int, "depth_budget": int, "key_id": str}, "manifest ctx")
+    for i, rec_meta in enumerate(manifest["records"]):
+        check(rec_meta, {"subject_id": str, "params_id": str, "compress_dim": int, "blob_path": str}, f"record {i}")
+    return manifest
+
+
 def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
     """Read a saved gallery; returns (gallery, params_store, ctx).
 
     Blob bytes are kept on each record so a subsequent save is bit-identical.
     Ciphertext depth is not on the wire; it is restored from the protection
-    parameters that produced each template.  A manifest with no records
-    raises EmptyGallery.
+    parameters that produced each template.  A manifest that is not valid
+    JSON, lacks a key, holds a value of the wrong type, or has a format
+    version other than 2 raises IntegrityError; one with no records raises
+    EmptyGallery.
     """
     src = Path(in_dir)
-    with open(src / "manifest.json") as f:
-        manifest = json.load(f)
+    manifest = _read_manifest(src)
     if not manifest["records"]:
         raise EmptyGallery(f"gallery {in_dir} lists no records")
     meta = manifest["ctx"]
     if ctx is None:
-        ctx = EncryptionContext(meta["slot_capacity"], meta["depth_budget"], key_id=bytes.fromhex(meta["key_id"]))
+        try:
+            key_id = bytes.fromhex(meta["key_id"])
+            ctx = EncryptionContext(meta["slot_capacity"], meta["depth_budget"], key_id=key_id)
+        except ValueError as exc:
+            raise IntegrityError(f"gallery {in_dir}: manifest ctx is invalid ({exc})") from None
     elif ctx.key_id.hex() != meta["key_id"]:
         raise ValueError("context key does not match the saved gallery")
     params_store = {}
@@ -451,15 +473,10 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
         params = params_store.get(rec_meta["params_id"])
         if params is None:
             raise UnknownParamsId(f"gallery references unknown params_id {rec_meta['params_id']}")
-        depth = protect_depth(params)
-        blobs = tuple((src / rel).read_bytes() for rel in rec_meta["blob_paths"])
-        cts = []
-        for blob in blobs:
-            sv = deserialize_ciphertext(blob, ctx)
-            sv.depth_used = depth
-            cts.append(sv)
-        protected = ProtectedTemplate(tuple(cts), rec_meta["params_id"], len(cts))
-        gallery.append(
-            GalleryRecord(rec_meta["subject_id"], protected, rec_meta["params_id"], rec_meta["compress_dim"], blobs)
-        )
+        blob = (src / rec_meta["blob_path"]).read_bytes()
+        sv = deserialize_ciphertext(blob, ctx)
+        sv.depth_used = protect_depth(params)
+        d = rec_meta["compress_dim"]
+        protected = ProtectedTemplate(sv, rec_meta["params_id"], output_len(d, params.m, params.overlap))
+        gallery.append(GalleryRecord(rec_meta["subject_id"], protected, rec_meta["params_id"], d, blob))
     return gallery, params_store, ctx

@@ -4,22 +4,20 @@ An n-dimensional embedding is split into m-wide windows with a configurable
 overlap; each window maps to one output value p_j = sum_i coeffs[i] *
 window[i]**exps[i], with user-specific nonzero distinct integer coefficients
 and distinct positive exponents.  The encrypted path computes the same values
-under the slot contract and stores each p_j replicated across the first m
-slots of its own ciphertext (fold-and-add plus broadcast), which is what lets
-later dot products across windows avoid rotations.
+under the slot contract and packs them into one ciphertext, p_j in slot j,
+which is the stored template and what the encrypted cosine scores.
 
-Exponents in the encrypted domain cannot differ per slot within one SIMD op,
-so each window is decomposed into m branches: raise the whole window to one
-exponent (square-and-multiply, shared sub-powers), then a single plaintext
-mask both selects that branch's slot and applies its coefficient.  Depth per
-window is ceil(log2 max_exp) + 2 (power chain, coefficient mask, broadcast
-mask).
-
-A search probe uses a strided layout instead (SIMD packing after Smart and
+The windows are encrypted in a strided layout (SIMD packing after Smart and
 Vercauteren, masked rotate-and-sum after Halevi and Shoup): window j sits in
 slots j..j+m-1 of ciphertext j mod s, s = 2^ceil(log2 m), so min(s, k)
-ciphertexts and their power chains serve every user's parameters, and
-protect_packed turns them into the packed template directly.
+ciphertexts hold all k windows, and their power chains serve every user's
+parameters.  Exponents cannot differ per slot within one SIMD op, so each
+group ciphertext is decomposed into m branches: raise it to one exponent
+(square-and-multiply, shared sub-powers), then a single plaintext mask
+applies that branch's coefficient at slot j+i of each window j.  A fold sums
+each window into its first slot, and one placement mask per group keeps slot
+j and sums the groups.  Depth is ceil(log2 max_exp) + 2 (power chain,
+coefficient mask, placement mask).
 """
 
 from __future__ import annotations
@@ -31,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import EncryptionContext, SlotVector, add, as_plain, encrypt, mult, mult_plain, rotate_left
+from .backend import EncryptionContext, SlotVector, add, as_plain, encrypt, mult, mult_plain
 from .errors import CapacityExceeded, InfeasibleParams, InputTooShort
-from .summation import broadcast_slot0, fold_add_all
+from .summation import fold_add_all
 
 
 @dataclass(frozen=True)
@@ -91,15 +89,12 @@ def gen_params(m: int, overlap: int, c_range: int, seed) -> PolyProtectParams:
 
 @dataclass(frozen=True)
 class ProtectedTemplate:
-    """Transform output: k plaintext reals, or k replicated-slot ciphertexts."""
+    """Transform output: k plaintext reals, or one packed ciphertext holding
+    the scaled p_j in slot j (zeros from slot k on)."""
 
-    values: object  # np.ndarray (plaintext form) or tuple[SlotVector, ...] (encrypted form)
+    values: object  # np.ndarray (plaintext form) or SlotVector (encrypted form)
     params_id: str
     k: int
-
-    @property
-    def encrypted(self) -> bool:
-        return not isinstance(self.values, np.ndarray)
 
 
 def output_len(n: int, m: int, overlap: int) -> int:
@@ -137,7 +132,8 @@ def protect_plain(v, params: PolyProtectParams) -> ProtectedTemplate:
 
 def _pow_ct(sv: SlotVector, e: int, memo: dict) -> SlotVector:
     # Balanced split keeps depth at exactly ceil(log2 e); memo shares
-    # sub-powers across the m exponent branches of one window.
+    # sub-powers across the m exponent branches of one group ciphertext and
+    # across every parameter set applied to it.
     if e == 1:
         return sv
     got = memo.get(e)
@@ -149,57 +145,8 @@ def _pow_ct(sv: SlotVector, e: int, memo: dict) -> SlotVector:
     return out
 
 
-def protect_encrypted(windows, params: PolyProtectParams, ctx: EncryptionContext) -> ProtectedTemplate:
-    """Apply the window polynomial under the slot contract.
-
-    Each input ciphertext holds one m-wide window in its first m slots (zeros
-    elsewhere).  Each output ciphertext holds that window's p_j replicated in
-    its first m slots.
-    """
-    cap = ctx.slot_capacity
-    outs = []
-    for sv in windows:
-        memo: dict = {}
-        combined = None
-        for i in range(params.m):
-            mask = np.zeros(cap, dtype=np.float64)
-            mask[i] = float(params.coeffs[i])
-            branch = mult_plain(_pow_ct(sv, params.exps[i], memo), mask)
-            combined = branch if combined is None else add(combined, branch)
-        folded = fold_add_all(combined, params.m)
-        outs.append(broadcast_slot0(folded, params.m))
-    return ProtectedTemplate(tuple(outs), params.params_id, len(outs))
-
-
-def protect_depth(params: PolyProtectParams) -> int:
-    """Depth protect_encrypted consumes on top of its inputs' depth."""
-    return (max(params.exps) - 1).bit_length() + 2
-
-
-def pack_template(pt: ProtectedTemplate, scale: float = 1.0) -> SlotVector:
-    """Pack an encrypted template's k replicated values into one ciphertext.
-
-    Slot j of the result holds scale * p_j; one depth level (the placement
-    masks double as the scaling), k-1 rotations.
-    """
-    if not pt.encrypted:
-        raise TypeError("pack_template needs the encrypted form")
-    cts = pt.values
-    cap = cts[0].slots.shape[0]
-    if pt.k > cap:
-        raise CapacityExceeded(f"template length {pt.k} > slot capacity {cap}")
-    acc = None
-    for j, ct in enumerate(cts):
-        placed = ct if j == 0 else rotate_left(ct, cap - j)  # slot 0 -> slot j
-        mask = np.zeros(cap, dtype=np.float64)
-        mask[j] = scale
-        branch = mult_plain(placed, mask)
-        acc = branch if acc is None else add(acc, branch)
-    return acc
-
-
 @dataclass(frozen=True)
-class ProbeWindows:
+class EncryptedWindows:
     """An embedding's k windows in the strided layout, with their power memos.
 
     Window j holds slots j..j+m-1 (mod capacity) of cts[j % s], where
@@ -213,8 +160,11 @@ class ProbeWindows:
     overlap: int
     memos: tuple = field(repr=False, compare=False)
 
+    def __len__(self) -> int:
+        return self.k
 
-def encrypt_probe_windows(v, params: PolyProtectParams, ctx: EncryptionContext) -> ProbeWindows:
+
+def encrypt_windows(v, params: PolyProtectParams, ctx: EncryptionContext) -> EncryptedWindows:
     """Encrypt v's windows in the strided layout: min(s, k) encryptions."""
     windows = np.stack([w.values for w in chunk_embedding(v, params)])
     k, m = windows.shape
@@ -226,35 +176,65 @@ def encrypt_probe_windows(v, params: PolyProtectParams, ctx: EncryptionContext) 
     slots = np.zeros((min(s, k), cap), dtype=np.float64)
     slots[(j % s)[:, None], (j[:, None] + np.arange(m)) % cap] = windows
     cts = tuple(encrypt(row, ctx) for row in slots)
-    return ProbeWindows(cts, k, m, params.overlap, tuple({} for _ in cts))
+    return EncryptedWindows(cts, k, m, params.overlap, tuple({} for _ in cts))
 
 
-def protect_packed(windows: ProbeWindows, params: PolyProtectParams, scale: float = 1.0) -> SlotVector:
-    """The packed template of strided windows under params, scale * p_j in slot j.
+@dataclass(frozen=True)
+class GroupSums:
+    """protect_encrypted's output: p_j in slot j of cts[j % len(cts)].
 
-    Slot-for-slot the same values as pack_template(protect_encrypted(...),
-    scale): per group, one coefficient mask per branch puts c_i at slot j+i of
-    every window j, the fold leaves p_j in slot j (windows of a group lie at
-    least s apart and the fold sums any s consecutive slots), and one
-    placement mask keeps slot j scaled.  Depth ceil(log2 max_exp) + 2.
+    The other slots hold fold leftovers; pack_template masks them away.
+    """
+
+    cts: tuple
+    k: int
+
+
+def protect_encrypted(windows: EncryptedWindows, params: PolyProtectParams) -> GroupSums:
+    """Apply the window polynomial to strided windows under the slot contract.
+
+    Per group, one coefficient mask per branch puts c_i at slot j+i of every
+    window j, and the fold leaves p_j in slot j: windows of a group lie at
+    least s apart and the fold sums any s consecutive slots.
     """
     if (windows.m, windows.overlap) != (params.m, params.overlap):
-        raise ValueError("probe windows were laid out for a different window width or overlap")
+        raise ValueError("windows were laid out for a different window width or overlap")
     m, k = params.m, windows.k
     groups = len(windows.cts)  # min(s, k), so j % groups == j % s for every window j < k
     cap = windows.cts[0].slots.shape[0]
     j = np.arange(k)
     coeff_masks = np.zeros((groups, m, cap), dtype=np.float64)
     coeff_masks[(j % groups)[:, None], np.arange(m), (j[:, None] + np.arange(m)) % cap] = params.coeffs
-    place_masks = np.zeros((groups, cap), dtype=np.float64)
-    place_masks[j % groups, j] = scale
-    acc = None
+    outs = []
     for g, (ct, memo) in enumerate(zip(windows.cts, windows.memos)):
         combined = None
         for i in range(m):
             branch = mult_plain(_pow_ct(ct, params.exps[i], memo), coeff_masks[g, i])
             combined = branch if combined is None else add(combined, branch)
-        placed = mult_plain(fold_add_all(combined, m), place_masks[g])
+        outs.append(fold_add_all(combined, m))
+    return GroupSums(tuple(outs), k)
+
+
+def protect_depth(params: PolyProtectParams) -> int:
+    """Depth of a packed template, pack_template(protect_encrypted(...)), on
+    top of its windows' depth: power chain, coefficient mask, placement mask."""
+    return (max(params.exps) - 1).bit_length() + 2
+
+
+def pack_template(pt: GroupSums, scale: float = 1.0) -> SlotVector:
+    """Sum the groups into one ciphertext holding scale * p_j in slot j.
+
+    One placement mask per group keeps that group's slots (and doubles as the
+    scaling), so slots from k on are zero; one depth level, no rotations.
+    """
+    groups = len(pt.cts)
+    cap = pt.cts[0].slots.shape[0]
+    j = np.arange(pt.k)
+    place_masks = np.zeros((groups, cap), dtype=np.float64)
+    place_masks[j % groups, j] = scale
+    acc = None
+    for ct, mask in zip(pt.cts, place_masks):
+        placed = mult_plain(ct, mask)
         acc = placed if acc is None else add(acc, placed)
     return acc
 

@@ -5,7 +5,7 @@ access: naive rotate-and-accumulate (n-1 rotations), a DFT DC-component
 linear transform (n-1 rotations, n plaintext mults), and fold-and-add
 (ceil(log2 n) rotations).  All three leave the total in slot 0; naive also
 replicates it across every slot when n equals the capacity (windows wrap the
-whole ring), which is how per-window protected values get stored replicated.
+whole ring).  broadcast_slot0 copies slot 0 into the leading slots.
 
 Rotation counters on results report the physical rotations the kernel
 performed (relative to its input).  The fold kernel reuses its running

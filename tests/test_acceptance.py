@@ -21,8 +21,9 @@ from polyfhe.pipeline import (
     rank1_accuracy,
 )
 from polyfhe.polyprotect import (
-    chunk_embedding,
+    encrypt_windows,
     gen_params,
+    pack_template,
     protect_encrypted,
     protect_plain,
     template_correlation,
@@ -98,9 +99,12 @@ def test_criterion_3_benchmark_ordering(tmp_path):
 
 
 def test_criterion_4_polyprotect_equivalence():
-    """Encrypted transform matches the plaintext oracle to 1e-6, in depth."""
+    """Encrypted transform matches the plaintext oracle to 1e-6, in depth.
+
+    All k windows share one packed template, so the context holds 64 slots.
+    """
     t0 = time.time()
-    ctx = EncryptionContext(8, 16, key_id="acc4")
+    ctx = EncryptionContext(64, 16, key_id="acc4")
     rng = np.random.default_rng(4)
     worst = 0.0
     for m in range(3, 8):
@@ -111,12 +115,11 @@ def test_criterion_4_polyprotect_equivalence():
                 v = rng.normal(size=64)
                 v /= np.linalg.norm(v)
                 plain = protect_plain(v, params)
-                windows = [encrypt(c, ctx) for c in chunk_embedding(v, params)]
-                enc = protect_encrypted(windows, params, ctx)
-                got = np.array([decrypt(ct, ctx).values[0] for ct in enc.values])
+                enc = pack_template(protect_encrypted(encrypt_windows(v, params, ctx), params))
+                got = decrypt(enc, ctx).values[: plain.k]
                 worst = max(worst, float(np.max(np.abs(got - plain.values))))
                 assert np.max(np.abs(got - plain.values)) <= 1e-6
-                assert all(ct.depth_used <= depth_bound for ct in enc.values)
+                assert enc.depth_used <= depth_bound
     report(4, True, f"encrypted/plain equivalence m=3..7 all overlaps, worst |diff| {worst:.2e} (tol 1e-6), {time.time()-t0:.0f}s")
 
 

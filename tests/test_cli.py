@@ -211,7 +211,7 @@ def _enrolled(tmp_path):
 @pytest.mark.parametrize("size", [34, 100])
 def test_identify_truncated_blob_exits_1(tmp_path, capsys, size):
     out = _enrolled(tmp_path)
-    blob = out / "gallery" / "blobs" / "0_3.ct"
+    blob = out / "gallery" / "blobs" / "0.ct"
     blob.write_bytes(blob.read_bytes()[:size])
     rc = run_cli("identify", "--gallery-dir", str(out / "gallery"), "--probes", str(out / "probes.csv"),
                  "--out-dir", str(out / "id"))
@@ -288,3 +288,27 @@ def test_identify_gallery_without_records_exits_1(tmp_path, capsys):
                  "--out-dir", str(out / "id"))
     assert rc == 1
     assert "error: EmptyGallery:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (lambda text: text[: len(text) // 2], "not valid JSON"),
+    (lambda text: text.replace('"blob_path"', '"blob_paths"', 1), "record 0 needs 'blob_path'"),
+    (lambda text: text.replace('"version": 2', '"version": 99', 1), "format version 99, not 2"),
+    (lambda text: text.replace('"version": 2', '"version": 1', 1), "re-enroll"),
+])
+def test_identify_bad_manifest_exits_1(tmp_path, capsys, edit, problem):
+    out = _enrolled(tmp_path)
+    manifest_path = out / "gallery" / "manifest.json"
+    manifest_path.write_text(edit(manifest_path.read_text()))
+    rc = run_cli("identify", "--gallery-dir", str(out / "gallery"), "--probes", str(out / "probes.csv"),
+                 "--out-dir", str(out / "id"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: IntegrityError:" in err and problem in err
+
+
+def test_enroll_template_longer_than_capacity_exits_1(tmp_path, capsys):
+    rc = run_cli("enroll", "--num-ids", "2", "--samples-per-id", "2", "--slot-capacity", "32",
+                 "--out-dir", str(tmp_path))
+    assert rc == 1
+    assert "error: CapacityExceeded:" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 from polyfhe import pipeline as pl
 from polyfhe import polyprotect as pp
-from polyfhe.backend import decrypt, encrypt
+from polyfhe.backend import decrypt
 from polyfhe.errors import (
     CapacityExceeded,
     EmptyDataset,
@@ -35,9 +35,10 @@ from polyfhe.pipeline import (
     save_gallery,
 )
 from polyfhe.polyprotect import (
-    chunk_embedding,
+    encrypt_windows,
     expected_template_norm,
     pack_template,
+    protect_depth,
     protect_encrypted,
     protect_plain,
     template_correlation,
@@ -127,9 +128,12 @@ def test_enroll_matches_plaintext_oracle():
     pipe = Pipeline(PipelineConfig(seed=2))
     params = pipe.gen_user_params(0)
     rec = enroll(ds[0], params, pipe.ctx, 64)
-    got = np.array([decrypt(ct, pipe.ctx).values[0] for ct in rec.protected.values])
-    want = protect_plain(compress_prefix(ds[0], 64).values, params).values
-    assert np.max(np.abs(got - want)) <= 1e-6
+    got = decrypt(rec.protected.values, pipe.ctx).values
+    want = protect_plain(compress_prefix(ds[0], 64).values, params).values / expected_template_norm(params, 64)
+    assert rec.protected.k == len(want) == 60
+    assert np.max(np.abs(got[:60] - want)) <= 1e-6
+    assert not got[60:].any()
+    assert rec.protected.values.depth_used == protect_depth(params)
 
 
 def test_enroll_deterministic_in_exact_mode():
@@ -138,8 +142,7 @@ def test_enroll_deterministic_in_exact_mode():
     params = pipe.gen_user_params(0)
     r1 = enroll(ds[0], params, pipe.ctx, 64)
     r2 = enroll(ds[0], params, pipe.ctx, 64)
-    for a, b in zip(r1.protected.values, r2.protected.values):
-        assert a.slots.tolist() == b.slots.tolist()
+    assert r1.protected.values.slots.tolist() == r2.protected.values.slots.tolist()
 
 
 def test_independent_params_give_uncorrelated_templates():
@@ -176,19 +179,15 @@ def test_identify_empty_gallery():
 
 
 def _identify_per_record(probe, gallery, pipe):
-    # The search as it was before the shared probe windows: the probe is
-    # encrypted and protected from scratch for every record, and both
-    # templates are packed for every comparison.
+    # The search without shared probe windows: the probe is encrypted and
+    # protected from scratch for every record.
     scores = []
     for rec in gallery:
         params = pipe.params_store[rec.params_id]
-        v = compress_prefix(probe, rec.compress_dim)
-        probe_pt = protect_encrypted([encrypt(c, pipe.ctx) for c in chunk_embedding(v.values, params)], params, pipe.ctx)
+        windows = encrypt_windows(compress_prefix(probe, rec.compress_dim).values, params, pipe.ctx)
         scale = 1.0 / expected_template_norm(params, rec.compress_dim)
-        ct = cosine_encrypted(
-            pack_template(rec.protected, scale), pack_template(probe_pt, scale), probe_pt.k, pipe.plan, pipe.approx,
-            pipe.ctx,
-        )
+        probe_ct = pack_template(protect_encrypted(windows, params), scale)
+        ct = cosine_encrypted(rec.protected.values, probe_ct, windows.k, pipe.plan, pipe.approx, pipe.ctx)
         scores.append((rec.subject_id, float(decrypt(ct, pipe.ctx).values[0])))
     return sorted(scores, key=lambda t: (-t[1], t[0]))
 
@@ -202,7 +201,7 @@ def test_identify_scores_equal_per_record_protection(cfg):
     ds = gen_synthetic_dataset(small_spec(num_ids=6, samples_per_id=2, seed=cfg.seed))
     pipe = Pipeline(cfg)
     gallery, probes = build_gallery(ds, pipe)
-    for probe in probes[:2] + probes[:1]:  # the last search runs on a warm gallery
+    for probe in probes[:2]:
         assert pipe.identify(probe, gallery) == _identify_per_record(probe, gallery, pipe)
 
 
@@ -224,13 +223,12 @@ def test_identify_encrypts_probe_windows_once(monkeypatch, num_ids):
     pipe = Pipeline(PipelineConfig(seed=4))
     gallery, probes = build_gallery(ds, pipe)
     encrypts = _counting(monkeypatch, pp, "encrypt")
-    enroll_encrypts = _counting(monkeypatch, pl, "encrypt")
     pipe.identify(probes[0], gallery)
     assert len(encrypts) == min(8, pipe.k)  # s = 8 for m = 5
-    assert not enroll_encrypts
 
 
 def test_identify_packs_each_record_once(monkeypatch):
+    # one pack per record, for the probe: the records were packed at enrollment
     ds = gen_synthetic_dataset(small_spec(num_ids=4, samples_per_id=2))
     pipe = Pipeline(PipelineConfig(seed=4))
     gallery, probes = build_gallery(ds, pipe)
@@ -239,16 +237,14 @@ def test_identify_packs_each_record_once(monkeypatch):
     assert len(packs) == len(gallery)
     assert pipe.identify(probes[0], gallery) == first
     pipe.identify(probes[1], gallery)
-    assert len(packs) == len(gallery)
-    assert all(rec.packed is not None for rec in gallery)
+    assert len(packs) == 3 * len(gallery)
 
 
-def test_identify_template_longer_than_capacity():
+def test_enroll_template_longer_than_capacity():
     ds = gen_synthetic_dataset(small_spec(num_ids=2, samples_per_id=2))
     pipe = Pipeline(PipelineConfig(slot_capacity=32, seed=4))  # k = 60 windows
-    gallery, probes = build_gallery(ds, pipe)
     with pytest.raises(CapacityExceeded):
-        pipe.identify(probes[0], gallery)
+        build_gallery(ds, pipe)
 
 
 def test_identify_unknown_params_id():
@@ -374,9 +370,15 @@ def test_gallery_persistence_round_trip(tmp_path):
 
     d2 = tmp_path / "g2"
     save_gallery(loaded, ctx, params_store, d2)
-    for p1 in sorted((d1 / "blobs").glob("*.ct")):
-        p2 = d2 / "blobs" / p1.name
-        assert p1.read_bytes() == p2.read_bytes()  # bit-identical round trip
+    files = sorted(p.relative_to(d1) for p in d1.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(d2) for p in d2.rglob("*") if p.is_file())
+    for rel in files:
+        assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes()  # bit-identical round trip
+    # version 2: the manifest, one blob per record and the params files
+    manifest = json.loads((d1 / "manifest.json").read_text())
+    assert manifest["version"] == 2
+    assert [r["blob_path"] for r in manifest["records"]] == [f"blobs/{i}.ct" for i in range(len(gallery))]
+    assert len(files) == 1 + len(gallery) + len(pipe.params_store)
 
     # loaded gallery scores exactly like the in-memory one
     probe = probes[0]
@@ -401,7 +403,49 @@ def test_load_gallery_truncated_blob_is_integrity_error(tmp_path, size):
     pipe = Pipeline(PipelineConfig(seed=6))
     gallery, _ = build_gallery(ds, pipe)
     save_gallery(gallery, pipe.ctx, pipe.params_store, tmp_path / "g")
-    blob = tmp_path / "g" / "blobs" / "1_0.ct"
+    blob = tmp_path / "g" / "blobs" / "1.ct"
     blob.write_bytes(blob.read_bytes()[:size])
     with pytest.raises(IntegrityError):
         load_gallery(tmp_path / "g")
+
+
+def _saved_manifest(tmp_path):
+    ds = gen_synthetic_dataset(small_spec(num_ids=2, samples_per_id=1))
+    pipe = Pipeline(PipelineConfig(seed=6))
+    gallery, _ = build_gallery(ds, pipe)
+    save_gallery(gallery, pipe.ctx, pipe.params_store, tmp_path / "g")
+    path = tmp_path / "g" / "manifest.json"
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (lambda m: m.pop("version"), "manifest needs 'version' as a JSON int"),
+    (lambda m: m.update(version="2"), "manifest needs 'version' as a JSON int"),
+    (lambda m: m.update(version=99), "format version 99, not 2"),
+    (lambda m: m.update(version=1), "format version 1, not 2 (one blob per window); re-enroll it"),
+    (lambda m: m.pop("ctx"), "manifest needs 'ctx' as a JSON dict"),
+    (lambda m: m.update(records={}), "manifest needs 'records' as a JSON list"),
+    (lambda m: m["ctx"].pop("key_id"), "manifest ctx needs 'key_id' as a JSON str"),
+    (lambda m: m["ctx"].update(key_id="zz"), "manifest ctx is invalid"),
+    (lambda m: m["ctx"].update(slot_capacity=100), "manifest ctx is invalid"),
+    (lambda m: m["ctx"].update(depth_budget=True), "manifest ctx needs 'depth_budget' as a JSON int"),
+    (lambda m: m["records"][1].pop("blob_path"), "record 1 needs 'blob_path' as a JSON str"),
+    (lambda m: m["records"][0].update(compress_dim="64"), "record 0 needs 'compress_dim' as a JSON int"),
+    (lambda m: m["records"].append(7), "record 2 is not a JSON object"),
+])
+def test_load_gallery_bad_manifest_is_integrity_error(tmp_path, edit, problem):
+    path, manifest = _saved_manifest(tmp_path)
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(IntegrityError) as exc:
+        load_gallery(tmp_path / "g")
+    assert str(tmp_path / "g") in str(exc.value) and problem in str(exc.value)
+
+
+@pytest.mark.parametrize("data", [b"", b"[]", b'{"version": 2, "ctx": {', b'{"version": 2\xff}'])
+def test_load_gallery_manifest_not_json_object_is_integrity_error(tmp_path, data):
+    path, _ = _saved_manifest(tmp_path)
+    path.write_bytes(data)
+    with pytest.raises(IntegrityError) as exc:
+        load_gallery(tmp_path / "g")
+    assert str(tmp_path / "g") in str(exc.value)

@@ -10,7 +10,7 @@ from polyfhe.errors import CapacityExceeded, InfeasibleParams, InputTooShort
 from polyfhe.polyprotect import (
     PolyProtectParams,
     chunk_embedding,
-    encrypt_probe_windows,
+    encrypt_windows,
     gen_params,
     load_params,
     output_len,
@@ -19,7 +19,6 @@ from polyfhe.polyprotect import (
     params_to_dict,
     protect_depth,
     protect_encrypted,
-    protect_packed,
     protect_plain,
     save_params,
     template_correlation,
@@ -169,16 +168,19 @@ def test_output_len_properties(m, data, n):
     assert (k - 2) * stride + m < n or k == 1
 
 
-def test_protect_encrypted_ones_window_replicates(ctx):
+def _protected_slots(v, p, ctx, scale=1.0):
+    return decrypt(pack_template(protect_encrypted(encrypt_windows(v, p, ctx), p), scale), ctx).values
+
+
+def test_protect_encrypted_ones_window_sums_coefficients(ctx):
     p = PolyProtectParams(5, 0, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), 5, "manual")
-    windows = [encrypt(np.ones(5), ctx)]
-    out = protect_encrypted(windows, p, ctx)
-    got = decrypt(out.values[0], ctx).values
-    assert np.allclose(got[:5], 15.0, atol=1e-9)  # sum of coeffs, replicated
-    assert np.allclose(got[5:], 0.0, atol=1e-12)
+    got = _protected_slots(np.ones(5), p, ctx)
+    assert got[0] == pytest.approx(15.0, abs=1e-9)  # sum of coeffs
+    assert not got[1:].any()
 
 
-def test_protect_encrypted_matches_plain_oracle(ctx):
+def test_protect_encrypted_matches_plain_oracle():
+    ctx = EncryptionContext(16, 16, key_id="pp")  # up to 14 windows
     rng = np.random.default_rng(8)
     for m in (3, 4, 5):
         for overlap in (0, m - 1):
@@ -186,17 +188,15 @@ def test_protect_encrypted_matches_plain_oracle(ctx):
             v = rng.normal(size=16)
             v /= np.linalg.norm(v)
             plain = protect_plain(v, p)
-            windows = [encrypt(c, ctx) for c in chunk_embedding(v, p)]
-            enc = protect_encrypted(windows, p, ctx)
-            got = np.array([decrypt(ct, ctx).values[0] for ct in enc.values])
+            got = _protected_slots(v, p, ctx)[: plain.k]
             assert np.max(np.abs(got - plain.values)) <= 1e-6
 
 
 def test_protect_encrypted_depth_budget(ctx):
     p = PolyProtectParams(5, 0, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 5, "manual")
-    windows = [encrypt(np.full(5, 0.5), ctx)]
-    out = protect_encrypted(windows, p, ctx)
-    assert out.values[0].depth_used <= 5  # ceil(log2 5) + 2
+    windows = encrypt_windows(np.full(5, 0.5), p, ctx)
+    out = pack_template(protect_encrypted(windows, p))
+    assert out.depth_used <= 5  # ceil(log2 5) + 2
     assert protect_depth(p) == 5
 
 
@@ -204,10 +204,9 @@ def test_protect_encrypted_agrees_with_fold_on_linear_window(ctx):
     # ones input: every branch passes its coefficient through, so the result
     # equals fold_add_all over the coefficient vector
     p = gen_params(5, 0, 20, seed=11)
-    windows = [encrypt(np.ones(5), ctx)]
-    enc = protect_encrypted(windows, p, ctx)
+    enc = protect_encrypted(encrypt_windows(np.ones(5), p, ctx), p)
     folded = fold_add_all(encrypt(np.asarray(p.coeffs, dtype=float), ctx), 5)
-    assert decrypt(enc.values[0], ctx).values[0] == pytest.approx(folded.slots[0], rel=1e-12)
+    assert decrypt(enc.cts[0], ctx).values[0] == pytest.approx(folded.slots[0], rel=1e-12)
 
 
 def test_unlinkability_precursor_quick():
@@ -226,21 +225,19 @@ def test_pack_template_positions_and_scale(ctx):
     p = gen_params(5, 0, 50, seed=3)
     v = np.random.default_rng(1).normal(size=15)
     plain = protect_plain(v, p)
-    windows = [encrypt(c, ctx) for c in chunk_embedding(v, p)]
-    enc = protect_encrypted(windows, p, ctx)
+    enc = protect_encrypted(encrypt_windows(v, p, ctx), p)
     packed = pack_template(enc, scale=0.5)
-    got = decrypt(packed, ctx).values[: plain.k]
-    assert np.allclose(got, 0.5 * plain.values, atol=1e-9)
-    assert packed.depth_used == enc.values[0].depth_used + 1
+    got = decrypt(packed, ctx).values
+    assert np.allclose(got[: plain.k], 0.5 * plain.values, atol=1e-9)
+    assert not got[plain.k :].any()
+    assert packed.depth_used == enc.cts[0].depth_used + 1
 
 
 def test_pack_template_capacity_limit(ctx):
     p = gen_params(2, 1, 50, seed=3)  # k = n-1 windows, too many for capacity 8
     v = np.random.default_rng(1).normal(size=16)
-    windows = [encrypt(c, ctx) for c in chunk_embedding(v, p)]
-    enc = protect_encrypted(windows, p, ctx)
     with pytest.raises(CapacityExceeded):
-        pack_template(enc)
+        pack_template(protect_encrypted(encrypt_windows(v, p, ctx), p))
 
 
 def _packed_cases(cap=128):
@@ -255,38 +252,39 @@ def _packed_cases(cap=128):
 
 @pytest.mark.parametrize("m,overlap,n", list(_packed_cases()))
 def test_protect_packed_equals_pack_of_protect_encrypted(m, overlap, n):
+    # The packed template holds scale * p_j in slot j and zeros after, at the
+    # depth protect_depth states, whatever power memos it reuses.
     ctx = EncryptionContext(128, 16, key_id="packed")
     p = gen_params(m, overlap, 50, seed=[m, overlap, n])
     v = np.random.default_rng(n).normal(size=n)
-    windows = [encrypt(c, ctx) for c in chunk_embedding(v, p)]
-    old = pack_template(protect_encrypted(windows, p, ctx), 0.37)
-    probe = encrypt_probe_windows(v, p, ctx)
-    assert len(probe.cts) == min(1 << (m - 1).bit_length(), probe.k)
-    new = protect_packed(probe, p, 0.37)
+    windows = encrypt_windows(v, p, ctx)
     k = output_len(n, m, overlap)
-    assert probe.k == k
-    assert np.array_equal(new.slots[:k], old.slots[:k])
-    assert not new.slots[k:].any()
-    assert new.depth_used == protect_depth(p) == old.depth_used - 1
+    assert len(windows) == windows.k == k
+    assert len(windows.cts) == min(1 << (m - 1).bit_length(), k)
+    packed = pack_template(protect_encrypted(windows, p), 0.37)
+    assert np.allclose(packed.slots[:k], 0.37 * protect_plain(v, p).values, rtol=1e-9, atol=1e-12)
+    assert not packed.slots[k:].any()
+    assert packed.depth_used == protect_depth(p)
     # a second parameter set reuses the same windows and their power memos
     q = gen_params(m, overlap, 50, seed=[m, overlap, n, 1])
-    again = pack_template(protect_encrypted(windows, q, ctx), 0.37)
-    assert np.array_equal(protect_packed(probe, q, 0.37).slots[:k], again.slots[:k])
+    reused = pack_template(protect_encrypted(windows, q), 0.37)
+    fresh = pack_template(protect_encrypted(encrypt_windows(v, q, ctx), q), 0.37)
+    assert np.array_equal(reused.slots, fresh.slots)
 
 
-def test_encrypt_probe_windows_capacity_limit(ctx):
+def test_encrypt_windows_capacity_limit(ctx):
     p = gen_params(2, 1, 50, seed=3)  # k = 15 windows, too many for capacity 8
     with pytest.raises(CapacityExceeded):
-        encrypt_probe_windows(np.ones(16), p, ctx)
+        encrypt_windows(np.ones(16), p, ctx)
 
 
-def test_protect_packed_rejects_other_layout(ctx):
+def test_protect_encrypted_rejects_other_layout(ctx):
     v = np.random.default_rng(1).normal(size=8)
-    probe = encrypt_probe_windows(v, gen_params(3, 2, 50, seed=1), ctx)
+    windows = encrypt_windows(v, gen_params(3, 2, 50, seed=1), ctx)
     with pytest.raises(ValueError):
-        protect_packed(probe, gen_params(3, 1, 50, seed=1))
+        protect_encrypted(windows, gen_params(3, 1, 50, seed=1))
     with pytest.raises(ValueError):
-        protect_packed(probe, gen_params(4, 2, 50, seed=1))
+        protect_encrypted(windows, gen_params(4, 2, 50, seed=1))
 
 
 def test_params_json_round_trip(tmp_path):

@@ -42,7 +42,7 @@ def test_naive_single_nonzero(ctx):
 
 def test_naive_replicates_at_full_capacity():
     # when n == capacity the rotation windows wrap the whole ring, so every
-    # slot carries the total; this is the per-window-ciphertext usage
+    # slot carries the total
     ctx8 = EncryptionContext(8, 16, key_id="sum")
     data = np.arange(1.0, 9.0)
     out = naive_add_all(encrypt(data, ctx8), 8)
