@@ -27,18 +27,18 @@ params = gen_params(m=5, overlap=2, c_range=50, seed=42)
 print(f"user params: coeffs={params.coeffs} exps={params.exps} (id {params.params_id})")
 
 plain = protect_plain(embedding, params)
-print(f"\n16-dim embedding -> {plain.k} protected values (dimensionality reduction)")
-print("plaintext  :", np.round(plain.values, 6))
+print(f"\n16-dim embedding -> {len(plain)} protected values (dimensionality reduction)")
+print("plaintext  :", np.round(plain, 6))
 
 ctx = EncryptionContext(8, 16, key_id="user-0")
 windows = encrypt_windows(embedding, params, ctx)  # window j in slots j..j+m-1 of ciphertext j mod 8
 template = pack_template(protect_encrypted(windows, params))
 decrypted = decrypt(template, ctx).values
 print(f"{len(windows)} windows in {len(windows.cts)} encryptions, packed into one {ctx.slot_capacity}-slot ciphertext")
-print("encrypted  :", np.round(decrypted[: plain.k], 6))
-print(f"max |diff| : {np.max(np.abs(decrypted[: plain.k] - plain.values)):.2e}")
+print("encrypted  :", np.round(decrypted[: len(plain)], 6))
+print(f"max |diff| : {np.max(np.abs(decrypted[: len(plain)] - plain)):.2e}")
 print(f"depth used : {template.depth_used} (protect_depth: ceil(log2 max exp) + 2 = {protect_depth(params)})")
-print("slots after the template:", decrypted[plain.k :])
+print("slots after the template:", decrypted[len(plain) :])
 
 # unlinkability precursor: the same face under different users' params does
 # not correlate on average (individual draws scatter widely, so use a longer

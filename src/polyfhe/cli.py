@@ -69,27 +69,24 @@ def _write_manifest(out_dir: Path, command: str, config: dict):
         json.dump(manifest, f, indent=2, default=str)
 
 
-def _config_file_defaults(argv) -> dict:
-    """Read the INI config named by --config into a flat defaults dict.
+def _config_file_defaults(path, parsed: argparse.Namespace) -> dict:
+    """Read the INI config at path into defaults for the parsed subcommand.
 
-    Sections only group keys for the reader; keys are flat flag names.
-    Values land as argparse defaults, so explicit flags still override them.
+    Sections only group keys for the reader; keys are flat flag names, and
+    keys the subcommand does not know are ignored.  Values stay strings, so
+    the subparser type-converts them like flags; a store-true flag takes
+    1/true/yes.  Explicit flags still override them.
     """
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if path is None:
-        return {}
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise OSError(f"config file not found: {path}")
     out = {}
     for section in cp.sections():
         for key, val in cp.items(section):
-            out[key.replace("-", "_")] = val
+            dest = key.replace("-", "_")
+            if dest in ("command", "func") or not hasattr(parsed, dest):
+                continue
+            out[dest] = val.lower() in ("1", "true", "yes") if isinstance(getattr(parsed, dest), bool) else val
     return out
 
 
@@ -144,7 +141,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser):
     p.add_argument("--c-range", type=int, default=50)
     p.add_argument("--slot-capacity", type=int, default=128)
     p.add_argument("--depth-budget", type=int, default=32)
-    p.add_argument("--approx-degree", type=int, default=16)
 
 
 def cmd_gen_params(args) -> int:
@@ -200,7 +196,6 @@ def _pipeline_from_args(args) -> Pipeline:
         c_range=args.c_range,
         slot_capacity=args.slot_capacity,
         depth_budget=args.depth_budget,
-        approx_degree=args.approx_degree,
         seed=args.seed,
     )
     return Pipeline(cfg)
@@ -313,32 +308,33 @@ def cmd_ablation(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple:
+    """The polyfhe parser and a name -> subparser map of its subcommands."""
     parser = argparse.ArgumentParser(prog="polyfhe", description=__doc__)
     parser.add_argument("--version", action="version", version=f"polyfhe {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
 
-    def common(p):
+    def add(name, summary):
+        p = subparsers[name] = sub.add_parser(name, help=summary)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", default="runs")
         p.add_argument("--config", help="INI config file; flags override its values")
+        return p
 
-    p = sub.add_parser("gen-params", help="generate user-specific protection parameters")
-    common(p)
+    p = add("gen-params", "generate user-specific protection parameters")
     p.add_argument("--m", type=int, default=5)
     p.add_argument("--overlap", type=int, default=4)
     p.add_argument("--c-range", type=int, default=50)
     p.set_defaults(func=cmd_gen_params)
 
-    p = sub.add_parser("bench-sum", help="benchmark the three summation kernels")
-    common(p)
+    p = add("bench-sum", "benchmark the three summation kernels")
     p.add_argument("--sizes", default="2..2048", help="'lo..hi' doubling range or comma list")
     p.add_argument("--capacity", type=int, default=None)
     p.add_argument("--depth-budget", type=int, default=16)
     p.set_defaults(func=cmd_bench_sum)
 
-    p = sub.add_parser("fit-invsqrt", help="fit an inverse-sqrt polynomial and dump its error curve")
-    common(p)
+    p = add("fit-invsqrt", "fit an inverse-sqrt polynomial and dump its error curve")
     p.add_argument("--degree", type=int, default=8)
     p.add_argument("--domain", default="0.001,1.0", help="lo,hi")
     p.add_argument("--nodes", type=int, default=256)
@@ -346,24 +342,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=200)
     p.set_defaults(func=cmd_fit_invsqrt)
 
-    p = sub.add_parser("enroll", help="enroll a dataset into an encrypted gallery")
-    common(p)
+    p = add("enroll", "enroll a dataset into an encrypted gallery")
     _add_dataset_flags(p)
     _add_pipeline_flags(p)
     p.add_argument("--gallery-dir", default=None)
     p.add_argument("--save-probes", action="store_true", help="write held-out probes CSV")
     p.set_defaults(func=cmd_enroll)
 
-    p = sub.add_parser("identify", help="run 1:N encrypted search for probe embeddings")
-    common(p)
+    p = add("identify", "run 1:N encrypted search for probe embeddings")
     p.add_argument("--gallery-dir", required=True)
     p.add_argument("--probes", required=True, help="probe dataset CSV")
     p.add_argument("--top", type=_positive_int, default=5)
     p.add_argument("--approx-degree", type=int, default=16)
     p.set_defaults(func=cmd_identify)
 
-    p = sub.add_parser("eval-leakage", help="attribute leakage report across protection variants")
-    common(p)
+    p = add("eval-leakage", "attribute leakage report across protection variants")
     _add_dataset_flags(p)
     p.add_argument("--variants", default=None, help=f"comma list from {','.join(VARIANTS)}")
     p.add_argument("--compress-dim", type=int, default=64)
@@ -375,8 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=300)
     p.set_defaults(func=cmd_eval_leakage)
 
-    p = sub.add_parser("ablation", help="sweep one protection parameter against leakage")
-    common(p)
+    p = add("ablation", "sweep one protection parameter against leakage")
     _add_dataset_flags(p)
     p.add_argument("--param", required=True, choices=("overlap", "m", "c_range"))
     p.add_argument("--values", required=True, help="comma list of integer values")
@@ -386,37 +378,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=300)
     p.set_defaults(func=cmd_ablation)
 
-    return parser
+    return parser, subparsers
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    parser, subparsers = build_parser()
     try:
-        file_defaults = _config_file_defaults(argv)
-        if file_defaults:
-            for action in parser._subparsers._group_actions[0].choices.values():
-                known = {a.dest for a in action._actions}
-                typed = {}
-                for key, val in file_defaults.items():
-                    if key not in known:
-                        continue
-                    for a in action._actions:
-                        if a.dest == key:
-                            if a.type in (int, float):
-                                typed[key] = a.type(val)
-                            elif isinstance(a.default, bool):
-                                typed[key] = val.lower() in ("1", "true", "yes")
-                            else:
-                                typed[key] = val
-                action.set_defaults(**typed)
         args = parser.parse_args(argv)
+        if args.config:
+            subparsers[args.command].set_defaults(**_config_file_defaults(args.config, args))
+            args = parser.parse_args(argv)
         return args.func(args)
-    except PolyFheError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PolyFheError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import HEADER_LEN, EncryptionContext, as_plain, encrypt, serialize_ciphertext
+from .backend import HEADER_LEN, EncryptionContext, encrypt, serialize_ciphertext
 from .errors import DegenerateLabels, DimensionMismatch, InfeasibleParams, ZeroBaseline
 from .pipeline import ATTRIBUTE_CLASSES, compress_prefix, enroll
 from .polyprotect import gen_params, protect_plain
@@ -42,12 +42,6 @@ class LinearClassifier:
     feat_scale: np.ndarray
 
 
-def _as_matrix(features) -> np.ndarray:
-    if isinstance(features, np.ndarray) and features.ndim == 2:
-        return features.astype(np.float64)
-    return np.stack([as_plain(f).values for f in features])
-
-
 def train_attr_classifier(
     features, labels, epochs: int = 300, lr: float = 0.5, seed: int = 0, weight_decay: float = 0.0
 ) -> LinearClassifier:
@@ -58,7 +52,7 @@ def train_attr_classifier(
     unit embeddings to byte histograms.  Optional L2 weight decay lets the
     attacker fall back to the class prior when features carry nothing.
     """
-    x = _as_matrix(features)
+    x = np.asarray(features, dtype=np.float64)
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
         raise DegenerateLabels("training needs at least two distinct classes")
@@ -89,7 +83,7 @@ def train_attr_classifier(
 
 
 def predict(clf: LinearClassifier, features) -> list:
-    x = _as_matrix(features)
+    x = np.asarray(features, dtype=np.float64)
     if x.shape[1] != clf.weights.shape[1]:
         raise DimensionMismatch(f"features have {x.shape[1]} dims, classifier expects {clf.weights.shape[1]}")
     xs = (x - clf.feat_mean) / clf.feat_scale
@@ -123,24 +117,24 @@ def chance_level(labels) -> float:
     return max(float(counts.max()) / len(labels), 1.0 / len(vals))
 
 
-def ciphertext_features(records, ctx: EncryptionContext, masked: bool = True) -> list:
+def ciphertext_features(records, ctx: EncryptionContext, masked: bool = True) -> np.ndarray:
     """Featurize serialized ciphertexts -- without the masking seed.
 
-    Each sample (one SlotVector) becomes a normalized byte histogram of its
-    full dump plus a bounded value channel (slot payload bytes reinterpreted
-    as floats, NaN/inf squashed, clipped to [-10, 10]).  With masking on both
-    channels are keystream noise; masked=False is the control arm where the
-    value channel carries the actual slots.
+    Each sample (one SlotVector) becomes one row: a normalized byte histogram
+    of its full dump plus a bounded value channel (slot payload bytes
+    reinterpreted as floats, NaN/inf squashed, clipped to [-10, 10]).  With
+    masking on both channels are keystream noise; masked=False is the control
+    arm where the value channel carries the actual slots.
     """
-    out = []
+    rows = []
     for ct in records:
         blob = serialize_ciphertext(ct, ctx, mask=masked)
         all_bytes = np.frombuffer(blob, dtype=np.uint8)
         hist = np.bincount(all_bytes, minlength=256).astype(np.float64) / len(all_bytes)
         payload = np.frombuffer(blob[HEADER_LEN:], dtype="<f8")
         values = np.clip(np.nan_to_num(payload, nan=0.0, posinf=10.0, neginf=-10.0), -10.0, 10.0)
-        out.append(as_plain(np.concatenate([hist, values])))
-    return out
+        rows.append(np.concatenate([hist, values]))
+    return np.stack(rows)
 
 
 @dataclass
@@ -158,21 +152,20 @@ class LeakageReport:
     chance: float
 
 
-def _variant_features(variant, dataset, ctx, params, compress_dim):
+def _variant_features(variant, dataset, ctx, params, compress_dim) -> np.ndarray:
+    """The (samples, features) matrix the attacker sees for one variant."""
     if variant == "none":
-        return [e.values for e in dataset]
+        return np.stack([e.values for e in dataset])
     if variant == "polyprotect":
-        return [protect_plain(e.values, params).values for e in dataset]
+        return np.stack([protect_plain(e.values, params) for e in dataset])
     if variant == "mrl":
-        return [compress_prefix(e, compress_dim).values for e in dataset]
+        return np.stack([compress_prefix(e, compress_dim) for e in dataset])
     if variant == "mrl+polyprotect":
-        return [protect_plain(compress_prefix(e, compress_dim).values, params).values for e in dataset]
+        return np.stack([protect_plain(compress_prefix(e, compress_dim), params) for e in dataset])
     if variant == "mrl+fhe":
-        cts = [encrypt(compress_prefix(e, compress_dim).values, ctx) for e in dataset]
-        return ciphertext_features(cts, ctx)
+        return ciphertext_features([encrypt(compress_prefix(e, compress_dim), ctx) for e in dataset], ctx)
     if variant == "mrl+polyprotect+fhe":
-        cts = [enroll(e, params, ctx, compress_dim).protected.values for e in dataset]
-        return ciphertext_features(cts, ctx)
+        return ciphertext_features([enroll(e, params, ctx, compress_dim).template for e in dataset], ctx)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -208,10 +201,10 @@ def run_leakage_suite(
     train_idx, test_idx = _split(len(dataset), seed)
     all_labels = {attr: [e.attributes[attr] for e in dataset] for attr in ATTRIBUTE_CLASSES}
 
-    feats = {"none": _as_matrix(_variant_features("none", dataset, ctx, params, compress_dim))}
+    feats = {"none": _variant_features("none", dataset, ctx, params, compress_dim)}
     for variant in protection_variants:
         if variant not in feats:
-            feats[variant] = _as_matrix(_variant_features(variant, dataset, ctx, params, compress_dim))
+            feats[variant] = _variant_features(variant, dataset, ctx, params, compress_dim)
 
     def cell_accuracy(variant, attr):
         labels = all_labels[attr]
@@ -280,7 +273,7 @@ def ablation_sweep(
         except (InfeasibleParams, ValueError) as exc:
             rows.append({"param": param, "value": value, "error": type(exc).__name__})
             continue
-        feats = _as_matrix([protect_plain(e.values, params).values for e in dataset])
+        feats = np.stack([protect_plain(e.values, params) for e in dataset])
         for attr in ATTRIBUTE_CLASSES:
             labels = [e.attributes[attr] for e in dataset]
             clf = train_attr_classifier(feats[train_idx], [labels[i] for i in train_idx], epochs, lr, seed, weight_decay)

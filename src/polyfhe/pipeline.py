@@ -5,14 +5,15 @@ identity Gaussian clusters on the unit sphere, with a configurable fraction
 of coordinates carrying attribute-aligned mean shifts so attribute
 classifiers have something to find.
 
-A gallery record is one packed ciphertext, built at enrollment by the same
-encrypted transform that a search applies to the probe.  Because protection
-parameters are per-user, a 1:N search protects the probe under each gallery
-record's own parameters before scoring.  The work that depends only on the
-probe is shared: its windows are encrypted once per search in a strided
-layout, and their powers are computed once and reused by every record with
-the same (compress_dim, m, overlap), so each record pays only for its
-coefficient and placement masks, a short fold and the cosine.  Encrypted
+A gallery record holds its template directly: one packed ciphertext, built
+at enrollment by the same encrypted transform that a search applies to the
+probe (in the plaintext twin, the k template values as an array).  Because
+protection parameters are per-user, a 1:N search protects the probe under
+each gallery record's own parameters before scoring.  The work that depends
+only on the probe is shared: its windows are encrypted once per search in a
+strided layout, and their powers are computed once and reused by every
+record with the same (compress_dim, m, overlap), so each record pays only
+for its coefficient and placement masks, a short fold and the cosine.  Encrypted
 cosine needs the scaled denominator inside the inverse-sqrt fit domain, so
 packed templates are normalized by a public, params-derived scale estimate
 (the same scale on both sides of a comparison, so scores are unchanged).
@@ -33,7 +34,7 @@ from .errors import EmptyDataset, EmptyGallery, IntegrityError, MalformedDataset
 from .invsqrt import PolyApprox, fit_inv_sqrt
 from .polyprotect import (
     PolyProtectParams,
-    ProtectedTemplate,
+    _params_id,
     encrypt_windows,
     expected_template_norm,
     gen_params,
@@ -90,10 +91,14 @@ class SyntheticSpec:
 
 @dataclass
 class GalleryRecord:
-    """One enrolled subject: protected template plus the ids to resolve it."""
+    """One enrolled subject: its template plus the ids to resolve it.
+
+    template is the packed SlotVector holding scale * p_j in slot j, or the
+    plaintext twin's (k,) ndarray of p_j.
+    """
 
     subject_id: str
-    protected: ProtectedTemplate
+    template: object
     params_id: str
     compress_dim: int
     blob: bytes = field(default=None, repr=False, compare=False)  # the template as saved or loaded
@@ -142,8 +147,8 @@ def gen_synthetic_dataset(spec: SyntheticSpec) -> list:
     return out
 
 
-def compress_prefix(e: Embedding, d: int) -> Embedding:
-    """Keep the first d coordinates and renormalize to unit length.
+def compress_prefix(e: Embedding, d: int) -> np.ndarray:
+    """The first d coordinates of e, renormalized to unit length.
 
     Assumes nested-prefix embeddings; training such embeddings is upstream of
     this library.
@@ -154,22 +159,20 @@ def compress_prefix(e: Embedding, d: int) -> Embedding:
     norm = np.linalg.norm(prefix)
     if norm == 0.0:
         raise ZeroPrefix("prefix is the zero vector; cannot renormalize")
-    return Embedding(prefix / norm, e.subject_id, e.attributes)
+    return prefix / norm
 
 
 def enroll(e: Embedding, params: PolyProtectParams, ctx: EncryptionContext, d: int) -> GalleryRecord:
     """compress -> encrypt -> protect -> pack, scaled as identify scales a
     probe; returns the persistable record."""
-    v = compress_prefix(e, d)
-    windows = encrypt_windows(v.values, params, ctx)
-    packed = pack_template(protect_encrypted(windows, params), 1.0 / expected_template_norm(params, d))
-    return GalleryRecord(e.subject_id, ProtectedTemplate(packed, params.params_id, windows.k), params.params_id, d)
+    windows = encrypt_windows(compress_prefix(e, d), params, ctx)
+    template = pack_template(protect_encrypted(windows, params), 1.0 / expected_template_norm(params, d))
+    return GalleryRecord(e.subject_id, template, params.params_id, d)
 
 
 def enroll_plain(e: Embedding, params: PolyProtectParams, d: int) -> GalleryRecord:
     """Plaintext twin of enroll (the parity oracle's gallery)."""
-    v = compress_prefix(e, d)
-    return GalleryRecord(e.subject_id, protect_plain(v.values, params), params.params_id, d)
+    return GalleryRecord(e.subject_id, protect_plain(compress_prefix(e, d), params), params.params_id, d)
 
 
 def identify(
@@ -199,11 +202,10 @@ def identify(
         layout = (rec.compress_dim, params.m, params.overlap)
         windows = probe_windows.get(layout)
         if windows is None:
-            v = compress_prefix(probe, rec.compress_dim)
-            windows = probe_windows[layout] = encrypt_windows(v.values, params, ctx)
+            windows = probe_windows[layout] = encrypt_windows(compress_prefix(probe, rec.compress_dim), params, ctx)
         scale = 1.0 / expected_template_norm(params, rec.compress_dim)
         packed_probe = pack_template(protect_encrypted(windows, params), scale)
-        ct = cosine_encrypted(rec.protected.values, packed_probe, windows.k, plan, approx, ctx)
+        ct = cosine_encrypted(rec.template, packed_probe, windows.k, plan, approx, ctx)
         scores.append((rec.subject_id, float(decrypt(ct, ctx).values[0])))
     return sorted(scores, key=lambda t: (-t[1], t[0]))
 
@@ -217,9 +219,8 @@ def identify_plain(probe: Embedding, gallery: list, params_store: dict) -> list:
         params = params_store.get(rec.params_id)
         if params is None:
             raise UnknownParamsId(f"no parameters stored for params_id {rec.params_id}")
-        v = compress_prefix(probe, rec.compress_dim)
-        probe_t = protect_plain(v.values, params)
-        scores.append((rec.subject_id, cosine_plain(probe_t.values, rec.protected.values)))
+        probe_t = protect_plain(compress_prefix(probe, rec.compress_dim), params)
+        scores.append((rec.subject_id, cosine_plain(probe_t, rec.template)))
     return sorted(scores, key=lambda t: (-t[1], t[0]))
 
 
@@ -388,7 +389,7 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
     records_meta = []
     for i, rec in enumerate(gallery):
         if rec.blob is None:
-            rec.blob = serialize_ciphertext(rec.protected.values, ctx)
+            rec.blob = serialize_ciphertext(rec.template, ctx)
         rel = f"blobs/{i}.ct"
         (out / rel).write_bytes(rec.blob)
         records_meta.append(
@@ -415,29 +416,54 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
         json.dump(manifest, f, indent=2)
 
 
+def _check_shape(src: Path, obj, keys: dict, where: str):
+    if not isinstance(obj, dict):
+        raise IntegrityError(f"gallery {src}: {where} is not a JSON object")
+    for key, typ in keys.items():
+        if type(obj.get(key)) is not typ:
+            raise IntegrityError(f"gallery {src}: {where} needs {key!r} as a JSON {typ.__name__}")
+
+
+def _read_json(src: Path, rel: str):
+    try:
+        return json.loads((src / rel).read_bytes())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise IntegrityError(f"gallery {src}: {rel} is not valid JSON ({exc})") from None
+
+
 def _read_manifest(src: Path) -> dict:
     """manifest.json of a version-2 gallery, its shape checked."""
-
-    def check(obj, keys: dict, where: str):
-        if not isinstance(obj, dict):
-            raise IntegrityError(f"gallery {src}: {where} is not a JSON object")
-        for key, typ in keys.items():
-            if type(obj.get(key)) is not typ:
-                raise IntegrityError(f"gallery {src}: {where} needs {key!r} as a JSON {typ.__name__}")
-
-    try:
-        manifest = json.loads((src / "manifest.json").read_bytes())
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise IntegrityError(f"gallery {src}: manifest.json is not valid JSON ({exc})") from None
-    check(manifest, {"version": int}, "manifest")
+    manifest = _read_json(src, "manifest.json")
+    _check_shape(src, manifest, {"version": int}, "manifest")
     if manifest["version"] != GALLERY_VERSION:
         hint = " (one blob per window); re-enroll it" if manifest["version"] == 1 else ""
         raise IntegrityError(f"gallery {src} has format version {manifest['version']}, not {GALLERY_VERSION}{hint}")
-    check(manifest, {"ctx": dict, "records": list}, "manifest")
-    check(manifest["ctx"], {"slot_capacity": int, "depth_budget": int, "key_id": str}, "manifest ctx")
+    _check_shape(src, manifest, {"ctx": dict, "records": list}, "manifest")
+    _check_shape(src, manifest["ctx"], {"slot_capacity": int, "depth_budget": int, "key_id": str}, "manifest ctx")
     for i, rec_meta in enumerate(manifest["records"]):
-        check(rec_meta, {"subject_id": str, "params_id": str, "compress_dim": int, "blob_path": str}, f"record {i}")
+        _check_shape(
+            src, rec_meta, {"subject_id": str, "params_id": str, "compress_dim": int, "blob_path": str}, f"record {i}"
+        )
     return manifest
+
+
+def _read_params(src: Path, rel: str) -> PolyProtectParams:
+    """params/<params_id>.json, its shape, its id and its values checked."""
+    d = _read_json(src, rel)
+    keys = {"m": int, "overlap": int, "c_range": int, "coeffs": list, "exps": list, "params_id": str}
+    _check_shape(src, d, keys, rel)
+    if any(type(x) is not int for x in d["coeffs"] + d["exps"]):
+        raise IntegrityError(f"gallery {src}: {rel} needs 'coeffs' and 'exps' as lists of JSON ints")
+    pid = _params_id(d["m"], d["overlap"], d["c_range"], d["coeffs"], d["exps"])
+    if d["params_id"] != Path(rel).stem or d["params_id"] != pid:
+        raise IntegrityError(
+            f"gallery {src}: {rel} holds params_id {d['params_id']!r}; it must equal the file name"
+            f" and the hash of its values, {pid!r}"
+        )
+    try:
+        return params_from_dict(d)
+    except ValueError as exc:
+        raise IntegrityError(f"gallery {src}: {rel} holds invalid parameters ({exc})") from None
 
 
 def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
@@ -448,7 +474,10 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
     parameters that produced each template.  A manifest that is not valid
     JSON, lacks a key, holds a value of the wrong type, or has a format
     version other than 2 raises IntegrityError; one with no records raises
-    EmptyGallery.
+    EmptyGallery.  A params file that is not valid JSON, lacks a key, holds a
+    value of the wrong type, has a params_id other than its file name or the
+    hash of its values, or holds parameters that PolyProtectParams rejects
+    also raises IntegrityError.
     """
     src = Path(in_dir)
     manifest = _read_manifest(src)
@@ -465,8 +494,7 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
         raise ValueError("context key does not match the saved gallery")
     params_store = {}
     for pfile in sorted((src / "params").glob("*.json")):
-        with open(pfile) as f:
-            params = params_from_dict(json.load(f))
+        params = _read_params(src, f"params/{pfile.name}")
         params_store[params.params_id] = params
     gallery = []
     for rec_meta in manifest["records"]:
@@ -476,7 +504,5 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
         blob = (src / rec_meta["blob_path"]).read_bytes()
         sv = deserialize_ciphertext(blob, ctx)
         sv.depth_used = protect_depth(params)
-        d = rec_meta["compress_dim"]
-        protected = ProtectedTemplate(sv, rec_meta["params_id"], output_len(d, params.m, params.overlap))
-        gallery.append(GalleryRecord(rec_meta["subject_id"], protected, rec_meta["params_id"], d, blob))
+        gallery.append(GalleryRecord(rec_meta["subject_id"], sv, rec_meta["params_id"], rec_meta["compress_dim"], blob))
     return gallery, params_store, ctx

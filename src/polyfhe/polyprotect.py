@@ -28,8 +28,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .backend import EncryptionContext, SlotVector, add, as_plain, encrypt, mult, mult_plain
+from .backend import EncryptionContext, SlotVector, add, encrypt, mult, mult_plain
 from .errors import CapacityExceeded, InfeasibleParams, InputTooShort
 from .summation import fold_add_all
 
@@ -87,16 +88,6 @@ def gen_params(m: int, overlap: int, c_range: int, seed) -> PolyProtectParams:
     return PolyProtectParams(m, overlap, coeffs, exps, c_range, pid, seed)
 
 
-@dataclass(frozen=True)
-class ProtectedTemplate:
-    """Transform output: k plaintext reals, or one packed ciphertext holding
-    the scaled p_j in slot j (zeros from slot k on)."""
-
-    values: object  # np.ndarray (plaintext form) or SlotVector (encrypted form)
-    params_id: str
-    k: int
-
-
 def output_len(n: int, m: int, overlap: int) -> int:
     """Number of windows covering an n-vector: ceil((n-m)/(m-overlap)) + 1."""
     if n < m:
@@ -105,29 +96,27 @@ def output_len(n: int, m: int, overlap: int) -> int:
     return (n - m + stride - 1) // stride + 1
 
 
-def chunk_embedding(v, params: PolyProtectParams) -> list:
-    """Split an embedding into its m-wide windows (tail zero-padded).
+def chunk_embedding(v, params: PolyProtectParams) -> np.ndarray:
+    """An embedding's k m-wide windows, one per row (tail zero-padded).
 
-    Protecting the concatenation of these windows equals protect_plain on the
-    original vector.
+    The rows are a read-only strided view of the padded vector, row j starting
+    at j * (m - overlap).
     """
-    vals = as_plain(v).values
-    n = len(vals)
-    k = output_len(n, params.m, params.overlap)
+    vals = np.asarray(v, dtype=np.float64)
+    if vals.ndim != 1:
+        raise ValueError(f"embedding must be a 1-D array, got shape {vals.shape}")
+    k = output_len(len(vals), params.m, params.overlap)
     stride = params.m - params.overlap
-    padded_len = (k - 1) * stride + params.m
-    padded = np.zeros(padded_len, dtype=np.float64)
-    padded[:n] = vals
-    return [as_plain(padded[j * stride : j * stride + params.m]) for j in range(k)]
+    padded = np.zeros((k - 1) * stride + params.m, dtype=np.float64)
+    padded[: len(vals)] = vals
+    return sliding_window_view(padded, params.m)[::stride]
 
 
-def protect_plain(v, params: PolyProtectParams) -> ProtectedTemplate:
-    """Apply the window polynomial in the clear."""
-    windows = np.stack([w.values for w in chunk_embedding(v, params)])
+def protect_plain(v, params: PolyProtectParams) -> np.ndarray:
+    """Apply the window polynomial in the clear: the k template values."""
     coeffs = np.asarray(params.coeffs, dtype=np.float64)
     exps = np.asarray(params.exps, dtype=np.float64)
-    values = (np.power(windows, exps) * coeffs).sum(axis=1)
-    return ProtectedTemplate(values, params.params_id, len(values))
+    return (np.power(chunk_embedding(v, params), exps) * coeffs).sum(axis=1)
 
 
 def _pow_ct(sv: SlotVector, e: int, memo: dict) -> SlotVector:
@@ -166,7 +155,7 @@ class EncryptedWindows:
 
 def encrypt_windows(v, params: PolyProtectParams, ctx: EncryptionContext) -> EncryptedWindows:
     """Encrypt v's windows in the strided layout: min(s, k) encryptions."""
-    windows = np.stack([w.values for w in chunk_embedding(v, params)])
+    windows = chunk_embedding(v, params)
     k, m = windows.shape
     cap = ctx.slot_capacity
     if max(k, m) > cap:
@@ -239,10 +228,10 @@ def pack_template(pt: GroupSums, scale: float = 1.0) -> SlotVector:
     return acc
 
 
-def template_correlation(a: ProtectedTemplate, b: ProtectedTemplate) -> float:
+def template_correlation(a, b) -> float:
     """Pearson correlation between two plaintext templates (unlinkability probe)."""
-    x = np.asarray(a.values, dtype=np.float64)
-    y = np.asarray(b.values, dtype=np.float64)
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
     if len(x) != len(y):
         raise ValueError("templates must have equal length to correlate")
     return float(np.corrcoef(x, y)[0, 1])

@@ -116,9 +116,9 @@ def test_criterion_4_polyprotect_equivalence():
                 v /= np.linalg.norm(v)
                 plain = protect_plain(v, params)
                 enc = pack_template(protect_encrypted(encrypt_windows(v, params, ctx), params))
-                got = decrypt(enc, ctx).values[: plain.k]
-                worst = max(worst, float(np.max(np.abs(got - plain.values))))
-                assert np.max(np.abs(got - plain.values)) <= 1e-6
+                got = decrypt(enc, ctx).values[: len(plain)]
+                worst = max(worst, float(np.max(np.abs(got - plain))))
+                assert np.max(np.abs(got - plain)) <= 1e-6
                 assert enc.depth_used <= depth_bound
     report(4, True, f"encrypted/plain equivalence m=3..7 all overlaps, worst |diff| {worst:.2e} (tol 1e-6), {time.time()-t0:.0f}s")
 

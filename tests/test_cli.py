@@ -312,3 +312,53 @@ def test_enroll_template_longer_than_capacity_exits_1(tmp_path, capsys):
                  "--out-dir", str(tmp_path))
     assert rc == 1
     assert "error: CapacityExceeded:" in capsys.readouterr().err
+
+
+def test_config_file_bad_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[params]\nm = abc\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("gen-params", "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+    assert "--m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value,saved", [("yes", True), ("1", True), ("true", True), ("no", False), ("0", False)])
+def test_config_file_store_true_flag(tmp_path, value, saved):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[enroll]\nsave-probes = {value}\nnum-ids = 2\nsamples-per-id = 2\ndim = 64\nunknown-key = 7\n")
+    assert run_cli("enroll", "--config", str(cfg), "--out-dir", str(tmp_path)) == 0
+    assert (tmp_path / "probes.csv").exists() == saved
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-params", "--m", "1"],
+    ["enroll", "--num-ids", "1"],
+    ["enroll", "--slot-capacity", "100"],
+    ["enroll", "--compress-dim", "600"],
+    ["eval-leakage", "--variants", "foo"],
+    ["fit-invsqrt", "--domain", "0,1"],
+], ids=" ".join)
+def test_bad_flag_value_exits_1_without_traceback(tmp_path, argv):
+    proc = run_module(*argv, "--out-dir", str(tmp_path))
+    assert proc.returncode == 1
+    assert "error: ValueError: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_enroll_approx_degree_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("enroll", "--approx-degree", "8", "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+    assert "--approx-degree" in capsys.readouterr().err
+
+
+def test_identify_truncated_params_file_exits_1(tmp_path, capsys):
+    out = _enrolled(tmp_path)
+    params_file = next((out / "gallery" / "params").glob("*.json"))
+    params_file.write_bytes(params_file.read_bytes()[:40])
+    rc = run_cli("identify", "--gallery-dir", str(out / "gallery"), "--probes", str(out / "probes.csv"),
+                 "--out-dir", str(out / "id"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: IntegrityError:" in err and "not valid JSON" in err

@@ -132,9 +132,9 @@ def test_ciphertext_features_indistinguishable_same_vs_diff():
     b = rng.normal(size=64)
     same, diff = [], []
     for _ in range(40):
-        fa1 = ciphertext_features([encrypt(a, ctx)], ctx)[0].values
-        fa2 = ciphertext_features([encrypt(a, ctx)], ctx)[0].values
-        fb = ciphertext_features([encrypt(b, ctx)], ctx)[0].values
+        fa1 = ciphertext_features([encrypt(a, ctx)], ctx)[0]
+        fa2 = ciphertext_features([encrypt(a, ctx)], ctx)[0]
+        fb = ciphertext_features([encrypt(b, ctx)], ctx)[0]
         same.append(np.linalg.norm(fa1 - fa2))
         diff.append(np.linalg.norm(fa1 - fb))
     ratio = np.mean(same) / np.mean(diff)
@@ -148,11 +148,11 @@ def test_masked_features_hide_and_unmasked_reveal():
     labels = [e.attributes["gender"] for e in ds]
     cts = [encrypt(e.values, ctx) for e in ds]
     chance = chance_level(labels[80:])
-    masked = np.stack([f.values for f in ciphertext_features(cts, ctx, masked=True)])
+    masked = ciphertext_features(cts, ctx, masked=True)
     clf = train_attr_classifier(masked[:80], labels[:80], epochs=200, seed=0)
     assert eval_accuracy(clf, masked[80:], labels[80:]) <= chance + 0.05
 
-    raw = np.stack([f.values for f in ciphertext_features(cts, ctx, masked=False)])
+    raw = ciphertext_features(cts, ctx, masked=False)
     clf = train_attr_classifier(raw[:80], labels[:80], epochs=200, seed=0)
     assert eval_accuracy(clf, raw[80:], labels[80:]) >= chance + 0.20  # control arm recovers
 

@@ -79,14 +79,14 @@ def test_synthetic_unit_norm_and_labels():
 def test_compress_full_dim_is_identity():
     e = Embedding(np.array([3.0, 4.0]), "s", {})
     out = compress_prefix(e, 2)
-    assert np.allclose(out.values, [0.6, 0.8])  # renormalized
+    assert np.allclose(out, [0.6, 0.8])  # renormalized
 
 
 def test_compress_triangle_example():
     v = np.zeros(16)
     v[0], v[1] = 3.0, 4.0
     out = compress_prefix(Embedding(v, "s", {}), 2)
-    assert out.values.tolist() == [0.6, 0.8]
+    assert out.tolist() == [0.6, 0.8]
 
 
 def test_compress_zero_prefix():
@@ -128,12 +128,12 @@ def test_enroll_matches_plaintext_oracle():
     pipe = Pipeline(PipelineConfig(seed=2))
     params = pipe.gen_user_params(0)
     rec = enroll(ds[0], params, pipe.ctx, 64)
-    got = decrypt(rec.protected.values, pipe.ctx).values
-    want = protect_plain(compress_prefix(ds[0], 64).values, params).values / expected_template_norm(params, 64)
-    assert rec.protected.k == len(want) == 60
+    got = decrypt(rec.template, pipe.ctx).values
+    want = protect_plain(compress_prefix(ds[0], 64), params) / expected_template_norm(params, 64)
+    assert len(want) == 60
     assert np.max(np.abs(got[:60] - want)) <= 1e-6
     assert not got[60:].any()
-    assert rec.protected.values.depth_used == protect_depth(params)
+    assert rec.template.depth_used == protect_depth(params)
 
 
 def test_enroll_deterministic_in_exact_mode():
@@ -142,13 +142,13 @@ def test_enroll_deterministic_in_exact_mode():
     params = pipe.gen_user_params(0)
     r1 = enroll(ds[0], params, pipe.ctx, 64)
     r2 = enroll(ds[0], params, pipe.ctx, 64)
-    assert r1.protected.values.slots.tolist() == r2.protected.values.slots.tolist()
+    assert r1.template.slots.tolist() == r2.template.slots.tolist()
 
 
 def test_independent_params_give_uncorrelated_templates():
     ds = gen_synthetic_dataset(small_spec())
     pipe = Pipeline(PipelineConfig(seed=2))
-    v = compress_prefix(ds[0], 64).values
+    v = compress_prefix(ds[0], 64)
     cors = [
         abs(
             template_correlation(
@@ -184,10 +184,10 @@ def _identify_per_record(probe, gallery, pipe):
     scores = []
     for rec in gallery:
         params = pipe.params_store[rec.params_id]
-        windows = encrypt_windows(compress_prefix(probe, rec.compress_dim).values, params, pipe.ctx)
+        windows = encrypt_windows(compress_prefix(probe, rec.compress_dim), params, pipe.ctx)
         scale = 1.0 / expected_template_norm(params, rec.compress_dim)
         probe_ct = pack_template(protect_encrypted(windows, params), scale)
-        ct = cosine_encrypted(rec.protected.values, probe_ct, windows.k, pipe.plan, pipe.approx, pipe.ctx)
+        ct = cosine_encrypted(rec.template, probe_ct, windows.k, pipe.plan, pipe.approx, pipe.ctx)
         scores.append((rec.subject_id, float(decrypt(ct, pipe.ctx).values[0])))
     return sorted(scores, key=lambda t: (-t[1], t[0]))
 
@@ -449,3 +449,35 @@ def test_load_gallery_manifest_not_json_object_is_integrity_error(tmp_path, data
     with pytest.raises(IntegrityError) as exc:
         load_gallery(tmp_path / "g")
     assert str(tmp_path / "g") in str(exc.value)
+
+
+def _rehashed(d):
+    # the edited values under their own params_id, as a consistent forger would write them
+    return d | {"params_id": pp._params_id(d["m"], d["overlap"], d["c_range"], d["coeffs"], d["exps"])}
+
+
+@pytest.mark.parametrize("edit,rename,problem", [
+    (lambda text, d: text[:40], False, "is not valid JSON"),
+    (lambda text, d: b"\xff" + text, False, "is not valid JSON"),
+    (lambda text, d: b"[]", False, "is not a JSON object"),
+    (lambda text, d: {k: v for k, v in d.items() if k != "exps"}, False, "needs 'exps' as a JSON list"),
+    (lambda text, d: d | {"m": "5"}, False, "needs 'm' as a JSON int"),
+    (lambda text, d: d | {"overlap": True}, False, "needs 'overlap' as a JSON int"),
+    (lambda text, d: d | {"coeffs": [1.5] + d["coeffs"][1:]}, False, "lists of JSON ints"),
+    (lambda text, d: d | {"coeffs": [d["coeffs"][0] + 100] + d["coeffs"][1:]}, False, "must equal the file name"),
+    (lambda text, d: _rehashed(d | {"c_range": 51}), False, "must equal the file name"),
+    (lambda text, d: _rehashed(d | {"coeffs": [1] * d["m"]}), True, "holds invalid parameters"),
+    (lambda text, d: _rehashed(d | {"m": 1, "overlap": 0, "coeffs": [1], "exps": [1]}), True, "holds invalid parameters"),
+])
+def test_load_gallery_bad_params_file_is_integrity_error(tmp_path, edit, rename, problem):
+    path, _ = _saved_manifest(tmp_path)
+    pfile = sorted((path.parent / "params").glob("*.json"))[0]
+    text = pfile.read_bytes()
+    out = edit(text, json.loads(text))
+    if rename:  # stored under the name its new params_id gives
+        pfile.unlink()
+        pfile = pfile.with_name(f"{out['params_id']}.json")
+    pfile.write_bytes(out if isinstance(out, bytes) else json.dumps(out).encode())
+    with pytest.raises(IntegrityError) as exc:
+        load_gallery(tmp_path / "g")
+    assert str(tmp_path / "g") in str(exc.value) and problem in str(exc.value)

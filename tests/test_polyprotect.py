@@ -79,8 +79,8 @@ def test_protect_ones_vector_sums_coefficients():
     # ones kill the exponents, so each window value is just sum(C)
     p = gen_params(5, 0, 50, seed=3)
     out = protect_plain(np.ones(5), p)
-    assert out.k == 1
-    assert out.values[0] == pytest.approx(sum(p.coeffs), abs=1e-12)
+    assert len(out) == 1
+    assert out[0] == pytest.approx(sum(p.coeffs), abs=1e-12)
 
 
 def test_protect_stride_zero_overlap_matches_eq_layout():
@@ -88,9 +88,9 @@ def test_protect_stride_zero_overlap_matches_eq_layout():
     p = PolyProtectParams(5, 0, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 5, "manual")
     v = np.arange(1.0, 11.0)
     out = protect_plain(v, p)
-    assert out.k == 2
+    assert len(out) == 2
     expected_p2 = sum(c * v[5 + i] ** e for i, (c, e) in enumerate(zip(p.coeffs, p.exps)))
-    assert out.values[1] == pytest.approx(expected_p2, rel=1e-12)
+    assert out[1] == pytest.approx(expected_p2, rel=1e-12)
 
 
 def test_protect_stride_max_overlap_matches_eq_layout():
@@ -98,9 +98,9 @@ def test_protect_stride_max_overlap_matches_eq_layout():
     p = PolyProtectParams(5, 4, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 5, "manual")
     v = np.array([0.3, -0.5, 0.2, 0.9, -0.1, 0.4])
     out = protect_plain(v, p)
-    assert out.k == 2
+    assert len(out) == 2
     expected_p2 = sum(c * v[1 + i] ** e for i, (c, e) in enumerate(zip(p.coeffs, p.exps)))
-    assert out.values[1] == pytest.approx(expected_p2, rel=1e-12)
+    assert out[1] == pytest.approx(expected_p2, rel=1e-12)
 
 
 def test_protect_brute_force_oracle():
@@ -110,7 +110,7 @@ def test_protect_brute_force_oracle():
     for c, e, x in zip(p.coeffs, p.exps, v):
         expected += c * x**e
     out = protect_plain(v, p)
-    assert out.values[0] == pytest.approx(expected, rel=1e-12)
+    assert out[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_protect_too_short():
@@ -119,6 +119,20 @@ def test_protect_too_short():
         protect_plain(np.ones(4), p)
     with pytest.raises(InputTooShort):
         chunk_embedding(np.ones(4), p)
+
+
+@pytest.mark.parametrize("v", [np.float64(0.5), np.ones((2, 5))])
+def test_chunk_rejects_non_1d_input(v):
+    with pytest.raises(ValueError):
+        chunk_embedding(v, gen_params(2, 0, 50, seed=1))
+
+
+def test_chunk_windows_are_a_read_only_view():
+    p = gen_params(3, 1, 50, seed=1)
+    v = np.arange(1.0, 8.0)
+    chunks = chunk_embedding(v, p)
+    assert chunks.tolist() == [[1, 2, 3], [3, 4, 5], [5, 6, 7]]
+    assert not chunks.flags.writeable
 
 
 def test_chunk_counts():
@@ -133,8 +147,8 @@ def test_chunk_tail_padding_covers_all_elements():
     p = gen_params(5, 0, 50, seed=1)
     v = np.arange(1.0, 13.0)  # length 12 -> 3 windows, last padded
     chunks = chunk_embedding(v, p)
-    assert len(chunks) == 3
-    assert chunks[2].values.tolist() == [11, 12, 0, 0, 0]
+    assert chunks.shape == (3, 5)
+    assert chunks[2].tolist() == [11, 12, 0, 0, 0]
 
 
 def test_chunked_protection_equals_whole():
@@ -142,10 +156,10 @@ def test_chunked_protection_equals_whole():
     v = np.random.default_rng(0).normal(size=17)
     whole = protect_plain(v, p)
     per_window = [
-        sum(c * w.values[i] ** e for i, (c, e) in enumerate(zip(p.coeffs, p.exps)))
+        sum(c * w[i] ** e for i, (c, e) in enumerate(zip(p.coeffs, p.exps)))
         for w in chunk_embedding(v, p)
     ]
-    assert np.allclose(whole.values, per_window, rtol=1e-12)
+    assert np.allclose(whole, per_window, rtol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,8 +202,8 @@ def test_protect_encrypted_matches_plain_oracle():
             v = rng.normal(size=16)
             v /= np.linalg.norm(v)
             plain = protect_plain(v, p)
-            got = _protected_slots(v, p, ctx)[: plain.k]
-            assert np.max(np.abs(got - plain.values)) <= 1e-6
+            got = _protected_slots(v, p, ctx)[: len(plain)]
+            assert np.max(np.abs(got - plain)) <= 1e-6
 
 
 def test_protect_encrypted_depth_budget(ctx):
@@ -228,8 +242,8 @@ def test_pack_template_positions_and_scale(ctx):
     enc = protect_encrypted(encrypt_windows(v, p, ctx), p)
     packed = pack_template(enc, scale=0.5)
     got = decrypt(packed, ctx).values
-    assert np.allclose(got[: plain.k], 0.5 * plain.values, atol=1e-9)
-    assert not got[plain.k :].any()
+    assert np.allclose(got[: len(plain)], 0.5 * plain, atol=1e-9)
+    assert not got[len(plain) :].any()
     assert packed.depth_used == enc.cts[0].depth_used + 1
 
 
@@ -262,7 +276,7 @@ def test_protect_packed_equals_pack_of_protect_encrypted(m, overlap, n):
     assert len(windows) == windows.k == k
     assert len(windows.cts) == min(1 << (m - 1).bit_length(), k)
     packed = pack_template(protect_encrypted(windows, p), 0.37)
-    assert np.allclose(packed.slots[:k], 0.37 * protect_plain(v, p).values, rtol=1e-9, atol=1e-12)
+    assert np.allclose(packed.slots[:k], 0.37 * protect_plain(v, p), rtol=1e-9, atol=1e-12)
     assert not packed.slots[k:].any()
     assert packed.depth_used == protect_depth(p)
     # a second parameter set reuses the same windows and their power memos
