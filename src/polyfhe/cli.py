@@ -40,6 +40,7 @@ from .pipeline import (
     SyntheticSpec,
     build_gallery,
     gen_synthetic_dataset,
+    identify,
     load_dataset,
     load_gallery,
     save_dataset,
@@ -219,27 +220,12 @@ def cmd_enroll(args) -> int:
 def cmd_identify(args) -> int:
     gallery, params_store, ctx = load_gallery(args.gallery_dir)
     probes = load_dataset(args.probes)
-    compress_dim = gallery[0].compress_dim
-    m = next(iter(params_store.values())).m
-    overlap = next(iter(params_store.values())).overlap
-    cfg = PipelineConfig(
-        compress_dim=compress_dim,
-        m=m,
-        overlap=overlap,
-        slot_capacity=ctx.slot_capacity,
-        depth_budget=ctx.depth_budget,
-        approx_degree=args.approx_degree,
-        seed=args.seed,
-    )
-    pipeline = Pipeline(cfg)
-    pipeline.ctx = ctx
-    pipeline.params_store = params_store
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     hits = 0
     for i, probe in enumerate(probes):
-        ranked = pipeline.identify(probe, gallery)[: args.top]
+        ranked = identify(probe, gallery, params_store, ctx)[: args.top]
         for rank, (sid, score) in enumerate(ranked, start=1):
             rows.append([i, probe.subject_id, rank, sid, repr(score)])
         top_sid = ranked[0][0]
@@ -353,7 +339,6 @@ def build_parser() -> tuple:
     p.add_argument("--gallery-dir", required=True)
     p.add_argument("--probes", required=True, help="probe dataset CSV")
     p.add_argument("--top", type=_positive_int, default=5)
-    p.add_argument("--approx-degree", type=int, default=16)
     p.set_defaults(func=cmd_identify)
 
     p = add("eval-leakage", "attribute leakage report across protection variants")

@@ -7,21 +7,36 @@ classifiers have something to find.
 
 A gallery record holds its template directly: one packed ciphertext, built
 at enrollment by the same encrypted transform that a search applies to the
-probe (in the plaintext twin, the k template values as an array).  Because
-protection parameters are per-user, a 1:N search protects the probe under
-each gallery record's own parameters before scoring.  The work that depends
-only on the probe is shared: its windows are encrypted once per search in a
-strided layout, and their powers are computed once and reused by every
-record with the same (compress_dim, m, overlap), so each record pays only
-for its coefficient and placement masks, a short fold and the cosine.  Encrypted
-cosine needs the scaled denominator inside the inverse-sqrt fit domain, so
-packed templates are normalized by a public, params-derived scale estimate
-(the same scale on both sides of a comparison, so scores are unchanged).
+probe (in the plaintext twin, the k template values as an array).  The key
+holder scales each packed template, in the clear, by 1/||p|| for its exact
+plaintext template p, so every stored or searched template has unit norm and
+a comparison's cosine is one product folded into slot 0 (Boddeti, BTAS
+2018): ceil(log2 k) rotations, one ciphertext mult, no inverse square root.
+The scale is a plaintext per template, folded into the coefficient mults, so
+nothing new leaves the key holder and the stored ciphertext does not carry
+its template's norm.
+
+Protection parameters are per user, so a 1:N search protects the probe under
+each record's own parameters.  The work that depends only on the probe is
+shared by every record with the same (compress_dim, m, overlap): its windows
+are encrypted once in a strided layout, their offset-power table is built
+once (polyprotect), and their plaintext powers give every record's template
+norm at once.  Each record then pays m plaintext scalar mults for its
+template, one product and one fold.  The template depth is protect_depth;
+the comparison adds one level.
+
+Gallery format version 3: manifest.json, one masked ciphertext blob per
+record, and one params file per parameter set the records use.  Each record
+in the manifest carries an HMAC-SHA256 tag, keyed from the context's masking
+seed, over its ids and its blob (header and payload); a load that finds a
+record whose tag does not match raises IntegrityError.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import hmac
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,23 +45,30 @@ from pathlib import Path
 import numpy as np
 
 from .backend import EncryptionContext, decrypt, deserialize_ciphertext, serialize_ciphertext
-from .errors import EmptyDataset, EmptyGallery, IntegrityError, MalformedDataset, UnknownParamsId, ZeroPrefix
-from .invsqrt import PolyApprox, fit_inv_sqrt
+from .errors import (
+    EmptyDataset,
+    EmptyGallery,
+    IntegrityError,
+    MalformedDataset,
+    UnknownParamsId,
+    ZeroPrefix,
+    ZeroVector,
+)
+from .invsqrt import fit_inv_sqrt
 from .polyprotect import (
     PolyProtectParams,
     _params_id,
     encrypt_windows,
-    expected_template_norm,
     gen_params,
     output_len,
-    pack_template,
     params_from_dict,
     params_to_dict,
     protect_depth,
     protect_encrypted,
     protect_plain,
+    template_norms,
 )
-from .similarity import NormalizationPlan, cosine_encrypted, cosine_plain, make_normalization_plan
+from .similarity import cosine_plain, cosine_unit_encrypted, make_normalization_plan
 
 ATTRIBUTE_CLASSES = {
     "gender": ("female", "male"),
@@ -93,7 +115,7 @@ class SyntheticSpec:
 class GalleryRecord:
     """One enrolled subject: its template plus the ids to resolve it.
 
-    template is the packed SlotVector holding scale * p_j in slot j, or the
+    template is the packed SlotVector holding p_j / ||p|| in slot j, or the
     plaintext twin's (k,) ndarray of p_j.
     """
 
@@ -162,11 +184,19 @@ def compress_prefix(e: Embedding, d: int) -> np.ndarray:
     return prefix / norm
 
 
+def _unit_scales(norms):
+    """1 / norm for one template norm or an array of them."""
+    if not np.all(np.asarray(norms) > 0.0):
+        raise ZeroVector("protected template is the zero vector; its cosine is undefined")
+    return 1.0 / norms
+
+
 def enroll(e: Embedding, params: PolyProtectParams, ctx: EncryptionContext, d: int) -> GalleryRecord:
-    """compress -> encrypt -> protect -> pack, scaled as identify scales a
-    probe; returns the persistable record."""
-    windows = encrypt_windows(compress_prefix(e, d), params, ctx)
-    template = pack_template(protect_encrypted(windows, params), 1.0 / expected_template_norm(params, d))
+    """compress -> encrypt -> protect -> pack, scaled to unit norm by the
+    exact template norm; returns the persistable record."""
+    x = compress_prefix(e, d)
+    scale = _unit_scales(np.linalg.norm(protect_plain(x, params)))
+    template = protect_encrypted(encrypt_windows(x, params, ctx), params, scale)
     return GalleryRecord(e.subject_id, template, params.params_id, d)
 
 
@@ -175,38 +205,34 @@ def enroll_plain(e: Embedding, params: PolyProtectParams, d: int) -> GalleryReco
     return GalleryRecord(e.subject_id, protect_plain(compress_prefix(e, d), params), params.params_id, d)
 
 
-def identify(
-    probe: Embedding,
-    gallery: list,
-    params_store: dict,
-    ctx: EncryptionContext,
-    plan: NormalizationPlan,
-    approx: PolyApprox,
-) -> list:
+def identify(probe: Embedding, gallery: list, params_store: dict, ctx: EncryptionContext) -> list:
     """Encrypted 1:N search: (subject_id, score) sorted by descending score.
 
-    The probe is protected under each record's own parameters and scored
-    against the record's stored ciphertext.  Its windows are encrypted once
-    per (compress_dim, m, overlap) in the strided layout and their power
-    chains are shared across records.  Scores are decrypted with the user
-    context before ranking.  Ties break by subject_id for a stable order.
+    The probe is protected under each record's own parameters, scaled to
+    unit norm, and scored against the record's stored unit-norm ciphertext
+    by one product and one fold.  Per (compress_dim, m, overlap) its windows
+    are encrypted once, share one offset-power table, and give every
+    record's template norm from one table of plaintext powers.  Scores are
+    decrypted with the user context before ranking.  Ties break by
+    subject_id for a stable order.
     """
     if not gallery:
         raise ValueError("identify needs a nonempty gallery")
-    probe_windows = {}
-    scores = []
-    for rec in gallery:
+    layouts = {}
+    for i, rec in enumerate(gallery):
         params = params_store.get(rec.params_id)
         if params is None:
             raise UnknownParamsId(f"no parameters stored for params_id {rec.params_id}")
-        layout = (rec.compress_dim, params.m, params.overlap)
-        windows = probe_windows.get(layout)
-        if windows is None:
-            windows = probe_windows[layout] = encrypt_windows(compress_prefix(probe, rec.compress_dim), params, ctx)
-        scale = 1.0 / expected_template_norm(params, rec.compress_dim)
-        packed_probe = pack_template(protect_encrypted(windows, params), scale)
-        ct = cosine_encrypted(rec.template, packed_probe, windows.k, plan, approx, ctx)
-        scores.append((rec.subject_id, float(decrypt(ct, ctx).values[0])))
+        layouts.setdefault((rec.compress_dim, params.m, params.overlap), []).append((i, params))
+    scores = [None] * len(gallery)
+    for (d, _, _), members in layouts.items():
+        v = compress_prefix(probe, d)
+        windows = encrypt_windows(v, members[0][1], ctx)
+        scales = _unit_scales(template_norms(v, [params for _, params in members]))
+        for (i, params), scale in zip(members, scales):
+            rec = gallery[i]
+            ct = cosine_unit_encrypted(rec.template, protect_encrypted(windows, params, scale), windows.k)
+            scores[i] = (rec.subject_id, float(decrypt(ct, ctx).values[0]))
     return sorted(scores, key=lambda t: (-t[1], t[0]))
 
 
@@ -245,11 +271,14 @@ class PipelineConfig:
 
 
 class Pipeline:
-    """Holds one run's context, normalization plan, fit, and params store.
+    """Holds one run's context and params store, plus a normalization plan
+    and inverse-sqrt fit.
 
-    The plan and fit domain are sized from the config's (compress_dim, m,
-    overlap), so every gallery record scored by this pipeline must share
-    those; per-user variation lives in the coefficients and exponents.
+    The search scores exact unit-norm templates and uses neither plan nor
+    fit.  They size similarity.cosine_encrypted for templates scaled by
+    polyprotect.expected_template_norm at this config's (compress_dim, m,
+    overlap), the domain that perfbench's margin figures are measured
+    against.
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -262,10 +291,10 @@ class Pipeline:
             nonce_seed=cfg.seed,
         )
         self.k = output_len(cfg.compress_dim, cfg.m, cfg.overlap)
-        # After the per-record scale normalization, packed templates sit near
-        # unit norm; bound 4/sqrt(k) per element keeps the scaled numerator
-        # inside [-1, 1] with slack, and centers the scaled denominator at
-        # 1/d_bound where the inverse-sqrt fit is anchored.
+        # Templates scaled by expected_template_norm sit near unit norm; bound
+        # 4/sqrt(k) per element keeps the scaled numerator inside [-1, 1]
+        # with slack, and centers the scaled denominator at 1/d_bound where
+        # the inverse-sqrt fit is anchored.
         self.plan = make_normalization_plan(4.0 / math.sqrt(self.k), self.k)
         x0 = 1.0 / self.plan.d_bound
         lo = x0 / cfg.domain_ratio
@@ -285,7 +314,7 @@ class Pipeline:
 
     def identify(self, probe: Embedding, gallery: list) -> list:
         if self.cfg.encrypted:
-            return identify(probe, gallery, self.params_store, self.ctx, self.plan, self.approx)
+            return identify(probe, gallery, self.params_store, self.ctx)
         return identify_plain(probe, gallery, self.params_store)
 
 
@@ -373,15 +402,30 @@ def load_dataset(path) -> list:
 # --- gallery persistence ---------------------------------------------------------
 
 
-GALLERY_VERSION = 2
+GALLERY_VERSION = 3
+_OLD_VERSIONS = {
+    1: "one blob per window",
+    2: "templates scaled by a norm estimate, no integrity tags",
+}
+
+
+def _record_tag(subject_id: str, params_id: str, compress_dim: int, blob: bytes, ctx: EncryptionContext) -> str:
+    """Hex HMAC-SHA256, keyed from the context's masking seed, over a
+    record's ids and its blob (header and payload), so a blob cannot be
+    altered or moved to another subject unnoticed."""
+    key = hashlib.sha256(b"polyfhe-gallery-tag:" + ctx.masking_seed).digest()
+    ids = json.dumps([subject_id, params_id, compress_dim]).encode()  # JSON escapes newlines
+    return hmac.new(key, ids + b"\n" + blob, hashlib.sha256).hexdigest()
 
 
 def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_dir):
-    """Write manifest.json, per-params JSON, and one ciphertext blob per record.
+    """Write manifest.json, one ciphertext blob per record, and the params
+    JSON of every parameter set the records use (and no other).
 
-    Records loaded from disk keep their original blob bytes, so a
-    save -> load -> save round trip is bit-identical (re-serializing would
-    draw fresh nonces).
+    Each manifest record carries its blob's tag.  Records loaded from disk
+    keep their original blob bytes, so a save -> load -> save round trip is
+    bit-identical (re-serializing would draw fresh nonces).  A record whose
+    params_id is not in params_store raises UnknownParamsId.
     """
     out = Path(out_dir)
     (out / "blobs").mkdir(parents=True, exist_ok=True)
@@ -398,9 +442,13 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
                 "params_id": rec.params_id,
                 "compress_dim": rec.compress_dim,
                 "blob_path": rel,
+                "tag": _record_tag(rec.subject_id, rec.params_id, rec.compress_dim, rec.blob, ctx),
             }
         )
-    for pid, params in params_store.items():
+    for pid in dict.fromkeys(rec.params_id for rec in gallery):
+        params = params_store.get(pid)
+        if params is None:
+            raise UnknownParamsId(f"no parameters stored for params_id {pid}")
         with open(out / "params" / f"{pid}.json", "w") as f:
             json.dump(params_to_dict(params), f, indent=2)
     manifest = {
@@ -432,17 +480,21 @@ def _read_json(src: Path, rel: str):
 
 
 def _read_manifest(src: Path) -> dict:
-    """manifest.json of a version-2 gallery, its shape checked."""
+    """manifest.json of a version-3 gallery, its shape checked."""
     manifest = _read_json(src, "manifest.json")
     _check_shape(src, manifest, {"version": int}, "manifest")
-    if manifest["version"] != GALLERY_VERSION:
-        hint = " (one blob per window); re-enroll it" if manifest["version"] == 1 else ""
-        raise IntegrityError(f"gallery {src} has format version {manifest['version']}, not {GALLERY_VERSION}{hint}")
+    version = manifest["version"]
+    if version != GALLERY_VERSION:
+        hint = f" ({_OLD_VERSIONS[version]}); re-enroll it" if version in _OLD_VERSIONS else ""
+        raise IntegrityError(f"gallery {src} has format version {version}, not {GALLERY_VERSION}{hint}")
     _check_shape(src, manifest, {"ctx": dict, "records": list}, "manifest")
     _check_shape(src, manifest["ctx"], {"slot_capacity": int, "depth_budget": int, "key_id": str}, "manifest ctx")
     for i, rec_meta in enumerate(manifest["records"]):
         _check_shape(
-            src, rec_meta, {"subject_id": str, "params_id": str, "compress_dim": int, "blob_path": str}, f"record {i}"
+            src,
+            rec_meta,
+            {"subject_id": str, "params_id": str, "compress_dim": int, "blob_path": str, "tag": str},
+            f"record {i}",
         )
     return manifest
 
@@ -471,13 +523,15 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
 
     Blob bytes are kept on each record so a subsequent save is bit-identical.
     Ciphertext depth is not on the wire; it is restored from the protection
-    parameters that produced each template.  A manifest that is not valid
-    JSON, lacks a key, holds a value of the wrong type, or has a format
-    version other than 2 raises IntegrityError; one with no records raises
-    EmptyGallery.  A params file that is not valid JSON, lacks a key, holds a
-    value of the wrong type, has a params_id other than its file name or the
-    hash of its values, or holds parameters that PolyProtectParams rejects
-    also raises IntegrityError.
+    parameters that produced each template.  Only the params files the
+    manifest's records name are read.  A manifest that is not valid JSON,
+    lacks a key, holds a value of the wrong type, or has a format version
+    other than 3 raises IntegrityError; one with no records raises
+    EmptyGallery.  A blob whose tag does not match raises IntegrityError, as
+    does a params file that is not valid JSON, lacks a key, holds a value of
+    the wrong type, has a params_id other than its file name or the hash of
+    its values, or holds parameters that PolyProtectParams rejects.  A
+    record whose params file is missing raises UnknownParamsId.
     """
     src = Path(in_dir)
     manifest = _read_manifest(src)
@@ -493,16 +547,20 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
     elif ctx.key_id.hex() != meta["key_id"]:
         raise ValueError("context key does not match the saved gallery")
     params_store = {}
-    for pfile in sorted((src / "params").glob("*.json")):
-        params = _read_params(src, f"params/{pfile.name}")
-        params_store[params.params_id] = params
     gallery = []
-    for rec_meta in manifest["records"]:
-        params = params_store.get(rec_meta["params_id"])
+    for i, rec_meta in enumerate(manifest["records"]):
+        pid = rec_meta["params_id"]
+        params = params_store.get(pid)
         if params is None:
-            raise UnknownParamsId(f"gallery references unknown params_id {rec_meta['params_id']}")
+            rel = f"params/{pid}.json"
+            if not (src / rel).is_file():
+                raise UnknownParamsId(f"gallery references unknown params_id {pid}")
+            params = params_store[pid] = _read_params(src, rel)
         blob = (src / rec_meta["blob_path"]).read_bytes()
+        tag = _record_tag(rec_meta["subject_id"], pid, rec_meta["compress_dim"], blob, ctx)
+        if not hmac.compare_digest(tag.encode(), rec_meta["tag"].encode()):
+            raise IntegrityError(f"gallery {in_dir}: record {i} ({rec_meta['blob_path']}) does not match its tag")
         sv = deserialize_ciphertext(blob, ctx)
         sv.depth_used = protect_depth(params)
-        gallery.append(GalleryRecord(rec_meta["subject_id"], sv, rec_meta["params_id"], rec_meta["compress_dim"], blob))
+        gallery.append(GalleryRecord(rec_meta["subject_id"], sv, pid, rec_meta["compress_dim"], blob))
     return gallery, params_store, ctx

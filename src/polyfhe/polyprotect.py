@@ -8,20 +8,23 @@ under the slot contract and packs them into one ciphertext, p_j in slot j,
 which is the stored template and what the encrypted cosine scores.
 
 The windows are encrypted in a strided layout (SIMD packing after Smart and
-Vercauteren, masked rotate-and-sum after Halevi and Shoup): window j sits in
-slots j..j+m-1 of ciphertext j mod s, s = 2^ceil(log2 m), so min(s, k)
-ciphertexts hold all k windows, and their power chains serve every user's
-parameters.  Exponents cannot differ per slot within one SIMD op, so each
-group ciphertext is decomposed into m branches: raise it to one exponent
-(square-and-multiply, shared sub-powers), then a single plaintext mask
-applies that branch's coefficient at slot j+i of each window j.  A fold sums
-each window into its first slot, and one placement mask per group keeps slot
-j and sums the groups.  Depth is ceil(log2 max_exp) + 2 (power chain,
-coefficient mask, placement mask).
+Vercauteren): window j sits in slots j..j+m-1 of ciphertext j mod s,
+s = 2^ceil(log2 m), so min(s, k) ciphertexts hold all k windows.  From them
+the encrypted path builds a table of offset powers that depends on no user's
+parameters: entry (i, e) is one ciphertext holding, in slot j, element i of
+window j raised to e.  It is built as rotate_left(sum_g mult_plain(ct_g^e,
+sel[g, i]), i), where ct_g^e comes from square-and-multiply with shared
+sub-powers and sel[g, i] is a 0/1 mask on the slots that hold element i of
+group g's windows.  A user's template is then one weighted sum,
+sum_i c_i * table[i, e_i]: p_j in slot j, zeros from slot k on, no fold.
+Entries are built when first needed and memoized on the windows, so every
+parameter set with the same (m, overlap) shares them.  Depth is
+ceil(log2 max_exp) + 2 (power chain, selection mask, coefficient).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -30,9 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .backend import EncryptionContext, SlotVector, add, encrypt, mult, mult_plain
+from .backend import EncryptionContext, SlotVector, add, encrypt, mult, mult_plain, rotate_left
 from .errors import CapacityExceeded, InfeasibleParams, InputTooShort
-from .summation import fold_add_all
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,30 @@ def protect_plain(v, params: PolyProtectParams) -> np.ndarray:
     return (np.power(chunk_embedding(v, params), exps) * coeffs).sum(axis=1)
 
 
+def template_norms(v, params_list) -> np.ndarray:
+    """||protect_plain(v, p)|| for every p in params_list, one array.
+
+    The parameter sets must share one (m, overlap).  v's windows are cut
+    once and raised once to each distinct exponent, so the cost per extra
+    parameter set is a gather and a weighted sum.
+    """
+    windows = chunk_embedding(v, params_list[0])
+    m = windows.shape[1]
+    if any((p.m, p.overlap) != (m, params_list[0].overlap) for p in params_list):
+        raise ValueError("template_norms needs parameter sets with one window width and overlap")
+    exps = np.array([p.exps for p in params_list])
+    coeffs = np.array([p.coeffs for p in params_list], dtype=np.float64)
+    distinct, which = np.unique(exps, return_inverse=True)
+    powers = windows.T[None] ** distinct.astype(np.float64)[:, None, None]  # (exponent, offset, window)
+    # the same products and order of additions as protect_plain, row by row
+    templates = (powers[which.reshape(exps.shape), np.arange(m)] * coeffs[:, :, None]).sum(axis=1)
+    return np.linalg.norm(templates, axis=1)
+
+
 def _pow_ct(sv: SlotVector, e: int, memo: dict) -> SlotVector:
     # Balanced split keeps depth at exactly ceil(log2 e); memo shares
-    # sub-powers across the m exponent branches of one group ciphertext and
-    # across every parameter set applied to it.
+    # sub-powers across exponents of one group ciphertext and across every
+    # parameter set applied to it.
     if e == 1:
         return sv
     got = memo.get(e)
@@ -136,11 +158,12 @@ def _pow_ct(sv: SlotVector, e: int, memo: dict) -> SlotVector:
 
 @dataclass(frozen=True)
 class EncryptedWindows:
-    """An embedding's k windows in the strided layout, with their power memos.
+    """An embedding's k windows in the strided layout, with their memos.
 
     Window j holds slots j..j+m-1 (mod capacity) of cts[j % s], where
     s = 2^ceil(log2 m); memos[g] caches the powers of cts[g] computed so far,
-    so every parameter set with this (m, overlap) shares one power chain.
+    and table caches the offset-power entries (offset, exponent) built so
+    far, so every parameter set with this (m, overlap) shares both.
     """
 
     cts: tuple
@@ -148,6 +171,7 @@ class EncryptedWindows:
     m: int
     overlap: int
     memos: tuple = field(repr=False, compare=False)
+    table: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.k
@@ -168,64 +192,69 @@ def encrypt_windows(v, params: PolyProtectParams, ctx: EncryptionContext) -> Enc
     return EncryptedWindows(cts, k, m, params.overlap, tuple({} for _ in cts))
 
 
-@dataclass(frozen=True)
-class GroupSums:
-    """protect_encrypted's output: p_j in slot j of cts[j % len(cts)].
+@functools.lru_cache(maxsize=256)
+def _selection_masks(k: int, groups: int, cap: int, offset: int) -> np.ndarray:
+    """Row g is 1 at slot j + offset (mod cap) of every window j < k with
+    j % groups == g, and 0 elsewhere; read-only, shared by every caller."""
+    j = np.arange(k)
+    masks = np.zeros((groups, cap), dtype=np.float64)
+    masks[j % groups, (j + offset) % cap] = 1.0
+    masks.setflags(write=False)
+    return masks
 
-    The other slots hold fold leftovers; pack_template masks them away.
+
+def _offset_power(windows: EncryptedWindows, offset: int, e: int) -> SlotVector:
+    """Table entry (offset, e): slot j holds element `offset` of window j
+    raised to e, for j < k, and slots k and up are zero.
+
+    Each group's power e is masked to the slots of that element of the
+    group's windows; the groups' slots are disjoint, so their sum holds the
+    element of every window j at slot j + offset, and one rotation (none for
+    offset 0) brings it to slot j.
     """
+    got = windows.table.get((offset, e))
+    if got is not None:
+        return got
+    cap = windows.cts[0].ctx.slot_capacity
+    masks = _selection_masks(windows.k, len(windows.cts), cap, offset)
+    acc = None
+    for ct, memo, mask in zip(windows.cts, windows.memos, masks):
+        term = mult_plain(_pow_ct(ct, e, memo), mask)
+        acc = term if acc is None else add(acc, term)
+    if offset:
+        acc = rotate_left(acc, offset)
+    windows.table[(offset, e)] = acc
+    return acc
 
-    cts: tuple
-    k: int
+
+def pack_template(terms, coeffs, scale: float = 1.0) -> SlotVector:
+    """The weighted sum sum_i mult_plain(terms[i], coeffs[i] * scale): one
+    plaintext scalar mult per term, which also applies the scale."""
+    acc = None
+    for term, c in zip(terms, coeffs):
+        weighted = mult_plain(term, c * scale)
+        acc = weighted if acc is None else add(acc, weighted)
+    return acc
 
 
-def protect_encrypted(windows: EncryptedWindows, params: PolyProtectParams) -> GroupSums:
+def protect_encrypted(windows: EncryptedWindows, params: PolyProtectParams, scale: float = 1.0) -> SlotVector:
     """Apply the window polynomial to strided windows under the slot contract.
 
-    Per group, one coefficient mask per branch puts c_i at slot j+i of every
-    window j, and the fold leaves p_j in slot j: windows of a group lie at
-    least s apart and the fold sums any s consecutive slots.
+    Returns the packed template: scale * p_j in slot j for j < k, zeros from
+    slot k on, at depth protect_depth(params) above the windows.  The table
+    entries (i, exps[i]) it needs are built on first use and reused by every
+    later parameter set on the same windows.
     """
     if (windows.m, windows.overlap) != (params.m, params.overlap):
         raise ValueError("windows were laid out for a different window width or overlap")
-    m, k = params.m, windows.k
-    groups = len(windows.cts)  # min(s, k), so j % groups == j % s for every window j < k
-    cap = windows.cts[0].slots.shape[0]
-    j = np.arange(k)
-    coeff_masks = np.zeros((groups, m, cap), dtype=np.float64)
-    coeff_masks[(j % groups)[:, None], np.arange(m), (j[:, None] + np.arange(m)) % cap] = params.coeffs
-    outs = []
-    for g, (ct, memo) in enumerate(zip(windows.cts, windows.memos)):
-        combined = None
-        for i in range(m):
-            branch = mult_plain(_pow_ct(ct, params.exps[i], memo), coeff_masks[g, i])
-            combined = branch if combined is None else add(combined, branch)
-        outs.append(fold_add_all(combined, m))
-    return GroupSums(tuple(outs), k)
+    terms = [_offset_power(windows, i, e) for i, e in enumerate(params.exps)]
+    return pack_template(terms, params.coeffs, scale)
 
 
 def protect_depth(params: PolyProtectParams) -> int:
-    """Depth of a packed template, pack_template(protect_encrypted(...)), on
-    top of its windows' depth: power chain, coefficient mask, placement mask."""
+    """Depth of protect_encrypted's template on top of its windows' depth:
+    power chain, selection mask, coefficient."""
     return (max(params.exps) - 1).bit_length() + 2
-
-
-def pack_template(pt: GroupSums, scale: float = 1.0) -> SlotVector:
-    """Sum the groups into one ciphertext holding scale * p_j in slot j.
-
-    One placement mask per group keeps that group's slots (and doubles as the
-    scaling), so slots from k on are zero; one depth level, no rotations.
-    """
-    groups = len(pt.cts)
-    cap = pt.cts[0].slots.shape[0]
-    j = np.arange(pt.k)
-    place_masks = np.zeros((groups, cap), dtype=np.float64)
-    place_masks[j % groups, j] = scale
-    acc = None
-    for ct, mask in zip(pt.cts, place_masks):
-        placed = mult_plain(ct, mask)
-        acc = placed if acc is None else add(acc, placed)
-    return acc
 
 
 def template_correlation(a, b) -> float:
@@ -252,9 +281,10 @@ def _sphere_even_moment(power: int, dim: int) -> float:
 def expected_template_norm(params: PolyProtectParams, n: int) -> float:
     """Estimate ||p|| for unit-norm inputs of length n, from public data only.
 
-    Treats coordinates as approximately independent sphere coordinates; used
-    to rescale templates so encrypted cosine denominators land inside the
-    inverse-sqrt fit domain.  Accuracy within a small factor is enough.
+    Treats coordinates as approximately independent sphere coordinates.  The
+    search no longer uses it (templates carry their exact norm, see
+    template_norms); it sizes the inverse-sqrt fit domain that perfbench's
+    domain-margin figures are measured against.
     """
     dim = n
     second = 0.0

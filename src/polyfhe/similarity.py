@@ -1,15 +1,20 @@
 """Cosine similarity between ciphertexts, and its plaintext oracle.
 
-The encrypted path follows the rotate/fold recipe: slot-wise products folded
-into slot 0 give the dot product and both squared norms; the denominator's
-inverse square root comes from the fitted polynomial.  Division by data-
-dependent values is impossible under encryption, so both numerator and
-denominator are first scaled into known ranges by *public* bounds (the
-normalization plan), and the residual constant c_bound/sqrt(d_bound) is
-multiplied back in at the end -- with the standard plan that constant is
-exactly 1.
+When both vectors were scaled to unit norm before encryption (the key
+holder knows both in the clear: the embedding at enrollment, the probe at
+search), the cosine is their inner product: one slot-wise product folded
+into slot 0 (cosine_unit_encrypted).  This is what the 1:N search uses.
 
-Only slot 0 of the result is meaningful; the other slots hold fold leftovers.
+For vectors of unknown norm the encrypted path follows the rotate/fold
+recipe: slot-wise products folded into slot 0 give the dot product and both
+squared norms; the denominator's inverse square root comes from the fitted
+polynomial.  Division by data-dependent values is impossible under
+encryption, so both numerator and denominator are first scaled into known
+ranges by *public* bounds (the normalization plan), and the residual
+constant c_bound/sqrt(d_bound) is multiplied back in at the end -- with the
+standard plan that constant is exactly 1.
+
+Only slot 0 of a result is meaningful; the other slots hold fold leftovers.
 """
 
 from __future__ import annotations
@@ -66,6 +71,15 @@ def cosine_plain(a, b) -> float:
     if na == 0.0 or nb == 0.0:
         raise ZeroVector("cosine similarity is undefined for a zero vector")
     return float(av @ bv) / (na * nb)
+
+
+def cosine_unit_encrypted(c1: SlotVector, c2: SlotVector, n: int) -> SlotVector:
+    """Cosine of two encrypted unit-norm n-vectors (zeros after slot n); result in slot 0.
+
+    One ciphertext product and ceil(log2 n) rotations; no inverse square
+    root, so the score is exact up to rounding.
+    """
+    return fold_add_all(mult(c1, c2), n)
 
 
 def cosine_encrypted(

@@ -23,7 +23,6 @@ from polyfhe.pipeline import (
 from polyfhe.polyprotect import (
     encrypt_windows,
     gen_params,
-    pack_template,
     protect_encrypted,
     protect_plain,
     template_correlation,
@@ -115,7 +114,7 @@ def test_criterion_4_polyprotect_equivalence():
                 v = rng.normal(size=64)
                 v /= np.linalg.norm(v)
                 plain = protect_plain(v, params)
-                enc = pack_template(protect_encrypted(encrypt_windows(v, params, ctx), params))
+                enc = protect_encrypted(encrypt_windows(v, params, ctx), params)
                 got = decrypt(enc, ctx).values[: len(plain)]
                 worst = max(worst, float(np.max(np.abs(got - plain))))
                 assert np.max(np.abs(got - plain)) <= 1e-6

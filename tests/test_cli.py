@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import polyfhe
+from polyfhe.backend import HEADER_LEN
 from polyfhe.cli import main
 from polyfhe.pipeline import identify, load_dataset, load_gallery
 from polyfhe.invsqrt import fit_inv_sqrt, load_approx
@@ -127,14 +128,7 @@ def test_enroll_identify_match_library(tmp_path):
     # library-level call on the same inputs reproduces the CLI's scores
     gallery, params_store, ctx = load_gallery(out / "gallery")
     probes = load_dataset(out / "probes.csv")
-    from polyfhe.pipeline import Pipeline, PipelineConfig
-
-    params = next(iter(params_store.values()))
-    pipe = Pipeline(PipelineConfig(
-        compress_dim=gallery[0].compress_dim, m=params.m, overlap=params.overlap,
-        slot_capacity=ctx.slot_capacity, depth_budget=ctx.depth_budget, seed=4,
-    ))
-    ranked = identify(probes[0], gallery, params_store, ctx, pipe.plan, pipe.approx)
+    ranked = identify(probes[0], gallery, params_store, ctx)
     cli_first = [r for r in rows if r["probe_index"] == "0"]
     assert cli_first[0]["subject_id"] == ranked[0][0]
     assert float(cli_first[0]["score"]) == pytest.approx(ranked[0][1], abs=1e-12)
@@ -293,8 +287,9 @@ def test_identify_gallery_without_records_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("edit,problem", [
     (lambda text: text[: len(text) // 2], "not valid JSON"),
     (lambda text: text.replace('"blob_path"', '"blob_paths"', 1), "record 0 needs 'blob_path'"),
-    (lambda text: text.replace('"version": 2', '"version": 99', 1), "format version 99, not 2"),
-    (lambda text: text.replace('"version": 2', '"version": 1', 1), "re-enroll"),
+    (lambda text: text.replace('"version": 3', '"version": 99', 1), "format version 99, not 3"),
+    (lambda text: text.replace('"version": 3', '"version": 1', 1), "re-enroll"),
+    (lambda text: text.replace('"version": 3', '"version": 2', 1), "format version 2, not 3 (templates scaled"),
 ])
 def test_identify_bad_manifest_exits_1(tmp_path, capsys, edit, problem):
     out = _enrolled(tmp_path)
@@ -362,3 +357,53 @@ def test_identify_truncated_params_file_exits_1(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error: IntegrityError:" in err and "not valid JSON" in err
+
+
+def test_identify_approx_degree_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("identify", "--gallery-dir", str(tmp_path), "--probes", str(tmp_path / "p.csv"),
+                "--approx-degree", "8")
+    assert exc.value.code == 2
+    assert "--approx-degree" in capsys.readouterr().err
+
+
+def test_identify_flipped_payload_bit_exits_1(tmp_path, capsys):
+    # bit 0x40 of payload byte 7 of one blob made that record score +-inf
+    # against every probe and rank first, with exit 0
+    out = tmp_path / "run"
+    rc = run_cli("enroll", "--num-ids", "5", "--samples-per-id", "2", "--seed", "4",
+                 "--out-dir", str(out), "--save-probes")
+    assert rc == 0
+    blob = out / "gallery" / "blobs" / "2.ct"
+    data = bytearray(blob.read_bytes())
+    data[HEADER_LEN + 7] ^= 0x40
+    blob.write_bytes(bytes(data))
+    rc = run_cli("identify", "--gallery-dir", str(out / "gallery"), "--probes", str(out / "probes.csv"),
+                 "--out-dir", str(out / "id"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: IntegrityError:" in err and "does not match its tag" in err
+
+
+def test_identify_after_enrolling_twice_into_one_gallery_dir(tmp_path):
+    # the second enrollment leaves the first one's params files behind;
+    # identify must read only those the second manifest names
+    gallery_dir = tmp_path / "gallery"
+    for sub, m, overlap in (("a", "5", "4"), ("b", "3", "0")):
+        rc = run_cli("enroll", "--num-ids", "6", "--samples-per-id", "2", "--m", m, "--overlap", overlap,
+                     "--seed", "5", "--gallery-dir", str(gallery_dir), "--out-dir", str(tmp_path / sub),
+                     "--save-probes")
+        assert rc == 0
+    assert len(list((gallery_dir / "params").glob("*.json"))) == 12
+    rc = run_cli("identify", "--gallery-dir", str(gallery_dir), "--probes", str(tmp_path / "b" / "probes.csv"),
+                 "--top", "6", "--out-dir", str(tmp_path / "id"))
+    assert rc == 0
+    gallery, params_store, ctx = load_gallery(gallery_dir)
+    assert {(p.m, p.overlap) for p in params_store.values()} == {(3, 0)}
+    probes = load_dataset(tmp_path / "b" / "probes.csv")
+    with open(tmp_path / "id" / "identify_ranked.csv") as f:
+        rows = list(csv.DictReader(f))
+    for i, probe in enumerate(probes):
+        ranked = identify(probe, gallery, params_store, ctx)
+        got = [(r["subject_id"], float(r["score"])) for r in rows if r["probe_index"] == str(i)]
+        assert got == ranked

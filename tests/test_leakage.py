@@ -20,7 +20,7 @@ from polyfhe.leakage import (
     write_leakage_csv,
 )
 from polyfhe.pipeline import SyntheticSpec, gen_synthetic_dataset
-from polyfhe.polyprotect import encrypt_windows, gen_params, pack_template, protect_encrypted
+from polyfhe.polyprotect import encrypt_windows, gen_params, protect_encrypted
 
 
 def test_privacy_gain_paper_cross_checks():
@@ -245,5 +245,5 @@ def test_m_sweep_fits_depth_budget_16():
     for m in (3, 4, 5, 6, 7):
         params = gen_params(m, m - 1, 50, seed=m)
         windows = encrypt_windows(np.full(m, 0.5), params, ctx)
-        out = pack_template(protect_encrypted(windows, params))
+        out = protect_encrypted(windows, params)
         assert out.depth_used <= 16

@@ -5,7 +5,9 @@ import pytest
 
 from polyfhe import pipeline as pl
 from polyfhe import polyprotect as pp
-from polyfhe.backend import decrypt
+from polyfhe import similarity as si
+from polyfhe import summation as sm
+from polyfhe.backend import HEADER_LEN, decrypt
 from polyfhe.errors import (
     CapacityExceeded,
     EmptyDataset,
@@ -36,14 +38,13 @@ from polyfhe.pipeline import (
 )
 from polyfhe.polyprotect import (
     encrypt_windows,
-    expected_template_norm,
-    pack_template,
     protect_depth,
     protect_encrypted,
     protect_plain,
     template_correlation,
+    template_norms,
 )
-from polyfhe.similarity import cosine_encrypted
+from polyfhe.similarity import cosine_plain, cosine_unit_encrypted
 
 
 def small_spec(**kw):
@@ -129,7 +130,8 @@ def test_enroll_matches_plaintext_oracle():
     params = pipe.gen_user_params(0)
     rec = enroll(ds[0], params, pipe.ctx, 64)
     got = decrypt(rec.template, pipe.ctx).values
-    want = protect_plain(compress_prefix(ds[0], 64), params) / expected_template_norm(params, 64)
+    plain = protect_plain(compress_prefix(ds[0], 64), params)
+    want = plain / np.linalg.norm(plain)
     assert len(want) == 60
     assert np.max(np.abs(got[:60] - want)) <= 1e-6
     assert not got[60:].any()
@@ -179,15 +181,16 @@ def test_identify_empty_gallery():
 
 
 def _identify_per_record(probe, gallery, pipe):
-    # The search without shared probe windows: the probe is encrypted and
-    # protected from scratch for every record.
+    # The search without shared probe work: the probe is encrypted,
+    # protected and normalized from scratch for every record.
     scores = []
     for rec in gallery:
         params = pipe.params_store[rec.params_id]
-        windows = encrypt_windows(compress_prefix(probe, rec.compress_dim), params, pipe.ctx)
-        scale = 1.0 / expected_template_norm(params, rec.compress_dim)
-        probe_ct = pack_template(protect_encrypted(windows, params), scale)
-        ct = cosine_encrypted(rec.template, probe_ct, windows.k, pipe.plan, pipe.approx, pipe.ctx)
+        v = compress_prefix(probe, rec.compress_dim)
+        windows = encrypt_windows(v, params, pipe.ctx)
+        scale = 1.0 / template_norms(v, [params])[0]
+        probe_ct = protect_encrypted(windows, params, scale)
+        ct = cosine_unit_encrypted(rec.template, probe_ct, windows.k)
         scores.append((rec.subject_id, float(decrypt(ct, pipe.ctx).values[0])))
     return sorted(scores, key=lambda t: (-t[1], t[0]))
 
@@ -232,12 +235,78 @@ def test_identify_packs_each_record_once(monkeypatch):
     ds = gen_synthetic_dataset(small_spec(num_ids=4, samples_per_id=2))
     pipe = Pipeline(PipelineConfig(seed=4))
     gallery, probes = build_gallery(ds, pipe)
-    packs = _counting(monkeypatch, pl, "pack_template")
+    packs = _counting(monkeypatch, pl, "protect_encrypted")
     first = pipe.identify(probes[0], gallery)
     assert len(packs) == len(gallery)
     assert pipe.identify(probes[0], gallery) == first
     pipe.identify(probes[1], gallery)
     assert len(packs) == 3 * len(gallery)
+
+
+def test_known_fault_comparison_scores_the_plain_cosine():
+    # dataset seed 5, PipelineConfig(seed=1), probe 1 against record 77: a
+    # template scaled by the public norm estimate put this comparison 10.4x
+    # outside the inverse-sqrt fit domain, scoring about 2.8e4
+    ds = gen_synthetic_dataset(SyntheticSpec(num_ids=200, samples_per_id=2, attribute_correlation=0.6, seed=5))
+    enrolled, probes = enroll_split(ds)
+    pipe = Pipeline(PipelineConfig(seed=1))
+    params = pipe.gen_user_params(77)
+    record = pipe.enroll(enrolled[77], params)
+    ((sid, score),) = pipe.identify(probes[1], [record])
+    probe_t, record_t = (protect_plain(compress_prefix(e, 64), params) for e in (probes[1], enrolled[77]))
+    want = cosine_plain(probe_t, record_t)
+    assert sid == enrolled[77].subject_id
+    assert abs(score - want) <= 1e-9
+
+
+def test_identify_ranks_equal_identify_plain_on_50_records():
+    ds = gen_synthetic_dataset(small_spec(num_ids=50, samples_per_id=2, class_separation=20.0, seed=3))
+    enc_pipe = Pipeline(PipelineConfig(seed=8))
+    plain_pipe = Pipeline(PipelineConfig(encrypted=False, seed=8))
+    enc_gallery, probes = build_gallery(ds, enc_pipe)
+    plain_gallery, _ = build_gallery(ds, plain_pipe)
+    for probe in probes[:10]:
+        enc = enc_pipe.identify(probe, enc_gallery)
+        plain = plain_pipe.identify(probe, plain_gallery)
+        assert [sid for sid, _ in enc] == [sid for sid, _ in plain]
+        assert max(abs(a - b) for (_, a), (_, b) in zip(enc, plain)) <= 1e-12
+
+
+def _he_counter(monkeypatch):
+    counts = dict.fromkeys(("rotate_left", "mult", "mult_plain", "encrypt"), 0)
+    for module in (pp, sm, si, pl):
+        for name in counts:
+            fn = getattr(module, name, None)
+            if fn is not None:
+                def wrapper(*args, _fn=fn, _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("num_ids", [3, 12])
+def test_identify_he_counts_per_record(monkeypatch, num_ids):
+    # per record: ceil(log2 k) rotations, one product and m plaintext
+    # mults; shared per probe: the windows' encryptions and the offset-power
+    # table, each entry (i, e) costing one mask mult per group and, for
+    # i > 0, one rotation
+    ds = gen_synthetic_dataset(small_spec(num_ids=num_ids, samples_per_id=2))
+    pipe = Pipeline(PipelineConfig(seed=4))
+    gallery, probes = build_gallery(ds, pipe)
+    params = [pipe.params_store[rec.params_id] for rec in gallery]
+    entries = {(i, e) for p in params for i, e in enumerate(p.exps)}
+    groups = 8  # min(s, k) for m = 5, k = 60
+    counts = _he_counter(monkeypatch)
+    pipe.identify(probes[0], gallery)
+    n, k = len(gallery), pipe.k
+    assert counts == {
+        "rotate_left": n * (k - 1).bit_length() + sum(i > 0 for i, _ in entries),
+        "mult": n + groups * 4,  # the powers 2..5 of each group: one mult each
+        "mult_plain": n * pipe.cfg.m + groups * len(entries),
+        "encrypt": groups,
+    }
 
 
 def test_enroll_template_longer_than_capacity():
@@ -374,16 +443,16 @@ def test_gallery_persistence_round_trip(tmp_path):
     assert files == sorted(p.relative_to(d2) for p in d2.rglob("*") if p.is_file())
     for rel in files:
         assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes()  # bit-identical round trip
-    # version 2: the manifest, one blob per record and the params files
+    # version 3: the manifest, one blob per record and the params files
     manifest = json.loads((d1 / "manifest.json").read_text())
-    assert manifest["version"] == 2
+    assert manifest["version"] == 3
     assert [r["blob_path"] for r in manifest["records"]] == [f"blobs/{i}.ct" for i in range(len(gallery))]
     assert len(files) == 1 + len(gallery) + len(pipe.params_store)
 
     # loaded gallery scores exactly like the in-memory one
     probe = probes[0]
-    mem = identify(probe, gallery, pipe.params_store, pipe.ctx, pipe.plan, pipe.approx)
-    disk = identify(probe, loaded, params_store, ctx, pipe.plan, pipe.approx)
+    mem = identify(probe, gallery, pipe.params_store, pipe.ctx)
+    disk = identify(probe, loaded, params_store, ctx)
     assert mem == disk
 
 
@@ -409,6 +478,55 @@ def test_load_gallery_truncated_blob_is_integrity_error(tmp_path, size):
         load_gallery(tmp_path / "g")
 
 
+def _flip_payload_bit(blob_path):
+    data = bytearray(blob_path.read_bytes())
+    data[HEADER_LEN + 7] ^= 0x40
+    blob_path.write_bytes(bytes(data))
+
+
+def test_load_gallery_flipped_payload_bit_is_integrity_error(tmp_path):
+    # one flipped bit made a record score +-inf against every probe
+    ds = gen_synthetic_dataset(small_spec(num_ids=5, samples_per_id=1))
+    pipe = Pipeline(PipelineConfig(seed=6))
+    gallery, _ = build_gallery(ds, pipe)
+    save_gallery(gallery, pipe.ctx, pipe.params_store, tmp_path / "g")
+    _flip_payload_bit(tmp_path / "g" / "blobs" / "2.ct")
+    with pytest.raises(IntegrityError) as exc:
+        load_gallery(tmp_path / "g")
+    assert "record 2 (blobs/2.ct) does not match its tag" in str(exc.value)
+
+
+def test_gallery_params_files_follow_the_records(tmp_path):
+    ds = gen_synthetic_dataset(small_spec(num_ids=3, samples_per_id=1))
+    pipe = Pipeline(PipelineConfig(seed=6))
+    gallery, _ = build_gallery(ds, pipe)
+    unused = pipe.gen_user_params(99)
+    save_gallery(gallery, pipe.ctx, pipe.params_store, tmp_path / "g")
+    written = {p.stem for p in (tmp_path / "g" / "params").glob("*.json")}
+    assert written == {rec.params_id for rec in gallery}
+    # a params file the manifest does not name is never read
+    (tmp_path / "g" / "params" / f"{unused.params_id}.json").write_text("not json")
+    loaded, params_store, _ = load_gallery(tmp_path / "g")
+    assert set(params_store) == written
+    assert [rec.subject_id for rec in loaded] == [rec.subject_id for rec in gallery]
+
+
+def test_save_gallery_unknown_params_id(tmp_path):
+    ds = gen_synthetic_dataset(small_spec(num_ids=2, samples_per_id=1))
+    pipe = Pipeline(PipelineConfig(seed=6))
+    gallery, _ = build_gallery(ds, pipe)
+    with pytest.raises(UnknownParamsId):
+        save_gallery(gallery, pipe.ctx, {}, tmp_path / "g")
+
+
+def test_load_gallery_missing_params_file(tmp_path):
+    path, _ = _saved_manifest(tmp_path)
+    for pfile in (path.parent / "params").glob("*.json"):
+        pfile.unlink()
+    with pytest.raises(UnknownParamsId):
+        load_gallery(tmp_path / "g")
+
+
 def _saved_manifest(tmp_path):
     ds = gen_synthetic_dataset(small_spec(num_ids=2, samples_per_id=1))
     pipe = Pipeline(PipelineConfig(seed=6))
@@ -420,9 +538,14 @@ def _saved_manifest(tmp_path):
 
 @pytest.mark.parametrize("edit,problem", [
     (lambda m: m.pop("version"), "manifest needs 'version' as a JSON int"),
-    (lambda m: m.update(version="2"), "manifest needs 'version' as a JSON int"),
-    (lambda m: m.update(version=99), "format version 99, not 2"),
-    (lambda m: m.update(version=1), "format version 1, not 2 (one blob per window); re-enroll it"),
+    (lambda m: m.update(version="3"), "manifest needs 'version' as a JSON int"),
+    (lambda m: m.update(version=99), "format version 99, not 3"),
+    (lambda m: m.update(version=1), "format version 1, not 3 (one blob per window); re-enroll it"),
+    (lambda m: m.update(version=2), "format version 2, not 3 (templates scaled by a norm estimate, no integrity"),
+    (lambda m: m["records"][0].pop("tag"), "record 0 needs 'tag' as a JSON str"),
+    (lambda m: m["records"][1].update(tag="00" * 32), "record 1 (blobs/1.ct) does not match its tag"),
+    (lambda m: m["records"][1].update(tag="\u00e9"), "record 1 (blobs/1.ct) does not match its tag"),
+    (lambda m: m["records"][1].update(subject_id="id0000"), "record 1 (blobs/1.ct) does not match its tag"),
     (lambda m: m.pop("ctx"), "manifest needs 'ctx' as a JSON dict"),
     (lambda m: m.update(records={}), "manifest needs 'records' as a JSON list"),
     (lambda m: m["ctx"].pop("key_id"), "manifest ctx needs 'key_id' as a JSON str"),
@@ -474,7 +597,12 @@ def test_load_gallery_bad_params_file_is_integrity_error(tmp_path, edit, rename,
     pfile = sorted((path.parent / "params").glob("*.json"))[0]
     text = pfile.read_bytes()
     out = edit(text, json.loads(text))
-    if rename:  # stored under the name its new params_id gives
+    if rename:  # stored under the name its new params_id gives, and named so in the manifest
+        manifest = json.loads(path.read_text())
+        for rec_meta in manifest["records"]:
+            if rec_meta["params_id"] == pfile.stem:
+                rec_meta["params_id"] = out["params_id"]
+        path.write_text(json.dumps(manifest))
         pfile.unlink()
         pfile = pfile.with_name(f"{out['params_id']}.json")
     pfile.write_bytes(out if isinstance(out, bytes) else json.dumps(out).encode())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyfhe import polyprotect as pp
 from polyfhe.backend import EncryptionContext, decrypt, encrypt
 from polyfhe.errors import CapacityExceeded, InfeasibleParams, InputTooShort
 from polyfhe.polyprotect import (
@@ -22,6 +23,7 @@ from polyfhe.polyprotect import (
     protect_plain,
     save_params,
     template_correlation,
+    template_norms,
 )
 from polyfhe.summation import fold_add_all
 
@@ -183,7 +185,7 @@ def test_output_len_properties(m, data, n):
 
 
 def _protected_slots(v, p, ctx, scale=1.0):
-    return decrypt(pack_template(protect_encrypted(encrypt_windows(v, p, ctx), p), scale), ctx).values
+    return decrypt(protect_encrypted(encrypt_windows(v, p, ctx), p, scale), ctx).values
 
 
 def test_protect_encrypted_ones_window_sums_coefficients(ctx):
@@ -209,7 +211,7 @@ def test_protect_encrypted_matches_plain_oracle():
 def test_protect_encrypted_depth_budget(ctx):
     p = PolyProtectParams(5, 0, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 5, "manual")
     windows = encrypt_windows(np.full(5, 0.5), p, ctx)
-    out = pack_template(protect_encrypted(windows, p))
+    out = protect_encrypted(windows, p)
     assert out.depth_used <= 5  # ceil(log2 5) + 2
     assert protect_depth(p) == 5
 
@@ -220,7 +222,7 @@ def test_protect_encrypted_agrees_with_fold_on_linear_window(ctx):
     p = gen_params(5, 0, 20, seed=11)
     enc = protect_encrypted(encrypt_windows(np.ones(5), p, ctx), p)
     folded = fold_add_all(encrypt(np.asarray(p.coeffs, dtype=float), ctx), 5)
-    assert decrypt(enc.cts[0], ctx).values[0] == pytest.approx(folded.slots[0], rel=1e-12)
+    assert decrypt(enc, ctx).values[0] == pytest.approx(folded.slots[0], rel=1e-12)
 
 
 def test_unlinkability_precursor_quick():
@@ -239,19 +241,19 @@ def test_pack_template_positions_and_scale(ctx):
     p = gen_params(5, 0, 50, seed=3)
     v = np.random.default_rng(1).normal(size=15)
     plain = protect_plain(v, p)
-    enc = protect_encrypted(encrypt_windows(v, p, ctx), p)
-    packed = pack_template(enc, scale=0.5)
+    windows = encrypt_windows(v, p, ctx)
+    packed = protect_encrypted(windows, p, scale=0.5)
     got = decrypt(packed, ctx).values
     assert np.allclose(got[: len(plain)], 0.5 * plain, atol=1e-9)
     assert not got[len(plain) :].any()
-    assert packed.depth_used == enc.cts[0].depth_used + 1
+    assert packed.depth_used == windows.cts[0].depth_used + protect_depth(p)
 
 
 def test_pack_template_capacity_limit(ctx):
     p = gen_params(2, 1, 50, seed=3)  # k = n-1 windows, too many for capacity 8
     v = np.random.default_rng(1).normal(size=16)
     with pytest.raises(CapacityExceeded):
-        pack_template(protect_encrypted(encrypt_windows(v, p, ctx), p))
+        protect_encrypted(encrypt_windows(v, p, ctx), p)
 
 
 def _packed_cases(cap=128):
@@ -275,15 +277,78 @@ def test_protect_packed_equals_pack_of_protect_encrypted(m, overlap, n):
     k = output_len(n, m, overlap)
     assert len(windows) == windows.k == k
     assert len(windows.cts) == min(1 << (m - 1).bit_length(), k)
-    packed = pack_template(protect_encrypted(windows, p), 0.37)
+    packed = protect_encrypted(windows, p, 0.37)
     assert np.allclose(packed.slots[:k], 0.37 * protect_plain(v, p), rtol=1e-9, atol=1e-12)
     assert not packed.slots[k:].any()
     assert packed.depth_used == protect_depth(p)
     # a second parameter set reuses the same windows and their power memos
     q = gen_params(m, overlap, 50, seed=[m, overlap, n, 1])
-    reused = pack_template(protect_encrypted(windows, q), 0.37)
-    fresh = pack_template(protect_encrypted(encrypt_windows(v, q, ctx), q), 0.37)
+    reused = protect_encrypted(windows, q, 0.37)
+    fresh = protect_encrypted(encrypt_windows(v, q, ctx), q, 0.37)
     assert np.array_equal(reused.slots, fresh.slots)
+
+
+@pytest.mark.parametrize("exps", [(1, 3, 7), (7, 1, 3), (2, 5, 4), (9, 1, 16)])
+def test_protect_encrypted_any_distinct_exponents(exps):
+    # parameters loaded from disk may hold any distinct positive exponents,
+    # not only a permutation of 1..m
+    ctx = EncryptionContext(64, 16, key_id="exps")
+    p = PolyProtectParams(3, 1, (4, -7, 2), exps, 50, "manual")
+    v = np.random.default_rng(sum(exps)).normal(size=40)
+    v /= np.linalg.norm(v)
+    plain = protect_plain(v, p)
+    packed = protect_encrypted(encrypt_windows(v, p, ctx), p)
+    got = decrypt(packed, ctx).values
+    assert np.max(np.abs(got[: len(plain)] - plain)) <= 1e-9
+    assert not got[len(plain) :].any()
+    assert packed.depth_used == protect_depth(p) == (max(exps) - 1).bit_length() + 2
+
+
+def test_offset_power_table_is_shared_and_lazy(ctx):
+    # entries are built once per (offset, exponent) and only when a
+    # parameter set needs them; a second parameter set reuses them
+    p = PolyProtectParams(3, 1, (1, 2, 3), (1, 3, 7), 5, "manual")
+    q = PolyProtectParams(3, 1, (5, -1, 4), (7, 3, 1), 5, "manual")
+    windows = encrypt_windows(np.linspace(-1.0, 1.0, 9), p, ctx)
+    protect_encrypted(windows, p)
+    assert set(windows.table) == {(0, 1), (1, 3), (2, 7)}
+    before = dict(windows.table)
+    protect_encrypted(windows, p)
+    assert all(windows.table[key] is before[key] for key in before)
+    protect_encrypted(windows, q)
+    assert set(windows.table) == {(0, 1), (1, 3), (2, 7), (0, 7), (2, 1)}
+
+
+def test_selection_masks_cached_read_only():
+    masks = pp._selection_masks(10, 4, 16, 2)
+    assert pp._selection_masks(10, 4, 16, 2) is masks
+    assert not masks.flags.writeable
+    assert masks.sum() == 10  # one slot per window
+    assert masks[1, 3] == masks[1, 7] == 1.0  # windows 1 and 5 at offset 2
+    with pytest.raises(ValueError):
+        masks[0, 0] = 1.0
+
+
+def test_pack_template_is_the_weighted_sum(ctx):
+    terms = [encrypt([1.0, 2.0], ctx), encrypt([0.5, -1.0], ctx)]
+    out = pack_template(terms, (3, -2), 0.5)
+    assert decrypt(out, ctx).values.tolist() == [0.5 * (3 * 1.0 - 2 * 0.5), 0.5 * (3 * 2.0 + 2 * 1.0)]
+    assert out.depth_used == 1
+
+
+@pytest.mark.parametrize("m,overlap", [(2, 1), (3, 0), (5, 4), (7, 3)])
+def test_template_norms_match_protect_plain(m, overlap):
+    v = np.random.default_rng(m).normal(size=64)
+    v /= np.linalg.norm(v)
+    params = [gen_params(m, overlap, 50, seed=[m, i]) for i in range(6)]
+    params.append(PolyProtectParams(m, overlap, tuple(range(1, m + 1)), tuple(3 * e for e in range(1, m + 1)), 50, "x"))
+    want = [np.linalg.norm(protect_plain(v, p)) for p in params]
+    assert np.allclose(template_norms(v, params), want, rtol=1e-14, atol=0.0)
+
+
+def test_template_norms_reject_mixed_layouts():
+    with pytest.raises(ValueError):
+        template_norms(np.ones(16), [gen_params(3, 1, 50, seed=1), gen_params(3, 2, 50, seed=1)])
 
 
 def test_encrypt_windows_capacity_limit(ctx):

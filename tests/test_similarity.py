@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from polyfhe.backend import EncryptionContext, encrypt
+from polyfhe.backend import EncryptionContext, decrypt, encrypt
 from polyfhe.errors import DomainViolation, ZeroVector
 from polyfhe.similarity import (
     NormalizationPlan,
     cosine_encrypted,
     cosine_encrypted_score,
     cosine_plain,
+    cosine_unit_encrypted,
     make_normalization_plan,
     precheck_denominator,
     unit_cosine_setup,
@@ -179,3 +180,13 @@ def test_precheck_denominator():
         precheck_denominator(0.05 * v, v, plan, approx)  # shrunk norm falls below lo
     with pytest.raises(DomainViolation):
         precheck_denominator(3.0 * v, 3.0 * v, plan, approx)  # above hi
+
+
+@pytest.mark.parametrize("n", [1, 5, 60, 128])
+def test_cosine_unit_encrypted_is_exact_with_one_product(n):
+    ctx = EncryptionContext(128, 4, key_id="unit")
+    rng = np.random.default_rng(n)
+    a, b = unit(rng, n), unit(rng, n)
+    out = cosine_unit_encrypted(encrypt(a, ctx), encrypt(b, ctx), n)
+    assert abs(decrypt(out, ctx).values[0] - cosine_plain(a, b)) <= 1e-12
+    assert (out.rotations_used, out.mults_used, out.depth_used) == ((n - 1).bit_length(), 1, 1)
