@@ -27,8 +27,10 @@ print("decrypt(x * y)      ->", decrypt(mult(x, y), ctx).values)
 print("decrypt(2 * x)      ->", decrypt(mult_plain(x, 2.0), ctx).values)
 
 # rotations are cyclic over the FULL capacity, so zero padding matters
+# every context keeps a ledger of the ops performed under it
+before = ctx.ops.copy()
 r = rotate_left(encrypt([1, 2, 3, 4, 5, 6, 7, 8], ctx), 3)
-print("rotate_left by 3    ->", r.slots, f"(rotations_used={r.rotations_used})")
+print("rotate_left by 3    ->", r.slots, f"(ledger: {dict(ctx.ops - before)})")
 
 # every ciphertext-ciphertext product consumes one depth level
 acc = x

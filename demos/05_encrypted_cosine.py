@@ -36,11 +36,14 @@ print("scaled to unit norm in the clear: one product, one fold")
 worst = 0.0
 for trial in range(5):
     a, b = rng.normal(size=dim), rng.normal(size=dim)
-    ct = cosine_unit_encrypted(encrypt(unit(a), ctx), encrypt(unit(b), ctx), dim)
+    ca, cb = encrypt(unit(a), ctx), encrypt(unit(b), ctx)
+    before = ctx.ops.copy()
+    ct = cosine_unit_encrypted(ca, cb, dim)
+    ops = ctx.ops - before
     enc, ref = float(decrypt(ct, ctx).values[0]), cosine_plain(a, b)
     worst = max(worst, abs(enc - ref))
     print(f"pair {trial}: encrypted {enc:+.6f} vs plaintext {ref:+.6f} (|err| {abs(enc - ref):.1e})")
-print(f"worst error: {worst:.1e}; {ct.rotations_used} rotations, {ct.mults_used} mult, depth {ct.depth_used}\n")
+print(f"worst error: {worst:.1e}; {ops['rotations']} rotations, {ops['ct_mults']} mult, depth {ct.depth_used}\n")
 
 plan, approx = unit_cosine_setup(dim, degree=8)
 tau = 2 * approx.fit_report.max_rel_err + 1e-6

@@ -11,13 +11,16 @@ is a simulation.
 
 Values are immutable: every operation returns a new SlotVector.  Contexts and
 vectors can be shared freely across workers in exact mode; the noise and
-seeded-nonce streams are ordered state, so noisy multiplication and seeded
-serialization are only reproducible single-threaded.
+seeded-nonce streams and the op ledger are ordered state, so noisy
+multiplication, seeded serialization and op counts are only reproducible
+single-threaded.
 
-Op accounting: each SlotVector carries rotation/mult counters describing the
-work done to produce it.  Binary ops merge counters by summation (plus the op
-itself), which over-counts when a value feeds both sides of an op; kernels
-that guarantee exact counts (see summation module) normalize for that.
+Op accounting: each context keeps one ledger, ctx.ops, a Counter to which
+rotate_left, mult, mult_plain and encrypt each add 1 under "rotations",
+"ct_mults", "pt_mults" and "encryptions"; no other op counts.  It counts the
+ops performed, so a value that feeds both sides of an op counts once, and a
+computation's cost is the ledger difference around it.  Depth stays on each
+SlotVector: it belongs to a ciphertext, not to a tally.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import secrets
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,7 +85,8 @@ class EncryptionContext:
     deterministic oracles rely on).  nonce_seed, when given, makes the
     serialization nonce stream reproducible -- every call still draws a fresh
     nonce, but two runs with the same seed produce byte-identical dumps,
-    which reproducible experiment outputs depend on.
+    which reproducible experiment outputs depend on.  ops is the context's
+    op ledger (see the module docstring).
     """
 
     slot_capacity: int
@@ -92,6 +97,7 @@ class EncryptionContext:
     masking_seed: bytes = field(init=False, repr=False, compare=False)
     _noise_rng: np.random.Generator = field(init=False, repr=False, compare=False)
     _nonce_rng: np.random.Generator = field(init=False, repr=False, compare=False)
+    ops: Counter = field(default_factory=Counter, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cap = self.slot_capacity
@@ -117,28 +123,23 @@ class EncryptionContext:
 
 
 class SlotVector:
-    """A simulated ciphertext: capacity-length slot array plus accounting.
+    """A simulated ciphertext: capacity-length slot array plus its depth.
 
     Treat instances as immutable; all operations below return new values.
     Do not read .slots in application code -- that is the simulator's
     backstage, not part of the encrypted-domain contract.
     """
 
-    __slots__ = ("slots", "logical_len", "depth_used", "rotations_used", "mults_used", "ctx")
+    __slots__ = ("slots", "logical_len", "depth_used", "ctx")
 
-    def __init__(self, slots, logical_len, depth_used, rotations_used, mults_used, ctx):
+    def __init__(self, slots, logical_len, depth_used, ctx):
         self.slots = slots
         self.logical_len = logical_len
         self.depth_used = depth_used
-        self.rotations_used = rotations_used
-        self.mults_used = mults_used
         self.ctx = ctx
 
     def __repr__(self):
-        return (
-            f"SlotVector(capacity={self.slots.shape[0]}, logical_len={self.logical_len}, "
-            f"depth={self.depth_used}, rot={self.rotations_used}, mult={self.mults_used})"
-        )
+        return f"SlotVector(capacity={self.slots.shape[0]}, logical_len={self.logical_len}, depth={self.depth_used})"
 
 
 def encrypt(plain, ctx: EncryptionContext) -> SlotVector:
@@ -149,7 +150,8 @@ def encrypt(plain, ctx: EncryptionContext) -> SlotVector:
         raise CapacityExceeded(f"plaintext length {n} > slot capacity {ctx.slot_capacity}")
     slots = np.zeros(ctx.slot_capacity, dtype=np.float64)
     slots[:n] = pv.values
-    return SlotVector(slots, n, 0, 0, 0, ctx)
+    ctx.ops["encryptions"] += 1
+    return SlotVector(slots, n, 0, ctx)
 
 
 def decrypt(sv: SlotVector, ctx: EncryptionContext) -> PlainVector:
@@ -167,27 +169,12 @@ def _check_pair(a: SlotVector, b: SlotVector):
 
 
 def add(a: SlotVector, b: SlotVector) -> SlotVector:
-    """Slot-wise sum.  Depth is max of the inputs; counters merge."""
+    """Slot-wise sum.  Depth is max of the inputs."""
     _check_pair(a, b)
     return SlotVector(
         a.slots + b.slots,
         a.logical_len if a.logical_len >= b.logical_len else b.logical_len,
         a.depth_used if a.depth_used >= b.depth_used else b.depth_used,
-        a.rotations_used + b.rotations_used,
-        a.mults_used + b.mults_used,
-        a.ctx,
-    )
-
-
-def sub(a: SlotVector, b: SlotVector) -> SlotVector:
-    """Slot-wise difference; same accounting as add."""
-    _check_pair(a, b)
-    return SlotVector(
-        a.slots - b.slots,
-        max(a.logical_len, b.logical_len),
-        a.depth_used if a.depth_used >= b.depth_used else b.depth_used,
-        a.rotations_used + b.rotations_used,
-        a.mults_used + b.mults_used,
         a.ctx,
     )
 
@@ -202,14 +189,8 @@ def mult(a: SlotVector, b: SlotVector) -> SlotVector:
     slots = a.slots * b.slots
     if ctx.noise_stddev > 0.0:
         slots = slots + ctx._noise_rng.normal(0.0, ctx.noise_stddev, slots.shape[0])
-    return SlotVector(
-        slots,
-        max(a.logical_len, b.logical_len),
-        depth,
-        a.rotations_used + b.rotations_used,
-        a.mults_used + b.mults_used + 1,
-        ctx,
-    )
+    ctx.ops["ct_mults"] += 1
+    return SlotVector(slots, max(a.logical_len, b.logical_len), depth, ctx)
 
 
 def _coerce_scalars(scalars, capacity: int):
@@ -236,7 +217,8 @@ def mult_plain(a: SlotVector, scalars) -> SlotVector:
         vals = scalars
     else:
         vals = _coerce_scalars(scalars, a.slots.shape[0])
-    return SlotVector(a.slots * vals, a.logical_len, depth, a.rotations_used, a.mults_used + 1, ctx)
+    ctx.ops["pt_mults"] += 1
+    return SlotVector(a.slots * vals, a.logical_len, depth, ctx)
 
 
 def add_plain(a: SlotVector, scalars) -> SlotVector:
@@ -245,7 +227,7 @@ def add_plain(a: SlotVector, scalars) -> SlotVector:
     Free of depth cost (plaintext additions do not consume a level).
     """
     vals = _coerce_scalars(scalars, a.slots.shape[0])
-    return SlotVector(a.slots + vals, a.logical_len, a.depth_used, a.rotations_used, a.mults_used, a.ctx)
+    return SlotVector(a.slots + vals, a.logical_len, a.depth_used, a.ctx)
 
 
 def rotate_left(a: SlotVector, k: int) -> SlotVector:
@@ -265,7 +247,8 @@ def rotate_left(a: SlotVector, k: int) -> SlotVector:
         out[cap - k :] = s[:k]
     else:
         out = s.copy()
-    return SlotVector(out, a.logical_len, a.depth_used, a.rotations_used + 1, a.mults_used, a.ctx)
+    a.ctx.ops["rotations"] += 1
+    return SlotVector(out, a.logical_len, a.depth_used, a.ctx)
 
 
 # --- keyed serialization -----------------------------------------------------
@@ -299,9 +282,9 @@ def serialize_ciphertext(sv: SlotVector, ctx: EncryptionContext, mask: bool = Tr
 def deserialize_ciphertext(blob: bytes, ctx: EncryptionContext, masked: bool = True) -> SlotVector:
     """Reverse serialize_ciphertext under the producing context.
 
-    Depth/op counters are not part of the wire format; the result carries
-    zeroed accounting and logical_len = capacity.  Callers that track depth
-    across persistence restore it from what they know produced the value.
+    Depth is not part of the wire format; the result carries depth 0 and
+    logical_len = capacity.  Callers that track depth across persistence
+    restore it from what they know produced the value.
     A blob whose header or payload has the wrong length raises IntegrityError.
     """
     if len(blob) < HEADER_LEN:
@@ -320,4 +303,4 @@ def deserialize_ciphertext(blob: bytes, ctx: EncryptionContext, masked: bool = T
         ks = _keystream(ctx.masking_seed, nonce, len(payload))
         payload = (np.frombuffer(payload, dtype=np.uint8) ^ np.frombuffer(ks, dtype=np.uint8)).tobytes()
     slots = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return SlotVector(slots, cap, 0, 0, 0, ctx)
+    return SlotVector(slots, cap, 0, ctx)

@@ -253,6 +253,12 @@ def identify_plain(probe: Embedding, gallery: list, params_store: dict) -> list:
 # --- pipeline object ----------------------------------------------------------
 
 
+# Degree of Pipeline.approx and the ratio by which its fit domain extends
+# either side of the plan's anchor 1/d_bound.
+_APPROX_DEGREE = 16
+_DOMAIN_RATIO = 8.0
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything that determines a run; (config, seed) fixes all outputs."""
@@ -263,8 +269,6 @@ class PipelineConfig:
     c_range: int = 50
     slot_capacity: int = 128
     depth_budget: int = 32
-    approx_degree: int = 16
-    domain_ratio: float = 8.0
     noise_stddev: float = 0.0
     encrypted: bool = True
     seed: int = 0
@@ -297,9 +301,9 @@ class Pipeline:
         # the inverse-sqrt fit is anchored.
         self.plan = make_normalization_plan(4.0 / math.sqrt(self.k), self.k)
         x0 = 1.0 / self.plan.d_bound
-        lo = x0 / cfg.domain_ratio
-        hi = min(1.0, x0 * cfg.domain_ratio)
-        self.approx = fit_inv_sqrt(cfg.approx_degree, (lo, hi))
+        lo = x0 / _DOMAIN_RATIO
+        hi = min(1.0, x0 * _DOMAIN_RATIO)
+        self.approx = fit_inv_sqrt(_APPROX_DEGREE, (lo, hi))
         self.params_store: dict = {}
 
     def gen_user_params(self, index: int) -> PolyProtectParams:
@@ -420,7 +424,9 @@ def _record_tag(subject_id: str, params_id: str, compress_dim: int, blob: bytes,
 
 def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_dir):
     """Write manifest.json, one ciphertext blob per record, and the params
-    JSON of every parameter set the records use (and no other).
+    JSON of every parameter set the records use (and no other).  Blobs and
+    params files that an earlier save left in out_dir and this manifest does
+    not name are removed; nothing else in out_dir is touched.
 
     Each manifest record carries its blob's tag.  Records loaded from disk
     keep their original blob bytes, so a save -> load -> save round trip is
@@ -431,11 +437,13 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
     (out / "blobs").mkdir(parents=True, exist_ok=True)
     (out / "params").mkdir(exist_ok=True)
     records_meta = []
+    named = set()
     for i, rec in enumerate(gallery):
         if rec.blob is None:
             rec.blob = serialize_ciphertext(rec.template, ctx)
         rel = f"blobs/{i}.ct"
         (out / rel).write_bytes(rec.blob)
+        named.add(out / rel)
         records_meta.append(
             {
                 "subject_id": rec.subject_id,
@@ -449,7 +457,9 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
         params = params_store.get(pid)
         if params is None:
             raise UnknownParamsId(f"no parameters stored for params_id {pid}")
-        with open(out / "params" / f"{pid}.json", "w") as f:
+        path = out / "params" / f"{pid}.json"
+        named.add(path)
+        with open(path, "w") as f:
             json.dump(params_to_dict(params), f, indent=2)
     manifest = {
         "version": GALLERY_VERSION,
@@ -462,6 +472,9 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
     }
     with open(out / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2)
+    for path in [*(out / "blobs").glob("*.ct"), *(out / "params").glob("*.json")]:
+        if path not in named:
+            path.unlink()
 
 
 def _check_shape(src: Path, obj, keys: dict, where: str):

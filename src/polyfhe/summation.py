@@ -6,12 +6,6 @@ linear transform (n-1 rotations, n plaintext mults), and fold-and-add
 (ceil(log2 n) rotations).  All three leave the total in slot 0; naive also
 replicates it across every slot when n equals the capacity (windows wrap the
 whole ring).  broadcast_slot0 copies slot 0 into the leading slots.
-
-Rotation counters on results report the physical rotations the kernel
-performed (relative to its input).  The fold kernel reuses its running
-ciphertext on both sides of each add, which would double-count under the
-backend's lineage-sum merge, so it normalizes its counters to the physical
-count before returning.
 """
 
 from __future__ import annotations
@@ -75,9 +69,7 @@ def fold_add_all(c: SlotVector, n: int) -> SlotVector:
     acc = c
     for i in range(k - 1, -1, -1):
         acc = add(acc, rotate_left(acc, 1 << i))
-    # The running ciphertext feeds both sides of each add, so the lineage-sum
-    # merge inflates the counters; report the physical k rotations instead.
-    return SlotVector(acc.slots, acc.logical_len, acc.depth_used, c.rotations_used + k, c.mults_used, c.ctx)
+    return acc
 
 
 def dft_sum(c: SlotVector, n: int) -> SlotVector:
@@ -135,7 +127,8 @@ def bench_summation(sizes, ctx: EncryptionContext, seed: int = 0, repeats: int =
     """Time all three kernels on random inputs of each size.
 
     One row per (size, method); wall time is the median of `repeats` runs,
-    op counts come from the result's counters.
+    op counts are the context's ledger difference around one untimed run
+    (mults counts ciphertext and plaintext mults together).
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -145,16 +138,19 @@ def bench_summation(sizes, ctx: EncryptionContext, seed: int = 0, repeats: int =
         data = rng.uniform(-1.0, 1.0, n)
         sv = encrypt(data, ctx)
         for method, kernel in _KERNELS.items():
-            times = []
-            out = None
-            for _ in range(repeats):
-                t0 = time.perf_counter_ns()
-                out = kernel(sv, n)
-                times.append(time.perf_counter_ns() - t0)
+            before = ctx.ops.copy()
+            out = kernel(sv, n)
+            ops = ctx.ops - before
             expected = float(data.sum())
             if not math.isclose(out.slots[0], expected, rel_tol=1e-9, abs_tol=1e-9):
                 raise AssertionError(f"kernel {method} disagrees with plain sum at n={n}")
-            rows.append(SumBenchRow(n, method, out.rotations_used, out.mults_used, int(np.median(times))))
+            times = []
+            for _ in range(repeats):
+                t0 = time.perf_counter_ns()
+                kernel(sv, n)
+                times.append(time.perf_counter_ns() - t0)
+            mults = ops["ct_mults"] + ops["pt_mults"]
+            rows.append(SumBenchRow(n, method, ops["rotations"], mults, int(np.median(times))))
     return rows
 
 

@@ -15,7 +15,6 @@ from polyfhe.backend import (
     mult_plain,
     rotate_left,
     serialize_ciphertext,
-    sub,
 )
 from polyfhe.errors import CapacityExceeded, DepthExceeded, IntegrityError, KeyMismatch
 from polyfhe.summation import dft_sum, fold_add_all, naive_add_all
@@ -52,7 +51,7 @@ def test_encrypt_pads_with_zeros(ctx):
     sv = encrypt([1, 2, 3], ctx4)
     assert sv.slots.tolist() == [1, 2, 3, 0]
     assert sv.depth_used == 0
-    assert sv.rotations_used == 0 and sv.mults_used == 0
+    assert ctx4.ops == {"encryptions": 1}
     assert sv.logical_len == 3
 
 
@@ -162,11 +161,6 @@ def test_add_plain_costs_no_depth(ctx):
     assert decrypt(out, ctx).values.tolist() == [1.5, 2.5, 3.5]
 
 
-def test_sub(ctx):
-    out = sub(encrypt([5, 5], ctx), encrypt([2, 3], ctx))
-    assert decrypt(out, ctx).values.tolist() == [3, 2]
-
-
 def test_rotate_example(ctx):
     ctx4 = EncryptionContext(4, 16, key_id="alice")
     sv = encrypt([1, 2, 3, 4], ctx4)
@@ -175,9 +169,42 @@ def test_rotate_example(ctx):
 
 def test_rotate_full_cycle_counts(ctx):
     sv = encrypt([1, 2, 3], ctx)
+    before = ctx.ops["rotations"]
     back = rotate_left(sv, 8)
     assert back.slots.tolist() == sv.slots.tolist()
-    assert back.rotations_used == sv.rotations_used + 1
+    assert ctx.ops["rotations"] == before + 1
+
+
+def test_ledger_counts_each_op_once_under_its_own_kind(ctx):
+    x = encrypt([1.0, 2.0], ctx)
+    r = rotate_left(x, 1)
+    assert ctx.ops == {"encryptions": 1, "rotations": 1}
+    # a value that feeds both sides of an op still counts once
+    add(r, r)
+    assert ctx.ops == {"encryptions": 1, "rotations": 1}
+    mult(r, r)
+    assert ctx.ops == {"encryptions": 1, "rotations": 1, "ct_mults": 1}
+    mult_plain(r, 2.0)
+    assert ctx.ops == {"encryptions": 1, "rotations": 1, "ct_mults": 1, "pt_mults": 1}
+
+
+def test_ledger_ignores_additions_decryption_and_serialization(ctx):
+    x = encrypt([1.0, 2.0], ctx)
+    before = ctx.ops.copy()
+    add(x, x)
+    add_plain(x, 1.0)
+    decrypt(x, ctx)
+    deserialize_ciphertext(serialize_ciphertext(x, ctx), ctx)
+    assert ctx.ops == before == {"encryptions": 1}
+
+
+def test_ledger_is_per_context():
+    a = EncryptionContext(8, 16, key_id="alice")
+    b = EncryptionContext(8, 16, key_id="alice")
+    rotate_left(encrypt([1.0], a), 1)
+    assert a.ops == {"encryptions": 1, "rotations": 1}
+    assert b.ops == {}
+    assert a == b  # the ledger is not part of a context's identity
 
 
 def test_rotate_negative_rejected(ctx):
@@ -191,8 +218,8 @@ def test_rotation_group_law(a, b):
     ctx = EncryptionContext(16, 16, key_id="rot")
     sv = encrypt(np.arange(16.0), ctx)
     composed = rotate_left(rotate_left(sv, a), b)
+    assert ctx.ops["rotations"] == 2
     assert composed.slots.tolist() == rotate_left(sv, a + b).slots.tolist()
-    assert composed.rotations_used == 2
 
 
 @settings(max_examples=30, deadline=None)
@@ -204,7 +231,6 @@ def test_every_op_carries_its_input_context(log_cap, key, k):
     results = [
         a,
         add(a, b),
-        sub(a, b),
         mult(a, b),
         mult_plain(a, 3.0),
         add_plain(a, 1.0),
@@ -238,7 +264,7 @@ def test_key_isolation_binary_ops(ctx):
     other = EncryptionContext(8, 16, key_id="eve")
     a = encrypt([1.0], ctx)
     b = encrypt([1.0], other)
-    for op in (add, sub, mult):
+    for op in (add, mult):
         with pytest.raises(KeyMismatch):
             op(a, b)
 

@@ -386,17 +386,29 @@ def test_identify_flipped_payload_bit_exits_1(tmp_path, capsys):
 
 
 def test_identify_after_enrolling_twice_into_one_gallery_dir(tmp_path):
-    # the second enrollment leaves the first one's params files behind;
-    # identify must read only those the second manifest names
+    # the second enrollment, of fewer ids under other parameters, removes
+    # the first one's blobs and params files that its manifest does not name
     gallery_dir = tmp_path / "gallery"
-    for sub, m, overlap in (("a", "5", "4"), ("b", "3", "0")):
-        rc = run_cli("enroll", "--num-ids", "6", "--samples-per-id", "2", "--m", m, "--overlap", overlap,
+    gallery_dir.mkdir()
+    (gallery_dir / "notes.txt").write_text("not part of the gallery")
+    for sub, num_ids, m, overlap in (("a", "6", "5", "4"), ("b", "4", "3", "0")):
+        rc = run_cli("enroll", "--num-ids", num_ids, "--samples-per-id", "2", "--m", m, "--overlap", overlap,
                      "--seed", "5", "--gallery-dir", str(gallery_dir), "--out-dir", str(tmp_path / sub),
                      "--save-probes")
         assert rc == 0
-    assert len(list((gallery_dir / "params").glob("*.json"))) == 12
+    assert (gallery_dir / "notes.txt").read_text() == "not part of the gallery"
+    manifest = json.loads((gallery_dir / "manifest.json").read_text())
+    records = manifest["records"]
+    assert len(records) == 4
+    assert sorted(p.relative_to(gallery_dir).as_posix() for p in (gallery_dir / "blobs").iterdir()) == sorted(
+        r["blob_path"] for r in records
+    )
+    assert sorted(p.name for p in (gallery_dir / "params").iterdir()) == sorted(
+        {f"{r['params_id']}.json" for r in records}
+    )
+    assert len(list((gallery_dir / "params").glob("*.json"))) == 4
     rc = run_cli("identify", "--gallery-dir", str(gallery_dir), "--probes", str(tmp_path / "b" / "probes.csv"),
-                 "--top", "6", "--out-dir", str(tmp_path / "id"))
+                 "--top", "4", "--out-dir", str(tmp_path / "id"))
     assert rc == 0
     gallery, params_store, ctx = load_gallery(gallery_dir)
     assert {(p.m, p.overlap) for p in params_store.values()} == {(3, 0)}

@@ -5,8 +5,6 @@ import pytest
 
 from polyfhe import pipeline as pl
 from polyfhe import polyprotect as pp
-from polyfhe import similarity as si
-from polyfhe import summation as sm
 from polyfhe.backend import HEADER_LEN, decrypt
 from polyfhe.errors import (
     CapacityExceeded,
@@ -38,6 +36,8 @@ from polyfhe.pipeline import (
 )
 from polyfhe.polyprotect import (
     encrypt_windows,
+    gen_params,
+    output_len,
     protect_depth,
     protect_encrypted,
     protect_plain,
@@ -221,13 +221,13 @@ def _counting(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("num_ids", [2, 5, 9])
-def test_identify_encrypts_probe_windows_once(monkeypatch, num_ids):
+def test_identify_encrypts_probe_windows_once(num_ids):
     ds = gen_synthetic_dataset(small_spec(num_ids=num_ids, samples_per_id=2))
     pipe = Pipeline(PipelineConfig(seed=4))
     gallery, probes = build_gallery(ds, pipe)
-    encrypts = _counting(monkeypatch, pp, "encrypt")
+    before = pipe.ctx.ops["encryptions"]
     pipe.identify(probes[0], gallery)
-    assert len(encrypts) == min(8, pipe.k)  # s = 8 for m = 5
+    assert pipe.ctx.ops["encryptions"] - before == min(8, pipe.k)  # s = 8 for m = 5
 
 
 def test_identify_packs_each_record_once(monkeypatch):
@@ -272,22 +272,8 @@ def test_identify_ranks_equal_identify_plain_on_50_records():
         assert max(abs(a - b) for (_, a), (_, b) in zip(enc, plain)) <= 1e-12
 
 
-def _he_counter(monkeypatch):
-    counts = dict.fromkeys(("rotate_left", "mult", "mult_plain", "encrypt"), 0)
-    for module in (pp, sm, si, pl):
-        for name in counts:
-            fn = getattr(module, name, None)
-            if fn is not None:
-                def wrapper(*args, _fn=fn, _name=name, **kwargs):
-                    counts[_name] += 1
-                    return _fn(*args, **kwargs)
-
-                monkeypatch.setattr(module, name, wrapper)
-    return counts
-
-
 @pytest.mark.parametrize("num_ids", [3, 12])
-def test_identify_he_counts_per_record(monkeypatch, num_ids):
+def test_identify_he_counts_per_record(num_ids):
     # per record: ceil(log2 k) rotations, one product and m plaintext
     # mults; shared per probe: the windows' encryptions and the offset-power
     # table, each entry (i, e) costing one mask mult per group and, for
@@ -298,15 +284,38 @@ def test_identify_he_counts_per_record(monkeypatch, num_ids):
     params = [pipe.params_store[rec.params_id] for rec in gallery]
     entries = {(i, e) for p in params for i, e in enumerate(p.exps)}
     groups = 8  # min(s, k) for m = 5, k = 60
-    counts = _he_counter(monkeypatch)
+    before = pipe.ctx.ops.copy()
     pipe.identify(probes[0], gallery)
     n, k = len(gallery), pipe.k
-    assert counts == {
-        "rotate_left": n * (k - 1).bit_length() + sum(i > 0 for i, _ in entries),
-        "mult": n + groups * 4,  # the powers 2..5 of each group: one mult each
-        "mult_plain": n * pipe.cfg.m + groups * len(entries),
-        "encrypt": groups,
+    assert pipe.ctx.ops - before == {
+        "rotations": n * (k - 1).bit_length() + sum(i > 0 for i, _ in entries),
+        "ct_mults": n + groups * 4,  # the powers 2..5 of each group: one mult each
+        "pt_mults": n * pipe.cfg.m + groups * len(entries),
+        "encryptions": groups,
     }
+
+
+def test_identify_mixed_layout_gallery_equals_per_record_reference():
+    # one gallery, records of two compress_dims and two (m, overlap)
+    # layouts: the probe's windows are encrypted once per layout
+    ds = gen_synthetic_dataset(small_spec(num_ids=8, samples_per_id=2, seed=7))
+    enrolled, probes = enroll_split(ds)
+    pipe = Pipeline(PipelineConfig(seed=4))
+    layouts = [(64, 5, 4), (48, 5, 4), (64, 3, 1), (48, 3, 1)]
+    gallery = []
+    for i, e in enumerate(enrolled):
+        d, m, overlap = layouts[i % len(layouts)]
+        params = gen_params(m, overlap, 50, seed=[4, i])
+        pipe.params_store[params.params_id] = params
+        gallery.append(enroll(e, params, pipe.ctx, d))
+    encryptions = sum(min(1 << (m - 1).bit_length(), output_len(d, m, overlap)) for d, m, overlap in layouts)
+    for probe in probes[:3]:
+        before = pipe.ctx.ops["encryptions"]
+        got = dict(pipe.identify(probe, gallery))
+        assert pipe.ctx.ops["encryptions"] - before == encryptions
+        want = dict(_identify_per_record(probe, gallery, pipe))
+        assert got.keys() == want.keys()
+        assert max(abs(got[sid] - want[sid]) for sid in want) <= 1e-12
 
 
 def test_enroll_template_longer_than_capacity():

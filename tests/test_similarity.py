@@ -187,6 +187,9 @@ def test_cosine_unit_encrypted_is_exact_with_one_product(n):
     ctx = EncryptionContext(128, 4, key_id="unit")
     rng = np.random.default_rng(n)
     a, b = unit(rng, n), unit(rng, n)
-    out = cosine_unit_encrypted(encrypt(a, ctx), encrypt(b, ctx), n)
+    ca, cb = encrypt(a, ctx), encrypt(b, ctx)
+    before = ctx.ops.copy()
+    out = cosine_unit_encrypted(ca, cb, n)
+    ops = ctx.ops - before
     assert abs(decrypt(out, ctx).values[0] - cosine_plain(a, b)) <= 1e-12
-    assert (out.rotations_used, out.mults_used, out.depth_used) == ((n - 1).bit_length(), 1, 1)
+    assert (ops["rotations"], ops["ct_mults"] + ops["pt_mults"], out.depth_used) == ((n - 1).bit_length(), 1, 1)

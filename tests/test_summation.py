@@ -20,24 +20,31 @@ def ctx():
     return EncryptionContext(1024, 16, key_id="sum")
 
 
+def counted(kernel, sv, n):
+    """kernel(sv, n) and the ledger difference around that call."""
+    before = sv.ctx.ops.copy()
+    out = kernel(sv, n)
+    return out, sv.ctx.ops - before
+
+
 def test_naive_example(ctx):
     ctx8 = EncryptionContext(8, 16, key_id="sum")
-    out = naive_add_all(encrypt([1, 2, 3, 4], ctx8), 4)
+    out, ops = counted(naive_add_all, encrypt([1, 2, 3, 4], ctx8), 4)
     assert out.slots[0] == 10  # brute force 1+2+3+4
-    assert out.rotations_used == 3
+    assert ops["rotations"] == 3
 
 
 def test_naive_n1_is_identity(ctx):
     sv = encrypt([7.0, 1.0], ctx)
-    out = naive_add_all(sv, 1)
+    out, ops = counted(naive_add_all, sv, 1)
     assert out.slots.tolist() == sv.slots.tolist()
-    assert out.rotations_used == 0
+    assert ops["rotations"] == 0
 
 
 def test_naive_single_nonzero(ctx):
-    out = naive_add_all(encrypt([5, 0], ctx), 2)
+    out, ops = counted(naive_add_all, encrypt([5, 0], ctx), 2)
     assert out.slots[0] == 5
-    assert out.rotations_used == 1
+    assert ops["rotations"] == 1
 
 
 def test_naive_replicates_at_full_capacity():
@@ -52,23 +59,23 @@ def test_naive_replicates_at_full_capacity():
 def test_fold_example_matches_naive(ctx):
     ctx4 = EncryptionContext(4, 16, key_id="sum")
     sv = encrypt([1, 2, 3, 4], ctx4)
-    out = fold_add_all(sv, 4)
+    out, ops = counted(fold_add_all, sv, 4)
     assert out.slots[0] == 10
-    assert out.rotations_used == 2
+    assert ops["rotations"] == 2
     assert out.slots[0] == naive_add_all(sv, 4).slots[0]
 
 
 def test_fold_n1(ctx):
     sv = encrypt([3.0], ctx)
-    out = fold_add_all(sv, 1)
+    out, ops = counted(fold_add_all, sv, 1)
     assert out.slots[0] == 3.0
-    assert out.rotations_used == 0
+    assert ops["rotations"] == 0
 
 
 def test_fold_1024_ones(ctx):
-    out = fold_add_all(encrypt(np.ones(1024), ctx), 1024)
+    out, ops = counted(fold_add_all, encrypt(np.ones(1024), ctx), 1024)
     assert out.slots[0] == 1024
-    assert out.rotations_used == 10  # versus naive's 1023
+    assert ops["rotations"] == 10  # versus naive's 1023
 
 
 def test_fold_incomplete_without_last_step(ctx):
@@ -88,9 +95,9 @@ def test_fold_incomplete_without_last_step(ctx):
 
 def test_dft_example(ctx):
     ctx4 = EncryptionContext(4, 16, key_id="sum")
-    out = dft_sum(encrypt([1, 2, 3, 4], ctx4), 4)
+    out, ops = counted(dft_sum, encrypt([1, 2, 3, 4], ctx4), 4)
     assert abs(out.slots[0] - 10) < 1e-12
-    assert out.rotations_used == 3 and out.mults_used == 4
+    assert ops["rotations"] == 3 and ops["ct_mults"] + ops["pt_mults"] == 4
     assert out.depth_used == 1
 
 
@@ -113,14 +120,14 @@ def test_kernel_agreement_and_counters(ctx, n):
         data = rng.uniform(-1, 1, n)
         sv = encrypt(data, ctx)
         expected = data.sum()
-        na = naive_add_all(sv, n)
-        fo = fold_add_all(sv, n)
+        na, na_ops = counted(naive_add_all, sv, n)
+        fo, fo_ops = counted(fold_add_all, sv, n)
         df = dft_sum(sv, n)
         assert abs(na.slots[0] - expected) < 1e-9
         assert abs(fo.slots[0] - expected) < 1e-9
         assert abs(df.slots[0] - expected) < 1e-9
-        assert na.rotations_used == n - 1
-        assert fo.rotations_used == (n - 1).bit_length()
+        assert na_ops["rotations"] == n - 1
+        assert fo_ops["rotations"] == (n - 1).bit_length()
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,9 +145,9 @@ def test_kernels_sum_any_n_in_any_larger_capacity(n, extra, seed, start):
     sv = encrypt(data, ctx)
     expected = data.sum()
     for kernel, rotations in ((fold_add_all, (n - 1).bit_length()), (naive_add_all, n - 1), (dft_sum, n - 1)):
-        out = kernel(sv, n)
+        out, ops = counted(kernel, sv, n)
         assert out.slots[0] == pytest.approx(expected, rel=1e-9, abs=1e-9)
-        assert out.rotations_used == rotations
+        assert ops["rotations"] == rotations
     # fold is shift-invariant: the same data starting at any slot j (wrapping
     # round the ring) sums into slot j, bit for bit as at slot 0
     j = start % cap
