@@ -4,11 +4,11 @@
 Each user gets private coefficients C and exponents E; m-wide windows of the
 embedding collapse to single protected values p_j = sum c_i * v_i^e_i.  The
 encrypted path computes the same numbers without ever decrypting and packs
-them into one ciphertext, p_j in slot j: the template a gallery stores.  It
-reads each term c_i * v_i^e_i from a table of offset powers (element i of
-every window raised to e, one ciphertext per entry) that no user's
-parameters change, so a second user's template reuses the first one's
-entries.
+them into one ciphertext, p_j in slot j: the template a gallery stores.  The
+windows are encrypted as m columns (element i of every window in one
+ciphertext, window j in slot j), so each term c_i * v_i^e_i is a power of
+column i times a coefficient, with no rotation; no user's parameters change
+the columns, so a second user's template reuses the first one's powers.
 """
 import numpy as np
 
@@ -34,20 +34,20 @@ print(f"\n16-dim embedding -> {len(plain)} protected values (dimensionality redu
 print("plaintext  :", np.round(plain, 6))
 
 ctx = EncryptionContext(8, 16, key_id="user-0")
-windows = encrypt_windows(embedding, params, ctx)  # window j in slots j..j+m-1 of ciphertext j mod 8
+windows = encrypt_windows(embedding, params, ctx)  # element i of window j in slot j of ciphertext i
 template = protect_encrypted(windows, params)
 decrypted = decrypt(template, ctx).values
 print(f"{len(windows)} windows in {len(windows.cts)} encryptions, packed into one {ctx.slot_capacity}-slot ciphertext")
-print(f"offset-power table entries built (offset, exponent): {sorted(windows.table)}")
+print(f"powers above 1 built per column: {[sorted(memo) for memo in windows.memos]}")
 print("encrypted  :", np.round(decrypted[: len(plain)], 6))
 print(f"max |diff| : {np.max(np.abs(decrypted[: len(plain)] - plain)):.2e}")
-print(f"depth used : {template.depth_used} (protect_depth: ceil(log2 max exp) + 2 = {protect_depth(params)})")
+print(f"depth used : {template.depth_used} (protect_depth: ceil(log2 max exp) + 1 = {protect_depth(params)})")
 print("slots after the template:", decrypted[len(plain) :])
 
 other = gen_params(m=5, overlap=2, c_range=50, seed=43)
-before = len(windows.table)
+before = ctx.ops["ct_mults"]
 second = decrypt(protect_encrypted(windows, other), ctx).values
-print(f"a second user's template on the same windows built {len(windows.table) - before} new entries; "
+print(f"a second user's template on the same windows took {ctx.ops['ct_mults'] - before} new ciphertext mults; "
       f"max |diff| vs plain: {np.max(np.abs(second[: len(plain)] - protect_plain(embedding, other))):.2e}")
 
 # unlinkability precursor: the same face under different users' params does

@@ -63,7 +63,9 @@ class UnknownParamsId(PolyFheError):
 
 
 class IntegrityError(PolyFheError, ValueError):
-    """A serialized ciphertext is cut short or has the wrong length."""
+    """Stored or decrypted data fails a check: a serialized ciphertext of the
+    wrong length, a gallery file that is malformed or does not match its tag,
+    or a search score that no pair of unit-norm templates can give."""
 
 
 class EmptyDataset(PolyFheError):

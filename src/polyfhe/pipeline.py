@@ -19,11 +19,12 @@ its template's norm.
 Protection parameters are per user, so a 1:N search protects the probe under
 each record's own parameters.  The work that depends only on the probe is
 shared by every record with the same (compress_dim, m, overlap): its windows
-are encrypted once in a strided layout, their offset-power table is built
-once (polyprotect), and their plaintext powers give every record's template
-norm at once.  Each record then pays m plaintext scalar mults for its
-template, one product and one fold.  The template depth is protect_depth;
-the comparison adds one level.
+are encrypted once as m column ciphertexts, each column's powers are built
+once and shared (polyprotect), and their plaintext powers give every
+record's template norm at once.  Each record then pays m plaintext scalar
+mults for its template, one product and one fold.  The template depth is
+protect_depth; the comparison adds one level (protect_depth + 1 = 5 at the
+default config).
 
 Gallery format version 3: manifest.json, one masked ciphertext blob per
 record, and one params file per parameter set the records use.  Each record
@@ -205,16 +206,24 @@ def enroll_plain(e: Embedding, params: PolyProtectParams, d: int) -> GalleryReco
     return GalleryRecord(e.subject_id, protect_plain(compress_prefix(e, d), params), params.params_id, d)
 
 
+# How far an exact-mode cosine of two unit-norm templates may stray past
+# [-1, 1] by rounding alone.
+_SCORE_ROUNDING = 1e-9
+
+
 def identify(probe: Embedding, gallery: list, params_store: dict, ctx: EncryptionContext) -> list:
     """Encrypted 1:N search: (subject_id, score) sorted by descending score.
 
     The probe is protected under each record's own parameters, scaled to
     unit norm, and scored against the record's stored unit-norm ciphertext
     by one product and one fold.  Per (compress_dim, m, overlap) its windows
-    are encrypted once, share one offset-power table, and give every
-    record's template norm from one table of plaintext powers.  Scores are
-    decrypted with the user context before ranking.  Ties break by
-    subject_id for a stable order.
+    are encrypted once, share their column powers, and give every record's
+    template norm from one table of plaintext powers.  Scores are decrypted
+    with the user context before ranking; ties break by subject_id for a
+    stable order.  A decrypted score that is not finite raises
+    IntegrityError, and so, in exact mode (ctx.noise_stddev == 0), does one
+    outside [-1, 1] by more than rounding: both templates have unit norm, so
+    such a score means a record's ciphertext is not what enrollment stored.
     """
     if not gallery:
         raise ValueError("identify needs a nonempty gallery")
@@ -232,7 +241,12 @@ def identify(probe: Embedding, gallery: list, params_store: dict, ctx: Encryptio
         for (i, params), scale in zip(members, scales):
             rec = gallery[i]
             ct = cosine_unit_encrypted(rec.template, protect_encrypted(windows, params, scale), windows.k)
-            scores[i] = (rec.subject_id, float(decrypt(ct, ctx).values[0]))
+            score = float(decrypt(ct, ctx).values[0])
+            if not math.isfinite(score) or (ctx.noise_stddev == 0.0 and abs(score) > 1.0 + _SCORE_ROUNDING):
+                raise IntegrityError(
+                    f"record {i} (subject {rec.subject_id}) scores {score}, not the cosine of two unit-norm templates"
+                )
+            scores[i] = (rec.subject_id, score)
     return sorted(scores, key=lambda t: (-t[1], t[0]))
 
 
@@ -431,8 +445,15 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
     Each manifest record carries its blob's tag.  Records loaded from disk
     keep their original blob bytes, so a save -> load -> save round trip is
     bit-identical (re-serializing would draw fresh nonces).  A record whose
-    params_id is not in params_store raises UnknownParamsId.
+    params_id is not in params_store raises UnknownParamsId before anything
+    is written, so a failed save leaves a gallery already in out_dir intact.
     """
+    used = {}
+    for rec in gallery:
+        params = params_store.get(rec.params_id)
+        if params is None:
+            raise UnknownParamsId(f"no parameters stored for params_id {rec.params_id}")
+        used[rec.params_id] = params
     out = Path(out_dir)
     (out / "blobs").mkdir(parents=True, exist_ok=True)
     (out / "params").mkdir(exist_ok=True)
@@ -453,10 +474,7 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
                 "tag": _record_tag(rec.subject_id, rec.params_id, rec.compress_dim, rec.blob, ctx),
             }
         )
-    for pid in dict.fromkeys(rec.params_id for rec in gallery):
-        params = params_store.get(pid)
-        if params is None:
-            raise UnknownParamsId(f"no parameters stored for params_id {pid}")
+    for pid, params in used.items():
         path = out / "params" / f"{pid}.json"
         named.add(path)
         with open(path, "w") as f:

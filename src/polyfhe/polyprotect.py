@@ -7,24 +7,18 @@ and distinct positive exponents.  The encrypted path computes the same values
 under the slot contract and packs them into one ciphertext, p_j in slot j,
 which is the stored template and what the encrypted cosine scores.
 
-The windows are encrypted in a strided layout (SIMD packing after Smart and
-Vercauteren): window j sits in slots j..j+m-1 of ciphertext j mod s,
-s = 2^ceil(log2 m), so min(s, k) ciphertexts hold all k windows.  From them
-the encrypted path builds a table of offset powers that depends on no user's
-parameters: entry (i, e) is one ciphertext holding, in slot j, element i of
-window j raised to e.  It is built as rotate_left(sum_g mult_plain(ct_g^e,
-sel[g, i]), i), where ct_g^e comes from square-and-multiply with shared
-sub-powers and sel[g, i] is a 0/1 mask on the slots that hold element i of
-group g's windows.  A user's template is then one weighted sum,
-sum_i c_i * table[i, e_i]: p_j in slot j, zeros from slot k on, no fold.
-Entries are built when first needed and memoized on the windows, so every
+The windows are encrypted column by column (SIMD packing after Smart and
+Vercauteren): ciphertext i holds element i of window j in slot j, zeros from
+slot k on, so m encryptions hold all k windows and no slot ever has to move.
+A user's template is then one weighted sum, sum_i c_i * cts[i]^e_i: p_j in
+slot j, zeros from slot k on, no fold and no rotation.  Each power comes
+from square-and-multiply with sub-powers memoized on the windows, so every
 parameter set with the same (m, overlap) shares them.  Depth is
-ceil(log2 max_exp) + 2 (power chain, selection mask, coefficient).
+ceil(log2 max_exp) + 1 (power chain, coefficient).
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -33,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .backend import EncryptionContext, SlotVector, add, encrypt, mult, mult_plain, rotate_left
+from .backend import EncryptionContext, SlotVector, add, encrypt, mult, mult_plain
 from .errors import CapacityExceeded, InfeasibleParams, InputTooShort
 
 
@@ -72,7 +66,7 @@ def gen_params(m: int, overlap: int, c_range: int, seed) -> PolyProtectParams:
 
     Coefficients: m draws without replacement from the nonzero integers in
     [-c_range, c_range].  Exponents: a random permutation of {1..m}, keeping
-    encrypted depth at ceil(log2 m) + 2.
+    encrypted depth at ceil(log2 m) + 1.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -143,7 +137,7 @@ def template_norms(v, params_list) -> np.ndarray:
 
 def _pow_ct(sv: SlotVector, e: int, memo: dict) -> SlotVector:
     # Balanced split keeps depth at exactly ceil(log2 e); memo shares
-    # sub-powers across exponents of one group ciphertext and across every
+    # sub-powers across exponents of one column ciphertext and across every
     # parameter set applied to it.
     if e == 1:
         return sv
@@ -158,12 +152,11 @@ def _pow_ct(sv: SlotVector, e: int, memo: dict) -> SlotVector:
 
 @dataclass(frozen=True)
 class EncryptedWindows:
-    """An embedding's k windows in the strided layout, with their memos.
+    """An embedding's k windows as m encrypted columns, with their memos.
 
-    Window j holds slots j..j+m-1 (mod capacity) of cts[j % s], where
-    s = 2^ceil(log2 m); memos[g] caches the powers of cts[g] computed so far,
-    and table caches the offset-power entries (offset, exponent) built so
-    far, so every parameter set with this (m, overlap) shares both.
+    cts[i] holds element i of window j in slot j for j < k and zeros after;
+    memos[i] caches the powers of cts[i] computed so far, so every parameter
+    set with this (m, overlap) shares them.
     """
 
     cts: tuple
@@ -171,60 +164,22 @@ class EncryptedWindows:
     m: int
     overlap: int
     memos: tuple = field(repr=False, compare=False)
-    table: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.k
 
 
 def encrypt_windows(v, params: PolyProtectParams, ctx: EncryptionContext) -> EncryptedWindows:
-    """Encrypt v's windows in the strided layout: min(s, k) encryptions."""
+    """Encrypt the m columns of v's (k, m) window matrix: m encryptions."""
     windows = chunk_embedding(v, params)
     k, m = windows.shape
     cap = ctx.slot_capacity
-    if max(k, m) > cap:
-        raise CapacityExceeded(f"{k} windows of width {m} do not fit slot capacity {cap}")
-    s = 1 << (m - 1).bit_length()
-    j = np.arange(k)
-    slots = np.zeros((min(s, k), cap), dtype=np.float64)
-    slots[(j % s)[:, None], (j[:, None] + np.arange(m)) % cap] = windows
-    cts = tuple(encrypt(row, ctx) for row in slots)
+    if k > cap:
+        raise CapacityExceeded(f"{k} windows do not fit slot capacity {cap}")
+    columns = np.zeros((m, cap), dtype=np.float64)
+    columns[:, :k] = windows.T
+    cts = tuple(encrypt(column, ctx) for column in columns)
     return EncryptedWindows(cts, k, m, params.overlap, tuple({} for _ in cts))
-
-
-@functools.lru_cache(maxsize=256)
-def _selection_masks(k: int, groups: int, cap: int, offset: int) -> np.ndarray:
-    """Row g is 1 at slot j + offset (mod cap) of every window j < k with
-    j % groups == g, and 0 elsewhere; read-only, shared by every caller."""
-    j = np.arange(k)
-    masks = np.zeros((groups, cap), dtype=np.float64)
-    masks[j % groups, (j + offset) % cap] = 1.0
-    masks.setflags(write=False)
-    return masks
-
-
-def _offset_power(windows: EncryptedWindows, offset: int, e: int) -> SlotVector:
-    """Table entry (offset, e): slot j holds element `offset` of window j
-    raised to e, for j < k, and slots k and up are zero.
-
-    Each group's power e is masked to the slots of that element of the
-    group's windows; the groups' slots are disjoint, so their sum holds the
-    element of every window j at slot j + offset, and one rotation (none for
-    offset 0) brings it to slot j.
-    """
-    got = windows.table.get((offset, e))
-    if got is not None:
-        return got
-    cap = windows.cts[0].ctx.slot_capacity
-    masks = _selection_masks(windows.k, len(windows.cts), cap, offset)
-    acc = None
-    for ct, memo, mask in zip(windows.cts, windows.memos, masks):
-        term = mult_plain(_pow_ct(ct, e, memo), mask)
-        acc = term if acc is None else add(acc, term)
-    if offset:
-        acc = rotate_left(acc, offset)
-    windows.table[(offset, e)] = acc
-    return acc
 
 
 def pack_template(terms, coeffs, scale: float = 1.0) -> SlotVector:
@@ -238,23 +193,23 @@ def pack_template(terms, coeffs, scale: float = 1.0) -> SlotVector:
 
 
 def protect_encrypted(windows: EncryptedWindows, params: PolyProtectParams, scale: float = 1.0) -> SlotVector:
-    """Apply the window polynomial to strided windows under the slot contract.
+    """Apply the window polynomial to encrypted window columns.
 
     Returns the packed template: scale * p_j in slot j for j < k, zeros from
-    slot k on, at depth protect_depth(params) above the windows.  The table
-    entries (i, exps[i]) it needs are built on first use and reused by every
-    later parameter set on the same windows.
+    slot k on, at depth protect_depth(params) above the windows.  The powers
+    cts[i]^exps[i] it needs are memoized on the windows and reused by every
+    later parameter set on them.
     """
     if (windows.m, windows.overlap) != (params.m, params.overlap):
         raise ValueError("windows were laid out for a different window width or overlap")
-    terms = [_offset_power(windows, i, e) for i, e in enumerate(params.exps)]
+    terms = [_pow_ct(ct, e, memo) for ct, memo, e in zip(windows.cts, windows.memos, params.exps)]
     return pack_template(terms, params.coeffs, scale)
 
 
 def protect_depth(params: PolyProtectParams) -> int:
     """Depth of protect_encrypted's template on top of its windows' depth:
-    power chain, selection mask, coefficient."""
-    return (max(params.exps) - 1).bit_length() + 2
+    power chain, coefficient."""
+    return (max(params.exps) - 1).bit_length() + 1
 
 
 def template_correlation(a, b) -> float:

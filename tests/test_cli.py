@@ -10,7 +10,20 @@ import pytest
 import polyfhe
 from polyfhe.backend import HEADER_LEN
 from polyfhe.cli import main
-from polyfhe.pipeline import identify, load_dataset, load_gallery
+from polyfhe.pipeline import (
+    Pipeline,
+    PipelineConfig,
+    SyntheticSpec,
+    enroll,
+    enroll_split,
+    gen_synthetic_dataset,
+    identify,
+    load_dataset,
+    load_gallery,
+    save_dataset,
+    save_gallery,
+)
+from polyfhe.polyprotect import gen_params
 from polyfhe.invsqrt import fit_inv_sqrt, load_approx
 
 
@@ -357,6 +370,40 @@ def test_identify_truncated_params_file_exits_1(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error: IntegrityError:" in err and "not valid JSON" in err
+
+
+def test_identify_missing_params_file_exits_1(tmp_path, capsys):
+    out = _enrolled(tmp_path)
+    next((out / "gallery" / "params").glob("*.json")).unlink()
+    rc = run_cli("identify", "--gallery-dir", str(out / "gallery"), "--probes", str(out / "probes.csv"),
+                 "--out-dir", str(out / "id"))
+    assert rc == 1
+    assert "error: UnknownParamsId:" in capsys.readouterr().err
+
+
+def test_identify_mixed_gallery_ranks_like_the_library(tmp_path):
+    # one gallery of two compress_dims and two (m, overlap) layouts, built
+    # and saved with the library
+    ds = gen_synthetic_dataset(SyntheticSpec(num_ids=8, samples_per_id=2, dim=96, seed=7))
+    enrolled, probes = enroll_split(ds)
+    pipe = Pipeline(PipelineConfig(seed=4))
+    layouts = [(64, 5, 4), (48, 5, 4), (64, 3, 1), (48, 3, 1)]
+    gallery = []
+    for i, e in enumerate(enrolled):
+        d, m, overlap = layouts[i % len(layouts)]
+        params = gen_params(m, overlap, 50, seed=[4, i])
+        pipe.params_store[params.params_id] = params
+        gallery.append(enroll(e, params, pipe.ctx, d))
+    save_gallery(gallery, pipe.ctx, pipe.params_store, tmp_path / "gallery")
+    save_dataset(probes, tmp_path / "probes.csv")
+    rc = run_cli("identify", "--gallery-dir", str(tmp_path / "gallery"), "--probes", str(tmp_path / "probes.csv"),
+                 "--top", str(len(gallery)), "--out-dir", str(tmp_path / "id"))
+    assert rc == 0
+    with open(tmp_path / "id" / "identify_ranked.csv") as f:
+        rows = list(csv.DictReader(f))
+    for i, probe in enumerate(load_dataset(tmp_path / "probes.csv")):
+        got = [(r["subject_id"], float(r["score"])) for r in rows if r["probe_index"] == str(i)]
+        assert got == pipe.identify(probe, gallery)
 
 
 def test_identify_approx_degree_flag_is_gone(tmp_path, capsys):

@@ -37,7 +37,6 @@ from polyfhe.pipeline import (
 from polyfhe.polyprotect import (
     encrypt_windows,
     gen_params,
-    output_len,
     protect_depth,
     protect_encrypted,
     protect_plain,
@@ -227,7 +226,7 @@ def test_identify_encrypts_probe_windows_once(num_ids):
     gallery, probes = build_gallery(ds, pipe)
     before = pipe.ctx.ops["encryptions"]
     pipe.identify(probes[0], gallery)
-    assert pipe.ctx.ops["encryptions"] - before == min(8, pipe.k)  # s = 8 for m = 5
+    assert pipe.ctx.ops["encryptions"] - before == pipe.cfg.m  # one per window column
 
 
 def test_identify_packs_each_record_once(monkeypatch):
@@ -272,26 +271,46 @@ def test_identify_ranks_equal_identify_plain_on_50_records():
         assert max(abs(a - b) for (_, a), (_, b) in zip(enc, plain)) <= 1e-12
 
 
+def _power_chain(e):
+    # the powers above 1 that square-and-multiply by balanced split builds
+    # on the way to x**e, one ct mult each
+    if e == 1:
+        return set()
+    return {e} | _power_chain(e // 2) | _power_chain(e - e // 2)
+
+
+def test_enroll_he_counts():
+    # m encryptions, no rotation, m plaintext mults, and the power chain of
+    # each column's exponent
+    ds = gen_synthetic_dataset(small_spec(num_ids=4, samples_per_id=1))
+    pipe = Pipeline(PipelineConfig(seed=4))
+    for i, sample in enumerate(ds):
+        params = pipe.gen_user_params(i)
+        before = pipe.ctx.ops.copy()
+        pipe.enroll(sample, params)
+        assert pipe.ctx.ops - before == {"ct_mults": 8, "pt_mults": 5, "encryptions": 5}
+        assert sum(len(_power_chain(e)) for e in params.exps) == 8  # 0 + 1 + 2 + 2 + 3 for 1..5
+
+
 @pytest.mark.parametrize("num_ids", [3, 12])
 def test_identify_he_counts_per_record(num_ids):
     # per record: ceil(log2 k) rotations, one product and m plaintext
-    # mults; shared per probe: the windows' encryptions and the offset-power
-    # table, each entry (i, e) costing one mask mult per group and, for
-    # i > 0, one rotation
+    # mults; shared per probe: one encryption per window column and, per
+    # column, the power chains of the exponents the records give it
     ds = gen_synthetic_dataset(small_spec(num_ids=num_ids, samples_per_id=2))
     pipe = Pipeline(PipelineConfig(seed=4))
     gallery, probes = build_gallery(ds, pipe)
     params = [pipe.params_store[rec.params_id] for rec in gallery]
-    entries = {(i, e) for p in params for i, e in enumerate(p.exps)}
-    groups = 8  # min(s, k) for m = 5, k = 60
+    m = pipe.cfg.m
+    chains = [set().union(*(_power_chain(p.exps[i]) for p in params)) for i in range(m)]
     before = pipe.ctx.ops.copy()
     pipe.identify(probes[0], gallery)
     n, k = len(gallery), pipe.k
     assert pipe.ctx.ops - before == {
-        "rotations": n * (k - 1).bit_length() + sum(i > 0 for i, _ in entries),
-        "ct_mults": n + groups * 4,  # the powers 2..5 of each group: one mult each
-        "pt_mults": n * pipe.cfg.m + groups * len(entries),
-        "encryptions": groups,
+        "rotations": n * (k - 1).bit_length(),
+        "ct_mults": n + sum(len(chain) for chain in chains),
+        "pt_mults": n * m,
+        "encryptions": m,
     }
 
 
@@ -308,7 +327,7 @@ def test_identify_mixed_layout_gallery_equals_per_record_reference():
         params = gen_params(m, overlap, 50, seed=[4, i])
         pipe.params_store[params.params_id] = params
         gallery.append(enroll(e, params, pipe.ctx, d))
-    encryptions = sum(min(1 << (m - 1).bit_length(), output_len(d, m, overlap)) for d, m, overlap in layouts)
+    encryptions = sum(m for _, m, _ in layouts)
     for probe in probes[:3]:
         before = pipe.ctx.ops["encryptions"]
         got = dict(pipe.identify(probe, gallery))
@@ -316,6 +335,22 @@ def test_identify_mixed_layout_gallery_equals_per_record_reference():
         want = dict(_identify_per_record(probe, gallery, pipe))
         assert got.keys() == want.keys()
         assert max(abs(got[sid] - want[sid]) for sid in want) <= 1e-12
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda slots: np.full_like(slots, np.inf),
+    lambda slots: np.full_like(slots, np.nan),
+    lambda slots: 2.0 * slots,  # twice a unit template: its self-score is 2
+])
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_identify_rejects_a_score_no_unit_templates_give(tamper):
+    ds = gen_synthetic_dataset(small_spec(num_ids=3, samples_per_id=1))
+    pipe = Pipeline(PipelineConfig(seed=4))
+    gallery, _ = build_gallery(ds, pipe)
+    enrolled, _ = enroll_split(ds)
+    gallery[1].template.slots = tamper(gallery[1].template.slots)
+    with pytest.raises(IntegrityError, match=f"record 1 \\(subject {gallery[1].subject_id}\\)"):
+        pipe.identify(enrolled[1], gallery)
 
 
 def test_enroll_template_longer_than_capacity():
@@ -526,6 +561,23 @@ def test_save_gallery_unknown_params_id(tmp_path):
     gallery, _ = build_gallery(ds, pipe)
     with pytest.raises(UnknownParamsId):
         save_gallery(gallery, pipe.ctx, {}, tmp_path / "g")
+
+
+def test_failed_save_leaves_the_existing_gallery_intact(tmp_path):
+    ds = gen_synthetic_dataset(small_spec(num_ids=8, samples_per_id=1))
+    pipe = Pipeline(PipelineConfig(seed=6))
+    gallery, _ = build_gallery(ds, pipe)
+    first, second = gallery[:4], gallery[4:]
+    out = tmp_path / "g"
+    save_gallery(first, pipe.ctx, pipe.params_store, out)
+    saved = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    store = dict(pipe.params_store)
+    del store[second[-1].params_id]
+    with pytest.raises(UnknownParamsId):
+        save_gallery(second, pipe.ctx, store, out)
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == saved
+    loaded, _, _ = load_gallery(out)
+    assert [rec.blob for rec in loaded] == [rec.blob for rec in first]
 
 
 def test_load_gallery_missing_params_file(tmp_path):

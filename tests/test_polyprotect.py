@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyfhe import polyprotect as pp
 from polyfhe.backend import EncryptionContext, decrypt, encrypt
 from polyfhe.errors import CapacityExceeded, InfeasibleParams, InputTooShort
 from polyfhe.polyprotect import (
@@ -212,8 +211,8 @@ def test_protect_encrypted_depth_budget(ctx):
     p = PolyProtectParams(5, 0, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 5, "manual")
     windows = encrypt_windows(np.full(5, 0.5), p, ctx)
     out = protect_encrypted(windows, p)
-    assert out.depth_used <= 5  # ceil(log2 5) + 2
-    assert protect_depth(p) == 5
+    assert out.depth_used <= 4  # ceil(log2 5) + 1
+    assert protect_depth(p) == 4
 
 
 def test_protect_encrypted_agrees_with_fold_on_linear_window(ctx):
@@ -276,7 +275,7 @@ def test_protect_packed_equals_pack_of_protect_encrypted(m, overlap, n):
     windows = encrypt_windows(v, p, ctx)
     k = output_len(n, m, overlap)
     assert len(windows) == windows.k == k
-    assert len(windows.cts) == min(1 << (m - 1).bit_length(), k)
+    assert len(windows.cts) == m
     packed = protect_encrypted(windows, p, 0.37)
     assert np.allclose(packed.slots[:k], 0.37 * protect_plain(v, p), rtol=1e-9, atol=1e-12)
     assert not packed.slots[k:].any()
@@ -301,32 +300,26 @@ def test_protect_encrypted_any_distinct_exponents(exps):
     got = decrypt(packed, ctx).values
     assert np.max(np.abs(got[: len(plain)] - plain)) <= 1e-9
     assert not got[len(plain) :].any()
-    assert packed.depth_used == protect_depth(p) == (max(exps) - 1).bit_length() + 2
+    assert packed.depth_used == protect_depth(p) == (max(exps) - 1).bit_length() + 1
 
 
-def test_offset_power_table_is_shared_and_lazy(ctx):
-    # entries are built once per (offset, exponent) and only when a
-    # parameter set needs them; a second parameter set reuses them
+def test_column_power_memos_are_shared_and_lazy(ctx):
+    # each column's powers (and their balanced-split sub-powers) are built
+    # once and only when a parameter set needs them; a second parameter set
+    # reuses them
     p = PolyProtectParams(3, 1, (1, 2, 3), (1, 3, 7), 5, "manual")
     q = PolyProtectParams(3, 1, (5, -1, 4), (7, 3, 1), 5, "manual")
     windows = encrypt_windows(np.linspace(-1.0, 1.0, 9), p, ctx)
     protect_encrypted(windows, p)
-    assert set(windows.table) == {(0, 1), (1, 3), (2, 7)}
-    before = dict(windows.table)
+    assert [set(memo) for memo in windows.memos] == [set(), {2, 3}, {2, 3, 4, 7}]
+    before = [dict(memo) for memo in windows.memos]
+    mults = ctx.ops["ct_mults"]
     protect_encrypted(windows, p)
-    assert all(windows.table[key] is before[key] for key in before)
+    assert ctx.ops["ct_mults"] == mults
+    assert all(memo[e] is old[e] for memo, old in zip(windows.memos, before) for e in old)
     protect_encrypted(windows, q)
-    assert set(windows.table) == {(0, 1), (1, 3), (2, 7), (0, 7), (2, 1)}
-
-
-def test_selection_masks_cached_read_only():
-    masks = pp._selection_masks(10, 4, 16, 2)
-    assert pp._selection_masks(10, 4, 16, 2) is masks
-    assert not masks.flags.writeable
-    assert masks.sum() == 10  # one slot per window
-    assert masks[1, 3] == masks[1, 7] == 1.0  # windows 1 and 5 at offset 2
-    with pytest.raises(ValueError):
-        masks[0, 0] = 1.0
+    assert [set(memo) for memo in windows.memos] == [{2, 3, 4, 7}, {2, 3}, {2, 3, 4, 7}]
+    assert ctx.ops["ct_mults"] == mults + 4  # column 0's chain to 7
 
 
 def test_pack_template_is_the_weighted_sum(ctx):
@@ -349,6 +342,20 @@ def test_template_norms_match_protect_plain(m, overlap):
 def test_template_norms_reject_mixed_layouts():
     with pytest.raises(ValueError):
         template_norms(np.ones(16), [gen_params(3, 1, 50, seed=1), gen_params(3, 2, 50, seed=1)])
+
+
+@pytest.mark.parametrize("m,overlap,n", [(3, 1, 9), (5, 4, 12), (10, 9, 12)])  # (10, 9, 12): m > capacity
+def test_encrypt_windows_column_layout(ctx, m, overlap, n):
+    # ciphertext i holds element i of window j in slot j and zeros after,
+    # over all capacity slots
+    p = gen_params(m, overlap, 50, seed=[m, n])
+    v = np.random.default_rng(n).normal(size=n)
+    windows = encrypt_windows(v, p, ctx)
+    columns = np.array([ct.slots for ct in windows.cts])
+    assert columns.shape == (m, 8)
+    assert np.array_equal(columns[:, : windows.k], chunk_embedding(v, p).T)
+    assert not columns[:, windows.k :].any()
+    assert all(ct.logical_len == 8 and ct.depth_used == 0 for ct in windows.cts)
 
 
 def test_encrypt_windows_capacity_limit(ctx):
