@@ -36,7 +36,7 @@ print("plaintext  :", np.round(plain, 6))
 ctx = EncryptionContext(8, 16, key_id="user-0")
 windows = encrypt_windows(embedding, params, ctx)  # element i of window j in slot j of ciphertext i
 template = protect_encrypted(windows, params)
-decrypted = decrypt(template, ctx).values
+decrypted = decrypt(template, ctx)
 print(f"{len(windows)} windows in {len(windows.cts)} encryptions, packed into one {ctx.slot_capacity}-slot ciphertext")
 print(f"powers above 1 built per column: {[sorted(memo) for memo in windows.memos]}")
 print("encrypted  :", np.round(decrypted[: len(plain)], 6))
@@ -46,7 +46,7 @@ print("slots after the template:", decrypted[len(plain) :])
 
 other = gen_params(m=5, overlap=2, c_range=50, seed=43)
 before = ctx.ops["ct_mults"]
-second = decrypt(protect_encrypted(windows, other), ctx).values
+second = decrypt(protect_encrypted(windows, other), ctx)
 print(f"a second user's template on the same windows took {ctx.ops['ct_mults'] - before} new ciphertext mults; "
       f"max |diff| vs plain: {np.max(np.abs(second[: len(plain)] - protect_plain(embedding, other))):.2e}")
 

@@ -40,7 +40,7 @@ for trial in range(5):
     before = ctx.ops.copy()
     ct = cosine_unit_encrypted(ca, cb, dim)
     ops = ctx.ops - before
-    enc, ref = float(decrypt(ct, ctx).values[0]), cosine_plain(a, b)
+    enc, ref = float(decrypt(ct, ctx)[0]), cosine_plain(a, b)
     worst = max(worst, abs(enc - ref))
     print(f"pair {trial}: encrypted {enc:+.6f} vs plaintext {ref:+.6f} (|err| {abs(enc - ref):.1e})")
 print(f"worst error: {worst:.1e}; {ops['rotations']} rotations, {ops['ct_mults']} mult, depth {ct.depth_used}\n")

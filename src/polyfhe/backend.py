@@ -9,11 +9,12 @@ expressed purely in terms of these operations, so its op counts, depth
 consumption, and numerical behaviour are faithful even though the "encryption"
 is a simulation.
 
-Values are immutable: every operation returns a new SlotVector.  Contexts and
-vectors can be shared freely across workers in exact mode; the noise and
-seeded-nonce streams and the op ledger are ordered state, so noisy
-multiplication, seeded serialization and op counts are only reproducible
-single-threaded.
+Plaintexts are numpy arrays.  A ciphertext is its slots and its depth, as in
+CKKS (Cheon-Kim-Kim-Song, ASIACRYPT 2017): it does not know how many of its
+slots hold data, and decrypt returns every slot.  Values are immutable:
+every operation returns a new SlotVector.  The noise and seeded-nonce streams
+and the op ledger are ordered state on the context, so noisy products,
+seeded dumps and op counts depend on the order of calls.
 
 Op accounting: each context keeps one ledger, ctx.ops, a Counter to which
 rotate_left, mult, mult_plain and encrypt each add 1 under "rotations",
@@ -50,29 +51,6 @@ def _as_key_bytes(key_id) -> bytes:
     if isinstance(key_id, str):
         return hashlib.sha256(b"polyfhe-key:" + key_id.encode()).digest()[:_KEY_LEN]
     raise TypeError("key_id must be str, bytes, or None")
-
-
-@dataclass(frozen=True)
-class PlainVector:
-    """An unencrypted real vector (length >= 1)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.shape[0] < 1:
-            raise ValueError("PlainVector needs a 1-D array with at least one element")
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
-def as_plain(x) -> PlainVector:
-    """Coerce an array-like (or PlainVector) into a PlainVector."""
-    if isinstance(x, PlainVector):
-        return x
-    return PlainVector(np.atleast_1d(np.asarray(x, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -130,35 +108,36 @@ class SlotVector:
     backstage, not part of the encrypted-domain contract.
     """
 
-    __slots__ = ("slots", "logical_len", "depth_used", "ctx")
+    __slots__ = ("slots", "depth_used", "ctx")
 
-    def __init__(self, slots, logical_len, depth_used, ctx):
+    def __init__(self, slots, depth_used, ctx):
         self.slots = slots
-        self.logical_len = logical_len
         self.depth_used = depth_used
         self.ctx = ctx
 
     def __repr__(self):
-        return f"SlotVector(capacity={self.slots.shape[0]}, logical_len={self.logical_len}, depth={self.depth_used})"
+        return f"SlotVector(capacity={self.slots.shape[0]}, depth={self.depth_used})"
 
 
-def encrypt(plain, ctx: EncryptionContext) -> SlotVector:
-    """Encrypt a plain vector: values in the leading slots, zeros after."""
-    pv = as_plain(plain)
-    n = len(pv)
+def encrypt(values, ctx: EncryptionContext) -> SlotVector:
+    """Encrypt a nonempty 1-D array-like: values in the leading slots, zeros after."""
+    vals = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    if vals.ndim != 1 or vals.shape[0] < 1:
+        raise ValueError(f"encrypt needs a nonempty 1-D array, got shape {vals.shape}")
+    n = vals.shape[0]
     if n > ctx.slot_capacity:
         raise CapacityExceeded(f"plaintext length {n} > slot capacity {ctx.slot_capacity}")
     slots = np.zeros(ctx.slot_capacity, dtype=np.float64)
-    slots[:n] = pv.values
+    slots[:n] = vals
     ctx.ops["encryptions"] += 1
-    return SlotVector(slots, n, 0, ctx)
+    return SlotVector(slots, 0, ctx)
 
 
-def decrypt(sv: SlotVector, ctx: EncryptionContext) -> PlainVector:
-    """Return the first logical_len slots; requires the producing key."""
+def decrypt(sv: SlotVector, ctx: EncryptionContext) -> np.ndarray:
+    """A copy of all capacity slots; requires the producing key."""
     if sv.ctx.key_id != ctx.key_id:
         raise KeyMismatch("decrypt with a foreign context (missing secret key)")
-    return PlainVector(sv.slots[: sv.logical_len].copy())
+    return sv.slots.copy()
 
 
 def _check_pair(a: SlotVector, b: SlotVector):
@@ -171,12 +150,7 @@ def _check_pair(a: SlotVector, b: SlotVector):
 def add(a: SlotVector, b: SlotVector) -> SlotVector:
     """Slot-wise sum.  Depth is max of the inputs."""
     _check_pair(a, b)
-    return SlotVector(
-        a.slots + b.slots,
-        a.logical_len if a.logical_len >= b.logical_len else b.logical_len,
-        a.depth_used if a.depth_used >= b.depth_used else b.depth_used,
-        a.ctx,
-    )
+    return SlotVector(a.slots + b.slots, a.depth_used if a.depth_used >= b.depth_used else b.depth_used, a.ctx)
 
 
 def mult(a: SlotVector, b: SlotVector) -> SlotVector:
@@ -190,13 +164,13 @@ def mult(a: SlotVector, b: SlotVector) -> SlotVector:
     if ctx.noise_stddev > 0.0:
         slots = slots + ctx._noise_rng.normal(0.0, ctx.noise_stddev, slots.shape[0])
     ctx.ops["ct_mults"] += 1
-    return SlotVector(slots, max(a.logical_len, b.logical_len), depth, ctx)
+    return SlotVector(slots, depth, ctx)
 
 
 def _coerce_scalars(scalars, capacity: int):
     if isinstance(scalars, (int, float)):
         return float(scalars)
-    vals = scalars.values if isinstance(scalars, PlainVector) else np.asarray(scalars, dtype=np.float64)
+    vals = np.asarray(scalars, dtype=np.float64)
     if vals.ndim == 0 or vals.shape[0] == 1:
         return float(vals.reshape(-1)[0]) if vals.ndim else float(vals)
     if vals.shape[0] != capacity:
@@ -218,7 +192,7 @@ def mult_plain(a: SlotVector, scalars) -> SlotVector:
     else:
         vals = _coerce_scalars(scalars, a.slots.shape[0])
     ctx.ops["pt_mults"] += 1
-    return SlotVector(a.slots * vals, a.logical_len, depth, ctx)
+    return SlotVector(a.slots * vals, depth, ctx)
 
 
 def add_plain(a: SlotVector, scalars) -> SlotVector:
@@ -227,7 +201,7 @@ def add_plain(a: SlotVector, scalars) -> SlotVector:
     Free of depth cost (plaintext additions do not consume a level).
     """
     vals = _coerce_scalars(scalars, a.slots.shape[0])
-    return SlotVector(a.slots + vals, a.logical_len, a.depth_used, a.ctx)
+    return SlotVector(a.slots + vals, a.depth_used, a.ctx)
 
 
 def rotate_left(a: SlotVector, k: int) -> SlotVector:
@@ -248,7 +222,7 @@ def rotate_left(a: SlotVector, k: int) -> SlotVector:
     else:
         out = s.copy()
     a.ctx.ops["rotations"] += 1
-    return SlotVector(out, a.logical_len, a.depth_used, a.ctx)
+    return SlotVector(out, a.depth_used, a.ctx)
 
 
 # --- keyed serialization -----------------------------------------------------
@@ -282,9 +256,10 @@ def serialize_ciphertext(sv: SlotVector, ctx: EncryptionContext, mask: bool = Tr
 def deserialize_ciphertext(blob: bytes, ctx: EncryptionContext, masked: bool = True) -> SlotVector:
     """Reverse serialize_ciphertext under the producing context.
 
-    Depth is not part of the wire format; the result carries depth 0 and
-    logical_len = capacity.  Callers that track depth across persistence
-    restore it from what they know produced the value.
+    Depth is not part of the wire format, so the result carries depth 0;
+    callers that track depth across persistence restore it from what they
+    know produced the value.  Every slot is on the wire, so decrypt gives the
+    same array before serialization and after.
     A blob whose header or payload has the wrong length raises IntegrityError.
     """
     if len(blob) < HEADER_LEN:
@@ -303,4 +278,4 @@ def deserialize_ciphertext(blob: bytes, ctx: EncryptionContext, masked: bool = T
         ks = _keystream(ctx.masking_seed, nonce, len(payload))
         payload = (np.frombuffer(payload, dtype=np.uint8) ^ np.frombuffer(ks, dtype=np.uint8)).tobytes()
     slots = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return SlotVector(slots, cap, 0, ctx)
+    return SlotVector(slots, 0, ctx)

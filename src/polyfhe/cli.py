@@ -135,13 +135,13 @@ def _add_dataset_flags(p: argparse.ArgumentParser):
     p.add_argument("--attribute-correlation", type=float, default=0.6)
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser):
+def _add_pipeline_flags(p: argparse.ArgumentParser, depth_budget: int = 32):
     p.add_argument("--compress-dim", type=int, default=64)
     p.add_argument("--m", type=int, default=5)
     p.add_argument("--overlap", type=int, default=4)
     p.add_argument("--c-range", type=int, default=50)
     p.add_argument("--slot-capacity", type=int, default=128)
-    p.add_argument("--depth-budget", type=int, default=32)
+    p.add_argument("--depth-budget", type=int, default=depth_budget)
 
 
 def cmd_gen_params(args) -> int:
@@ -344,12 +344,7 @@ def build_parser() -> tuple:
     p = add("eval-leakage", "attribute leakage report across protection variants")
     _add_dataset_flags(p)
     p.add_argument("--variants", default=None, help=f"comma list from {','.join(VARIANTS)}")
-    p.add_argument("--compress-dim", type=int, default=64)
-    p.add_argument("--m", type=int, default=5)
-    p.add_argument("--overlap", type=int, default=4)
-    p.add_argument("--c-range", type=int, default=50)
-    p.add_argument("--slot-capacity", type=int, default=128)
-    p.add_argument("--depth-budget", type=int, default=16)
+    _add_pipeline_flags(p, depth_budget=16)
     p.add_argument("--epochs", type=int, default=300)
     p.set_defaults(func=cmd_eval_leakage)
 

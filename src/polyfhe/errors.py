@@ -1,4 +1,5 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the shape check of stored
+JSON objects that raises IntegrityError.
 
 Every error raised by polyfhe derives from :class:`PolyFheError`, so callers
 (and the CLI shim) can catch one base class and still report the specific
@@ -64,8 +65,19 @@ class UnknownParamsId(PolyFheError):
 
 class IntegrityError(PolyFheError, ValueError):
     """Stored or decrypted data fails a check: a serialized ciphertext of the
-    wrong length, a gallery file that is malformed or does not match its tag,
-    or a search score that no pair of unit-norm templates can give."""
+    wrong length, a gallery or params file that is malformed or does not
+    match its tag or hash, or a search score that no pair of unit-norm
+    templates can give."""
+
+
+def check_json_object(obj, keys: dict, where: str):
+    """Raise IntegrityError unless obj is a dict whose value at each key has
+    exactly the type keys gives it (a JSON bool is not an int)."""
+    if not isinstance(obj, dict):
+        raise IntegrityError(f"{where} is not a JSON object")
+    for key, typ in keys.items():
+        if type(obj.get(key)) is not typ:
+            raise IntegrityError(f"{where} needs {key!r} as a JSON {typ.__name__}")
 
 
 class EmptyDataset(PolyFheError):

@@ -139,17 +139,28 @@ def ciphertext_features(records, ctx: EncryptionContext, masked: bool = True) ->
 
 @dataclass
 class LeakageReport:
-    """Attribute accuracies with and without protection, plus PG and SR."""
+    """Attribute accuracies with and without protection, plus PG and SR.
+
+    PG is taken over the attribute accuracies, so the recognition
+    performances r_o and r_p are a_o and a_p.  They stay readable under
+    those names because perfbench's leakage check reads them.
+    """
 
     attribute: str
     variant: str
     a_o: float
     a_p: float
-    r_o: float
-    r_p: float
     pg: float
     sr: float
     chance: float
+
+    @property
+    def r_o(self) -> float:
+        return self.a_o
+
+    @property
+    def r_p(self) -> float:
+        return self.a_p
 
 
 def _variant_features(variant, dataset, ctx, params, compress_dim) -> np.ndarray:
@@ -228,8 +239,6 @@ def run_leakage_suite(
                     variant=variant,
                     a_o=a_o,
                     a_p=a_p,
-                    r_o=a_o,
-                    r_p=a_p,
                     pg=privacy_gain(a_o, a_p),
                     sr=suppression_rate(a_o, a_p),
                     chance=chance_level(test_labels),

@@ -54,19 +54,19 @@ from .errors import (
     UnknownParamsId,
     ZeroPrefix,
     ZeroVector,
+    check_json_object,
 )
 from .invsqrt import fit_inv_sqrt
 from .polyprotect import (
     PolyProtectParams,
-    _params_id,
     encrypt_windows,
     gen_params,
+    load_params,
     output_len,
-    params_from_dict,
-    params_to_dict,
     protect_depth,
     protect_encrypted,
     protect_plain,
+    save_params,
     template_norms,
 )
 from .similarity import cosine_plain, cosine_unit_encrypted, make_normalization_plan
@@ -241,7 +241,7 @@ def identify(probe: Embedding, gallery: list, params_store: dict, ctx: Encryptio
         for (i, params), scale in zip(members, scales):
             rec = gallery[i]
             ct = cosine_unit_encrypted(rec.template, protect_encrypted(windows, params, scale), windows.k)
-            score = float(decrypt(ct, ctx).values[0])
+            score = float(decrypt(ct, ctx)[0])
             if not math.isfinite(score) or (ctx.noise_stddev == 0.0 and abs(score) > 1.0 + _SCORE_ROUNDING):
                 raise IntegrityError(
                     f"record {i} (subject {rec.subject_id}) scores {score}, not the cosine of two unit-norm templates"
@@ -477,8 +477,7 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
     for pid, params in used.items():
         path = out / "params" / f"{pid}.json"
         named.add(path)
-        with open(path, "w") as f:
-            json.dump(params_to_dict(params), f, indent=2)
+        save_params(params, path)
     manifest = {
         "version": GALLERY_VERSION,
         "ctx": {
@@ -495,58 +494,28 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
             path.unlink()
 
 
-def _check_shape(src: Path, obj, keys: dict, where: str):
-    if not isinstance(obj, dict):
-        raise IntegrityError(f"gallery {src}: {where} is not a JSON object")
-    for key, typ in keys.items():
-        if type(obj.get(key)) is not typ:
-            raise IntegrityError(f"gallery {src}: {where} needs {key!r} as a JSON {typ.__name__}")
-
-
-def _read_json(src: Path, rel: str):
-    try:
-        return json.loads((src / rel).read_bytes())
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise IntegrityError(f"gallery {src}: {rel} is not valid JSON ({exc})") from None
-
-
 def _read_manifest(src: Path) -> dict:
     """manifest.json of a version-3 gallery, its shape checked."""
-    manifest = _read_json(src, "manifest.json")
-    _check_shape(src, manifest, {"version": int}, "manifest")
+    try:
+        manifest = json.loads((src / "manifest.json").read_bytes())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise IntegrityError(f"gallery {src}: manifest.json is not valid JSON ({exc})") from None
+    check_json_object(manifest, {"version": int}, f"gallery {src}: manifest")
     version = manifest["version"]
     if version != GALLERY_VERSION:
         hint = f" ({_OLD_VERSIONS[version]}); re-enroll it" if version in _OLD_VERSIONS else ""
         raise IntegrityError(f"gallery {src} has format version {version}, not {GALLERY_VERSION}{hint}")
-    _check_shape(src, manifest, {"ctx": dict, "records": list}, "manifest")
-    _check_shape(src, manifest["ctx"], {"slot_capacity": int, "depth_budget": int, "key_id": str}, "manifest ctx")
+    check_json_object(manifest, {"ctx": dict, "records": list}, f"gallery {src}: manifest")
+    check_json_object(
+        manifest["ctx"], {"slot_capacity": int, "depth_budget": int, "key_id": str}, f"gallery {src}: manifest ctx"
+    )
     for i, rec_meta in enumerate(manifest["records"]):
-        _check_shape(
-            src,
+        check_json_object(
             rec_meta,
             {"subject_id": str, "params_id": str, "compress_dim": int, "blob_path": str, "tag": str},
-            f"record {i}",
+            f"gallery {src}: record {i}",
         )
     return manifest
-
-
-def _read_params(src: Path, rel: str) -> PolyProtectParams:
-    """params/<params_id>.json, its shape, its id and its values checked."""
-    d = _read_json(src, rel)
-    keys = {"m": int, "overlap": int, "c_range": int, "coeffs": list, "exps": list, "params_id": str}
-    _check_shape(src, d, keys, rel)
-    if any(type(x) is not int for x in d["coeffs"] + d["exps"]):
-        raise IntegrityError(f"gallery {src}: {rel} needs 'coeffs' and 'exps' as lists of JSON ints")
-    pid = _params_id(d["m"], d["overlap"], d["c_range"], d["coeffs"], d["exps"])
-    if d["params_id"] != Path(rel).stem or d["params_id"] != pid:
-        raise IntegrityError(
-            f"gallery {src}: {rel} holds params_id {d['params_id']!r}; it must equal the file name"
-            f" and the hash of its values, {pid!r}"
-        )
-    try:
-        return params_from_dict(d)
-    except ValueError as exc:
-        raise IntegrityError(f"gallery {src}: {rel} holds invalid parameters ({exc})") from None
 
 
 def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
@@ -559,10 +528,9 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
     lacks a key, holds a value of the wrong type, or has a format version
     other than 3 raises IntegrityError; one with no records raises
     EmptyGallery.  A blob whose tag does not match raises IntegrityError, as
-    does a params file that is not valid JSON, lacks a key, holds a value of
-    the wrong type, has a params_id other than its file name or the hash of
-    its values, or holds parameters that PolyProtectParams rejects.  A
-    record whose params file is missing raises UnknownParamsId.
+    does a params file that load_params rejects or whose params_id is not
+    its file name.  A record whose params file is missing raises
+    UnknownParamsId.
     """
     src = Path(in_dir)
     manifest = _read_manifest(src)
@@ -586,7 +554,11 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
             rel = f"params/{pid}.json"
             if not (src / rel).is_file():
                 raise UnknownParamsId(f"gallery references unknown params_id {pid}")
-            params = params_store[pid] = _read_params(src, rel)
+            params = params_store[pid] = load_params(src / rel)
+            if params.params_id != pid:
+                raise IntegrityError(
+                    f"gallery {src}: {rel} holds params_id {params.params_id!r}; it must equal the file name"
+                )
         blob = (src / rec_meta["blob_path"]).read_bytes()
         tag = _record_tag(rec_meta["subject_id"], pid, rec_meta["compress_dim"], blob, ctx)
         if not hmac.compare_digest(tag.encode(), rec_meta["tag"].encode()):

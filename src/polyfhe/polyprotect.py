@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .backend import EncryptionContext, SlotVector, add, encrypt, mult, mult_plain
-from .errors import CapacityExceeded, InfeasibleParams, InputTooShort
+from .errors import CapacityExceeded, InfeasibleParams, InputTooShort, IntegrityError, check_json_object
 
 
 @dataclass(frozen=True)
@@ -280,6 +280,28 @@ def save_params(params: PolyProtectParams, path):
         json.dump(params_to_dict(params), f, indent=2)
 
 
+_PARAMS_KEYS = {"m": int, "overlap": int, "c_range": int, "coeffs": list, "exps": list, "params_id": str}
+
+
 def load_params(path) -> PolyProtectParams:
-    with open(path) as f:
-        return params_from_dict(json.load(f))
+    """Read a params file that save_params wrote.
+
+    A file that is not valid JSON, lacks a key, holds a value of the wrong
+    type, has a params_id other than the hash of its values, or holds values
+    that PolyProtectParams rejects raises IntegrityError naming the file.
+    """
+    try:
+        with open(path, "rb") as f:
+            d = json.loads(f.read())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise IntegrityError(f"params file {path} is not valid JSON ({exc})") from None
+    check_json_object(d, _PARAMS_KEYS, f"params file {path}")
+    if any(type(x) is not int for x in d["coeffs"] + d["exps"]):
+        raise IntegrityError(f"params file {path} needs 'coeffs' and 'exps' as lists of JSON ints")
+    pid = _params_id(d["m"], d["overlap"], d["c_range"], d["coeffs"], d["exps"])
+    if d["params_id"] != pid:
+        raise IntegrityError(f"params file {path} holds params_id {d['params_id']!r}, not the hash of its values, {pid!r}")
+    try:
+        return params_from_dict(d)
+    except ValueError as exc:
+        raise IntegrityError(f"params file {path} holds invalid parameters ({exc})") from None

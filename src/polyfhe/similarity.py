@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import EncryptionContext, SlotVector, as_plain, decrypt, mult, mult_plain
+from .backend import EncryptionContext, SlotVector, decrypt, mult, mult_plain
 from .errors import DomainViolation, ZeroVector
 from .invsqrt import PolyApprox, eval_poly_encrypted, fit_inv_sqrt
 from .summation import fold_add_all
@@ -60,12 +60,20 @@ def make_normalization_plan(templates_bound: float, n: int) -> NormalizationPlan
     return NormalizationPlan(c_bound, d_bound, c_bound / math.sqrt(d_bound))
 
 
-def cosine_plain(a, b) -> float:
-    """a.b / (||a|| ||b||); the oracle for the encrypted path."""
-    av = as_plain(a).values
-    bv = as_plain(b).values
+def _plain_pair(a, b) -> tuple:
+    """a and b as float arrays: nonempty, 1-D and of one shape."""
+    av = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    bv = np.atleast_1d(np.asarray(b, dtype=np.float64))
+    if av.ndim != 1 or av.shape[0] < 1 or bv.ndim != 1 or bv.shape[0] < 1:
+        raise ValueError(f"vectors must be nonempty and 1-D, got shapes {av.shape} and {bv.shape}")
     if av.shape != bv.shape:
         raise ValueError("vectors must have equal length")
+    return av, bv
+
+
+def cosine_plain(a, b) -> float:
+    """a.b / (||a|| ||b||); the oracle for the encrypted path."""
+    av, bv = _plain_pair(a, b)
     na = float(np.linalg.norm(av))
     nb = float(np.linalg.norm(bv))
     if na == 0.0 or nb == 0.0:
@@ -111,7 +119,7 @@ def cosine_encrypted(
 
 def cosine_encrypted_score(c1, c2, n, plan, approx, ctx) -> float:
     """Decrypt-slot-0 convenience wrapper around cosine_encrypted."""
-    return float(decrypt(cosine_encrypted(c1, c2, n, plan, approx, ctx), ctx).values[0])
+    return float(decrypt(cosine_encrypted(c1, c2, n, plan, approx, ctx), ctx)[0])
 
 
 def precheck_denominator(a, b, plan: NormalizationPlan, approx: PolyApprox) -> float:
@@ -120,8 +128,7 @@ def precheck_denominator(a, b, plan: NormalizationPlan, approx: PolyApprox) -> f
     Returns the scaled value; raises DomainViolation when it falls outside
     [domain.lo, domain.hi] (near-zero vectors fall below lo).
     """
-    av = as_plain(a).values
-    bv = as_plain(b).values
+    av, bv = _plain_pair(a, b)
     scaled = float(np.dot(av, av) * np.dot(bv, bv)) / plan.d_bound
     lo, hi = approx.domain
     if scaled < lo:

@@ -118,7 +118,9 @@ def test_criterion_4_polyprotect_equivalence():
                 v /= np.linalg.norm(v)
                 plain = protect_plain(v, params)
                 enc = protect_encrypted(encrypt_windows(v, params, ctx), params)
-                got = decrypt(enc, ctx).values[: len(plain)]
+                slots = decrypt(enc, ctx)
+                got = slots[: len(plain)]
+                assert not slots[len(plain) :].any()
                 worst = max(worst, float(np.max(np.abs(got - plain))))
                 assert np.max(np.abs(got - plain)) <= 1e-6
                 assert enc.depth_used <= depth_bound

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from polyfhe.backend import (
     EncryptionContext,
-    PlainVector,
     add,
     add_plain,
     decrypt,
@@ -41,9 +40,11 @@ def test_distinct_keys_distinct_masking_seeds():
     assert len(a.masking_seed) == 32
 
 
-def test_plainvector_rejects_empty():
-    with pytest.raises(ValueError):
-        PlainVector(np.array([]))
+def test_encrypt_rejects_empty_or_2d(ctx):
+    for values in (np.array([]), np.zeros((2, 3)), np.zeros((1, 0)), [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            encrypt(values, ctx)
+    assert ctx.ops["encryptions"] == 0
 
 
 def test_encrypt_pads_with_zeros(ctx):
@@ -52,7 +53,6 @@ def test_encrypt_pads_with_zeros(ctx):
     assert sv.slots.tolist() == [1, 2, 3, 0]
     assert sv.depth_used == 0
     assert ctx4.ops == {"encryptions": 1}
-    assert sv.logical_len == 3
 
 
 def test_encrypt_empty_is_error(ctx):
@@ -68,7 +68,18 @@ def test_encrypt_capacity_boundary():
 
 
 def test_decrypt_round_trip(ctx):
-    assert decrypt(encrypt([1, 2, 3], ctx), ctx).values.tolist() == [1, 2, 3]
+    out = decrypt(encrypt([1, 2, 3], ctx), ctx)
+    assert isinstance(out, np.ndarray) and out.tolist() == [1, 2, 3, 0, 0, 0, 0, 0]
+
+
+def test_encrypt_scalar_is_one_slot(ctx):
+    assert decrypt(encrypt(2.5, ctx), ctx).tolist() == [2.5, 0, 0, 0, 0, 0, 0, 0]
+
+
+def test_decrypt_returns_a_copy(ctx):
+    sv = encrypt([1, 2, 3], ctx)
+    decrypt(sv, ctx)[0] = 99.0
+    assert decrypt(sv, ctx)[0] == 1.0
 
 
 def test_decrypt_foreign_context_is_key_mismatch(ctx):
@@ -79,13 +90,13 @@ def test_decrypt_foreign_context_is_key_mismatch(ctx):
 
 def test_add_homomorphism_example(ctx):
     out = add(encrypt([1, 2], ctx), encrypt([3, 4], ctx))
-    assert decrypt(out, ctx).values.tolist() == [4, 6]
+    assert decrypt(out, ctx).tolist() == [4, 6, 0, 0, 0, 0, 0, 0]
 
 
 def test_add_zero_identity(ctx):
     a = encrypt([1.5, -2.5, 3.0], ctx)
     z = encrypt([0, 0, 0], ctx)
-    assert decrypt(add(a, z), ctx).values.tolist() == [1.5, -2.5, 3.0]
+    assert decrypt(add(a, z), ctx).tolist() == [1.5, -2.5, 3.0, 0, 0, 0, 0, 0]
 
 
 def test_add_depth_is_max(ctx):
@@ -99,7 +110,7 @@ def test_add_depth_is_max(ctx):
 
 def test_mult_example(ctx):
     out = mult(encrypt([2, 3], ctx), encrypt([4, 5], ctx))
-    assert decrypt(out, ctx).values.tolist() == [8, 15]
+    assert decrypt(out, ctx).tolist() == [8, 15, 0, 0, 0, 0, 0, 0]
     assert out.depth_used == 1
 
 
@@ -119,8 +130,8 @@ def test_mult_exact_mode_100_random_pairs(ctx):
     for _ in range(100):
         x = rng.uniform(-2, 2, 8)
         y = rng.uniform(-2, 2, 8)
-        got_mul = decrypt(mult(encrypt(x, ctx), encrypt(y, ctx)), ctx).values
-        got_add = decrypt(add(encrypt(x, ctx), encrypt(y, ctx)), ctx).values
+        got_mul = decrypt(mult(encrypt(x, ctx), encrypt(y, ctx)), ctx)
+        got_add = decrypt(add(encrypt(x, ctx), encrypt(y, ctx)), ctx)
         assert np.max(np.abs(got_mul - x * y)) < 1e-12
         assert np.max(np.abs(got_add - (x + y))) < 1e-12
 
@@ -128,16 +139,16 @@ def test_mult_exact_mode_100_random_pairs(ctx):
 def test_mult_noise_mode_perturbs():
     noisy = EncryptionContext(8, 16, key_id="alice", noise_stddev=1e-3)
     x = encrypt(np.ones(8), noisy)
-    out = decrypt(mult(x, x), noisy).values
+    out = decrypt(mult(x, x), noisy)
     assert not np.allclose(out, 1.0, atol=1e-9)
     assert np.allclose(out, 1.0, atol=1e-1)
 
 
 def test_mult_plain_examples(ctx):
     sv = encrypt([1, 2, 3], ctx)
-    assert decrypt(mult_plain(sv, 2.0), ctx).values.tolist() == [2, 4, 6]
+    assert decrypt(mult_plain(sv, 2.0), ctx).tolist() == [2, 4, 6, 0, 0, 0, 0, 0]
     by_one = mult_plain(sv, 1.0)
-    assert decrypt(by_one, ctx).values.tolist() == [1, 2, 3]
+    assert decrypt(by_one, ctx).tolist() == [1, 2, 3, 0, 0, 0, 0, 0]
     assert by_one.depth_used == sv.depth_used + 1  # identity value, non-identity depth
 
 
@@ -158,7 +169,7 @@ def test_add_plain_costs_no_depth(ctx):
     sv = encrypt([1, 2, 3], ctx)
     out = add_plain(sv, 0.5)
     assert out.depth_used == sv.depth_used
-    assert decrypt(out, ctx).values.tolist() == [1.5, 2.5, 3.5]
+    assert decrypt(out, ctx).tolist() == [1.5, 2.5, 3.5, 0.5, 0.5, 0.5, 0.5, 0.5]  # the padding too
 
 
 def test_rotate_example(ctx):
@@ -274,7 +285,14 @@ def test_serialize_round_trip_exact(ctx):
     sv = encrypt(rng.normal(size=8), ctx)
     back = deserialize_ciphertext(serialize_ciphertext(sv, ctx), ctx)
     assert np.max(np.abs(back.slots - sv.slots)) < 1e-12
-    assert back.logical_len == ctx.slot_capacity
+
+
+@pytest.mark.parametrize("mask", [True, False])
+def test_decrypt_is_the_same_before_and_after_serialization(ctx, mask):
+    sv = encrypt([1, 2, 3], ctx)
+    back = deserialize_ciphertext(serialize_ciphertext(sv, ctx, mask=mask), ctx, masked=mask)
+    assert np.array_equal(decrypt(back, ctx), decrypt(sv, ctx))
+    assert decrypt(back, ctx).shape == (ctx.slot_capacity,)
 
 
 def test_serialize_fresh_nonce(ctx):

@@ -128,11 +128,12 @@ def test_enroll_matches_plaintext_oracle():
     pipe = Pipeline(PipelineConfig(seed=2))
     params = pipe.gen_user_params(0)
     rec = enroll(ds[0], params, pipe.ctx, 64)
-    got = decrypt(rec.template, pipe.ctx).values
+    got = decrypt(rec.template, pipe.ctx)
     plain = protect_plain(compress_prefix(ds[0], 64), params)
     want = plain / np.linalg.norm(plain)
     assert len(want) == 60
     assert np.max(np.abs(got[:60] - want)) <= 1e-6
+    assert got.shape == (pipe.ctx.slot_capacity,) and not got[60:].any()
     assert not got[60:].any()
     assert rec.template.depth_used == protect_depth(params)
 
@@ -190,7 +191,7 @@ def _identify_per_record(probe, gallery, pipe):
         scale = 1.0 / template_norms(v, [params])[0]
         probe_ct = protect_encrypted(windows, params, scale)
         ct = cosine_unit_encrypted(rec.template, probe_ct, windows.k)
-        scores.append((rec.subject_id, float(decrypt(ct, pipe.ctx).values[0])))
+        scores.append((rec.subject_id, float(decrypt(ct, pipe.ctx)[0])))
     return sorted(scores, key=lambda t: (-t[1], t[0]))
 
 
@@ -648,7 +649,7 @@ def _rehashed(d):
     (lambda text, d: d | {"m": "5"}, False, "needs 'm' as a JSON int"),
     (lambda text, d: d | {"overlap": True}, False, "needs 'overlap' as a JSON int"),
     (lambda text, d: d | {"coeffs": [1.5] + d["coeffs"][1:]}, False, "lists of JSON ints"),
-    (lambda text, d: d | {"coeffs": [d["coeffs"][0] + 100] + d["coeffs"][1:]}, False, "must equal the file name"),
+    (lambda text, d: d | {"coeffs": [d["coeffs"][0] + 100] + d["coeffs"][1:]}, False, "not the hash of its values"),
     (lambda text, d: _rehashed(d | {"c_range": 51}), False, "must equal the file name"),
     (lambda text, d: _rehashed(d | {"coeffs": [1] * d["m"]}), True, "holds invalid parameters"),
     (lambda text, d: _rehashed(d | {"m": 1, "overlap": 0, "coeffs": [1], "exps": [1]}), True, "holds invalid parameters"),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyfhe.backend import EncryptionContext, decrypt, encrypt
-from polyfhe.errors import CapacityExceeded, InfeasibleParams, InputTooShort
+from polyfhe.errors import CapacityExceeded, InfeasibleParams, InputTooShort, IntegrityError
 from polyfhe.polyprotect import (
     PolyProtectParams,
     chunk_embedding,
@@ -184,7 +184,7 @@ def test_output_len_properties(m, data, n):
 
 
 def _protected_slots(v, p, ctx, scale=1.0):
-    return decrypt(protect_encrypted(encrypt_windows(v, p, ctx), p, scale), ctx).values
+    return decrypt(protect_encrypted(encrypt_windows(v, p, ctx), p, scale), ctx)
 
 
 def test_protect_encrypted_ones_window_sums_coefficients(ctx):
@@ -221,7 +221,7 @@ def test_protect_encrypted_agrees_with_fold_on_linear_window(ctx):
     p = gen_params(5, 0, 20, seed=11)
     enc = protect_encrypted(encrypt_windows(np.ones(5), p, ctx), p)
     folded = fold_add_all(encrypt(np.asarray(p.coeffs, dtype=float), ctx), 5)
-    assert decrypt(enc, ctx).values[0] == pytest.approx(folded.slots[0], rel=1e-12)
+    assert decrypt(enc, ctx)[0] == pytest.approx(folded.slots[0], rel=1e-12)
 
 
 def test_unlinkability_precursor_quick():
@@ -242,7 +242,7 @@ def test_pack_template_positions_and_scale(ctx):
     plain = protect_plain(v, p)
     windows = encrypt_windows(v, p, ctx)
     packed = protect_encrypted(windows, p, scale=0.5)
-    got = decrypt(packed, ctx).values
+    got = decrypt(packed, ctx)
     assert np.allclose(got[: len(plain)], 0.5 * plain, atol=1e-9)
     assert not got[len(plain) :].any()
     assert packed.depth_used == windows.cts[0].depth_used + protect_depth(p)
@@ -297,7 +297,7 @@ def test_protect_encrypted_any_distinct_exponents(exps):
     v /= np.linalg.norm(v)
     plain = protect_plain(v, p)
     packed = protect_encrypted(encrypt_windows(v, p, ctx), p)
-    got = decrypt(packed, ctx).values
+    got = decrypt(packed, ctx)
     assert np.max(np.abs(got[: len(plain)] - plain)) <= 1e-9
     assert not got[len(plain) :].any()
     assert packed.depth_used == protect_depth(p) == (max(exps) - 1).bit_length() + 1
@@ -325,7 +325,7 @@ def test_column_power_memos_are_shared_and_lazy(ctx):
 def test_pack_template_is_the_weighted_sum(ctx):
     terms = [encrypt([1.0, 2.0], ctx), encrypt([0.5, -1.0], ctx)]
     out = pack_template(terms, (3, -2), 0.5)
-    assert decrypt(out, ctx).values.tolist() == [0.5 * (3 * 1.0 - 2 * 0.5), 0.5 * (3 * 2.0 + 2 * 1.0)]
+    assert decrypt(out, ctx).tolist() == [0.5 * (3 * 1.0 - 2 * 0.5), 0.5 * (3 * 2.0 + 2 * 1.0), 0, 0, 0, 0, 0, 0]
     assert out.depth_used == 1
 
 
@@ -355,7 +355,7 @@ def test_encrypt_windows_column_layout(ctx, m, overlap, n):
     assert columns.shape == (m, 8)
     assert np.array_equal(columns[:, : windows.k], chunk_embedding(v, p).T)
     assert not columns[:, windows.k :].any()
-    assert all(ct.logical_len == 8 and ct.depth_used == 0 for ct in windows.cts)
+    assert all(ct.depth_used == 0 for ct in windows.cts)
 
 
 def test_encrypt_windows_capacity_limit(ctx):
@@ -382,3 +382,16 @@ def test_params_json_round_trip(tmp_path):
         d = json.load(f)
     assert set(d) == {"m", "overlap", "c_range", "coeffs", "exps", "params_id", "seed"}
     assert params_from_dict(params_to_dict(p)) == p
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (lambda d: d | {"coeffs": [d["coeffs"][0] + 1] + d["coeffs"][1:]}, "not the hash of its values"),
+    (lambda d: {k: v for k, v in d.items() if k != "coeffs"}, "needs 'coeffs' as a JSON list"),
+])
+def test_load_params_rejects_forged_or_incomplete_file(tmp_path, edit, problem):
+    path = tmp_path / "params.json"
+    save_params(gen_params(5, 3, 50, seed=21), path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(IntegrityError) as exc:
+        load_params(path)
+    assert str(path) in str(exc.value) and problem in str(exc.value)

@@ -46,6 +46,24 @@ def test_cosine_plain_zero_vector():
         cosine_plain([1.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("a,b", [
+    (np.ones((2, 3)), np.ones((2, 3))),
+    ([[1.0, 2.0]], [1.0, 2.0]),
+    ([], []),
+    (np.zeros((1, 0)), np.zeros((1, 0))),
+])
+def test_cosine_plain_rejects_empty_or_2d(a, b):
+    with pytest.raises(ValueError):
+        cosine_plain(a, b)
+
+
+def test_precheck_denominator_rejects_bad_shapes():
+    plan, approx = unit_cosine_setup(4, degree=2)
+    for a, b in [(np.ones((2, 2)), np.ones((2, 2))), ([], []), ([1.0], [1.0, 0.0])]:
+        with pytest.raises(ValueError):
+            precheck_denominator(a, b, plan, approx)
+
+
 def test_plan_algebra():
     plan = make_normalization_plan(1.0, 64)
     assert plan.c_bound == 64
@@ -191,5 +209,5 @@ def test_cosine_unit_encrypted_is_exact_with_one_product(n):
     before = ctx.ops.copy()
     out = cosine_unit_encrypted(ca, cb, n)
     ops = ctx.ops - before
-    assert abs(decrypt(out, ctx).values[0] - cosine_plain(a, b)) <= 1e-12
+    assert abs(decrypt(out, ctx)[0] - cosine_plain(a, b)) <= 1e-12
     assert (ops["rotations"], ops["ct_mults"] + ops["pt_mults"], out.depth_used) == ((n - 1).bit_length(), 1, 1)
