@@ -7,14 +7,13 @@ classifiers have something to find.
 
 A gallery record holds its template directly: one packed ciphertext, built
 at enrollment by the same encrypted transform that a search applies to the
-probe (in the plaintext twin, the k template values as an array).  The key
-holder scales each packed template, in the clear, by 1/||p|| for its exact
-plaintext template p, so every stored or searched template has unit norm and
-a comparison's cosine is one product folded into slot 0 (Boddeti, BTAS
-2018): ceil(log2 k) rotations, one ciphertext mult, no inverse square root.
-The scale is a plaintext per template, folded into the coefficient mults, so
-nothing new leaves the key holder and the stored ciphertext does not carry
-its template's norm.
+probe.  The key holder scales each packed template, in the clear, by 1/||p||
+for its exact plaintext template p, so every stored or searched template has
+unit norm and a comparison's cosine is one product folded into slot 0
+(Boddeti, BTAS 2018): ceil(log2 k) rotations, one ciphertext mult, no inverse
+square root.  The scale is a plaintext per template, folded into the
+coefficient mults, so nothing new leaves the key holder and the stored
+ciphertext does not carry its template's norm.
 
 Protection parameters are per user, so a 1:N search protects the probe under
 each record's own parameters.  The work that depends only on the probe is
@@ -45,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import EncryptionContext, decrypt, deserialize_ciphertext, serialize_ciphertext
+from .backend import EncryptionContext, SlotVector, decrypt, deserialize_ciphertext, serialize_ciphertext
 from .errors import (
     EmptyDataset,
     EmptyGallery,
@@ -106,22 +105,20 @@ class SyntheticSpec:
             raise ValueError("num_ids must be >= 2")
         if self.samples_per_id < 1:
             raise ValueError("samples_per_id must be >= 1")
-        if self.class_separation <= 0:
-            raise ValueError("class_separation must be positive")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        if not (math.isfinite(self.class_separation) and self.class_separation > 0):
+            raise ValueError(f"class_separation must be positive and finite, got {self.class_separation}")
         if not 0.0 <= self.attribute_correlation <= 1.0:
             raise ValueError("attribute_correlation must be in [0, 1]")
 
 
 @dataclass
 class GalleryRecord:
-    """One enrolled subject: its template plus the ids to resolve it.
-
-    template is the packed SlotVector holding p_j / ||p|| in slot j, or the
-    plaintext twin's (k,) ndarray of p_j.
-    """
+    """One enrolled subject: its packed template, p_j / ||p|| in slot j, and the ids to resolve it."""
 
     subject_id: str
-    template: object
+    template: SlotVector
     params_id: str
     compress_dim: int
     blob: bytes = field(default=None, repr=False, compare=False)  # the template as saved or loaded
@@ -137,7 +134,7 @@ def gen_synthetic_dataset(spec: SyntheticSpec) -> list:
     three attributes; each attribute class adds a fixed pattern on its block
     to the identity center, so classifiers can recover labels across
     identities.  attribute_correlation = 0 leaves labels independent of the
-    embedding.
+    embedding.  A sample whose norm overflows or is zero raises ValueError.
     """
     rng = np.random.default_rng(spec.seed)
     dim = spec.dim
@@ -155,18 +152,22 @@ def gen_synthetic_dataset(spec: SyntheticSpec) -> list:
     }
 
     out = []
-    for i in range(spec.num_ids):
-        labels = {attr: classes[rng.integers(len(classes))] for attr, classes in ATTRIBUTE_CLASSES.items()}
-        center = rng.normal(0.0, 1.0, dim)
-        for attr, block in blocks.items():
-            if len(block):
-                center[block] += _ATTR_SHIFT * patterns[attr][labels[attr]]
-        center /= np.linalg.norm(center)
-        sid = f"id{i:04d}"
-        for _ in range(spec.samples_per_id):
-            x = spec.class_separation * center + rng.normal(0.0, 1.0, dim)
-            x /= np.linalg.norm(x)
-            out.append(Embedding(x, sid, dict(labels)))
+    with np.errstate(over="ignore"):  # a norm that overflows is the error raised below
+        for i in range(spec.num_ids):
+            labels = {attr: classes[rng.integers(len(classes))] for attr, classes in ATTRIBUTE_CLASSES.items()}
+            center = rng.normal(0.0, 1.0, dim)
+            for attr, block in blocks.items():
+                if len(block):
+                    center[block] += _ATTR_SHIFT * patterns[attr][labels[attr]]
+            center /= np.linalg.norm(center)
+            sid = f"id{i:04d}"
+            for _ in range(spec.samples_per_id):
+                x = spec.class_separation * center + rng.normal(0.0, 1.0, dim)
+                norm = np.linalg.norm(x)
+                if not (math.isfinite(norm) and norm > 0.0):
+                    raise ValueError(f"sample {len(out)} has norm {norm} at class_separation {spec.class_separation}")
+                x /= norm
+                out.append(Embedding(x, sid, dict(labels)))
     return out
 
 
@@ -199,11 +200,6 @@ def enroll(e: Embedding, params: PolyProtectParams, ctx: EncryptionContext, d: i
     scale = _unit_scales(np.linalg.norm(protect_plain(x, params)))
     template = protect_encrypted(encrypt_windows(x, params, ctx), params, scale)
     return GalleryRecord(e.subject_id, template, params.params_id, d)
-
-
-def enroll_plain(e: Embedding, params: PolyProtectParams, d: int) -> GalleryRecord:
-    """Plaintext twin of enroll (the parity oracle's gallery)."""
-    return GalleryRecord(e.subject_id, protect_plain(compress_prefix(e, d), params), params.params_id, d)
 
 
 # How far an exact-mode cosine of two unit-norm templates may stray past
@@ -250,17 +246,18 @@ def identify(probe: Embedding, gallery: list, params_store: dict, ctx: Encryptio
     return sorted(scores, key=lambda t: (-t[1], t[0]))
 
 
-def identify_plain(probe: Embedding, gallery: list, params_store: dict) -> list:
-    """Plaintext twin of identify over plaintext-protected records."""
-    if not gallery:
+def identify_plain(probe: Embedding, enrollees: list, params_list: list, d: int) -> list:
+    """Plaintext oracle for identify, enrollees[i] enrolled under params_list[i]
+    at compress dim d: protect_plain of both sides, scored by cosine_plain."""
+    if not enrollees:
         raise ValueError("identify needs a nonempty gallery")
-    scores = []
-    for rec in gallery:
-        params = params_store.get(rec.params_id)
-        if params is None:
-            raise UnknownParamsId(f"no parameters stored for params_id {rec.params_id}")
-        probe_t = protect_plain(compress_prefix(probe, rec.compress_dim), params)
-        scores.append((rec.subject_id, cosine_plain(probe_t, rec.template)))
+    if len(params_list) != len(enrollees):
+        raise ValueError(f"{len(params_list)} parameter sets for {len(enrollees)} enrollees")
+    v = compress_prefix(probe, d)
+    scores = [
+        (e.subject_id, cosine_plain(protect_plain(v, params), protect_plain(compress_prefix(e, d), params)))
+        for e, params in zip(enrollees, params_list)
+    ]
     return sorted(scores, key=lambda t: (-t[1], t[0]))
 
 
@@ -284,7 +281,6 @@ class PipelineConfig:
     slot_capacity: int = 128
     depth_budget: int = 32
     noise_stddev: float = 0.0
-    encrypted: bool = True
     seed: int = 0
 
 
@@ -326,14 +322,10 @@ class Pipeline:
         return params
 
     def enroll(self, e: Embedding, params: PolyProtectParams) -> GalleryRecord:
-        if self.cfg.encrypted:
-            return enroll(e, params, self.ctx, self.cfg.compress_dim)
-        return enroll_plain(e, params, self.cfg.compress_dim)
+        return enroll(e, params, self.ctx, self.cfg.compress_dim)
 
     def identify(self, probe: Embedding, gallery: list) -> list:
-        if self.cfg.encrypted:
-            return identify(probe, gallery, self.params_store, self.ctx)
-        return identify_plain(probe, gallery, self.params_store)
+        return identify(probe, gallery, self.params_store, self.ctx)
 
 
 def enroll_split(dataset: list) -> tuple:

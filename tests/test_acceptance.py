@@ -15,9 +15,12 @@ from polyfhe.backend import EncryptionContext, decrypt, encrypt
 from polyfhe.invsqrt import fit_inv_sqrt
 from polyfhe.leakage import privacy_gain, run_leakage_suite, suppression_rate
 from polyfhe.pipeline import (
+    Pipeline,
     PipelineConfig,
     SyntheticSpec,
+    enroll_split,
     gen_synthetic_dataset,
+    identify_plain,
     rank1_accuracy,
 )
 from polyfhe.polyprotect import (
@@ -167,14 +170,21 @@ def test_criterion_6_encrypted_cosine_fidelity():
 
 
 def test_criterion_7_identification_parity():
-    """50-identity synthetic set: encrypted rank-1 within 1 point of plaintext."""
+    """50-identity synthetic set: encrypted rank-1 within 1 point of the plaintext oracle's."""
     t0 = time.time()
     spec = SyntheticSpec(
         num_ids=50, samples_per_id=3, dim=512, class_separation=50.0, attribute_correlation=0.6, seed=77
     )
     ds = gen_synthetic_dataset(spec)
-    plain = rank1_accuracy(ds, PipelineConfig(encrypted=False, seed=9))
-    enc = rank1_accuracy(ds, PipelineConfig(encrypted=True, seed=9))
+    cfg = PipelineConfig(seed=9)
+    enrollees, probes = enroll_split(ds)
+    pipe = Pipeline(cfg)  # draws the per-user parameters that rank1_accuracy enrolls under
+    params_list = [pipe.gen_user_params(i) for i in range(len(enrollees))]
+    hits = sum(
+        identify_plain(q, enrollees, params_list, cfg.compress_dim)[0][0] == q.subject_id for q in probes
+    )
+    plain = hits / len(probes)
+    enc = rank1_accuracy(ds, cfg)
     gap = abs(plain - enc)
     assert gap <= 0.01
     report(

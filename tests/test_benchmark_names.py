@@ -1,9 +1,11 @@
-"""The library names perfbench looks up still exist.
+"""The library names and attributes perfbench uses still exist.
 
 perfbench/run.py reads its per-layer figures by "layer.function" name from
 the traced public functions, so removing or renaming one of them breaks
-`run.py --trace 1` with a KeyError.  These checks run perfbench's own lookup
-code against the current library, without tracing anything.
+`run.py --trace 1` with a KeyError.  Its workloads also read Pipeline
+attributes (plan, approx, cfg, params_store) and LeakageReport fields.  These
+checks run perfbench's own lookup code and helpers against the current
+library, without tracing anything.
 """
 
 import os
@@ -21,6 +23,10 @@ import spans  # noqa: E402
 with mock.patch.dict(os.environ):  # run.py pins BLAS threads for its own process
     import run  # noqa: E402
 
+import workloads  # noqa: E402
+from polyfhe.leakage import LeakageReport  # noqa: E402
+from polyfhe.pipeline import Pipeline, PipelineConfig  # noqa: E402
+
 
 def test_layer_metrics_finds_every_name_it_reads():
     zero = {name: (0, 0, 0, 0) for name in spans.public_functions()}
@@ -32,3 +38,22 @@ def test_counted_ops_are_public_functions():
     names = spans.public_functions()
     assert set(spans.HE_OPS.values()) <= set(names)
     assert "similarity.cosine_encrypted" in names
+
+
+def test_fault_case_scores_within_tolerance():
+    case = workloads.FaultCase.build()
+    assert case.identify_failed() == 0
+    assert case.self_match_failed() == 0
+
+
+def test_tolerance_reads_the_pipeline():
+    assert workloads.tolerance(Pipeline(PipelineConfig(seed=0))) > 0
+
+
+def test_cell_ok_reads_a_leakage_report():
+    base = LeakageReport("gender", "none", a_o=0.9, a_p=0.9, pg=0.0, sr=0.0, chance=0.5)
+    fhe = LeakageReport("gender", "mrl+fhe", a_o=0.9, a_p=0.5, pg=0.4, sr=0.4 / 0.9, chance=0.5)
+    assert workloads.cell_ok(base, base, 100, fhe=False)
+    assert workloads.cell_ok(fhe, base, 100, fhe=True)
+    wrong_pg = LeakageReport("gender", "mrl+fhe", a_o=0.9, a_p=0.5, pg=0.3, sr=0.4 / 0.9, chance=0.5)
+    assert not workloads.cell_ok(wrong_pg, base, 100, fhe=True)

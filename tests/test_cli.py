@@ -354,6 +354,19 @@ def test_bad_flag_value_exits_1_without_traceback(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["eval-leakage", "enroll"])
+@pytest.mark.parametrize("sep", ["nan", "inf", "1e308"])
+def test_non_finite_class_separation_exits_1(tmp_path, command, sep):
+    # 1e308 is finite, but the norm of every sample it gives overflows
+    proc = run_module(
+        command, "--num-ids", "6", "--samples-per-id", "4", "--class-separation", sep, "--out-dir", str(tmp_path)
+    )
+    assert proc.returncode == 1
+    assert "error: ValueError: " in proc.stderr and "class_separation" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_enroll_approx_degree_flag_is_gone(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("enroll", "--approx-degree", "8", "--out-dir", str(tmp_path))

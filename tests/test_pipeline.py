@@ -46,6 +46,10 @@ from polyfhe.polyprotect import (
 from polyfhe.similarity import cosine_plain, cosine_unit_encrypted
 
 
+# How far an exact-mode encrypted score may sit from the plaintext oracle's.
+EXACT_SCORE_TOL = 1e-12
+
+
 def small_spec(**kw):
     base = dict(num_ids=10, samples_per_id=3, dim=512, class_separation=30.0, attribute_correlation=0.6, seed=1)
     base.update(kw)
@@ -59,6 +63,17 @@ def test_spec_validation():
         SyntheticSpec(num_ids=5, samples_per_id=2, class_separation=0.0)
     with pytest.raises(ValueError):
         SyntheticSpec(num_ids=5, samples_per_id=2, attribute_correlation=1.5)
+    with pytest.raises(ValueError, match="dim"):
+        SyntheticSpec(num_ids=5, samples_per_id=2, dim=0)
+    for sep in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="class_separation"):
+            SyntheticSpec(num_ids=5, samples_per_id=2, class_separation=sep)
+
+
+def test_synthetic_rejects_a_sample_whose_norm_overflows():
+    # 1e308 times a unit center is finite, but its norm is not
+    with pytest.raises(ValueError, match="class_separation"):
+        gen_synthetic_dataset(small_spec(class_separation=1e308))
 
 
 def test_synthetic_deterministic():
@@ -101,8 +116,8 @@ def test_compress_zero_prefix():
 def test_rank1_compression_plateau():
     # prefix truncation to 64 dims costs at most 3 points of rank-1 accuracy
     ds = gen_synthetic_dataset(small_spec(num_ids=15, class_separation=60.0))
-    acc64 = rank1_accuracy(ds, PipelineConfig(compress_dim=64, encrypted=False, seed=3))
-    acc512 = rank1_accuracy(ds, PipelineConfig(compress_dim=512, encrypted=False, seed=3))
+    acc64 = rank1_accuracy(ds, PipelineConfig(compress_dim=64, seed=3))
+    acc512 = rank1_accuracy(ds, PipelineConfig(compress_dim=512, slot_capacity=512, seed=3))
     assert abs(acc64 - acc512) <= 0.03
 
 
@@ -120,7 +135,7 @@ def test_attribute_correlation_zero_gives_chance():
 
 def test_high_separation_perfect_rank1():
     ds = gen_synthetic_dataset(small_spec(class_separation=200.0))
-    assert rank1_accuracy(ds, PipelineConfig(encrypted=False, seed=0)) == 1.0
+    assert rank1_accuracy(ds, PipelineConfig(seed=0)) == 1.0
 
 
 def test_enroll_matches_plaintext_oracle():
@@ -177,7 +192,17 @@ def test_identify_empty_gallery():
     with pytest.raises(ValueError):
         pipe.identify(ds[0], [])
     with pytest.raises(ValueError):
-        identify_plain(ds[0], [], {})
+        identify_plain(ds[0], [], [], 64)
+
+
+def test_identify_plain_rejects_params_list_of_another_length():
+    ds = gen_synthetic_dataset(small_spec(num_ids=3, samples_per_id=1))
+    pipe = Pipeline(PipelineConfig(seed=4))
+    params_list = [pipe.gen_user_params(i) for i in range(2)]
+    with pytest.raises(ValueError, match="2 parameter sets for 3 enrollees"):
+        identify_plain(ds[0], ds, params_list, 64)
+    with pytest.raises(ValueError):
+        identify_plain(ds[0], ds[:1], params_list, 64)
 
 
 def _identify_per_record(probe, gallery, pipe):
@@ -259,17 +284,30 @@ def test_known_fault_comparison_scores_the_plain_cosine():
     assert abs(score - want) <= 1e-9
 
 
+def _oracle(ds, pipe):
+    # the plaintext oracle over the enrollees that build_gallery(ds, pipe)
+    # enrolled, under the same per-user parameters
+    enrollees, _ = enroll_split(ds)
+    params_list = [pipe.gen_user_params(i) for i in range(len(enrollees))]
+    return lambda probe: identify_plain(probe, enrollees, params_list, pipe.cfg.compress_dim)
+
+
+def _oracle_rank1(ds, cfg):
+    oracle = _oracle(ds, Pipeline(cfg))
+    _, probes = enroll_split(ds)
+    return sum(oracle(probe)[0][0] == probe.subject_id for probe in probes) / len(probes)
+
+
 def test_identify_ranks_equal_identify_plain_on_50_records():
     ds = gen_synthetic_dataset(small_spec(num_ids=50, samples_per_id=2, class_separation=20.0, seed=3))
-    enc_pipe = Pipeline(PipelineConfig(seed=8))
-    plain_pipe = Pipeline(PipelineConfig(encrypted=False, seed=8))
-    enc_gallery, probes = build_gallery(ds, enc_pipe)
-    plain_gallery, _ = build_gallery(ds, plain_pipe)
+    pipe = Pipeline(PipelineConfig(seed=8))
+    gallery, probes = build_gallery(ds, pipe)
+    oracle = _oracle(ds, pipe)
     for probe in probes[:10]:
-        enc = enc_pipe.identify(probe, enc_gallery)
-        plain = plain_pipe.identify(probe, plain_gallery)
+        enc = pipe.identify(probe, gallery)
+        plain = oracle(probe)
         assert [sid for sid, _ in enc] == [sid for sid, _ in plain]
-        assert max(abs(a - b) for (_, a), (_, b) in zip(enc, plain)) <= 1e-12
+        assert max(abs(a - b) for (_, a), (_, b) in zip(enc, plain)) <= EXACT_SCORE_TOL
 
 
 def _power_chain(e):
@@ -376,32 +414,32 @@ def test_rank1_shuffled_labels_at_chance():
     ids = [e.subject_id for e in ds]
     rng.shuffle(ids)
     shuffled = [Embedding(e.values, sid, e.attributes) for e, sid in zip(ds, ids)]
-    acc = rank1_accuracy(shuffled, PipelineConfig(encrypted=False, seed=0))
+    acc = rank1_accuracy(shuffled, PipelineConfig(seed=0))
     assert acc <= 0.35  # ~ 1/num_ids
 
 
 def test_plain_encrypted_parity_small():
     ds = gen_synthetic_dataset(small_spec(num_ids=12, samples_per_id=3))
-    enc = rank1_accuracy(ds, PipelineConfig(encrypted=True, seed=5))
-    plain = rank1_accuracy(ds, PipelineConfig(encrypted=False, seed=5))
+    enc = rank1_accuracy(ds, PipelineConfig(seed=5))
+    plain = _oracle_rank1(ds, PipelineConfig(seed=5))
     assert abs(enc - plain) <= 0.01
 
 
 def test_parity_per_probe_decisions_above_margin():
     # wherever the plaintext top-two margin clears 2*tau, the encrypted
-    # pipeline must reach the same rank-1 decision
+    # pipeline must reach the same rank-1 decision; tau is the exact-mode
+    # score bound
     ds = gen_synthetic_dataset(small_spec(num_ids=8, samples_per_id=3, class_separation=20.0))
-    enc_pipe = Pipeline(PipelineConfig(encrypted=True, seed=5))
-    plain_pipe = Pipeline(PipelineConfig(encrypted=False, seed=5))
-    enc_gallery, probes = build_gallery(ds, enc_pipe)
-    plain_gallery, _ = build_gallery(ds, plain_pipe)
-    tau = 2 * enc_pipe.approx.fit_report.max_rel_err + 1e-6
+    pipe = Pipeline(PipelineConfig(seed=5))
+    gallery, probes = build_gallery(ds, pipe)
+    oracle = _oracle(ds, pipe)
+    tau = EXACT_SCORE_TOL
     checked = 0
     for probe in probes:
-        plain_ranked = plain_pipe.identify(probe, plain_gallery)
+        plain_ranked = oracle(probe)
         margin = plain_ranked[0][1] - plain_ranked[1][1]
         if margin > 2 * tau:
-            enc_ranked = enc_pipe.identify(probe, enc_gallery)
+            enc_ranked = pipe.identify(probe, gallery)
             assert enc_ranked[0][0] == plain_ranked[0][0]
             checked += 1
     assert checked > 0  # the margin condition must actually bite
