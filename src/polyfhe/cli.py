@@ -92,16 +92,20 @@ def _config_file_defaults(path, parsed: argparse.Namespace) -> dict:
 
 
 def _sizes(spec: str) -> list:
-    """Parse --sizes: either 'lo..hi' (powers of two) or a comma list."""
-    if ".." in spec:
-        lo, hi = (int(x) for x in spec.split("..", 1))
-        out = []
-        n = max(lo, 1)
-        while n <= hi:
-            out.append(n)
-            n *= 2
-        return out
-    return [int(x) for x in spec.split(",")]
+    """argparse type for --sizes: 'lo..hi' (doubling from lo) or a comma list.
+
+    A non-integer, a size below 1 or a descending range is a usage error.
+    """
+    lo, dots, hi = spec.partition("..")
+    try:
+        sizes = [int(lo), int(hi)] if dots else [int(x) for x in spec.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'lo..hi' or a comma list of integers, got {spec!r}") from None
+    if min(sizes) < 1 or (dots and sizes[0] > sizes[1]):
+        raise argparse.ArgumentTypeError(f"sizes must be >= 1 and a range must not descend, got {spec!r}")
+    if dots:  # lo * 2**i <= hi exactly when 2**i <= hi // lo
+        sizes = [sizes[0] * 2**i for i in range((sizes[1] // sizes[0]).bit_length())]
+    return sizes
 
 
 def _positive_int(text: str) -> int:
@@ -156,10 +160,9 @@ def cmd_gen_params(args) -> int:
 
 
 def cmd_bench_sum(args) -> int:
-    sizes = _sizes(args.sizes)
-    capacity = args.capacity or max(sizes)
+    capacity = args.capacity or max(args.sizes)
     ctx = EncryptionContext(capacity, args.depth_budget, key_id=f"bench-{args.seed}")
-    rows = bench_summation(sizes, ctx, seed=args.seed)
+    rows = bench_summation(args.sizes, ctx, seed=args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "bench_summation.csv"
@@ -315,7 +318,7 @@ def build_parser() -> tuple:
     p.set_defaults(func=cmd_gen_params)
 
     p = add("bench-sum", "benchmark the three summation kernels")
-    p.add_argument("--sizes", default="2..2048", help="'lo..hi' doubling range or comma list")
+    p.add_argument("--sizes", type=_sizes, default="2..2048", help="'lo..hi' doubling range or comma list")
     p.add_argument("--capacity", type=int, default=None)
     p.add_argument("--depth-budget", type=int, default=16)
     p.set_defaults(func=cmd_bench_sum)
@@ -325,7 +328,7 @@ def build_parser() -> tuple:
     p.add_argument("--domain", default="0.001,1.0", help="lo,hi")
     p.add_argument("--nodes", type=int, default=256)
     p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=_positive_int, default=200)
     p.set_defaults(func=cmd_fit_invsqrt)
 
     p = add("enroll", "enroll a dataset into an encrypted gallery")

@@ -29,6 +29,11 @@ from .polyprotect import gen_params, protect_plain
 
 VARIANTS = ("none", "polyprotect", "mrl", "mrl+polyprotect", "mrl+fhe", "mrl+polyprotect+fhe")
 
+# The attacker's learning rate and L2 weight decay, and the held-out share.
+_LR = 0.5
+_WEIGHT_DECAY = 0.3
+_TEST_FRAC = 0.3
+
 
 @dataclass
 class LinearClassifier:
@@ -37,7 +42,6 @@ class LinearClassifier:
     weights: np.ndarray  # (classes, features)
     bias: np.ndarray
     classes: tuple
-    train_meta: dict
     feat_mean: np.ndarray
     feat_scale: np.ndarray
 
@@ -78,8 +82,7 @@ def train_attr_classifier(
         g = (p - onehot) / n
         w -= lr * (g.T @ xs + weight_decay * w)
         b -= lr * g.sum(axis=0)
-    meta = {"epochs": epochs, "learning_rate": lr, "seed": seed, "weight_decay": weight_decay}
-    return LinearClassifier(w, b, classes, meta, mean, scale)
+    return LinearClassifier(w, b, classes, mean, scale)
 
 
 def predict(clf: LinearClassifier, features) -> list:
@@ -180,10 +183,21 @@ def _variant_features(variant, dataset, ctx, params, compress_dim) -> np.ndarray
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _split(n, seed, test_frac=0.3):
+def _split(n, seed):
     order = np.random.default_rng(seed).permutation(n)
-    n_test = max(1, int(round(test_frac * n)))
+    n_test = max(1, int(round(_TEST_FRAC * n)))
     return order[n_test:], order[:n_test]
+
+
+def _attack(x, dataset, seed, epochs) -> dict:
+    """{attribute: test accuracy} of the attacker trained on the rows of x."""
+    train_idx, test_idx = _split(len(dataset), seed)
+    accs = {}
+    for attr in ATTRIBUTE_CLASSES:
+        labels = [e.attributes[attr] for e in dataset]
+        clf = train_attr_classifier(x[train_idx], [labels[i] for i in train_idx], epochs, _LR, seed, _WEIGHT_DECAY)
+        accs[attr] = eval_accuracy(clf, x[test_idx], [labels[i] for i in test_idx])
+    return accs
 
 
 def run_leakage_suite(
@@ -196,43 +210,32 @@ def run_leakage_suite(
     c_range: int = 50,
     seed: int = 0,
     epochs: int = 300,
-    lr: float = 0.5,
-    weight_decay: float = 0.3,
 ) -> list:
     """Train the attacker per (attribute x variant) and report PG/SR.
 
     The "none" baseline accuracies are always computed (they anchor a_o for
     every row).  Protection uses one shared parameter set -- the attacker of
     the full-disclosure model knows the parameters, so leakage is measured on
-    the transform itself rather than on parameter diversity.
+    the transform itself rather than on parameter diversity.  Variants are
+    featurized in order, "none" first and each distinct variant once, since
+    the ciphertext variants draw from the context's nonce stream.
     """
     if ctx is None:
         ctx = EncryptionContext(max(128, compress_dim), 16, key_id=f"leakage-{seed}", nonce_seed=seed)
     params = gen_params(m, overlap, c_range, seed=[seed, 7919])
-    train_idx, test_idx = _split(len(dataset), seed)
-    all_labels = {attr: [e.attributes[attr] for e in dataset] for attr in ATTRIBUTE_CLASSES}
+    accs = {}
+    for variant in ("none", *protection_variants):
+        if variant not in accs:
+            accs[variant] = _attack(
+                _variant_features(variant, dataset, ctx, params, compress_dim), dataset, seed, epochs
+            )
 
-    feats = {"none": _variant_features("none", dataset, ctx, params, compress_dim)}
-    for variant in protection_variants:
-        if variant not in feats:
-            feats[variant] = _variant_features(variant, dataset, ctx, params, compress_dim)
-
-    def cell_accuracy(variant, attr):
-        labels = all_labels[attr]
-        x = feats[variant]
-        clf = train_attr_classifier(x[train_idx], [labels[i] for i in train_idx], epochs, lr, seed, weight_decay)
-        return eval_accuracy(clf, x[test_idx], [labels[i] for i in test_idx])
-
-    cells = [("none", attr) for attr in ATTRIBUTE_CLASSES]
-    cells += [(v, attr) for v in protection_variants if v != "none" for attr in ATTRIBUTE_CLASSES]
-    accs = {cell: cell_accuracy(*cell) for cell in cells}
-
+    _, test_idx = _split(len(dataset), seed)
     reports = []
     for variant in protection_variants:
         for attr in ATTRIBUTE_CLASSES:
-            test_labels = [all_labels[attr][i] for i in test_idx]
-            a_o = accs[("none", attr)]
-            a_p = accs[(variant, attr)]
+            a_o = accs["none"][attr]
+            a_p = accs[variant][attr]
             reports.append(
                 LeakageReport(
                     attribute=attr,
@@ -241,7 +244,7 @@ def run_leakage_suite(
                     a_p=a_p,
                     pg=privacy_gain(a_o, a_p),
                     sr=suppression_rate(a_o, a_p),
-                    chance=chance_level(test_labels),
+                    chance=chance_level([dataset[i].attributes[attr] for i in test_idx]),
                 )
             )
     return reports
@@ -256,8 +259,6 @@ def ablation_sweep(
     base_c_range: int = 50,
     seed: int = 0,
     epochs: int = 300,
-    lr: float = 0.5,
-    weight_decay: float = 0.3,
 ) -> list:
     """Leakage accuracy per attribute while sweeping one transform parameter.
 
@@ -266,7 +267,6 @@ def ablation_sweep(
     """
     if param not in ("overlap", "m", "c_range"):
         raise ValueError("param must be one of overlap, m, c_range")
-    train_idx, test_idx = _split(len(dataset), seed)
     rows = []
     for value in values:
         m, overlap, c_range = base_m, base_overlap, base_c_range
@@ -282,12 +282,8 @@ def ablation_sweep(
         except (InfeasibleParams, ValueError) as exc:
             rows.append({"param": param, "value": value, "error": type(exc).__name__})
             continue
-        feats = np.stack([protect_plain(e.values, params) for e in dataset])
-        for attr in ATTRIBUTE_CLASSES:
-            labels = [e.attributes[attr] for e in dataset]
-            clf = train_attr_classifier(feats[train_idx], [labels[i] for i in train_idx], epochs, lr, seed, weight_decay)
-            acc = eval_accuracy(clf, feats[test_idx], [labels[i] for i in test_idx])
-            rows.append({"param": param, "value": value, "attribute": attr, "accuracy": acc})
+        accs = _attack(np.stack([protect_plain(e.values, params) for e in dataset]), dataset, seed, epochs)
+        rows += [{"param": param, "value": value, "attribute": attr, "accuracy": acc} for attr, acc in accs.items()]
     return rows
 
 

@@ -280,7 +280,6 @@ class PipelineConfig:
     c_range: int = 50
     slot_capacity: int = 128
     depth_budget: int = 32
-    noise_stddev: float = 0.0
     seed: int = 0
 
 
@@ -298,11 +297,7 @@ class Pipeline:
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self.ctx = EncryptionContext(
-            cfg.slot_capacity,
-            cfg.depth_budget,
-            key_id=f"pipeline-{cfg.seed}",
-            noise_stddev=cfg.noise_stddev,
-            nonce_seed=cfg.seed,
+            cfg.slot_capacity, cfg.depth_budget, key_id=f"pipeline-{cfg.seed}", nonce_seed=cfg.seed
         )
         self.k = output_len(cfg.compress_dim, cfg.m, cfg.overlap)
         # Templates scaled by expected_template_norm sit near unit norm; bound

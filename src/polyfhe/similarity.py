@@ -29,6 +29,9 @@ from .errors import DomainViolation, ZeroVector
 from .invsqrt import PolyApprox, eval_poly_encrypted, fit_inv_sqrt
 from .summation import fold_add_all
 
+# unit_cosine_setup fits 1/sqrt(x) on [x0 / ratio, x0 * ratio] around x0 = 1/d_bound.
+_UNIT_DOMAIN_RATIO = 2.0
+
 
 @dataclass(frozen=True)
 class NormalizationPlan:
@@ -138,7 +141,7 @@ def precheck_denominator(a, b, plan: NormalizationPlan, approx: PolyApprox) -> f
     return scaled
 
 
-def unit_cosine_setup(n: int, degree: int = 8, domain_ratio: float = 2.0):
+def unit_cosine_setup(n: int, degree: int = 8):
     """(plan, approx) tuned for unit-norm n-vectors.
 
     With exactly unit norms the scaled denominator is the single point
@@ -147,5 +150,5 @@ def unit_cosine_setup(n: int, degree: int = 8, domain_ratio: float = 2.0):
     """
     plan = make_normalization_plan(1.0, n)
     x0 = 1.0 / plan.d_bound
-    lo, hi = x0 / domain_ratio, min(1.0, x0 * domain_ratio)
+    lo, hi = x0 / _UNIT_DOMAIN_RATIO, min(1.0, x0 * _UNIT_DOMAIN_RATIO)
     return plan, fit_inv_sqrt(degree, (lo, hi))

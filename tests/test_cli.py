@@ -252,6 +252,23 @@ def test_identify_top_below_one_is_usage_error(tmp_path, capsys, top):
     assert "--top" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench-sum", "--sizes", "4..2"],
+    ["bench-sum", "--sizes", "0,2"],
+    ["bench-sum", "--sizes", "0..8"],
+    ["bench-sum", "--sizes", "2..x"],
+    ["bench-sum", "--sizes", "2,,4"],
+    ["fit-invsqrt", "--points", "0"],
+    ["fit-invsqrt", "--points", "-3"],
+], ids=" ".join)
+def test_bad_count_flag_is_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_jobs_flag_is_gone(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("gen-params", "--jobs", "8", "--out-dir", str(tmp_path))

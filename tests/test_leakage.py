@@ -106,7 +106,6 @@ def test_constant_predictor_on_balanced_binary():
         weights=np.zeros((2, 3)),
         bias=np.array([1.0, 0.0]),
         classes=("a", "b"),
-        train_meta={},
         feat_mean=np.zeros(3),
         feat_scale=np.ones(3),
     )
@@ -203,6 +202,25 @@ def test_suite_report_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "attribute,variant,a_o,a_p,pg_x100,sr,chance"
     assert len(lines) == 1 + len(reports)
+
+
+def test_suite_and_ablation_share_one_attacker():
+    # ablation at m=5 (overlap min(2, m-1) = 2) protects with the same
+    # parameters as the suite's polyprotect variant, so the same attacker
+    # must score them the same; weak clusters keep the accuracies off 1.0
+    ds = gen_synthetic_dataset(
+        SyntheticSpec(num_ids=12, samples_per_id=4, dim=64, class_separation=5.0, attribute_correlation=0.2, seed=5)
+    )
+    reports = run_leakage_suite(ds, ("polyprotect",), m=5, overlap=2, c_range=50, seed=3, epochs=40)
+    rows = ablation_sweep("m", [5], ds, seed=3, epochs=40)
+    assert {r["attribute"]: r["accuracy"] for r in rows} == {r.attribute: r.a_p for r in reports}
+
+
+def test_attacker_learning_rate_is_not_an_option():
+    with pytest.raises(TypeError):
+        run_leakage_suite([], lr=0.5)
+    with pytest.raises(TypeError):
+        ablation_sweep("m", [5], [], lr=0.5)
 
 
 def test_ablation_overlap_shape():
