@@ -91,6 +91,14 @@ def _config_file_defaults(path, parsed: argparse.Namespace) -> dict:
     return out
 
 
+def _int_list(spec: str) -> list:
+    """argparse type for a comma list of integers; a bad or empty entry is a usage error."""
+    try:
+        return [int(x) for x in spec.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {spec!r}") from None
+
+
 def _sizes(spec: str) -> list:
     """argparse type for --sizes: 'lo..hi' (doubling from lo) or a comma list.
 
@@ -98,7 +106,7 @@ def _sizes(spec: str) -> list:
     """
     lo, dots, hi = spec.partition("..")
     try:
-        sizes = [int(lo), int(hi)] if dots else [int(x) for x in spec.split(",")]
+        sizes = [int(lo), int(hi)] if dots else _int_list(spec)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 'lo..hi' or a comma list of integers, got {spec!r}") from None
     if min(sizes) < 1 or (dots and sizes[0] > sizes[1]):
@@ -272,10 +280,9 @@ def cmd_eval_leakage(args) -> int:
 
 def cmd_ablation(args) -> int:
     dataset = _dataset_from_args(args)
-    values = [int(x) for x in args.values.split(",")]
     rows = ablation_sweep(
         args.param,
-        values,
+        args.values,
         dataset,
         base_m=args.m,
         base_overlap=args.base_overlap,
@@ -348,17 +355,17 @@ def build_parser() -> tuple:
     _add_dataset_flags(p)
     p.add_argument("--variants", default=None, help=f"comma list from {','.join(VARIANTS)}")
     _add_pipeline_flags(p, depth_budget=16)
-    p.add_argument("--epochs", type=int, default=300)
+    p.add_argument("--epochs", type=_positive_int, default=300)
     p.set_defaults(func=cmd_eval_leakage)
 
     p = add("ablation", "sweep one protection parameter against leakage")
     _add_dataset_flags(p)
     p.add_argument("--param", required=True, choices=("overlap", "m", "c_range"))
-    p.add_argument("--values", required=True, help="comma list of integer values")
+    p.add_argument("--values", type=_int_list, required=True, help="comma list of integer values")
     p.add_argument("--m", type=int, default=5)
     p.add_argument("--base-overlap", type=int, default=2)
     p.add_argument("--c-range", type=int, default=50)
-    p.add_argument("--epochs", type=int, default=300)
+    p.add_argument("--epochs", type=_positive_int, default=300)
     p.set_defaults(func=cmd_ablation)
 
     return parser, subparsers

@@ -47,42 +47,55 @@ class LinearClassifier:
 
 
 def train_attr_classifier(
-    features, labels, epochs: int = 300, lr: float = 0.5, seed: int = 0, weight_decay: float = 0.0
-) -> LinearClassifier:
-    """Full-batch gradient descent on softmax cross-entropy.
+    features, label_sets, epochs: int = 300, lr: float = 0.5, seed: int = 0, weight_decay: float = 0.0
+) -> list:
+    """Full-batch gradient descent on softmax cross-entropy, one head per label list.
 
-    Features are standardized internally (train statistics travel with the
-    model), which keeps one learning rate workable across feature scales from
-    unit embeddings to byte histograms.  Optional L2 weight decay lets the
-    attacker fall back to the class prior when features carry nothing.
+    Every head sees the same features, so they train together: the features
+    are standardized once (train statistics travel with each head) and the
+    heads' weights are stacked into one (total classes, features) matrix, so
+    an epoch costs one forward and one backward product for all of them.  The
+    softmax runs per head on its own rows.  Each head starts from its own
+    default_rng(seed) draw and nothing couples the heads' gradients, so a head
+    trains as it would alone, up to rounding.  Standardizing keeps one
+    learning rate workable across feature scales from unit embeddings to byte
+    histograms; optional L2 weight decay lets the attacker fall back to the
+    class prior when features carry nothing.  Returns one LinearClassifier per
+    label list, in order.
     """
     x = np.asarray(features, dtype=np.float64)
-    classes = tuple(sorted(set(labels)))
-    if len(classes) < 2:
-        raise DegenerateLabels("training needs at least two distinct classes")
-    index = {c: i for i, c in enumerate(classes)}
-    y = np.array([index[l] for l in labels])
     n, f = x.shape
+    heads = []  # (classes, the head's rows of the stack, label indices)
+    rows = 0
+    for labels in label_sets:
+        classes = tuple(sorted(set(labels)))
+        if len(classes) < 2:
+            raise DegenerateLabels("training needs at least two distinct classes")
+        index = {c: i for i, c in enumerate(classes)}
+        heads.append((classes, slice(rows, rows + len(classes)), np.array([index[l] for l in labels])))
+        rows += len(classes)
 
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
     scale[scale == 0.0] = 1.0
     xs = (x - mean) / scale
+    xs_t = np.ascontiguousarray(xs.T)
 
-    rng = np.random.default_rng(seed)
-    w = rng.normal(0.0, 0.01, (len(classes), f))
-    b = np.zeros(len(classes))
-    onehot = np.zeros((n, len(classes)))
-    onehot[np.arange(n), y] = 1.0
+    w = np.vstack([np.random.default_rng(seed).normal(0.0, 0.01, (len(c), f)) for c, _, _ in heads])
+    b = np.zeros(rows)
+    onehot = np.zeros((rows, n))  # transposed, like the logits below
+    for _, block, y in heads:
+        onehot[block][y, np.arange(n)] = 1.0
     for _ in range(epochs):
-        logits = xs @ w.T + b
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
+        p = w @ xs_t + b[:, None]  # (rows, n): the logits, transposed
+        for _, block, _ in heads:
+            p[block] -= p[block].max(axis=0)
+            np.exp(p[block], out=p[block])
+            p[block] /= p[block].sum(axis=0)
         g = (p - onehot) / n
-        w -= lr * (g.T @ xs + weight_decay * w)
-        b -= lr * g.sum(axis=0)
-    return LinearClassifier(w, b, classes, mean, scale)
+        w -= lr * (g @ xs + weight_decay * w)
+        b -= lr * g.sum(axis=1)
+    return [LinearClassifier(w[block].copy(), b[block].copy(), c, mean, scale) for c, block, _ in heads]
 
 
 def predict(clf: LinearClassifier, features) -> list:
@@ -192,12 +205,14 @@ def _split(n, seed):
 def _attack(x, dataset, seed, epochs) -> dict:
     """{attribute: test accuracy} of the attacker trained on the rows of x."""
     train_idx, test_idx = _split(len(dataset), seed)
-    accs = {}
-    for attr in ATTRIBUTE_CLASSES:
-        labels = [e.attributes[attr] for e in dataset]
-        clf = train_attr_classifier(x[train_idx], [labels[i] for i in train_idx], epochs, _LR, seed, _WEIGHT_DECAY)
-        accs[attr] = eval_accuracy(clf, x[test_idx], [labels[i] for i in test_idx])
-    return accs
+    labels = {attr: [e.attributes[attr] for e in dataset] for attr in ATTRIBUTE_CLASSES}
+    heads = train_attr_classifier(
+        x[train_idx], [[ys[i] for i in train_idx] for ys in labels.values()], epochs, _LR, seed, _WEIGHT_DECAY
+    )
+    return {
+        attr: eval_accuracy(clf, x[test_idx], [ys[i] for i in test_idx])
+        for (attr, ys), clf in zip(labels.items(), heads)
+    }
 
 
 def run_leakage_suite(
@@ -218,7 +233,8 @@ def run_leakage_suite(
     the full-disclosure model knows the parameters, so leakage is measured on
     the transform itself rather than on parameter diversity.  Variants are
     featurized in order, "none" first and each distinct variant once, since
-    the ciphertext variants draw from the context's nonce stream.
+    the ciphertext variants draw from the context's nonce stream; each
+    distinct variant is reported once, in first-seen order.
     """
     if ctx is None:
         ctx = EncryptionContext(max(128, compress_dim), 16, key_id=f"leakage-{seed}", nonce_seed=seed)
@@ -232,7 +248,7 @@ def run_leakage_suite(
 
     _, test_idx = _split(len(dataset), seed)
     reports = []
-    for variant in protection_variants:
+    for variant in dict.fromkeys(protection_variants):
         for attr in ATTRIBUTE_CLASSES:
             a_o = accs["none"][attr]
             a_p = accs[variant][attr]

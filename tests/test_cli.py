@@ -182,6 +182,75 @@ def test_ablation_cli(tmp_path):
     assert (tmp_path / "ablation_overlap.csv").exists()
 
 
+# A small seeded suite and sweep whose test split (18 samples) is large enough
+# that each accuracy is a count, not a near-tie: their CSVs are frozen bytes.
+PINNED_FLAGS = (
+    "--num-ids", "12", "--samples-per-id", "5", "--dim", "64", "--epochs", "60", "--seed", "3",
+    "--class-separation", "8", "--attribute-correlation", "0.4",
+)
+PINNED_LEAKAGE_REPORT = (
+    "attribute,variant,a_o,a_p,pg_x100,sr,chance",
+    "gender,none,1.0000,1.0000,0.00,0.0000,0.5000",
+    "age_band,none,0.8889,0.8889,0.00,0.0000,0.3889",
+    "ethnicity,none,0.7778,0.7778,0.00,0.0000,0.4444",
+    "gender,polyprotect,1.0000,1.0000,0.00,0.0000,0.5000",
+    "age_band,polyprotect,0.8889,0.9444,-5.56,-0.0625,0.3889",
+    "ethnicity,polyprotect,0.7778,0.7222,5.56,0.0714,0.4444",
+    "gender,mrl,1.0000,1.0000,0.00,0.0000,0.5000",
+    "age_band,mrl,0.8889,0.8889,0.00,0.0000,0.3889",
+    "ethnicity,mrl,0.7778,0.7778,0.00,0.0000,0.4444",
+    "gender,mrl+polyprotect,1.0000,1.0000,0.00,0.0000,0.5000",
+    "age_band,mrl+polyprotect,0.8889,0.9444,-5.56,-0.0625,0.3889",
+    "ethnicity,mrl+polyprotect,0.7778,0.7222,5.56,0.0714,0.4444",
+    "gender,mrl+fhe,1.0000,0.5556,44.44,0.4444,0.5000",
+    "age_band,mrl+fhe,0.8889,0.2778,61.11,0.6875,0.3889",
+    "ethnicity,mrl+fhe,0.7778,0.4444,33.33,0.4286,0.4444",
+    "gender,mrl+polyprotect+fhe,1.0000,0.3889,61.11,0.6111,0.5000",
+    "age_band,mrl+polyprotect+fhe,0.8889,0.2222,66.67,0.7500,0.3889",
+    "ethnicity,mrl+polyprotect+fhe,0.7778,0.3889,38.89,0.5000,0.4444",
+)
+PINNED_ABLATION_OVERLAP = (
+    "param,value,attribute,accuracy,error",
+    "overlap,0,gender,0.9444,",
+    "overlap,0,age_band,0.7778,",
+    "overlap,0,ethnicity,0.4444,",
+    "overlap,1,gender,0.7778,",
+    "overlap,1,age_band,0.7778,",
+    "overlap,1,ethnicity,0.3333,",
+    "overlap,2,gender,0.9444,",
+    "overlap,2,age_band,0.7778,",
+    "overlap,2,ethnicity,0.3889,",
+    "overlap,3,gender,1.0000,",
+    "overlap,3,age_band,0.8333,",
+    "overlap,3,ethnicity,0.6667,",
+    "overlap,5,,,ValueError",
+)
+
+
+def csv_bytes(lines):
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+def test_seeded_leakage_report_bytes_are_pinned(tmp_path):
+    assert run_cli("eval-leakage", *PINNED_FLAGS, "--out-dir", str(tmp_path)) == 0
+    assert (tmp_path / "leakage_report.csv").read_bytes() == csv_bytes(PINNED_LEAKAGE_REPORT)
+
+
+def test_seeded_ablation_csv_bytes_are_pinned(tmp_path):
+    rc = run_cli("ablation", "--param", "overlap", "--values", "0,1,2,3,5", *PINNED_FLAGS, "--out-dir", str(tmp_path))
+    assert rc == 0
+    assert (tmp_path / "ablation_overlap.csv").read_bytes() == csv_bytes(PINNED_ABLATION_OVERLAP)
+
+
+def test_eval_leakage_reports_a_repeated_variant_once(tmp_path):
+    flags = ("--num-ids", "8", "--samples-per-id", "3", "--dim", "64", "--epochs", "20")
+    assert run_cli("eval-leakage", *flags, "--variants", "mrl,none,mrl", "--out-dir", str(tmp_path / "twice")) == 0
+    assert run_cli("eval-leakage", *flags, "--variants", "mrl,none", "--out-dir", str(tmp_path / "once")) == 0
+    twice = (tmp_path / "twice" / "leakage_report.csv").read_bytes()
+    assert twice == (tmp_path / "once" / "leakage_report.csv").read_bytes()
+    assert [line.split(b",")[1] for line in twice.splitlines()[1:]] == [b"mrl"] * 3 + [b"none"] * 3
+
+
 def test_config_file_defaults_and_override(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[params]\nm = 6\noverlap = 3\nc-range = 30\n")
@@ -260,6 +329,12 @@ def test_identify_top_below_one_is_usage_error(tmp_path, capsys, top):
     ["bench-sum", "--sizes", "2,,4"],
     ["fit-invsqrt", "--points", "0"],
     ["fit-invsqrt", "--points", "-3"],
+    ["eval-leakage", "--epochs", "0"],
+    ["eval-leakage", "--epochs", "-5"],
+    ["ablation", "--epochs", "0", "--param", "m", "--values", "3"],
+    ["ablation", "--epochs", "-5", "--param", "m", "--values", "3"],
+    ["ablation", "--values", "3,x", "--param", "m"],
+    ["ablation", "--values", ",", "--param", "m"],
 ], ids=" ".join)
 def test_bad_count_flag_is_usage_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -67,7 +67,7 @@ def test_classifier_separable_hits_full_train_accuracy():
     rng = np.random.default_rng(0)
     x = np.vstack([rng.normal(-2, 0.3, (40, 5)), rng.normal(2, 0.3, (40, 5))])
     y = ["neg"] * 40 + ["pos"] * 40
-    clf = train_attr_classifier(x, y, epochs=200, seed=0)
+    clf = train_attr_classifier(x, [y], epochs=200, seed=0)[0]
     assert eval_accuracy(clf, x, y) == 1.0
 
 
@@ -75,7 +75,7 @@ def test_classifier_random_labels_near_chance():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(200, 10))
     y = list(rng.choice(["a", "b"], size=200))
-    clf = train_attr_classifier(x[:140], y[:140], epochs=200, seed=0)
+    clf = train_attr_classifier(x[:140], [y[:140]], epochs=200, seed=0)[0]
     acc = eval_accuracy(clf, x[140:], y[140:])
     assert acc <= chance_level(y[140:]) + 0.15
 
@@ -84,19 +84,61 @@ def test_classifier_deterministic():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(50, 4))
     y = list(rng.choice(["u", "v"], size=50))
-    a = train_attr_classifier(x, y, epochs=100, seed=3)
-    b = train_attr_classifier(x, y, epochs=100, seed=3)
+    a = train_attr_classifier(x, [y], epochs=100, seed=3)[0]
+    b = train_attr_classifier(x, [y], epochs=100, seed=3)[0]
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.bias, b.bias)
 
 
 def test_classifier_degenerate_labels():
     with pytest.raises(DegenerateLabels):
-        train_attr_classifier(np.ones((5, 2)), ["same"] * 5)
+        train_attr_classifier(np.ones((5, 2)), [["same"] * 5])
+
+
+def separable_heads():
+    """Features whose first two columns each decide one label list."""
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(60, 4))
+    sign = ["neg" if v < 0 else "pos" for v in x[:, 0]]
+    band = ["lo" if v < -0.5 else "mid" if v < 0.5 else "hi" for v in x[:, 1]]
+    return x, sign, band
+
+
+def test_stacked_heads_come_back_in_label_set_order():
+    x, sign, band = separable_heads()
+    heads = train_attr_classifier(x, [band, sign, band], epochs=50, seed=0)
+    assert [h.classes for h in heads] == [("hi", "lo", "mid"), ("neg", "pos"), ("hi", "lo", "mid")]
+    assert [h.weights.shape for h in heads] == [(3, 4), (2, 4), (3, 4)]
+    for head, labels in zip(heads, [band, sign, band]):
+        assert set(predict(head, x)) <= set(labels)
+        assert eval_accuracy(head, x, labels) > 0.8
+
+
+def test_stacked_heads_degenerate_head_raises():
+    x, sign, _ = separable_heads()
+    with pytest.raises(DegenerateLabels):
+        train_attr_classifier(x, [sign, ["same"] * len(x)])
+
+
+def test_stacked_head_predicts_as_it_does_alone():
+    x, sign, band = separable_heads()
+    alone = train_attr_classifier(x, [sign], epochs=200, seed=4)[0]
+    beside = train_attr_classifier(x, [band, sign], epochs=200, seed=4)[1]
+    assert predict(beside, x) == predict(alone, x)
+    assert eval_accuracy(beside, x, sign) == 1.0
+
+
+def test_stacked_heads_deterministic():
+    x, sign, band = separable_heads()
+    a = train_attr_classifier(x, [sign, band], epochs=100, seed=3)
+    b = train_attr_classifier(x, [sign, band], epochs=100, seed=3)
+    for ha, hb in zip(a, b):
+        assert np.array_equal(ha.weights, hb.weights)
+        assert np.array_equal(ha.bias, hb.bias)
 
 
 def test_eval_dimension_mismatch():
-    clf = train_attr_classifier(np.random.default_rng(0).normal(size=(20, 3)), ["a", "b"] * 10, epochs=10)
+    clf = train_attr_classifier(np.random.default_rng(0).normal(size=(20, 3)), [["a", "b"] * 10], epochs=10)[0]
     with pytest.raises(DimensionMismatch):
         eval_accuracy(clf, np.ones((4, 7)), ["a"] * 4)
 
@@ -118,7 +160,7 @@ def test_eval_accuracy_matches_hand_count():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(10, 3))
     y = list(rng.choice(["p", "q"], size=10))
-    clf = train_attr_classifier(x, y, epochs=50, seed=1)
+    clf = train_attr_classifier(x, [y], epochs=50, seed=1)[0]
     preds = predict(clf, x)
     by_hand = sum(1 for p, t in zip(preds, y) if p == t) / 10
     assert eval_accuracy(clf, x, y) == by_hand
@@ -148,11 +190,11 @@ def test_masked_features_hide_and_unmasked_reveal():
     cts = [encrypt(e.values, ctx) for e in ds]
     chance = chance_level(labels[80:])
     masked = ciphertext_features(cts, ctx, masked=True)
-    clf = train_attr_classifier(masked[:80], labels[:80], epochs=200, seed=0)
+    clf = train_attr_classifier(masked[:80], [labels[:80]], epochs=200, seed=0)[0]
     assert eval_accuracy(clf, masked[80:], labels[80:]) <= chance + 0.05
 
     raw = ciphertext_features(cts, ctx, masked=False)
-    clf = train_attr_classifier(raw[:80], labels[:80], epochs=200, seed=0)
+    clf = train_attr_classifier(raw[:80], [labels[:80]], epochs=200, seed=0)[0]
     assert eval_accuracy(clf, raw[80:], labels[80:]) >= chance + 0.20  # control arm recovers
 
 

@@ -128,7 +128,7 @@ def test_attribute_correlation_zero_gives_chance():
     feats = np.stack([e.values for e in ds])
     labels = [e.attributes["gender"] for e in ds]
     train, test = feats[:80], feats[80:]
-    clf = train_attr_classifier(train, labels[:80], epochs=200, seed=0)
+    clf = train_attr_classifier(train, [labels[:80]], epochs=200, seed=0)[0]
     acc = eval_accuracy(clf, test, labels[80:])
     assert acc <= chance_level(labels[80:]) + 0.15
 
