@@ -1,10 +1,11 @@
 """Command-line front end: every stage as a reproducible, config-driven run.
 
 Each subcommand is a thin shim over the library (logic is tested at the
-library level; these paths only parse flags, route files, and set exit
-codes).  Every run writes a manifest JSON (resolved configuration, its hash,
-seed, versions) into the output directory, so a run is reproducible from its
-artifacts alone.
+library level; these paths only parse flags and route files).  main creates
+the output directory, runs the subcommand there, and last, only for a run
+that succeeds, writes a manifest JSON (resolved configuration plus what the
+subcommand adds, its hash, seed, versions) into it, so a run is reproducible
+from its artifacts alone.
 
 Exit codes: 0 success, 1 data/library error (the error class name prefixes
 the message), 2 usage error.
@@ -53,7 +54,6 @@ from .summation import bench_summation, write_bench_csv
 def _write_manifest(out_dir: Path, command: str, config: dict):
     # func is the subcommand's function object; its repr holds a memory address.
     config = {key: value for key, value in config.items() if key != "func"}
-    out_dir.mkdir(parents=True, exist_ok=True)
     canon = json.dumps(config, sort_keys=True, default=str)
     manifest = {
         "command": command,
@@ -116,6 +116,15 @@ def _sizes(spec: str) -> list:
     return sizes
 
 
+def _domain(spec: str) -> tuple:
+    """argparse type for --domain: 'lo,hi', two floats (fit_inv_sqrt checks the range)."""
+    try:
+        lo, hi = (float(x) for x in spec.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'lo,hi', two numbers, got {spec!r}") from None
+    return lo, hi
+
+
 def _positive_int(text: str) -> int:
     """argparse type for counts that must be >= 1 (a usage error otherwise)."""
     value = int(text)
@@ -147,46 +156,38 @@ def _add_dataset_flags(p: argparse.ArgumentParser):
     p.add_argument("--attribute-correlation", type=float, default=0.6)
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser, depth_budget: int = 32):
+def _add_pipeline_flags(p: argparse.ArgumentParser):
     p.add_argument("--compress-dim", type=int, default=64)
     p.add_argument("--m", type=int, default=5)
     p.add_argument("--overlap", type=int, default=4)
     p.add_argument("--c-range", type=int, default=50)
     p.add_argument("--slot-capacity", type=int, default=128)
-    p.add_argument("--depth-budget", type=int, default=depth_budget)
 
 
-def cmd_gen_params(args) -> int:
+def cmd_gen_params(args, out: Path) -> dict:
     params = gen_params(args.m, args.overlap, args.c_range, seed=args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / f"params_{params.params_id}.json"
     save_params(params, path)
-    _write_manifest(out, "gen-params", vars(args) | {"params_id": params.params_id})
     print(f"params_id {params.params_id} -> {path}")
-    return 0
+    return {"params_id": params.params_id}
 
 
-def cmd_bench_sum(args) -> int:
-    capacity = args.capacity or max(args.sizes)
-    ctx = EncryptionContext(capacity, args.depth_budget, key_id=f"bench-{args.seed}")
+def cmd_bench_sum(args, out: Path) -> dict:
+    ctx = EncryptionContext(args.capacity or max(args.sizes), key_id=f"bench-{args.seed}")
     rows = bench_summation(args.sizes, ctx, seed=args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "bench_summation.csv"
     write_bench_csv(rows, path)
-    _write_manifest(out, "bench-sum", vars(args))
     for r in rows:
         print(f"n={r.n:5d} {r.method:5s} rotations={r.rotations:5d} mults={r.mults:5d} wall={r.wall_ns / 1e6:.3f} ms")
     print(f"wrote {path}")
-    return 0
+    return {}
 
 
-def cmd_fit_invsqrt(args) -> int:
-    lo, hi = (float(x) for x in args.domain.split(","))
-    approx = fit_inv_sqrt(args.degree, (lo, hi), n_nodes=args.nodes, report_samples=args.samples, report_seed=args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_fit_invsqrt(args, out: Path) -> dict:
+    lo, hi = args.domain
+    approx = fit_inv_sqrt(
+        args.degree, args.domain, n_nodes=args.nodes, report_samples=args.samples, report_seed=args.seed
+    )
     save_approx(approx, out / "invsqrt_fit.json")
     xs, px, rel = rel_error_curve(approx, n_points=args.points)
     with open(out / "invsqrt_curve.csv", "w", newline="") as f:
@@ -194,10 +195,9 @@ def cmd_fit_invsqrt(args) -> int:
         w.writerow(["x", "p_x", "rel_err"])
         for row in zip(xs, px, rel):
             w.writerow([repr(float(v)) for v in row])
-    _write_manifest(out, "fit-invsqrt", vars(args))
     print(f"degree {args.degree} on [{lo}, {hi}]: max_rel_err={approx.fit_report.max_rel_err:.6g} "
           f"mean_rel_err={approx.fit_report.mean_rel_err:.6g}")
-    return 0
+    return {}
 
 
 def _pipeline_from_args(args) -> Pipeline:
@@ -213,26 +213,21 @@ def _pipeline_from_args(args) -> Pipeline:
     return Pipeline(cfg)
 
 
-def cmd_enroll(args) -> int:
+def cmd_enroll(args, out: Path) -> dict:
     dataset = _dataset_from_args(args)
     pipeline = _pipeline_from_args(args)
     gallery, probes = build_gallery(dataset, pipeline)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     gallery_dir = Path(args.gallery_dir) if args.gallery_dir else out / "gallery"
     save_gallery(gallery, pipeline.ctx, pipeline.params_store, gallery_dir)
     if args.save_probes and probes:
         save_dataset(probes, out / "probes.csv")
-    _write_manifest(out, "enroll", vars(args) | {"enrolled": len(gallery), "probes": len(probes)})
     print(f"enrolled {len(gallery)} subjects into {gallery_dir} ({len(probes)} probe samples held out)")
-    return 0
+    return {"enrolled": len(gallery), "probes": len(probes)}
 
 
-def cmd_identify(args) -> int:
+def cmd_identify(args, out: Path) -> dict:
     gallery, params_store, ctx = load_gallery(args.gallery_dir)
     probes = load_dataset(args.probes)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     hits = 0
     for i, probe in enumerate(probes):
@@ -246,15 +241,14 @@ def cmd_identify(args) -> int:
         w = csv.writer(f)
         w.writerow(["probe_index", "probe_id", "rank", "subject_id", "score"])
         w.writerows(rows)
-    _write_manifest(out, "identify", vars(args) | {"probes": len(probes)})
     print(f"rank-1 accuracy {hits}/{len(probes)} = {hits / len(probes):.4f}")
-    return 0
+    return {"probes": len(probes)}
 
 
-def cmd_eval_leakage(args) -> int:
+def cmd_eval_leakage(args, out: Path) -> dict:
     dataset = _dataset_from_args(args)
     variants = tuple(args.variants.split(",")) if args.variants else VARIANTS
-    ctx = EncryptionContext(args.slot_capacity, args.depth_budget, key_id=f"leakage-{args.seed}", nonce_seed=args.seed)
+    ctx = EncryptionContext(args.slot_capacity, key_id=f"leakage-{args.seed}", nonce_seed=args.seed)
     reports = run_leakage_suite(
         dataset,
         variants,
@@ -266,19 +260,16 @@ def cmd_eval_leakage(args) -> int:
         seed=args.seed,
         epochs=args.epochs,
     )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "leakage_report.csv"
     write_leakage_csv(reports, path)
-    _write_manifest(out, "eval-leakage", vars(args))
     for r in reports:
         print(f"{r.attribute:10s} {r.variant:22s} a_o={r.a_o:.3f} a_p={r.a_p:.3f} "
               f"PGx100={r.pg * 100:6.2f} SR={r.sr:7.4f} chance={r.chance:.3f}")
     print(f"wrote {path}")
-    return 0
+    return {}
 
 
-def cmd_ablation(args) -> int:
+def cmd_ablation(args, out: Path) -> dict:
     dataset = _dataset_from_args(args)
     rows = ablation_sweep(
         args.param,
@@ -290,18 +281,15 @@ def cmd_ablation(args) -> int:
         seed=args.seed,
         epochs=args.epochs,
     )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / f"ablation_{args.param}.csv"
     write_ablation_csv(rows, path)
-    _write_manifest(out, "ablation", vars(args))
     for r in rows:
         if "error" in r:
             print(f"{args.param}={r['value']}: {r['error']}")
         else:
             print(f"{args.param}={r['value']} {r['attribute']:10s} accuracy={r['accuracy']:.3f}")
     print(f"wrote {path}")
-    return 0
+    return {}
 
 
 def build_parser() -> tuple:
@@ -326,13 +314,12 @@ def build_parser() -> tuple:
 
     p = add("bench-sum", "benchmark the three summation kernels")
     p.add_argument("--sizes", type=_sizes, default="2..2048", help="'lo..hi' doubling range or comma list")
-    p.add_argument("--capacity", type=int, default=None)
-    p.add_argument("--depth-budget", type=int, default=16)
+    p.add_argument("--capacity", type=_positive_int, default=None, help="slot capacity (default: the largest size)")
     p.set_defaults(func=cmd_bench_sum)
 
     p = add("fit-invsqrt", "fit an inverse-sqrt polynomial and dump its error curve")
     p.add_argument("--degree", type=int, default=8)
-    p.add_argument("--domain", default="0.001,1.0", help="lo,hi")
+    p.add_argument("--domain", type=_domain, default="0.001,1.0", help="lo,hi")
     p.add_argument("--nodes", type=int, default=256)
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--points", type=_positive_int, default=200)
@@ -341,6 +328,7 @@ def build_parser() -> tuple:
     p = add("enroll", "enroll a dataset into an encrypted gallery")
     _add_dataset_flags(p)
     _add_pipeline_flags(p)
+    p.add_argument("--depth-budget", type=int, default=32)
     p.add_argument("--gallery-dir", default=None)
     p.add_argument("--save-probes", action="store_true", help="write held-out probes CSV")
     p.set_defaults(func=cmd_enroll)
@@ -354,7 +342,7 @@ def build_parser() -> tuple:
     p = add("eval-leakage", "attribute leakage report across protection variants")
     _add_dataset_flags(p)
     p.add_argument("--variants", default=None, help=f"comma list from {','.join(VARIANTS)}")
-    _add_pipeline_flags(p, depth_budget=16)
+    _add_pipeline_flags(p)
     p.add_argument("--epochs", type=_positive_int, default=300)
     p.set_defaults(func=cmd_eval_leakage)
 
@@ -380,7 +368,10 @@ def main(argv=None) -> int:
         if args.config:
             subparsers[args.command].set_defaults(**_config_file_defaults(args.config, args))
             args = parser.parse_args(argv)
-        return args.func(args)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_manifest(out, args.command, vars(args) | args.func(args, out))
+        return 0
     except (PolyFheError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -206,9 +206,14 @@ def _attack(x, dataset, seed, epochs) -> dict:
     """{attribute: test accuracy} of the attacker trained on the rows of x."""
     train_idx, test_idx = _split(len(dataset), seed)
     labels = {attr: [e.attributes[attr] for e in dataset] for attr in ATTRIBUTE_CLASSES}
-    heads = train_attr_classifier(
-        x[train_idx], [[ys[i] for i in train_idx] for ys in labels.values()], epochs, _LR, seed, _WEIGHT_DECAY
-    )
+    train = {attr: [ys[i] for i in train_idx] for attr, ys in labels.items()}
+    try:
+        heads = train_attr_classifier(x[train_idx], list(train.values()), epochs, _LR, seed, _WEIGHT_DECAY)
+    except DegenerateLabels as exc:
+        attr, classes = next((attr, sorted(set(ys))) for attr, ys in train.items() if len(set(ys)) < 2)
+        raise DegenerateLabels(
+            f"attribute {attr!r} has classes {classes} in its {len(train_idx)}-sample training split: {exc}"
+        ) from None
     return {
         attr: eval_accuracy(clf, x[test_idx], [ys[i] for i in test_idx])
         for (attr, ys), clf in zip(labels.items(), heads)
@@ -279,12 +284,13 @@ def ablation_sweep(
     """Leakage accuracy per attribute while sweeping one transform parameter.
 
     Rows are dicts {param, value, attribute, accuracy} -- or {param, value,
-    error} when a value makes the parameters infeasible.
+    error} when a value makes the parameters infeasible.  Each distinct value
+    is swept once, in first-seen order.
     """
     if param not in ("overlap", "m", "c_range"):
         raise ValueError("param must be one of overlap, m, c_range")
     rows = []
-    for value in values:
+    for value in dict.fromkeys(values):
         m, overlap, c_range = base_m, base_overlap, base_c_range
         if param == "m":
             m = value

@@ -109,17 +109,6 @@ def broadcast_slot0(c: SlotVector, count: int) -> SlotVector:
     return acc
 
 
-def zero_pad_pow2(values: np.ndarray) -> np.ndarray:
-    """Zero-pad a vector to the next power-of-two length (fold's precondition)."""
-    n = len(values)
-    target = 1 << (n - 1).bit_length() if n > 1 else 1
-    if target == n:
-        return np.asarray(values, dtype=np.float64)
-    out = np.zeros(target, dtype=np.float64)
-    out[:n] = values
-    return out
-
-
 _KERNELS = {"naive": naive_add_all, "dft": dft_sum, "fold": fold_add_all}
 
 

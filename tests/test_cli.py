@@ -335,6 +335,11 @@ def test_identify_top_below_one_is_usage_error(tmp_path, capsys, top):
     ["ablation", "--epochs", "-5", "--param", "m", "--values", "3"],
     ["ablation", "--values", "3,x", "--param", "m"],
     ["ablation", "--values", ",", "--param", "m"],
+    ["fit-invsqrt", "--domain", "1"],
+    ["fit-invsqrt", "--domain", "a,b"],
+    ["fit-invsqrt", "--domain", "0.1,0.2,0.3"],
+    ["bench-sum", "--capacity", "0"],
+    ["bench-sum", "--capacity", "-4"],
 ], ids=" ".join)
 def test_bad_count_flag_is_usage_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -342,6 +347,51 @@ def test_bad_count_flag_is_usage_error(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert argv[1] in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["bench-sum", "eval-leakage"])
+def test_depth_budget_flag_is_gone(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--depth-budget", "16", "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+    assert "--depth-budget" in capsys.readouterr().err
+
+
+def test_failed_runs_write_no_manifest(tmp_path, capsys):
+    assert run_cli("gen-params", "--m", "6", "--c-range", "2", "--out-dir", str(tmp_path)) == 1
+    with pytest.raises(SystemExit) as exc:
+        run_cli("gen-params", "--m", "x", "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+    assert not (tmp_path / "run_manifest.json").exists()
+
+
+def test_manifest_holds_the_command_and_what_it_adds(tmp_path):
+    out = _enrolled(tmp_path)
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["command"] == "enroll"
+    assert manifest["config"]["depth_budget"] == 32
+    assert (manifest["config"]["enrolled"], manifest["config"]["probes"]) == (2, 2)
+    assert run_cli("fit-invsqrt", "--degree", "4", "--domain", "0.01,1", "--out-dir", str(tmp_path / "fit")) == 0
+    manifest = json.loads((tmp_path / "fit" / "run_manifest.json").read_text())
+    assert manifest["command"] == "fit-invsqrt"
+    assert manifest["config"]["domain"] == [0.01, 1.0]
+
+
+def test_ablation_sweeps_a_repeated_value_once(tmp_path):
+    flags = ("--param", "m", "--num-ids", "6", "--samples-per-id", "3", "--dim", "32", "--epochs", "20")
+    assert run_cli("ablation", *flags, "--values", "3,3", "--out-dir", str(tmp_path / "twice")) == 0
+    assert run_cli("ablation", *flags, "--values", "3", "--out-dir", str(tmp_path / "once")) == 0
+    twice = (tmp_path / "twice" / "ablation_m.csv").read_bytes()
+    assert twice == (tmp_path / "once" / "ablation_m.csv").read_bytes()
+    assert len(twice.splitlines()) == 1 + 3
+
+
+def test_degenerate_training_split_names_the_attribute(tmp_path, capsys):
+    rc = run_cli("eval-leakage", "--num-ids", "3", "--samples-per-id", "2", "--dim", "64", "--epochs", "5",
+                 "--variants", "mrl", "--out-dir", str(tmp_path))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: DegenerateLabels: attribute 'gender'" in err and "4-sample training split" in err
 
 
 def test_jobs_flag_is_gone(tmp_path, capsys):

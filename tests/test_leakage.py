@@ -284,6 +284,23 @@ def test_ablation_infeasible_c_range_surfaces_in_row():
     assert errors[0]["error"] == "InfeasibleParams"
 
 
+def test_ablation_sweeps_each_distinct_value_once():
+    ds = gen_synthetic_dataset(
+        SyntheticSpec(num_ids=6, samples_per_id=3, dim=32, class_separation=30.0, attribute_correlation=0.5, seed=6)
+    )
+    assert ablation_sweep("m", [3, 3], ds, epochs=20) == ablation_sweep("m", [3], ds, epochs=20)
+    rows = ablation_sweep("c_range", [10, 2, 10, 2], ds, epochs=20)
+    assert [r["value"] for r in rows] == [10, 10, 10, 2]
+
+
+def test_degenerate_training_split_names_the_attribute():
+    ds = gen_synthetic_dataset(
+        SyntheticSpec(num_ids=3, samples_per_id=2, dim=64, class_separation=30.0, attribute_correlation=0.6, seed=0)
+    )
+    with pytest.raises(DegenerateLabels, match="attribute 'gender' has classes .* in its 4-sample training split"):
+        run_leakage_suite(ds, ("mrl",), epochs=5)
+
+
 def test_ablation_rejects_unknown_param():
     with pytest.raises(ValueError):
         ablation_sweep("bogus", [1], [])

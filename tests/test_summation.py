@@ -11,7 +11,6 @@ from polyfhe.summation import (
     fold_add_all,
     naive_add_all,
     write_bench_csv,
-    zero_pad_pow2,
 )
 
 
@@ -170,12 +169,6 @@ def test_broadcast_slot0(ctx):
     out = broadcast_slot0(sv, 5)
     assert out.slots.tolist() == [42.0] * 5 + [0.0] * 3
     assert out.depth_used == sv.depth_used + 1
-
-
-def test_zero_pad_pow2():
-    assert zero_pad_pow2(np.array([1.0, 2.0, 3.0])).tolist() == [1, 2, 3, 0]
-    assert zero_pad_pow2(np.array([1.0, 2.0])).tolist() == [1, 2]
-    assert zero_pad_pow2(np.array([5.0])).tolist() == [5.0]
 
 
 def test_bench_rows_and_counts(ctx, tmp_path):
