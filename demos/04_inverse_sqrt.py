@@ -22,6 +22,6 @@ print(f"  p({x}) = {eval_poly_plain(x, narrow):.4f} vs exact {1/np.sqrt(x):.4f}"
 
 ctx = EncryptionContext(16, 16, key_id="inv")
 xs = np.random.default_rng(1).uniform(1e-4, 4e-4, 16)
-out = eval_poly_encrypted(encrypt(xs, ctx), narrow, ctx)
+out = eval_poly_encrypted(encrypt(xs, ctx), narrow)
 err = np.max(np.abs(decrypt(out, ctx) - eval_poly_plain(xs, narrow)))
 print(f"\nencrypted Horner: per-slot match {err:.1e}, depth consumed {out.depth_used} (= degree)")

@@ -187,10 +187,7 @@ def mult_plain(a: SlotVector, scalars) -> SlotVector:
     depth = a.depth_used + 1
     if depth > ctx.depth_budget:
         raise DepthExceeded(f"mult_plain would reach depth {depth} > budget {ctx.depth_budget}")
-    if type(scalars) is np.ndarray and scalars.shape == a.slots.shape:
-        vals = scalars
-    else:
-        vals = _coerce_scalars(scalars, a.slots.shape[0])
+    vals = _coerce_scalars(scalars, a.slots.shape[0])
     ctx.ops["pt_mults"] += 1
     return SlotVector(a.slots * vals, depth, ctx)
 
@@ -243,14 +240,18 @@ def serialize_ciphertext(sv: SlotVector, ctx: EncryptionContext, mask: bool = Tr
 
     mask=False is a debug mode that writes raw slot bytes (used as the
     control arm of the leakage experiments); the layout is unchanged.
+    ctx must hold sv's key, as for decrypt (KeyMismatch otherwise): the
+    keystream comes from ctx, so another key's blob could not be read back.
     """
+    if sv.ctx.key_id != ctx.key_id:
+        raise KeyMismatch("serialize with a foreign context (missing secret key)")
     cap = sv.slots.shape[0]
     nonce = ctx._fresh_nonce()
     payload = sv.slots.astype("<f8").tobytes()
     if mask:
         ks = _keystream(ctx.masking_seed, nonce, len(payload))
         payload = (np.frombuffer(payload, dtype=np.uint8) ^ np.frombuffer(ks, dtype=np.uint8)).tobytes()
-    return sv.ctx.key_id + nonce + struct.pack("<I", cap) + payload
+    return ctx.key_id + nonce + struct.pack("<I", cap) + payload
 
 
 def deserialize_ciphertext(blob: bytes, ctx: EncryptionContext, masked: bool = True) -> SlotVector:

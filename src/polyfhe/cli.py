@@ -76,18 +76,23 @@ def _config_file_defaults(path, parsed: argparse.Namespace) -> dict:
     Sections only group keys for the reader; keys are flat flag names, and
     keys the subcommand does not know are ignored.  Values stay strings, so
     the subparser type-converts them like flags; a store-true flag takes
-    1/true/yes.  Explicit flags still override them.
+    1/true/yes.  Explicit flags still override them.  A file that
+    configparser cannot read (no section header, a repeated key, a bad %
+    interpolation, bytes that are not UTF-8) raises ValueError naming the file.
     """
     cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise OSError(f"config file not found: {path}")
+    try:
+        if not cp.read(path):
+            raise OSError(f"config file not found: {path}")
+        items = [item for section in cp.sections() for item in cp.items(section)]
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"config file {path} is malformed: {' '.join(str(exc).split())}") from None
     out = {}
-    for section in cp.sections():
-        for key, val in cp.items(section):
-            dest = key.replace("-", "_")
-            if dest in ("command", "func") or not hasattr(parsed, dest):
-                continue
-            out[dest] = val.lower() in ("1", "true", "yes") if isinstance(getattr(parsed, dest), bool) else val
+    for key, val in items:
+        dest = key.replace("-", "_")
+        if dest in ("command", "func") or not hasattr(parsed, dest):
+            continue
+        out[dest] = val.lower() in ("1", "true", "yes") if isinstance(getattr(parsed, dest), bool) else val
     return out
 
 

@@ -1,10 +1,12 @@
-"""Exception types shared across the library, and the shape check of stored
-JSON objects that raises IntegrityError.
+"""Exception types shared across the library, and the reader and shape check
+of stored JSON objects that raise IntegrityError.
 
 Every error raised by polyfhe derives from :class:`PolyFheError`, so callers
 (and the CLI shim) can catch one base class and still report the specific
 contract that was violated.
 """
+
+import json
 
 
 class PolyFheError(Exception):
@@ -78,6 +80,18 @@ def check_json_object(obj, keys: dict, where: str):
     for key, typ in keys.items():
         if type(obj.get(key)) is not typ:
             raise IntegrityError(f"{where} needs {key!r} as a JSON {typ.__name__}")
+
+
+def read_json_object(path, keys: dict, where: str) -> dict:
+    """Parse the JSON file at path and check it as check_json_object does;
+    a file that is not valid JSON raises IntegrityError too."""
+    try:
+        with open(path, "rb") as f:
+            obj = json.loads(f.read())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise IntegrityError(f"{where} is not valid JSON ({exc})") from None
+    check_json_object(obj, keys, where)
+    return obj
 
 
 class EmptyDataset(PolyFheError):

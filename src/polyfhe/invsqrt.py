@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import EncryptionContext, SlotVector, add_plain, mult, mult_plain
+from .backend import SlotVector, add_plain, mult, mult_plain
 from .errors import IllConditioned
 
 
@@ -63,13 +63,18 @@ def eval_poly_plain(x, approx: PolyApprox):
     return float(acc) if np.ndim(x) == 0 else acc
 
 
+def _rel_error(xs, px):
+    """|p(x) - 1/sqrt(x)| * sqrt(x): p's error relative to 1/sqrt(x)."""
+    return np.abs(px - 1.0 / np.sqrt(xs)) * np.sqrt(xs)
+
+
 def rel_error_report(approx: PolyApprox, n_samples: int, seed: int = 0) -> FitReport:
     """Sample the domain uniformly and report max/mean relative error."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     lo, hi = approx.domain
     xs = np.random.default_rng(seed).uniform(lo, hi, n_samples)
-    rel = np.abs(eval_poly_plain(xs, approx) - 1.0 / np.sqrt(xs)) * np.sqrt(xs)
+    rel = _rel_error(xs, eval_poly_plain(xs, approx))
     return FitReport(float(rel.max()), float(rel.mean()), n_samples, seed)
 
 
@@ -114,7 +119,7 @@ def fit_inv_sqrt(
     return PolyApprox(degree, coeffs, (lo, hi), report)
 
 
-def eval_poly_encrypted(sv: SlotVector, approx: PolyApprox, ctx: EncryptionContext) -> SlotVector:
+def eval_poly_encrypted(sv: SlotVector, approx: PolyApprox) -> SlotVector:
     """Slot-wise Horner under the slot contract.
 
     Consumes exactly `degree` depth levels above the input (one plaintext
@@ -138,13 +143,13 @@ def rel_error_curve(approx: PolyApprox, n_points: int = 200):
     lo, hi = approx.domain
     xs = np.linspace(lo, hi, n_points)
     px = eval_poly_plain(xs, approx)
-    rel = np.abs(px - 1.0 / np.sqrt(xs)) * np.sqrt(xs)
-    return xs, px, rel
+    return xs, px, _rel_error(xs, px)
 
 
-def approx_to_dict(approx: PolyApprox) -> dict:
+def save_approx(approx: PolyApprox, path):
+    """Write the fit as JSON: degree, domain, coefficients and error report."""
     r = approx.fit_report
-    return {
+    d = {
         "degree": approx.degree,
         "domain": [approx.domain[0], approx.domain[1]],
         "coeffs": [float(c) for c in approx.coeffs],
@@ -153,18 +158,5 @@ def approx_to_dict(approx: PolyApprox) -> dict:
         "n_samples": r.n_samples,
         "seed": r.seed,
     }
-
-
-def approx_from_dict(d: dict) -> PolyApprox:
-    report = FitReport(d["max_rel_err"], d["mean_rel_err"], d["n_samples"], d["seed"])
-    return PolyApprox(d["degree"], np.asarray(d["coeffs"]), (d["domain"][0], d["domain"][1]), report)
-
-
-def save_approx(approx: PolyApprox, path):
     with open(path, "w") as f:
-        json.dump(approx_to_dict(approx), f, indent=2)
-
-
-def load_approx(path) -> PolyApprox:
-    with open(path) as f:
-        return approx_from_dict(json.load(f))
+        json.dump(d, f, indent=2)

@@ -54,6 +54,7 @@ from .errors import (
     ZeroPrefix,
     ZeroVector,
     check_json_object,
+    read_json_object,
 )
 from .invsqrt import fit_inv_sqrt
 from .polyprotect import (
@@ -431,9 +432,11 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
 
     Each manifest record carries its blob's tag.  Records loaded from disk
     keep their original blob bytes, so a save -> load -> save round trip is
-    bit-identical (re-serializing would draw fresh nonces).  A record whose
-    params_id is not in params_store raises UnknownParamsId before anything
-    is written, so a failed save leaves a gallery already in out_dir intact.
+    bit-identical (re-serializing would draw fresh nonces).  Every record is
+    checked and serialized before anything is written: a record whose
+    params_id is not in params_store raises UnknownParamsId, one whose
+    template is under another key raises KeyMismatch, and either leaves a
+    gallery already in out_dir intact.
     """
     used = {}
     for rec in gallery:
@@ -441,14 +444,14 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
         if params is None:
             raise UnknownParamsId(f"no parameters stored for params_id {rec.params_id}")
         used[rec.params_id] = params
+        if rec.blob is None:
+            rec.blob = serialize_ciphertext(rec.template, ctx)
     out = Path(out_dir)
     (out / "blobs").mkdir(parents=True, exist_ok=True)
     (out / "params").mkdir(exist_ok=True)
     records_meta = []
     named = set()
     for i, rec in enumerate(gallery):
-        if rec.blob is None:
-            rec.blob = serialize_ciphertext(rec.template, ctx)
         rel = f"blobs/{i}.ct"
         (out / rel).write_bytes(rec.blob)
         named.add(out / rel)
@@ -483,11 +486,7 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
 
 def _read_manifest(src: Path) -> dict:
     """manifest.json of a version-3 gallery, its shape checked."""
-    try:
-        manifest = json.loads((src / "manifest.json").read_bytes())
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise IntegrityError(f"gallery {src}: manifest.json is not valid JSON ({exc})") from None
-    check_json_object(manifest, {"version": int}, f"gallery {src}: manifest")
+    manifest = read_json_object(src / "manifest.json", {"version": int}, f"gallery {src}: manifest")
     version = manifest["version"]
     if version != GALLERY_VERSION:
         hint = f" ({_OLD_VERSIONS[version]}); re-enroll it" if version in _OLD_VERSIONS else ""

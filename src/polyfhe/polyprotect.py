@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .backend import EncryptionContext, SlotVector, add, encrypt, mult, mult_plain
-from .errors import CapacityExceeded, InfeasibleParams, InputTooShort, IntegrityError, check_json_object
+from .errors import CapacityExceeded, InfeasibleParams, InputTooShort, IntegrityError, read_json_object
 
 
 @dataclass(frozen=True)
@@ -257,8 +257,8 @@ def expected_template_norm(params: PolyProtectParams, n: int) -> float:
 # --- params persistence -------------------------------------------------------
 
 
-def params_to_dict(params: PolyProtectParams) -> dict:
-    return {
+def save_params(params: PolyProtectParams, path):
+    d = {
         "m": params.m,
         "overlap": params.overlap,
         "c_range": params.c_range,
@@ -267,17 +267,8 @@ def params_to_dict(params: PolyProtectParams) -> dict:
         "params_id": params.params_id,
         "seed": params.seed,
     }
-
-
-def params_from_dict(d: dict) -> PolyProtectParams:
-    return PolyProtectParams(
-        d["m"], d["overlap"], tuple(d["coeffs"]), tuple(d["exps"]), d["c_range"], d["params_id"], d.get("seed")
-    )
-
-
-def save_params(params: PolyProtectParams, path):
     with open(path, "w") as f:
-        json.dump(params_to_dict(params), f, indent=2)
+        json.dump(d, f, indent=2)
 
 
 _PARAMS_KEYS = {"m": int, "overlap": int, "c_range": int, "coeffs": list, "exps": list, "params_id": str}
@@ -290,18 +281,15 @@ def load_params(path) -> PolyProtectParams:
     type, has a params_id other than the hash of its values, or holds values
     that PolyProtectParams rejects raises IntegrityError naming the file.
     """
-    try:
-        with open(path, "rb") as f:
-            d = json.loads(f.read())
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise IntegrityError(f"params file {path} is not valid JSON ({exc})") from None
-    check_json_object(d, _PARAMS_KEYS, f"params file {path}")
+    d = read_json_object(path, _PARAMS_KEYS, f"params file {path}")
     if any(type(x) is not int for x in d["coeffs"] + d["exps"]):
         raise IntegrityError(f"params file {path} needs 'coeffs' and 'exps' as lists of JSON ints")
     pid = _params_id(d["m"], d["overlap"], d["c_range"], d["coeffs"], d["exps"])
     if d["params_id"] != pid:
         raise IntegrityError(f"params file {path} holds params_id {d['params_id']!r}, not the hash of its values, {pid!r}")
     try:
-        return params_from_dict(d)
+        return PolyProtectParams(
+            d["m"], d["overlap"], tuple(d["coeffs"]), tuple(d["exps"]), d["c_range"], d["params_id"], d.get("seed")
+        )
     except ValueError as exc:
         raise IntegrityError(f"params file {path} holds invalid parameters ({exc})") from None

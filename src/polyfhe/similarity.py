@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import EncryptionContext, SlotVector, decrypt, mult, mult_plain
+from .backend import SlotVector, decrypt, mult, mult_plain
 from .errors import DomainViolation, ZeroVector
 from .invsqrt import PolyApprox, eval_poly_encrypted, fit_inv_sqrt
 from .summation import fold_add_all
@@ -93,14 +93,7 @@ def cosine_unit_encrypted(c1: SlotVector, c2: SlotVector, n: int) -> SlotVector:
     return fold_add_all(mult(c1, c2), n)
 
 
-def cosine_encrypted(
-    c1: SlotVector,
-    c2: SlotVector,
-    n: int,
-    plan: NormalizationPlan,
-    approx: PolyApprox,
-    ctx: EncryptionContext,
-) -> SlotVector:
+def cosine_encrypted(c1: SlotVector, c2: SlotVector, n: int, plan: NormalizationPlan, approx: PolyApprox) -> SlotVector:
     """Cosine similarity of two encrypted n-vectors; result in slot 0.
 
     Numerator and squared norms are folded sums of slot-wise products; the
@@ -115,14 +108,14 @@ def cosine_encrypted(
     den = mult(d1, d2)
     num = mult_plain(num, 1.0 / plan.c_bound)
     den = mult_plain(den, 1.0 / plan.d_bound)
-    den = eval_poly_encrypted(den, approx, ctx)
+    den = eval_poly_encrypted(den, approx)
     out = mult(num, den)
     return mult_plain(out, plan.correction)
 
 
 def cosine_encrypted_score(c1, c2, n, plan, approx, ctx) -> float:
     """Decrypt-slot-0 convenience wrapper around cosine_encrypted."""
-    return float(decrypt(cosine_encrypted(c1, c2, n, plan, approx, ctx), ctx)[0])
+    return float(decrypt(cosine_encrypted(c1, c2, n, plan, approx), ctx)[0])
 
 
 def precheck_denominator(a, b, plan: NormalizationPlan, approx: PolyApprox) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import EncryptionContext, SlotVector, add, encrypt, mult_plain, rotate_left
+from .backend import EncryptionContext, SlotVector, add, decrypt, encrypt, mult_plain, rotate_left
 
 
 @dataclass
@@ -31,6 +31,13 @@ class SumBenchRow:
     wall_ns: int
 
 
+def _check_n(c: SlotVector, n: int):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > c.slots.shape[0]:
+        raise ValueError("n exceeds slot capacity")
+
+
 def naive_add_all(c: SlotVector, n: int) -> SlotVector:
     """Sum the first n slots by accumulating n-1 single rotations.
 
@@ -38,10 +45,7 @@ def naive_add_all(c: SlotVector, n: int) -> SlotVector:
     result holds the sum; when n equals the slot capacity the rotations wrap
     the full ring and every slot holds the sum.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > c.slots.shape[0]:
-        raise ValueError("n exceeds slot capacity")
+    _check_n(c, n)
     acc = c
     for i in range(1, n):
         acc = add(acc, rotate_left(c, i))
@@ -61,10 +65,7 @@ def fold_add_all(c: SlotVector, n: int) -> SlotVector:
     needs offsets 2^(k-1) .. 2^0 to cover every slot, and stopping one step
     early leaves the sum incomplete for n > 2.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > c.slots.shape[0]:
-        raise ValueError("n exceeds slot capacity")
+    _check_n(c, n)
     k = (n - 1).bit_length()
     acc = c
     for i in range(k - 1, -1, -1):
@@ -79,11 +80,8 @@ def dft_sum(c: SlotVector, n: int) -> SlotVector:
     rotate by d and mask slot 0, then add everything up.  Costs n-1 rotations
     and n plaintext mults, and one depth level.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(c, n)
     cap = c.slots.shape[0]
-    if n > cap:
-        raise ValueError("n exceeds slot capacity")
     e0 = np.zeros(cap, dtype=np.float64)
     e0[0] = 1.0
     acc = mult_plain(c, e0)
@@ -131,7 +129,7 @@ def bench_summation(sizes, ctx: EncryptionContext, seed: int = 0, repeats: int =
             out = kernel(sv, n)
             ops = ctx.ops - before
             expected = float(data.sum())
-            if not math.isclose(out.slots[0], expected, rel_tol=1e-9, abs_tol=1e-9):
+            if not math.isclose(decrypt(out, ctx)[0], expected, rel_tol=1e-9, abs_tol=1e-9):
                 raise AssertionError(f"kernel {method} disagrees with plain sum at n={n}")
             times = []
             for _ in range(repeats):

@@ -327,6 +327,18 @@ def test_deserialize_foreign_key_rejected(ctx):
         deserialize_ciphertext(blob, other)
 
 
+def test_serialize_under_a_foreign_context_rejected(ctx):
+    # the header would name the vector's key and the mask come from the
+    # other context, so no context could read the blob back
+    other = EncryptionContext(8, 16, key_id="eve")
+    sv = encrypt([1.0, 2.0, 3.0], ctx)
+    with pytest.raises(KeyMismatch):
+        serialize_ciphertext(sv, other)
+    with pytest.raises(KeyMismatch):
+        serialize_ciphertext(sv, other, mask=False)
+    assert decrypt(deserialize_ciphertext(serialize_ciphertext(sv, ctx), ctx), ctx)[:3].tolist() == [1, 2, 3]
+
+
 @pytest.mark.parametrize("size", [0, 20, 34, 35, 36, 37, 99, 101])
 def test_deserialize_wrong_length_is_integrity_error(ctx, size):
     blob = serialize_ciphertext(encrypt([1.0, 2.0], ctx), ctx)  # 100 bytes at capacity 8

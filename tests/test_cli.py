@@ -24,7 +24,7 @@ from polyfhe.pipeline import (
     save_gallery,
 )
 from polyfhe.polyprotect import gen_params
-from polyfhe.invsqrt import fit_inv_sqrt, load_approx
+from polyfhe.invsqrt import FitReport, fit_inv_sqrt
 
 
 def run_cli(*argv):
@@ -108,9 +108,10 @@ def test_bench_sum_csv_and_determinism(tmp_path):
 def test_fit_invsqrt_outputs(tmp_path):
     rc = run_cli("fit-invsqrt", "--degree", "6", "--out-dir", str(tmp_path))
     assert rc == 0
-    approx = load_approx(tmp_path / "invsqrt_fit.json")
+    with open(tmp_path / "invsqrt_fit.json") as f:
+        fit = json.load(f)
     expected = fit_inv_sqrt(6, (1e-3, 1.0))
-    assert approx.fit_report == expected.fit_report
+    assert FitReport(fit["max_rel_err"], fit["mean_rel_err"], fit["n_samples"], fit["seed"]) == expected.fit_report
     lines = (tmp_path / "invsqrt_curve.csv").read_text().strip().splitlines()
     assert lines[0] == "x,p_x,rel_err"
     assert len(lines) == 201
@@ -274,6 +275,23 @@ def test_config_file_defaults_and_override(tmp_path):
 def test_missing_config_file_errors(tmp_path, capsys):
     rc = run_cli("gen-params", "--config", str(tmp_path / "absent.ini"), "--out-dir", str(tmp_path))
     assert rc == 1
+
+
+@pytest.mark.parametrize("data", [
+    b"m = 6\n",
+    b"[params]\nm = 6\nm = 4\n",
+    b"[params]\nc-range = 5%\n",
+    b"\xff[params]\nm = 6\n",
+], ids=["no-section-header", "repeated-key", "lone-percent", "not-utf-8"])
+@pytest.mark.parametrize("command", ["gen-params", "enroll"])
+def test_malformed_config_file_exits_1(tmp_path, capsys, data, command):
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(data)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(cfg), "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ") and err.count("\n") == 1 and str(cfg) in err
+    assert not (out / "run_manifest.json").exists()
 
 
 def _enrolled(tmp_path):

@@ -11,6 +11,7 @@ from polyfhe.errors import (
     EmptyDataset,
     EmptyGallery,
     IntegrityError,
+    KeyMismatch,
     MalformedDataset,
     UnknownParamsId,
     ZeroPrefix,
@@ -603,20 +604,26 @@ def test_save_gallery_unknown_params_id(tmp_path):
 
 
 def test_failed_save_leaves_the_existing_gallery_intact(tmp_path):
+    # each save fails on its last record, after every other one was serialized
     ds = gen_synthetic_dataset(small_spec(num_ids=8, samples_per_id=1))
     pipe = Pipeline(PipelineConfig(seed=6))
     gallery, _ = build_gallery(ds, pipe)
     first, second = gallery[:4], gallery[4:]
-    out = tmp_path / "g"
-    save_gallery(first, pipe.ctx, pipe.params_store, out)
-    saved = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
-    store = dict(pipe.params_store)
-    del store[second[-1].params_id]
-    with pytest.raises(UnknownParamsId):
-        save_gallery(second, pipe.ctx, store, out)
-    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == saved
-    loaded, _, _ = load_gallery(out)
-    assert [rec.blob for rec in loaded] == [rec.blob for rec in first]
+    no_params = dict(pipe.params_store)
+    del no_params[second[-1].params_id]
+    foreign = second[:-1] + [Pipeline(PipelineConfig(seed=7)).enroll(ds[-1], pipe.params_store[second[-1].params_id])]
+    for name, records, store, error in [
+        ("no-params", second, no_params, UnknownParamsId),
+        ("foreign-key", foreign, pipe.params_store, KeyMismatch),
+    ]:
+        out = tmp_path / name
+        save_gallery(first, pipe.ctx, pipe.params_store, out)
+        saved = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        with pytest.raises(error):
+            save_gallery(records, pipe.ctx, store, out)
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == saved
+        loaded, _, _ = load_gallery(out)
+        assert [rec.blob for rec in loaded] == [rec.blob for rec in first]
 
 
 def test_load_gallery_missing_params_file(tmp_path):

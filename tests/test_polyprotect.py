@@ -15,8 +15,6 @@ from polyfhe.polyprotect import (
     load_params,
     output_len,
     pack_template,
-    params_from_dict,
-    params_to_dict,
     protect_depth,
     protect_encrypted,
     protect_plain,
@@ -381,7 +379,6 @@ def test_params_json_round_trip(tmp_path):
     with open(path) as f:
         d = json.load(f)
     assert set(d) == {"m", "overlap", "c_range", "coeffs", "exps", "params_id", "seed"}
-    assert params_from_dict(params_to_dict(p)) == p
 
 
 @pytest.mark.parametrize("edit,problem", [

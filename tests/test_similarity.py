@@ -184,7 +184,7 @@ def test_depth_consumption_matches_contract():
     ctx = EncryptionContext(128, degree + 5, key_id="cos")
     plan, approx = unit_cosine_setup(64, degree=degree)
     rng = np.random.default_rng(13)
-    out = cosine_encrypted(encrypt(unit(rng, 64), ctx), encrypt(unit(rng, 64), ctx), 64, plan, approx, ctx)
+    out = cosine_encrypted(encrypt(unit(rng, 64), ctx), encrypt(unit(rng, 64), ctx), 64, plan, approx)
     assert out.depth_used == degree + 5
 
 
