@@ -22,6 +22,14 @@ rotate_left, mult, mult_plain and encrypt each add 1 under "rotations",
 ops performed, so a value that feeds both sides of an op counts once, and a
 computation's cost is the ledger difference around it.  Depth stays on each
 SlotVector: it belongs to a ciphertext, not to a tally.
+
+Capacity invariant: every SlotVector made under a context holds exactly
+ctx.slot_capacity slots -- encrypt pads to it, deserialize_ciphertext checks
+it, and every op keeps its input's length.  So add and mult check keys and
+capacities only for operands of two different context objects.  A rotation
+is a fixed slot permutation (the Galois automorphism of CKKS); up to
+_GATHER_MAX_CAPACITY slots the simulator applies it as one gather through a
+precomputed read-only index table, above that as two slice copies.
 """
 
 from __future__ import annotations
@@ -39,6 +47,24 @@ from .errors import CapacityExceeded, DepthExceeded, IntegrityError, KeyMismatch
 _KEY_LEN = 16
 _NONCE_LEN = 16
 HEADER_LEN = _KEY_LEN + _NONCE_LEN + 4  # key, nonce, capacity; the slot payload follows
+
+# Largest capacity rotated by one gather.  Measured per rotation (timeit,
+# 2 vCPUs, numpy on Python 3.11): the gather takes 0.5-0.8 us at 128 slots
+# and 0.9 us at 512, where two slice copies take 1.2-2.7 and 1.2-2.1 us; the
+# two tie near 1024 (1.4-1.5 vs 1.2-1.6 us), and from 2048 slots on (2.5-3.5
+# vs 1.6-2.6 us at 2048) the slice copies win.
+_GATHER_MAX_CAPACITY = 512
+
+
+def _doubled_range(cap: int) -> np.ndarray:
+    idx = np.tile(np.arange(cap), 2)
+    idx.flags.writeable = False
+    return idx
+
+
+# Per power-of-two capacity c up to the limit, arange(c) twice and read-only:
+# a left rotation by k gathers slots _ROTATION_INDEX[c][k : k + c].
+_ROTATION_INDEX = {1 << i: _doubled_range(1 << i) for i in range(_GATHER_MAX_CAPACITY.bit_length())}
 
 
 def _as_key_bytes(key_id) -> bytes:
@@ -149,13 +175,15 @@ def _check_pair(a: SlotVector, b: SlotVector):
 
 def add(a: SlotVector, b: SlotVector) -> SlotVector:
     """Slot-wise sum.  Depth is max of the inputs."""
-    _check_pair(a, b)
+    if a.ctx is not b.ctx:
+        _check_pair(a, b)
     return SlotVector(a.slots + b.slots, a.depth_used if a.depth_used >= b.depth_used else b.depth_used, a.ctx)
 
 
 def mult(a: SlotVector, b: SlotVector) -> SlotVector:
     """Slot-wise ciphertext-ciphertext product; consumes one depth level."""
-    _check_pair(a, b)
+    if a.ctx is not b.ctx:
+        _check_pair(a, b)
     depth = (a.depth_used if a.depth_used >= b.depth_used else b.depth_used) + 1
     ctx = a.ctx
     if depth > ctx.depth_budget:
@@ -212,7 +240,9 @@ def rotate_left(a: SlotVector, k: int) -> SlotVector:
     s = a.slots
     cap = s.shape[0]
     k &= cap - 1  # capacity is a power of two
-    if k:
+    if cap <= _GATHER_MAX_CAPACITY:
+        out = s[_ROTATION_INDEX[cap][k : k + cap]]
+    elif k:
         out = np.empty_like(s)
         out[: cap - k] = s[k:]
         out[cap - k :] = s[:k]

@@ -73,18 +73,19 @@ def _write_manifest(out_dir: Path, command: str, config: dict):
 def _config_file_defaults(path, parsed: argparse.Namespace) -> dict:
     """Read the INI config at path into defaults for the parsed subcommand.
 
-    Sections only group keys for the reader; keys are flat flag names, and
-    keys the subcommand does not know are ignored.  Values stay strings, so
-    the subparser type-converts them like flags; a store-true flag takes
-    1/true/yes.  Explicit flags still override them.  A file that
-    configparser cannot read (no section header, a repeated key, a bad %
-    interpolation, bytes that are not UTF-8) raises ValueError naming the file.
+    Sections, [DEFAULT] among them, only group keys for the reader; keys are
+    flat flag names, and keys the subcommand does not know are ignored.
+    Values stay strings, so the subparser type-converts them like flags; a
+    store-true flag takes 1/true/yes.  Explicit flags still override them.
+    A file that configparser cannot read (no section header, a repeated key,
+    a bad % interpolation, bytes that are not UTF-8) raises ValueError naming
+    the file.
     """
     cp = configparser.ConfigParser()
     try:
         if not cp.read(path):
             raise OSError(f"config file not found: {path}")
-        items = [item for section in cp.sections() for item in cp.items(section)]
+        items = [item for section in (cp.default_section, *cp.sections()) for item in cp.items(section)]
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"config file {path} is malformed: {' '.join(str(exc).split())}") from None
     out = {}

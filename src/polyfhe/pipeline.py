@@ -39,12 +39,13 @@ import hashlib
 import hmac
 import json
 import math
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .backend import EncryptionContext, SlotVector, decrypt, deserialize_ciphertext, serialize_ciphertext
+from .backend import HEADER_LEN, EncryptionContext, SlotVector, decrypt, deserialize_ciphertext, serialize_ciphertext
 from .errors import (
     EmptyDataset,
     EmptyGallery,
@@ -513,10 +514,12 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
     manifest's records name are read.  A manifest that is not valid JSON,
     lacks a key, holds a value of the wrong type, or has a format version
     other than 3 raises IntegrityError; one with no records raises
-    EmptyGallery.  A blob whose tag does not match raises IntegrityError, as
-    does a params file that load_params rejects or whose params_id is not
-    its file name.  A record whose params file is missing raises
-    UnknownParamsId.
+    EmptyGallery.  Record i's blob must be blobs/<i>.ct, a regular file of
+    exactly HEADER_LEN + 8 x slot_capacity bytes, checked before it is
+    opened; anything else raises IntegrityError.  A blob whose tag does not
+    match raises IntegrityError, as does a params file that load_params
+    rejects or whose params_id is not its file name.  A record whose params
+    file is missing raises UnknownParamsId.
     """
     src = Path(in_dir)
     manifest = _read_manifest(src)
@@ -531,6 +534,7 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
             raise IntegrityError(f"gallery {in_dir}: manifest ctx is invalid ({exc})") from None
     elif ctx.key_id.hex() != meta["key_id"]:
         raise ValueError("context key does not match the saved gallery")
+    blob_len = HEADER_LEN + 8 * meta["slot_capacity"]
     params_store = {}
     gallery = []
     for i, rec_meta in enumerate(manifest["records"]):
@@ -545,10 +549,19 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
                 raise IntegrityError(
                     f"gallery {src}: {rel} holds params_id {params.params_id!r}; it must equal the file name"
                 )
-        blob = (src / rec_meta["blob_path"]).read_bytes()
+        blob_path = rec_meta["blob_path"]
+        if blob_path != f"blobs/{i}.ct":
+            raise IntegrityError(f"gallery {in_dir}: record {i} names blob {blob_path!r}; it must be blobs/{i}.ct")
+        try:
+            info = (src / blob_path).stat()
+        except (FileNotFoundError, NotADirectoryError):
+            info = None
+        if info is None or not stat.S_ISREG(info.st_mode) or info.st_size != blob_len:
+            raise IntegrityError(f"gallery {in_dir}: {blob_path} is not a regular file of {blob_len} bytes")
+        blob = (src / blob_path).read_bytes()
         tag = _record_tag(rec_meta["subject_id"], pid, rec_meta["compress_dim"], blob, ctx)
         if not hmac.compare_digest(tag.encode(), rec_meta["tag"].encode()):
-            raise IntegrityError(f"gallery {in_dir}: record {i} ({rec_meta['blob_path']}) does not match its tag")
+            raise IntegrityError(f"gallery {in_dir}: record {i} ({blob_path}) does not match its tag")
         sv = deserialize_ciphertext(blob, ctx)
         sv.depth_used = protect_depth(params)
         gallery.append(GalleryRecord(rec_meta["subject_id"], sv, pid, rec_meta["compress_dim"], blob))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyfhe import backend
 from polyfhe.backend import (
     EncryptionContext,
     add,
@@ -121,6 +122,7 @@ def test_mult_chain_hits_depth_budget():
     for _ in range(small.depth_budget):
         acc = mult(acc, base)
     assert acc.depth_used == small.depth_budget
+    assert acc.ctx is base.ctx  # the same-context path, which skips the pair check, still checks depth
     with pytest.raises(DepthExceeded):
         mult(acc, base)
 
@@ -233,6 +235,29 @@ def test_rotation_group_law(a, b):
     assert composed.slots.tolist() == rotate_left(sv, a + b).slots.tolist()
 
 
+# Capacities on both sides of the gather limit: 1, 2 and 128 gather, 1024 and up copy two slices.
+ROTATION_CAPACITIES = [1, 2, 128, 1024, 2048, 4096]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cap=st.sampled_from(ROTATION_CAPACITIES), data=st.data())
+def test_rotate_left_is_a_cyclic_shift_into_a_fresh_array(cap, data):
+    assert 128 <= backend._GATHER_MAX_CAPACITY < 1024
+    k = data.draw(st.integers(min_value=0, max_value=3 * cap), label="k")
+    ctx = EncryptionContext(cap, 16, key_id="rot")
+    slots = np.random.default_rng(cap).normal(size=cap)
+    sv = encrypt(slots, ctx)
+    out = rotate_left(sv, k)
+    assert ctx.ops == {"encryptions": 1, "rotations": 1}
+    assert out.slots.tolist() == np.roll(slots, -k).tolist()
+    out.slots[:] = np.nan  # the result is the caller's own: the input and the index tables keep their values
+    assert sv.slots.tolist() == slots.tolist()
+    assert sorted(backend._ROTATION_INDEX) == [1 << i for i in range(backend._GATHER_MAX_CAPACITY.bit_length())]
+    for c, idx in backend._ROTATION_INDEX.items():
+        assert not idx.flags.writeable
+        assert idx.tolist() == list(range(c)) * 2
+
+
 @settings(max_examples=30, deadline=None)
 @given(log_cap=st.integers(min_value=0, max_value=8), key=st.text(max_size=8), k=st.integers(min_value=0, max_value=300))
 def test_every_op_carries_its_input_context(log_cap, key, k):
@@ -278,6 +303,20 @@ def test_key_isolation_binary_ops(ctx):
     for op in (add, mult):
         with pytest.raises(KeyMismatch):
             op(a, b)
+
+
+def test_pair_check_across_contexts_of_one_key():
+    small = EncryptionContext(4, 16, key_id="alice")
+    large = EncryptionContext(8, 16, key_id="alice")
+    twin = EncryptionContext(4, 16, key_id="alice")
+    a = encrypt([1.0, 2.0], small)
+    for op in (add, mult):
+        with pytest.raises(ValueError, match="different capacities"):
+            op(a, encrypt([1.0], large))
+    # an equal context that is another object passes the full check
+    b = encrypt([3.0], twin)
+    assert decrypt(add(a, b), small).tolist() == [4.0, 2.0, 0.0, 0.0]
+    assert decrypt(mult(a, b), small).tolist() == [3.0, 0.0, 0.0, 0.0]
 
 
 def test_serialize_round_trip_exact(ctx):

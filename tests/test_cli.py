@@ -272,6 +272,17 @@ def test_config_file_defaults_and_override(tmp_path):
     assert d["m"] == 4 and d["overlap"] == 1 and d["c_range"] == 30
 
 
+@pytest.mark.parametrize(
+    "text", ["[DEFAULT]\nm = 7\n", "[DEFAULT]\nm = 4\n[params]\nm = 7\n"], ids=["alone", "overridden"]
+)
+def test_config_file_default_section_is_read(tmp_path, text):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert run_cli("gen-params", "--config", str(cfg), "--out-dir", str(tmp_path / "a")) == 0
+    (params_file,) = (tmp_path / "a").glob("params_*.json")
+    assert json.loads(params_file.read_text())["m"] == 7
+
+
 def test_missing_config_file_errors(tmp_path, capsys):
     rc = run_cli("gen-params", "--config", str(tmp_path / "absent.ini"), "--out-dir", str(tmp_path))
     assert rc == 1

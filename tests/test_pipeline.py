@@ -660,6 +660,9 @@ def _saved_manifest(tmp_path):
     (lambda m: m["ctx"].update(slot_capacity=100), "manifest ctx is invalid"),
     (lambda m: m["ctx"].update(depth_budget=True), "manifest ctx needs 'depth_budget' as a JSON int"),
     (lambda m: m["records"][1].pop("blob_path"), "record 1 needs 'blob_path' as a JSON str"),
+    (lambda m: m["records"][0].update(blob_path="/absent/0.ct"), "record 0 names blob '/absent/0.ct'; it must be"),
+    # the right blob, reached by another path
+    (lambda m: m["records"][1].update(blob_path="../g/blobs/1.ct"), "record 1 names blob '../g/blobs/1.ct'; it must be"),
     (lambda m: m["records"][0].update(compress_dim="64"), "record 0 needs 'compress_dim' as a JSON int"),
     (lambda m: m["records"].append(7), "record 2 is not a JSON object"),
 ])
@@ -679,6 +682,24 @@ def test_load_gallery_manifest_not_json_object_is_integrity_error(tmp_path, data
     with pytest.raises(IntegrityError) as exc:
         load_gallery(tmp_path / "g")
     assert str(tmp_path / "g") in str(exc.value)
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda blob: (blob.unlink(), blob.mkdir()),
+    lambda blob: blob.write_bytes(blob.read_bytes() + b"\0"),
+    lambda blob: blob.write_bytes(blob.read_bytes()[:-1]),
+    lambda blob: blob.unlink(),
+], ids=["directory", "one-byte-long", "one-byte-short", "missing"])
+def test_load_gallery_refuses_a_blob_that_is_not_a_file_of_the_exact_size(tmp_path, spoil):
+    path, manifest = _saved_manifest(tmp_path)
+    size = HEADER_LEN + 8 * manifest["ctx"]["slot_capacity"]
+    blob = path.parent / "blobs" / "0.ct"
+    assert blob.stat().st_size == size
+    spoil(blob)
+    with pytest.raises(IntegrityError) as exc:
+        load_gallery(tmp_path / "g")
+    assert str(tmp_path / "g") in str(exc.value)
+    assert f"blobs/0.ct is not a regular file of {size} bytes" in str(exc.value)
 
 
 def _rehashed(d):
