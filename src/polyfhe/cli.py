@@ -74,7 +74,9 @@ def _config_file_defaults(path, parsed: argparse.Namespace) -> dict:
     """Read the INI config at path into defaults for the parsed subcommand.
 
     Sections, [DEFAULT] among them, only group keys for the reader; keys are
-    flat flag names, and keys the subcommand does not know are ignored.
+    flat flag names, and keys the subcommand does not know are ignored.  A
+    key a section sets itself beats [DEFAULT]'s, and of two sections that set
+    one key the later wins.
     Values stay strings, so the subparser type-converts them like flags; a
     store-true flag takes 1/true/yes.  Explicit flags still override them.
     A file that configparser cannot read (no section header, a repeated key,
@@ -82,10 +84,15 @@ def _config_file_defaults(path, parsed: argparse.Namespace) -> dict:
     the file.
     """
     cp = configparser.ConfigParser()
+    # [DEFAULT] as a plain section, so each section lists only its own keys (no
+    # header can name a section "\n"); it is read first, wherever it stands
+    own = configparser.ConfigParser(default_section="\n", interpolation=None, strict=False)
     try:
         if not cp.read(path):
             raise OSError(f"config file not found: {path}")
-        items = [item for section in (cp.default_section, *cp.sections()) for item in cp.items(section)]
+        own.read(path)
+        sections = sorted(own.sections(), key=lambda section: section != cp.default_section)
+        items = [(key, cp.get(section, key)) for section in sections for key in own.options(section)]
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"config file {path} is malformed: {' '.join(str(exc).split())}") from None
     out = {}

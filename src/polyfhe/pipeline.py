@@ -16,20 +16,29 @@ coefficient mults, so nothing new leaves the key holder and the stored
 ciphertext does not carry its template's norm.
 
 Protection parameters are per user, so a 1:N search protects the probe under
-each record's own parameters.  The work that depends only on the probe is
-shared by every record with the same (compress_dim, m, overlap): its windows
-are encrypted once as m column ciphertexts, each column's powers are built
-once and shared (polyprotect), and their plaintext powers give every
-record's template norm at once.  Each record then pays m plaintext scalar
-mults for its template, one product and one fold.  The template depth is
-protect_depth; the comparison adds one level (protect_depth + 1 = 5 at the
-default config).
+each record's own parameters.  Templates are searched packed (HERS,
+Engelsma, Jain and Boddeti, T-BIOM 2022): build_gallery and load_gallery put
+B = capacity // W consecutive records of each (compress_dim, m, overlap)
+group in one ciphertext, W = 2^ceil(log2 k), record b rotated right by b W:
+N - packs rotations per build or load, by offsets capacity - b W that a real
+backend needs Galois keys for (one more, 64, at the default config, where
+B = 2).  enroll returns a pack of one.  The probe's windows are encrypted
+once per group as m column ciphertexts copied into every block, with shared
+column powers (polyprotect) and template norms.  Each pack pays one
+plaintext mult per column of each of its records (m per record: records
+that share a (column, exponent) pair are not merged, so the count does not
+depend on the users' secret exponents), one product and one fold; record
+b's score is slot b W, bit-identical to a pack of one's.  Per comparison at
+the default config and N = 200: 3 rotations, 0.6 ct-ct mults, 5 plaintext
+mults, 0.025 encryptions (6, 1.1, 5 and 0.025 unpacked).  The comparison
+adds one level to protect_depth (5 at the default config).
 
 Gallery format version 3: manifest.json, one masked ciphertext blob per
-record, and one params file per parameter set the records use.  Each record
-in the manifest carries an HMAC-SHA256 tag, keyed from the context's masking
-seed, over its ids and its blob (header and payload); a load that finds a
-record whose tag does not match raises IntegrityError.
+record (its own template, not its pack), and one params file per parameter
+set the records use.  Each record in the manifest carries an HMAC-SHA256
+tag, keyed from the context's masking seed, over its ids and its blob
+(header and payload); a load that finds a record whose tag does not match
+raises IntegrityError.
 """
 
 from __future__ import annotations
@@ -45,7 +54,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import HEADER_LEN, EncryptionContext, SlotVector, decrypt, deserialize_ciphertext, serialize_ciphertext
+from .backend import HEADER_LEN, EncryptionContext, SlotVector, add, decrypt, rotate_left
+from .backend import deserialize_ciphertext, serialize_ciphertext
 from .errors import (
     EmptyDataset,
     EmptyGallery,
@@ -64,11 +74,13 @@ from .polyprotect import (
     gen_params,
     load_params,
     output_len,
+    pack_template,
     protect_depth,
     protect_encrypted,
     protect_plain,
     save_params,
     template_norms,
+    window_powers,
 )
 from .similarity import cosine_plain, cosine_unit_encrypted, make_normalization_plan
 
@@ -115,6 +127,24 @@ class SyntheticSpec:
             raise ValueError("attribute_correlation must be in [0, 1]")
 
 
+@dataclass(eq=False)
+class TemplatePack:
+    """The templates of up to capacity // width records of one layout in one
+    ciphertext, record b's in slots [b * width, b * width + k).
+
+    width = 2^ceil(log2 k).  pairs lists each record's (column, exponent)
+    pairs, by column and then block; coeffs[r, b] is record b's coefficient
+    for pairs[r] if that pair is record b's, else 0.  Records that share a
+    pair keep a row each, so a pack costs m plaintext mults per record
+    whatever the users' secret exponents are.
+    """
+
+    ciphertext: SlotVector
+    width: int
+    pairs: tuple
+    coeffs: np.ndarray
+
+
 @dataclass
 class GalleryRecord:
     """One enrolled subject: its packed template, p_j / ||p|| in slot j, and the ids to resolve it."""
@@ -124,6 +154,8 @@ class GalleryRecord:
     params_id: str
     compress_dim: int
     blob: bytes = field(default=None, repr=False, compare=False)  # the template as saved or loaded
+    pack: TemplatePack = field(default=None, repr=False, compare=False)  # what identify reads, at block
+    block: int = field(default=0, compare=False)
 
 
 _ATTR_SHIFT = 2.5
@@ -197,11 +229,42 @@ def _unit_scales(norms):
 
 def enroll(e: Embedding, params: PolyProtectParams, ctx: EncryptionContext, d: int) -> GalleryRecord:
     """compress -> encrypt -> protect -> pack, scaled to unit norm by the
-    exact template norm; returns the persistable record."""
+    exact template norm; returns the persistable record, a pack of one."""
     x = compress_prefix(e, d)
     scale = _unit_scales(np.linalg.norm(protect_plain(x, params)))
-    template = protect_encrypted(encrypt_windows(x, params, ctx), params, scale)
-    return GalleryRecord(e.subject_id, template, params.params_id, d)
+    windows = encrypt_windows(x, params, ctx)
+    template = protect_encrypted(windows, params, scale)
+    # the layout _pack_gallery gives one record: its pairs in column order, its coefficients in block 0
+    width = 1 << (windows.k - 1).bit_length()
+    coeffs = np.zeros((params.m, ctx.slot_capacity // width))
+    coeffs[:, 0] = params.coeffs
+    pack = TemplatePack(template, width, tuple(enumerate(params.exps)), coeffs)
+    return GalleryRecord(e.subject_id, template, params.params_id, d, pack=pack)
+
+
+def _pack_gallery(gallery: list, params_store: dict, ctx: EncryptionContext):
+    """Put each layout group's records in TemplatePacks, capacity // W
+    consecutive records each, record b rotated right by b W and added in:
+    len(gallery) - packs rotations."""
+    groups = {}
+    for rec in gallery:
+        params = params_store[rec.params_id]
+        groups.setdefault((rec.compress_dim, params.m, params.overlap), []).append((rec, params))
+    cap = ctx.slot_capacity
+    for (d, m, overlap), members in groups.items():
+        width = 1 << (output_len(d, m, overlap) - 1).bit_length()
+        for start in range(0, len(members), cap // width):
+            chunk = members[start : start + cap // width]
+            ct = chunk[0][0].template
+            for b, (rec, _) in enumerate(chunk[1:], 1):
+                ct = add(ct, rotate_left(rec.template, cap - b * width))
+            rows = [(i, b, params) for i in range(m) for b, (_, params) in enumerate(chunk)]  # by column, then block
+            coeffs = np.zeros((len(rows), cap // width))
+            for r, (i, b, params) in enumerate(rows):
+                coeffs[r, b] = params.coeffs[i]
+            pack = TemplatePack(ct, width, tuple((i, params.exps[i]) for i, _, params in rows), coeffs)
+            for b, (rec, _) in enumerate(chunk):
+                rec.pack, rec.block = pack, b
 
 
 # How far an exact-mode cosine of two unit-norm templates may stray past
@@ -213,15 +276,16 @@ def identify(probe: Embedding, gallery: list, params_store: dict, ctx: Encryptio
     """Encrypted 1:N search: (subject_id, score) sorted by descending score.
 
     The probe is protected under each record's own parameters, scaled to
-    unit norm, and scored against the record's stored unit-norm ciphertext
-    by one product and one fold.  Per (compress_dim, m, overlap) its windows
-    are encrypted once, share their column powers, and give every record's
-    template norm from one table of plaintext powers.  Scores are decrypted
-    with the user context before ranking; ties break by subject_id for a
-    stable order.  A decrypted score that is not finite raises
-    IntegrityError, and so, in exact mode (ctx.noise_stddev == 0), does one
-    outside [-1, 1] by more than rounding: both templates have unit norm, so
-    such a score means a record's ciphertext is not what enrollment stored.
+    unit norm, and scored against the record's unit-norm template, per pack
+    (see the module docstring): the probe's templates for all the pack's
+    blocks are one weighted sum of column powers, under masks that hold each
+    record's coefficient times its probe scale in its block and zeros in the
+    blocks of records gallery does not list.  A record listed twice is
+    scored twice.  Ties break by subject_id for a stable order.  A decrypted
+    score that is not finite raises IntegrityError, and so, in exact mode
+    (ctx.noise_stddev == 0), does one outside [-1, 1] by more than rounding:
+    both templates have unit norm, so such a score means a record's
+    ciphertext is not what enrollment stored.
     """
     if not gallery:
         raise ValueError("identify needs a nonempty gallery")
@@ -230,21 +294,33 @@ def identify(probe: Embedding, gallery: list, params_store: dict, ctx: Encryptio
         params = params_store.get(rec.params_id)
         if params is None:
             raise UnknownParamsId(f"no parameters stored for params_id {rec.params_id}")
-        layouts.setdefault((rec.compress_dim, params.m, params.overlap), []).append((i, params))
+        packs = layouts.setdefault((rec.compress_dim, params.m, params.overlap), {})
+        packs.setdefault(rec.pack, []).append((i, params))
     scores = [None] * len(gallery)
-    for (d, _, _), members in layouts.items():
+    for (d, _, _), packs in layouts.items():
         v = compress_prefix(probe, d)
-        windows = encrypt_windows(v, members[0][1], ctx)
-        scales = _unit_scales(template_norms(v, [params for _, params in members]))
-        for (i, params), scale in zip(members, scales):
-            rec = gallery[i]
-            ct = cosine_unit_encrypted(rec.template, protect_encrypted(windows, params, scale), windows.k)
-            score = float(decrypt(ct, ctx)[0])
-            if not math.isfinite(score) or (ctx.noise_stddev == 0.0 and abs(score) > 1.0 + _SCORE_ROUNDING):
-                raise IntegrityError(
-                    f"record {i} (subject {rec.subject_id}) scores {score}, not the cosine of two unit-norm templates"
-                )
-            scores[i] = (rec.subject_id, score)
+        members = [member for pack_members in packs.values() for member in pack_members]
+        width = next(iter(packs)).width
+        windows = encrypt_windows(v, members[0][1], ctx, ctx.slot_capacity // width)
+        # one row of block scales per pack; blocks of records not searched stay 0
+        block_scales = np.zeros((len(packs), ctx.slot_capacity // width))
+        rows = [row for row, pack_members in enumerate(packs.values()) for _ in pack_members]
+        block_scales[rows, [gallery[i].block for i, _ in members]] = _unit_scales(
+            template_norms(v, [params for _, params in members])
+        )
+        for (pack, pack_members), scales in zip(packs.items(), block_scales):
+            masks = np.repeat(pack.coeffs * scales, width, axis=1)
+            probe_ct = pack_template(window_powers(windows, pack.pairs), masks)
+            slots = decrypt(cosine_unit_encrypted(pack.ciphertext, probe_ct, windows.k), ctx)
+            for i, _ in pack_members:
+                rec = gallery[i]
+                score = float(slots[rec.block * width])
+                if not math.isfinite(score) or (ctx.noise_stddev == 0.0 and abs(score) > 1.0 + _SCORE_ROUNDING):
+                    raise IntegrityError(
+                        f"record {i} (subject {rec.subject_id}) scores {score}, "
+                        "not the cosine of two unit-norm templates"
+                    )
+                scores[i] = (rec.subject_id, score)
     return sorted(scores, key=lambda t: (-t[1], t[0]))
 
 
@@ -345,6 +421,7 @@ def build_gallery(dataset: list, pipeline: Pipeline) -> tuple:
     for i, e in enumerate(enrollees):
         params = pipeline.gen_user_params(i)
         gallery.append(pipeline.enroll(e, params))
+    _pack_gallery(gallery, pipeline.params_store, pipeline.ctx)
     return gallery, probes
 
 
@@ -565,4 +642,5 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
         sv = deserialize_ciphertext(blob, ctx)
         sv.depth_used = protect_depth(params)
         gallery.append(GalleryRecord(rec_meta["subject_id"], sv, pid, rec_meta["compress_dim"], blob))
+    _pack_gallery(gallery, params_store, ctx)
     return gallery, params_store, ctx

@@ -169,25 +169,36 @@ class EncryptedWindows:
         return self.k
 
 
-def encrypt_windows(v, params: PolyProtectParams, ctx: EncryptionContext) -> EncryptedWindows:
-    """Encrypt the m columns of v's (k, m) window matrix: m encryptions."""
+def encrypt_windows(v, params: PolyProtectParams, ctx: EncryptionContext, copies: int = 1) -> EncryptedWindows:
+    """Encrypt the m columns of v's (k, m) window matrix: m encryptions.
+
+    copies > 1 repeats each column every capacity // copies slots, so every
+    power and weighted sum of the columns is computed in each block at once.
+    """
     windows = chunk_embedding(v, params)
     k, m = windows.shape
     cap = ctx.slot_capacity
-    if k > cap:
-        raise CapacityExceeded(f"{k} windows do not fit slot capacity {cap}")
+    if k > cap // copies:
+        times = f" {copies} times" if copies > 1 else ""
+        raise CapacityExceeded(f"{k} windows do not fit slot capacity {cap}{times}")
     columns = np.zeros((m, cap), dtype=np.float64)
-    columns[:, :k] = windows.T
+    columns.reshape(m, copies, cap // copies)[:, :, :k] = windows.T[:, None]
     cts = tuple(encrypt(column, ctx) for column in columns)
     return EncryptedWindows(cts, k, m, params.overlap, tuple({} for _ in cts))
 
 
+def window_powers(windows: EncryptedWindows, pairs) -> list:
+    """cts[i]^e for each (column i, exponent e) in pairs, memoized on the windows."""
+    return [_pow_ct(windows.cts[i], e, windows.memos[i]) for i, e in pairs]
+
+
 def pack_template(terms, coeffs, scale: float = 1.0) -> SlotVector:
     """The weighted sum sum_i mult_plain(terms[i], coeffs[i] * scale): one
-    plaintext scalar mult per term, which also applies the scale."""
+    plaintext mult per term, which also applies the scale.  A coefficient is
+    a scalar or a capacity-length plaintext."""
     acc = None
-    for term, c in zip(terms, coeffs):
-        weighted = mult_plain(term, c * scale)
+    for term, weight in zip(terms, np.asarray(coeffs, dtype=np.float64) * scale):
+        weighted = mult_plain(term, weight)
         acc = weighted if acc is None else add(acc, weighted)
     return acc
 
@@ -202,8 +213,7 @@ def protect_encrypted(windows: EncryptedWindows, params: PolyProtectParams, scal
     """
     if (windows.m, windows.overlap) != (params.m, params.overlap):
         raise ValueError("windows were laid out for a different window width or overlap")
-    terms = [_pow_ct(ct, e, memo) for ct, memo, e in zip(windows.cts, windows.memos, params.exps)]
-    return pack_template(terms, params.coeffs, scale)
+    return pack_template(window_powers(windows, enumerate(params.exps)), params.coeffs, scale)
 
 
 def protect_depth(params: PolyProtectParams) -> int:

@@ -283,6 +283,20 @@ def test_config_file_default_section_is_read(tmp_path, text):
     assert json.loads(params_file.read_text())["m"] == 7
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nm = 7\n[a]\nm = 9\n[b]\noverlap = 1\n",
+    "[a]\nm = 9\n[DEFAULT]\nm = 7\n",
+], ids=["default-first", "default-last"])
+def test_config_file_section_key_beats_default_section(tmp_path, text):
+    # section [b] inherits m = 7 from [DEFAULT] but does not set it, so
+    # [a]'s own m = 9 stands
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert run_cli("gen-params", "--config", str(cfg), "--out-dir", str(tmp_path / "a")) == 0
+    (params_file,) = (tmp_path / "a").glob("params_*.json")
+    assert json.loads(params_file.read_text())["m"] == 9
+
+
 def test_missing_config_file_errors(tmp_path, capsys):
     rc = run_cli("gen-params", "--config", str(tmp_path / "absent.ini"), "--out-dir", str(tmp_path))
     assert rc == 1

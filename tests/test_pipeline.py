@@ -256,17 +256,20 @@ def test_identify_encrypts_probe_windows_once(num_ids):
     assert pipe.ctx.ops["encryptions"] - before == pipe.cfg.m  # one per window column
 
 
-def test_identify_packs_each_record_once(monkeypatch):
-    # one pack per record, for the probe: the records were packed at enrollment
-    ds = gen_synthetic_dataset(small_spec(num_ids=4, samples_per_id=2))
+def test_identify_builds_one_probe_template_per_pack(monkeypatch):
+    # one probe template per pack of records, none per record: the records
+    # were protected at enrollment and packed two to a ciphertext
+    ds = gen_synthetic_dataset(small_spec(num_ids=5, samples_per_id=2))
     pipe = Pipeline(PipelineConfig(seed=4))
     gallery, probes = build_gallery(ds, pipe)
-    packs = _counting(monkeypatch, pl, "protect_encrypted")
+    assert [rec.block for rec in gallery] == [0, 1, 0, 1, 0]
+    templates = _counting(monkeypatch, pl, "pack_template")
+    protected = _counting(monkeypatch, pl, "protect_encrypted")
     first = pipe.identify(probes[0], gallery)
-    assert len(packs) == len(gallery)
+    assert len(templates) == 3 and not protected
     assert pipe.identify(probes[0], gallery) == first
     pipe.identify(probes[1], gallery)
-    assert len(packs) == 3 * len(gallery)
+    assert len(templates) == 9
 
 
 def test_known_fault_comparison_scores_the_plain_cosine():
@@ -332,29 +335,131 @@ def test_enroll_he_counts():
         assert sum(len(_power_chain(e)) for e in params.exps) == 8  # 0 + 1 + 2 + 2 + 3 for 1..5
 
 
-@pytest.mark.parametrize("num_ids", [3, 12])
-def test_identify_he_counts_per_record(num_ids):
-    # per record: ceil(log2 k) rotations, one product and m plaintext
-    # mults; shared per probe: one encryption per window column and, per
-    # column, the power chains of the exponents the records give it
-    ds = gen_synthetic_dataset(small_spec(num_ids=num_ids, samples_per_id=2))
-    pipe = Pipeline(PipelineConfig(seed=4))
-    gallery, probes = build_gallery(ds, pipe)
+def _packed_counts(gallery, pipe):
+    # per pack: ceil(log2 k) rotations, one product, and one plaintext mult
+    # per column of each of its records, shared pairs not merged, so the
+    # count does not depend on the exponents; shared per probe:
+    # one encryption per window column and, per column, the power chains of
+    # the exponents the records give it
     params = [pipe.params_store[rec.params_id] for rec in gallery]
-    m = pipe.cfg.m
+    m = params[0].m
     chains = [set().union(*(_power_chain(p.exps[i]) for p in params)) for i in range(m)]
-    before = pipe.ctx.ops.copy()
-    pipe.identify(probes[0], gallery)
-    n, k = len(gallery), pipe.k
-    assert pipe.ctx.ops - before == {
-        "rotations": n * (k - 1).bit_length(),
-        "ct_mults": n + sum(len(chain) for chain in chains),
-        "pt_mults": n * m,
+    packs = {rec.pack for rec in gallery}
+    return {
+        "rotations": len(packs) * (pipe.k - 1).bit_length(),
+        "ct_mults": len(packs) + sum(len(chain) for chain in chains),
+        "pt_mults": m * len(gallery),
         "encryptions": m,
     }
 
 
-def test_identify_mixed_layout_gallery_equals_per_record_reference():
+@pytest.mark.parametrize("num_ids", [3, 12])
+def test_identify_he_counts_per_record(num_ids):
+    ds = gen_synthetic_dataset(small_spec(num_ids=num_ids, samples_per_id=2))
+    pipe = Pipeline(PipelineConfig(seed=4))
+    gallery, probes = build_gallery(ds, pipe)
+    assert len({rec.pack for rec in gallery}) == (num_ids + 1) // 2
+    before = pipe.ctx.ops.copy()
+    pipe.identify(probes[0], gallery)
+    assert pipe.ctx.ops - before == _packed_counts(gallery, pipe)
+
+
+def test_identify_he_counts_per_comparison_at_the_benchmark_shape(tmp_path):
+    # the default config searching 200 records, as the identify benchmark
+    # does: two records per ciphertext halve the rotations and products of
+    # one per record (6 and 1.1 per comparison)
+    ds = gen_synthetic_dataset(SyntheticSpec(num_ids=200, samples_per_id=2, attribute_correlation=0.6, seed=0))
+    pipe = Pipeline(PipelineConfig(seed=0))
+    before = pipe.ctx.ops.copy()
+    gallery, probes = build_gallery(ds, pipe)
+    assert (pipe.ctx.ops - before)["rotations"] == 100  # packing: N - packs, once
+    save_gallery(gallery, pipe.ctx, pipe.params_store, tmp_path / "g")
+    before = pipe.ctx.ops.copy()
+    gallery, _, _ = load_gallery(tmp_path / "g", pipe.ctx)
+    assert pipe.ctx.ops - before == {"rotations": 100}
+    before = pipe.ctx.ops.copy()
+    pipe.identify(probes[0], gallery)
+    per = {kind: count / len(gallery) for kind, count in (pipe.ctx.ops - before).items()}
+    assert per == {"rotations": 3.0, "ct_mults": 0.6, "pt_mults": 5.0, "encryptions": 0.025}
+
+
+def test_identify_plaintext_mults_do_not_depend_on_shared_exponents():
+    # records enrolled under one parameter set share every (column,
+    # exponent) pair, and still pay m plaintext mults each, as records
+    # that share none do: the count tells nothing of the secret exponents
+    ds = gen_synthetic_dataset(small_spec(num_ids=4, samples_per_id=2))
+    enrolled, probes = enroll_split(ds)
+    pipe = Pipeline(PipelineConfig(seed=4))
+    shared = pipe.gen_user_params(0)
+    for params in ([shared] * 4, [pipe.gen_user_params(i) for i in range(4)]):
+        gallery = [pipe.enroll(e, p) for e, p in zip(enrolled, params)]
+        pl._pack_gallery(gallery, pipe.params_store, pipe.ctx)
+        before = pipe.ctx.ops.copy()
+        pipe.identify(probes[0], gallery)
+        assert (pipe.ctx.ops - before)["pt_mults"] == 4 * shared.m
+
+
+def _singles(gallery, ds, pipe):
+    # every record of gallery enrolled again on its own: packs of one, the
+    # search as it scores records one ciphertext each
+    by_id = {e.subject_id: e for e in enroll_split(ds)[0]}
+    return [
+        enroll(by_id[rec.subject_id], pipe.params_store[rec.params_id], pipe.ctx, rec.compress_dim)
+        for rec in gallery
+    ]
+
+
+@pytest.mark.parametrize("cfg,num_ids,blocks", [
+    (PipelineConfig(seed=4), 7, 2),  # k = 60: two records per ciphertext, odd N
+    (PipelineConfig(compress_dim=32, m=3, overlap=1, seed=5), 9, 8),  # k = 16: eight per ciphertext
+    (PipelineConfig(compress_dim=128, seed=6), 3, 1),  # k = 124: one per ciphertext
+])
+def test_packed_scores_equal_packs_of_one(cfg, num_ids, blocks):
+    ds = gen_synthetic_dataset(small_spec(num_ids=num_ids, samples_per_id=2, seed=cfg.seed))
+    pipe = Pipeline(cfg)
+    gallery, probes = build_gallery(ds, pipe)
+    assert max(rec.block for rec in gallery) == min(blocks, num_ids) - 1
+    singles = _singles(gallery, ds, pipe)
+    for rec in singles:  # enroll lays a pack of one out as packing one record does
+        pairs, coeffs = rec.pack.pairs, rec.pack.coeffs
+        pl._pack_gallery([rec], pipe.params_store, pipe.ctx)
+        assert rec.pack.pairs == pairs and np.array_equal(rec.pack.coeffs, coeffs)
+    for probe in probes[:3]:
+        assert pipe.identify(probe, gallery) == pipe.identify(probe, singles)
+    before = pipe.ctx.ops.copy()
+    pipe.identify(probes[0], gallery)
+    assert pipe.ctx.ops - before == _packed_counts(gallery, pipe)
+    if blocks == 1:
+        before = pipe.ctx.ops.copy()
+        pipe.identify(probes[0], singles)
+        assert pipe.ctx.ops - before == _packed_counts(gallery, pipe)
+
+
+def test_identify_scores_any_subset_of_a_packed_gallery():
+    # one record of a pack, the same record twice, and records listed out of
+    # pack order score as they do enrolled on their own
+    ds = gen_synthetic_dataset(small_spec(num_ids=5, samples_per_id=2))
+    pipe = Pipeline(PipelineConfig(seed=4))
+    gallery, probes = build_gallery(ds, pipe)
+    singles = _singles(gallery, ds, pipe)
+    for picks in ([1], [2], [3, 3], [4, 1, 0, 1], [0, 2, 4]):
+        got = pipe.identify(probes[0], [gallery[j] for j in picks])
+        assert len(got) == len(picks)
+        assert got == pipe.identify(probes[0], [singles[j] for j in picks])
+
+
+def test_self_match_of_every_loaded_record_scores_one(tmp_path):
+    ds = gen_synthetic_dataset(small_spec(num_ids=7, samples_per_id=1))
+    pipe = Pipeline(PipelineConfig(seed=4))
+    gallery, _ = build_gallery(ds, pipe)
+    save_gallery(gallery, pipe.ctx, pipe.params_store, tmp_path / "g")
+    loaded, store, ctx = load_gallery(tmp_path / "g", pipe.ctx)
+    for e, rec in zip(ds, loaded):
+        ((sid, score),) = identify(e, [rec], store, ctx)
+        assert sid == e.subject_id and abs(score - 1.0) <= 1e-12
+
+
+def test_identify_mixed_layout_gallery_equals_per_record_reference(tmp_path):
     # one gallery, records of two compress_dims and two (m, overlap)
     # layouts: the probe's windows are encrypted once per layout
     ds = gen_synthetic_dataset(small_spec(num_ids=8, samples_per_id=2, seed=7))
@@ -368,13 +473,15 @@ def test_identify_mixed_layout_gallery_equals_per_record_reference():
         pipe.params_store[params.params_id] = params
         gallery.append(enroll(e, params, pipe.ctx, d))
     encryptions = sum(m for _, m, _ in layouts)
+    # the same records packed by layout, two or four to a ciphertext
+    save_gallery(gallery, pipe.ctx, pipe.params_store, tmp_path / "g")
+    packed, _, _ = load_gallery(tmp_path / "g", pipe.ctx)
     for probe in probes[:3]:
-        before = pipe.ctx.ops["encryptions"]
-        got = dict(pipe.identify(probe, gallery))
-        assert pipe.ctx.ops["encryptions"] - before == encryptions
-        want = dict(_identify_per_record(probe, gallery, pipe))
-        assert got.keys() == want.keys()
-        assert max(abs(got[sid] - want[sid]) for sid in want) <= 1e-12
+        want = _identify_per_record(probe, gallery, pipe)
+        for records in (gallery, packed):
+            before = pipe.ctx.ops["encryptions"]
+            assert pipe.identify(probe, records) == want
+            assert pipe.ctx.ops["encryptions"] - before == encryptions
 
 
 @pytest.mark.parametrize("tamper", [
@@ -388,7 +495,10 @@ def test_identify_rejects_a_score_no_unit_templates_give(tamper):
     pipe = Pipeline(PipelineConfig(seed=4))
     gallery, _ = build_gallery(ds, pipe)
     enrolled, _ = enroll_split(ds)
-    gallery[1].template.slots = tamper(gallery[1].template.slots)
+    # the search reads record 1 from block 1 of the ciphertext it shares with record 0
+    pack, width = gallery[1].pack, gallery[1].pack.width
+    assert gallery[0].pack is pack and gallery[1].block == 1
+    pack.ciphertext.slots[width : 2 * width] = tamper(pack.ciphertext.slots[width : 2 * width])
     with pytest.raises(IntegrityError, match=f"record 1 \\(subject {gallery[1].subject_id}\\)"):
         pipe.identify(enrolled[1], gallery)
 

@@ -327,6 +327,25 @@ def test_pack_template_is_the_weighted_sum(ctx):
     assert out.depth_used == 1
 
 
+def test_pack_template_takes_plaintext_vectors_as_coefficients(ctx):
+    terms = [encrypt([1.0, 2.0], ctx), encrypt([0.5, -1.0], ctx)]
+    masks = np.zeros((2, 8))
+    masks[:, 0] = 3, -2
+    out = pack_template(terms, masks)
+    assert decrypt(out, ctx).tolist() == [3 * 1.0 - 2 * 0.5] + [0.0] * 7
+
+
+def test_encrypt_windows_copies_repeat_each_column_per_block(ctx):
+    p = gen_params(2, 0, 50, seed=3)
+    v = np.arange(1.0, 7.0)  # k = 3 windows: blocks of 4 slots hold two copies
+    one, two = encrypt_windows(v, p, ctx), encrypt_windows(v, p, ctx, copies=2)
+    for i, column in enumerate(([1.0, 3.0, 5.0], [2.0, 4.0, 6.0])):
+        assert decrypt(one.cts[i], ctx).tolist() == column + [0.0] * 5
+        assert decrypt(two.cts[i], ctx).tolist() == 2 * (column + [0.0])
+    with pytest.raises(CapacityExceeded, match="3 windows do not fit slot capacity 8 4 times"):
+        encrypt_windows(v, p, ctx, copies=4)
+
+
 @pytest.mark.parametrize("m,overlap", [(2, 1), (3, 0), (5, 4), (7, 3)])
 def test_template_norms_match_protect_plain(m, overlap):
     v = np.random.default_rng(m).normal(size=64)
