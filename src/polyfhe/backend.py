@@ -196,13 +196,20 @@ def mult(a: SlotVector, b: SlotVector) -> SlotVector:
 
 
 def _coerce_scalars(scalars, capacity: int):
+    """A scalar, 0-d or length-1 operand as a float, a capacity-length 1-D
+    one as a float64 array; anything else raises ValueError.  A float64
+    array of shape (capacity,), as the search's masks are, is checked first."""
+    if type(scalars) is np.ndarray and scalars.shape == (capacity,) and scalars.dtype == np.float64:
+        return scalars
     if isinstance(scalars, (int, float)):
         return float(scalars)
     vals = np.asarray(scalars, dtype=np.float64)
-    if vals.ndim == 0 or vals.shape[0] == 1:
-        return float(vals.reshape(-1)[0]) if vals.ndim else float(vals)
-    if vals.shape[0] != capacity:
-        raise ValueError(f"plaintext operand must have length 1 or {capacity}, got {vals.shape[0]}")
+    if vals.shape in ((), (1,)):
+        return float(vals.reshape(-1)[0])
+    if vals.shape != (capacity,):
+        raise ValueError(
+            f"plaintext operand must be a scalar or a 1-D array of length 1 or {capacity}, got shape {vals.shape}"
+        )
     return vals
 
 

@@ -22,16 +22,23 @@ B = capacity // W consecutive records of each (compress_dim, m, overlap)
 group in one ciphertext, W = 2^ceil(log2 k), record b rotated right by b W:
 N - packs rotations per build or load, by offsets capacity - b W that a real
 backend needs Galois keys for (one more, 64, at the default config, where
-B = 2).  enroll returns a pack of one.  The probe's windows are encrypted
-once per group as m column ciphertexts copied into every block, with shared
-column powers (polyprotect) and template norms.  Each pack pays one
-plaintext mult per column of each of its records (m per record: records
-that share a (column, exponent) pair are not merged, so the count does not
-depend on the users' secret exponents), one product and one fold; record
-b's score is slot b W, bit-identical to a pack of one's.  Per comparison at
-the default config and N = 200: 3 rotations, 0.6 ct-ct mults, 5 plaintext
-mults, 0.025 encryptions (6, 1.1, 5 and 0.025 unpacked).  The comparison
-adds one level to protect_depth (5 at the default config).
+B = 2).  enroll returns a pack of one; build_gallery protects each template
+once and lays the packs out once.  Everything a search needs of the gallery
+side is built with the pack (TemplatePack): its masks (coefficients repeated
+over each block's slots), its records' stacked exponent and coefficient rows
+for template_norms, and each row's key into the probe's table of column
+powers; all read-only.  The probe's windows are encrypted once per group as
+m column ciphertexts copied into every block, each (column, exponent) power
+any pack needs is computed once, and the template norms of every listed
+record come from one call.  Each pack then pays one mask product in the
+clear, one plaintext mult per column of each of its records (m per record:
+records that share a (column, exponent) pair are not merged, so the count
+does not depend on the users' secret exponents), one product and one fold;
+record b's score is slot b W, bit-identical to a pack of one's, and a pack's
+scores are read with one strided gather.  Per comparison at the default
+config and N = 200: 3 rotations, 0.6 ct-ct mults, 5 plaintext mults, 0.025
+encryptions (6, 1.1, 5 and 0.025 unpacked).  The comparison adds one level
+to protect_depth (5 at the default config).
 
 Gallery format version 3: manifest.json, one masked ciphertext blob per
 record (its own template, not its pack), and one params file per parameter
@@ -132,17 +139,52 @@ class TemplatePack:
     """The templates of up to capacity // width records of one layout in one
     ciphertext, record b's in slots [b * width, b * width + k).
 
-    width = 2^ceil(log2 k).  pairs lists each record's (column, exponent)
-    pairs, by column and then block; coeffs[r, b] is record b's coefficient
-    for pairs[r] if that pair is record b's, else 0.  Records that share a
-    pair keep a row each, so a pack costs m plaintext mults per record
-    whatever the users' secret exponents are.
+    Built from the ciphertext, width = 2^ceil(log2 k), the records' compress
+    dim and their parameter sets by block; everything identify needs of the
+    gallery side is derived here, once, and kept read-only:
+
+    - row r is one record's (column i, exponent e) pair, by column and then
+      block: terms[r] = e * m + i keys it in identify's table of column
+      powers, and coeffs[r, b] is record b's coefficient for it if the pair
+      is record b's, else 0.  Records that share a pair keep a row each, so
+      a pack costs m plaintext mults per record whatever the users' secret
+      exponents are.
+    - masks = np.repeat(coeffs, width, axis=1), the plaintexts of the
+      probe's weighted sum before its scales.
+    - exps[b] and block_coeffs[b] are record b's exponents and coefficients,
+      the rows template_norms reads (zeros past the last record).
     """
 
     ciphertext: SlotVector
     width: int
-    pairs: tuple
-    coeffs: np.ndarray
+    compress_dim: int
+    params: tuple  # record b's PolyProtectParams at b
+    terms: tuple = field(init=False)
+    coeffs: np.ndarray = field(init=False, repr=False)
+    masks: np.ndarray = field(init=False, repr=False)
+    exps: np.ndarray = field(init=False, repr=False)
+    block_coeffs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n, m = len(self.params), self.params[0].m
+        blocks = self.ciphertext.slots.shape[0] // self.width
+        self.exps = np.zeros((blocks, m), dtype=np.int64)
+        self.exps[:n] = [p.exps for p in self.params]
+        self.block_coeffs = np.zeros((blocks, m))
+        self.block_coeffs[:n] = [p.coeffs for p in self.params]
+        # row i * n + b is record b's pair at column i
+        self.terms = tuple(p.exps[i] * m + i for i in range(m) for p in self.params)
+        coeffs = np.zeros((m, n, blocks))
+        coeffs[:, np.arange(n), np.arange(n)] = self.block_coeffs[:n].T
+        self.coeffs = coeffs.reshape(m * n, blocks)
+        self.masks = np.repeat(self.coeffs, self.width, axis=1)
+        for array in (self.coeffs, self.masks, self.exps, self.block_coeffs):
+            array.flags.writeable = False
+
+    @property
+    def layout(self) -> tuple:
+        """(compress_dim, m, overlap) of every record in the pack."""
+        return self.compress_dim, self.params[0].m, self.params[0].overlap
 
 
 @dataclass
@@ -227,18 +269,22 @@ def _unit_scales(norms):
     return 1.0 / norms
 
 
+def _protect(e: Embedding, params: PolyProtectParams, ctx: EncryptionContext, d: int) -> SlotVector:
+    # compress -> encrypt -> protect, scaled to unit norm by the exact template norm
+    x = compress_prefix(e, d)
+    scale = _unit_scales(np.linalg.norm(protect_plain(x, params)))
+    return protect_encrypted(encrypt_windows(x, params, ctx), params, scale)
+
+
+def _template_width(d: int, params: PolyProtectParams) -> int:
+    return 1 << (output_len(d, params.m, params.overlap) - 1).bit_length()
+
+
 def enroll(e: Embedding, params: PolyProtectParams, ctx: EncryptionContext, d: int) -> GalleryRecord:
     """compress -> encrypt -> protect -> pack, scaled to unit norm by the
     exact template norm; returns the persistable record, a pack of one."""
-    x = compress_prefix(e, d)
-    scale = _unit_scales(np.linalg.norm(protect_plain(x, params)))
-    windows = encrypt_windows(x, params, ctx)
-    template = protect_encrypted(windows, params, scale)
-    # the layout _pack_gallery gives one record: its pairs in column order, its coefficients in block 0
-    width = 1 << (windows.k - 1).bit_length()
-    coeffs = np.zeros((params.m, ctx.slot_capacity // width))
-    coeffs[:, 0] = params.coeffs
-    pack = TemplatePack(template, width, tuple(enumerate(params.exps)), coeffs)
+    template = _protect(e, params, ctx, d)
+    pack = TemplatePack(template, _template_width(d, params), d, (params,))
     return GalleryRecord(e.subject_id, template, params.params_id, d, pack=pack)
 
 
@@ -251,18 +297,14 @@ def _pack_gallery(gallery: list, params_store: dict, ctx: EncryptionContext):
         params = params_store[rec.params_id]
         groups.setdefault((rec.compress_dim, params.m, params.overlap), []).append((rec, params))
     cap = ctx.slot_capacity
-    for (d, m, overlap), members in groups.items():
-        width = 1 << (output_len(d, m, overlap) - 1).bit_length()
+    for (d, _, _), members in groups.items():
+        width = _template_width(d, members[0][1])
         for start in range(0, len(members), cap // width):
             chunk = members[start : start + cap // width]
             ct = chunk[0][0].template
             for b, (rec, _) in enumerate(chunk[1:], 1):
                 ct = add(ct, rotate_left(rec.template, cap - b * width))
-            rows = [(i, b, params) for i in range(m) for b, (_, params) in enumerate(chunk)]  # by column, then block
-            coeffs = np.zeros((len(rows), cap // width))
-            for r, (i, b, params) in enumerate(rows):
-                coeffs[r, b] = params.coeffs[i]
-            pack = TemplatePack(ct, width, tuple((i, params.exps[i]) for i, _, params in rows), coeffs)
+            pack = TemplatePack(ct, width, d, tuple(params for _, params in chunk))
             for b, (rec, _) in enumerate(chunk):
                 rec.pack, rec.block = pack, b
 
@@ -278,50 +320,65 @@ def identify(probe: Embedding, gallery: list, params_store: dict, ctx: Encryptio
     The probe is protected under each record's own parameters, scaled to
     unit norm, and scored against the record's unit-norm template, per pack
     (see the module docstring): the probe's templates for all the pack's
-    blocks are one weighted sum of column powers, under masks that hold each
-    record's coefficient times its probe scale in its block and zeros in the
-    blocks of records gallery does not list.  A record listed twice is
-    scored twice.  Ties break by subject_id for a stable order.  A decrypted
-    score that is not finite raises IntegrityError, and so, in exact mode
-    (ctx.noise_stddev == 0), does one outside [-1, 1] by more than rounding:
-    both templates have unit norm, so such a score means a record's
-    ciphertext is not what enrollment stored.
+    blocks are one weighted sum of column powers, under the pack's masks
+    times one row of slot scales that holds each record's probe scale in its
+    block and zeros in the blocks of records gallery does not list.  A
+    record listed twice is scored twice.  Ties break by subject_id for a
+    stable order.  A decrypted score that is not finite raises IntegrityError
+    naming the first such record, and so, in exact mode (ctx.noise_stddev ==
+    0), does one outside [-1, 1] by more than rounding: both templates have
+    unit norm, so such a score means a record's ciphertext is not what
+    enrollment stored.
     """
     if not gallery:
         raise ValueError("identify needs a nonempty gallery")
-    layouts = {}
+    packs = {}
     for i, rec in enumerate(gallery):
-        params = params_store.get(rec.params_id)
-        if params is None:
+        if rec.params_id not in params_store:
             raise UnknownParamsId(f"no parameters stored for params_id {rec.params_id}")
-        packs = layouts.setdefault((rec.compress_dim, params.m, params.overlap), {})
-        packs.setdefault(rec.pack, []).append((i, params))
-    scores = [None] * len(gallery)
-    for (d, _, _), packs in layouts.items():
+        packs.setdefault(rec.pack, []).append(i)
+    layouts = {}
+    for pack, listed in packs.items():
+        layouts.setdefault(pack.layout, []).append((pack, listed))
+    cap = ctx.slot_capacity
+    scores = np.empty(len(gallery))
+    for (d, m, overlap), members in layouts.items():
         v = compress_prefix(probe, d)
-        members = [member for pack_members in packs.values() for member in pack_members]
-        width = next(iter(packs)).width
-        windows = encrypt_windows(v, members[0][1], ctx, ctx.slot_capacity // width)
-        # one row of block scales per pack; blocks of records not searched stay 0
-        block_scales = np.zeros((len(packs), ctx.slot_capacity // width))
-        rows = [row for row, pack_members in enumerate(packs.values()) for _ in pack_members]
-        block_scales[rows, [gallery[i].block for i, _ in members]] = _unit_scales(
-            template_norms(v, [params for _, params in members])
+        width = members[0][0].width
+        blocks = cap // width
+        windows = encrypt_windows(v, members[0][0].params[0], ctx, blocks)
+        listed = [i for _, pack_listed in members for i in pack_listed]
+        # each listed record's block among all the packs' blocks, in listed order
+        flat = np.array(
+            [row * blocks + gallery[i].block for row, (_, pack_listed) in enumerate(members) for i in pack_listed]
         )
-        for (pack, pack_members), scales in zip(packs.items(), block_scales):
-            masks = np.repeat(pack.coeffs * scales, width, axis=1)
-            probe_ct = pack_template(window_powers(windows, pack.pairs), masks)
-            slots = decrypt(cosine_unit_encrypted(pack.ciphertext, probe_ct, windows.k), ctx)
-            for i, _ in pack_members:
-                rec = gallery[i]
-                score = float(slots[rec.block * width])
-                if not math.isfinite(score) or (ctx.noise_stddev == 0.0 and abs(score) > 1.0 + _SCORE_ROUNDING):
-                    raise IntegrityError(
-                        f"record {i} (subject {rec.subject_id}) scores {score}, "
-                        "not the cosine of two unit-norm templates"
-                    )
-                scores[i] = (rec.subject_id, score)
-    return sorted(scores, key=lambda t: (-t[1], t[0]))
+        block_scales = np.zeros(len(members) * blocks)
+        block_scales[flat] = _unit_scales(
+            template_norms(
+                v,
+                overlap,
+                np.concatenate([pack.exps for pack, _ in members])[flat],
+                np.concatenate([pack.block_coeffs for pack, _ in members])[flat],
+            )
+        )
+        slot_scales = np.repeat(block_scales, width).reshape(len(members), cap)
+        keys = sorted(set().union(*[pack.terms for pack, _ in members]))
+        powers = dict(zip(keys, window_powers(windows, [(key % m, key // m) for key in keys])))
+        pack_scores = np.empty((len(members), blocks))
+        for row, (pack, _) in enumerate(members):
+            probe_ct = pack_template([powers[key] for key in pack.terms], pack.masks, slot_scales[row])
+            pack_scores[row] = decrypt(cosine_unit_encrypted(pack.ciphertext, probe_ct, windows.k), ctx)[::width]
+        scores[listed] = pack_scores.reshape(-1)[flat]
+    bad = ~np.isfinite(scores)
+    if ctx.noise_stddev == 0.0:
+        bad |= np.abs(scores) > 1.0 + _SCORE_ROUNDING
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise IntegrityError(
+            f"record {i} (subject {gallery[i].subject_id}) scores {scores[i]}, "
+            "not the cosine of two unit-norm templates"
+        )
+    return sorted(zip([rec.subject_id for rec in gallery], scores.tolist()), key=lambda t: (-t[1], t[0]))
 
 
 def identify_plain(probe: Embedding, enrollees: list, params_list: list, d: int) -> list:
@@ -420,7 +477,8 @@ def build_gallery(dataset: list, pipeline: Pipeline) -> tuple:
     gallery = []
     for i, e in enumerate(enrollees):
         params = pipeline.gen_user_params(i)
-        gallery.append(pipeline.enroll(e, params))
+        d = pipeline.cfg.compress_dim
+        gallery.append(GalleryRecord(e.subject_id, _protect(e, params, pipeline.ctx, d), params.params_id, d))
     _pack_gallery(gallery, pipeline.params_store, pipeline.ctx)
     return gallery, probes
 

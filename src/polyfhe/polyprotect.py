@@ -15,17 +15,23 @@ slot j, zeros from slot k on, no fold and no rotation.  Each power comes
 from square-and-multiply with sub-powers memoized on the windows, so every
 parameter set with the same (m, overlap) shares them.  Depth is
 ceil(log2 max_exp) + 1 (power chain, coefficient).
+
+In the clear, an embedding's windows are one gather through a read-only
+index built once per (n, m, overlap).  template_norms takes the parameter
+sets as stacked (N, m) exponent and coefficient rows, which a search pack
+builds once, at pack time (pipeline.TemplatePack), so a search does no
+per-parameter-set work in Python.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .backend import EncryptionContext, SlotVector, add, encrypt, mult, mult_plain
 from .errors import CapacityExceeded, InfeasibleParams, InputTooShort, IntegrityError, read_json_object
@@ -92,20 +98,39 @@ def output_len(n: int, m: int, overlap: int) -> int:
     return (n - m + stride - 1) // stride + 1
 
 
-def chunk_embedding(v, params: PolyProtectParams) -> np.ndarray:
-    """An embedding's k m-wide windows, one per row (tail zero-padded).
+@functools.lru_cache(maxsize=64)
+def _window_index(n: int, m: int, overlap: int) -> np.ndarray:
+    # (k, m) read-only positions into the zero-padded n-vector, row j
+    # starting at j * (m - overlap); cached, as a call costs more than the
+    # gather it serves
+    k = output_len(n, m, overlap)
+    index = np.arange(k)[:, None] * (m - overlap) + np.arange(m)
+    index.flags.writeable = False
+    return index
 
-    The rows are a read-only strided view of the padded vector, row j starting
-    at j * (m - overlap).
-    """
+
+def _padded(v, m: int, overlap: int) -> tuple:
+    # v zero-padded to cover its windows, and the window index into it
     vals = np.asarray(v, dtype=np.float64)
     if vals.ndim != 1:
         raise ValueError(f"embedding must be a 1-D array, got shape {vals.shape}")
-    k = output_len(len(vals), params.m, params.overlap)
-    stride = params.m - params.overlap
-    padded = np.zeros((k - 1) * stride + params.m, dtype=np.float64)
+    index = _window_index(len(vals), m, overlap)
+    padded = np.zeros(index[-1, -1] + 1, dtype=np.float64)
     padded[: len(vals)] = vals
-    return sliding_window_view(padded, params.m)[::stride]
+    return padded, index
+
+
+def chunk_embedding(v, params: PolyProtectParams) -> np.ndarray:
+    """An embedding's k m-wide windows, one per row (tail zero-padded).
+
+    Row j holds elements j * (m - overlap) onward of the padded vector; the
+    rows are one gather through a read-only index cached per (n, m,
+    overlap), and the result is read-only.
+    """
+    padded, index = _padded(v, params.m, params.overlap)
+    windows = padded[index]
+    windows.flags.writeable = False
+    return windows
 
 
 def protect_plain(v, params: PolyProtectParams) -> np.ndarray:
@@ -115,23 +140,33 @@ def protect_plain(v, params: PolyProtectParams) -> np.ndarray:
     return (np.power(chunk_embedding(v, params), exps) * coeffs).sum(axis=1)
 
 
-def template_norms(v, params_list) -> np.ndarray:
-    """||protect_plain(v, p)|| for every p in params_list, one array.
+def template_norms(v, overlap: int, exps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """||protect_plain(v, p)|| for each parameter set p of window width m and
+    this overlap, whose exponents and coefficients are a row of the (N, m)
+    arrays exps and coeffs; one array of N norms.
 
-    The parameter sets must share one (m, overlap).  v's windows are cut
-    once and raised once to each distinct exponent, so the cost per extra
-    parameter set is a gather and a weighted sum.
+    A gallery pack stacks its records' rows once, when it is built
+    (pipeline.TemplatePack).  Each element of v is raised once to each
+    distinct exponent and the powers are cut into windows once, so the cost
+    per extra parameter set is a gather and a weighted sum.
     """
-    windows = chunk_embedding(v, params_list[0])
-    m = windows.shape[1]
-    if any((p.m, p.overlap) != (m, params_list[0].overlap) for p in params_list):
-        raise ValueError("template_norms needs parameter sets with one window width and overlap")
-    exps = np.array([p.exps for p in params_list])
-    coeffs = np.array([p.coeffs for p in params_list], dtype=np.float64)
+    if exps.ndim != 2 or exps.shape != coeffs.shape:
+        raise ValueError(
+            f"template_norms needs exps and coeffs of one shape (N, m), got {exps.shape} and {coeffs.shape}"
+        )
+    padded, index = _padded(v, exps.shape[1], overlap)
+    k, m = index.shape
     distinct, which = np.unique(exps, return_inverse=True)
-    powers = windows.T[None] ** distinct.astype(np.float64)[:, None, None]  # (exponent, offset, window)
-    # the same products and order of additions as protect_plain, row by row
-    templates = (powers[which.reshape(exps.shape), np.arange(m)] * coeffs[:, :, None]).sum(axis=1)
+    # each element raised once to each distinct exponent, then cut into windows
+    powers = (padded ** distinct.astype(np.float64)[:, None])[:, index.T]  # (exponent, offset, window)
+    # row r, offset i reads power (which[r, i], i) through one flat index;
+    # the weighted terms are added offset by offset, so no temporary
+    # exceeds (N, k)
+    table = powers.reshape(-1, k)
+    flat = which.reshape(exps.shape) * m + np.arange(m)
+    templates = table[flat[:, 0]] * coeffs[:, :1]
+    for i in range(1, m):
+        templates += table[flat[:, i]] * coeffs[:, i : i + 1]
     return np.linalg.norm(templates, axis=1)
 
 
@@ -192,10 +227,11 @@ def window_powers(windows: EncryptedWindows, pairs) -> list:
     return [_pow_ct(windows.cts[i], e, windows.memos[i]) for i, e in pairs]
 
 
-def pack_template(terms, coeffs, scale: float = 1.0) -> SlotVector:
+def pack_template(terms, coeffs, scale=1.0) -> SlotVector:
     """The weighted sum sum_i mult_plain(terms[i], coeffs[i] * scale): one
     plaintext mult per term, which also applies the scale.  A coefficient is
-    a scalar or a capacity-length plaintext."""
+    a scalar or a capacity-length plaintext, and so is the scale: all the
+    coefficients times the scale are one product."""
     acc = None
     for term, weight in zip(terms, np.asarray(coeffs, dtype=np.float64) * scale):
         weighted = mult_plain(term, weight)

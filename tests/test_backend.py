@@ -167,6 +167,42 @@ def test_mult_plain_rejects_bad_length(ctx):
         mult_plain(sv, np.array([1.0, 2.0, 3.0]))  # neither 1 nor capacity
 
 
+@pytest.mark.parametrize("op", [mult_plain, add_plain])
+@pytest.mark.parametrize("operand", [
+    np.ones((8, 1)),  # float64 of capacity length, but 2-D: the fast path must not take it
+    np.ones((1, 8)),
+    np.ones((1, 1)),
+    np.ones((2, 4)),
+    [[1.0]] * 8,
+    np.ones(0),
+])
+def test_plain_ops_reject_operands_other_than_scalars_and_1d_arrays(ctx, op, operand):
+    sv = encrypt([1, 2, 3], ctx)
+    with pytest.raises(ValueError, match="scalar or a 1-D array"):
+        op(sv, operand)
+
+
+@pytest.mark.parametrize("op", [mult_plain, add_plain])
+@pytest.mark.parametrize("operand", [
+    2,
+    2.0,
+    np.float64(2.0),
+    np.array(2.0),
+    np.array([2.0]),
+    [2],
+    [2] * 8,
+    np.full(8, 2.0),
+    np.full(16, 2.0)[::2],  # a strided float64 view of capacity length
+    np.full(8, 2, dtype=np.int64),
+])
+def test_plain_ops_accept_scalars_and_1d_arrays(ctx, op, operand):
+    sv = encrypt([1, 2, 3], ctx)
+    out = decrypt(op(sv, operand), ctx)
+    assert out.shape == (8,)
+    want = [2, 4, 6, 0, 0, 0, 0, 0] if op is mult_plain else [3, 4, 5, 2, 2, 2, 2, 2]
+    assert out.tolist() == want
+
+
 def test_add_plain_costs_no_depth(ctx):
     sv = encrypt([1, 2, 3], ctx)
     out = add_plain(sv, 0.5)

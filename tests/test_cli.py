@@ -243,6 +243,50 @@ def test_seeded_ablation_csv_bytes_are_pinned(tmp_path):
     assert (tmp_path / "ablation_overlap.csv").read_bytes() == csv_bytes(PINNED_ABLATION_OVERLAP)
 
 
+# A seeded enroll of five subjects (three ciphertexts, the last a pack of one)
+# and an identify of every held-out probe against every record: each score is
+# written by repr, so the bytes pin every bit of the encrypted search.
+PINNED_IDENTIFY_RANKED = (
+    "probe_index,probe_id,rank,subject_id,score",
+    "0,id0000,1,id0000,0.6410328550389237",
+    "0,id0000,2,id0003,0.4457342789793472",
+    "0,id0000,3,id0002,0.3668495623032215",
+    "0,id0000,4,id0001,0.14856478955759142",
+    "0,id0000,5,id0004,-0.010843075419950929",
+    "1,id0001,1,id0001,0.6632411886715308",
+    "1,id0001,2,id0002,0.38155144878875413",
+    "1,id0001,3,id0000,0.2141225765083829",
+    "1,id0001,4,id0004,0.1081086364202111",
+    "1,id0001,5,id0003,0.050989800960204876",
+    "2,id0002,1,id0002,0.6471529449052397",
+    "2,id0002,2,id0003,0.2967539130597419",
+    "2,id0002,3,id0000,0.27096583721124523",
+    "2,id0002,4,id0001,0.11362053010904671",
+    "2,id0002,5,id0004,0.004232333798420956",
+    "3,id0003,1,id0003,0.6148082744160497",
+    "3,id0003,2,id0000,0.3162427572819937",
+    "3,id0003,3,id0002,0.22213808340596153",
+    "3,id0003,4,id0001,0.18411444771582186",
+    "3,id0003,5,id0004,0.007627676235746304",
+    "4,id0004,1,id0004,0.7029660340045074",
+    "4,id0004,2,id0001,0.37097570411999514",
+    "4,id0004,3,id0002,0.30718301270259674",
+    "4,id0004,4,id0003,0.022305686161815372",
+    "4,id0004,5,id0000,-0.10485781534648603",
+)
+
+
+def test_seeded_identify_ranked_bytes_are_pinned(tmp_path):
+    flags = ("--num-ids", "5", "--samples-per-id", "2", "--seed", "3")
+    assert run_cli("enroll", *flags, "--save-probes", "--out-dir", str(tmp_path / "e")) == 0
+    rc = run_cli(
+        "identify", "--gallery-dir", str(tmp_path / "e" / "gallery"), "--probes", str(tmp_path / "e" / "probes.csv"),
+        "--top", "5", "--out-dir", str(tmp_path / "i"),
+    )
+    assert rc == 0
+    assert (tmp_path / "i" / "identify_ranked.csv").read_bytes() == csv_bytes(PINNED_IDENTIFY_RANKED)
+
+
 def test_eval_leakage_reports_a_repeated_variant_once(tmp_path):
     flags = ("--num-ids", "8", "--samples-per-id", "3", "--dim", "64", "--epochs", "20")
     assert run_cli("eval-leakage", *flags, "--variants", "mrl,none,mrl", "--out-dir", str(tmp_path / "twice")) == 0

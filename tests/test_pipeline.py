@@ -214,7 +214,7 @@ def _identify_per_record(probe, gallery, pipe):
         params = pipe.params_store[rec.params_id]
         v = compress_prefix(probe, rec.compress_dim)
         windows = encrypt_windows(v, params, pipe.ctx)
-        scale = 1.0 / template_norms(v, [params])[0]
+        scale = 1.0 / template_norms(v, params.overlap, np.array([params.exps]), np.array([params.coeffs], float))[0]
         probe_ct = protect_encrypted(windows, params, scale)
         ct = cosine_unit_encrypted(rec.template, probe_ct, windows.k)
         scores.append((rec.subject_id, float(decrypt(ct, pipe.ctx)[0])))
@@ -421,9 +421,9 @@ def test_packed_scores_equal_packs_of_one(cfg, num_ids, blocks):
     assert max(rec.block for rec in gallery) == min(blocks, num_ids) - 1
     singles = _singles(gallery, ds, pipe)
     for rec in singles:  # enroll lays a pack of one out as packing one record does
-        pairs, coeffs = rec.pack.pairs, rec.pack.coeffs
+        terms, coeffs = rec.pack.terms, rec.pack.coeffs
         pl._pack_gallery([rec], pipe.params_store, pipe.ctx)
-        assert rec.pack.pairs == pairs and np.array_equal(rec.pack.coeffs, coeffs)
+        assert rec.pack.terms == terms and np.array_equal(rec.pack.coeffs, coeffs)
     for probe in probes[:3]:
         assert pipe.identify(probe, gallery) == pipe.identify(probe, singles)
     before = pipe.ctx.ops.copy()
@@ -433,6 +433,55 @@ def test_packed_scores_equal_packs_of_one(cfg, num_ids, blocks):
         before = pipe.ctx.ops.copy()
         pipe.identify(probes[0], singles)
         assert pipe.ctx.ops - before == _packed_counts(gallery, pipe)
+
+
+@pytest.mark.parametrize("cfg,num_ids", [
+    (PipelineConfig(seed=4), 5),  # two records per ciphertext, the last pack of one
+    (PipelineConfig(compress_dim=32, m=3, overlap=1, seed=5), 11),  # eight per ciphertext
+])
+def test_packs_hold_their_gallery_side_tables_read_only(tmp_path, cfg, num_ids):
+    ds = gen_synthetic_dataset(small_spec(num_ids=num_ids, samples_per_id=1, seed=cfg.seed))
+    pipe = Pipeline(cfg)
+    gallery, _ = build_gallery(ds, pipe)
+    save_gallery(gallery, pipe.ctx, pipe.params_store, tmp_path / "g")
+    loaded, _, _ = load_gallery(tmp_path / "g", pipe.ctx)
+    single = pipe.enroll(ds[0], pipe.params_store[gallery[0].params_id])
+    for records in (gallery, loaded, [single]):
+        for pack in {rec.pack: None for rec in records}:
+            blocks = pipe.cfg.slot_capacity // pack.width
+            n, m = len(pack.params), pack.params[0].m
+            assert np.array_equal(pack.masks, np.repeat(pack.coeffs, pack.width, axis=1))
+            for r, key in enumerate(pack.terms):  # row r: record r % n's exponent at column r // n
+                i, b = divmod(r, n)
+                assert key == pack.params[b].exps[i] * m + i
+                assert pack.coeffs[r].tolist() == [pack.params[b].coeffs[i] if c == b else 0 for c in range(blocks)]
+            assert pack.exps[:n].tolist() == [list(p.exps) for p in pack.params] and not pack.exps[n:].any()
+            assert pack.block_coeffs[:n].tolist() == [list(p.coeffs) for p in pack.params]
+            assert not pack.block_coeffs[n:].any() and pack.exps.shape == (blocks, m)
+            for array in (pack.masks, pack.coeffs, pack.exps, pack.block_coeffs):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 1
+
+
+def test_identify_equals_per_record_reference_at_the_benchmark_shape():
+    # the default config and 200 records, as the identify benchmark runs:
+    # part of a pack, a record listed twice, and a gallery of two layouts
+    ds = gen_synthetic_dataset(SyntheticSpec(num_ids=200, samples_per_id=2, attribute_correlation=0.6, seed=0))
+    pipe = Pipeline(PipelineConfig(seed=0))
+    gallery, probes = build_gallery(ds, pipe)
+    enrolled, _ = enroll_split(ds)
+    others = []
+    for i, e in enumerate(enrolled[:9]):
+        params = gen_params(3, 1, 50, seed=[9, i])
+        pipe.params_store[params.params_id] = params
+        others.append(pl.GalleryRecord(e.subject_id + "b", pl._protect(e, params, pipe.ctx, 48), params.params_id, 48))
+    mixed = gallery[150:] + others
+    pl._pack_gallery(others, pipe.params_store, pipe.ctx)  # k = 24: four per ciphertext, then a pack of one
+    assert gallery[1].block == 1 and gallery[8].pack is gallery[9].pack
+    for records in ([gallery[1]], [gallery[8], gallery[8], gallery[3]], mixed):
+        for probe in probes[:2]:
+            assert pipe.identify(probe, records) == _identify_per_record(probe, records, pipe)
 
 
 def test_identify_scores_any_subset_of_a_packed_gallery():

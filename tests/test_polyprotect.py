@@ -353,12 +353,29 @@ def test_template_norms_match_protect_plain(m, overlap):
     params = [gen_params(m, overlap, 50, seed=[m, i]) for i in range(6)]
     params.append(PolyProtectParams(m, overlap, tuple(range(1, m + 1)), tuple(3 * e for e in range(1, m + 1)), 50, "x"))
     want = [np.linalg.norm(protect_plain(v, p)) for p in params]
-    assert np.allclose(template_norms(v, params), want, rtol=1e-14, atol=0.0)
+    exps = np.array([p.exps for p in params])
+    coeffs = np.array([p.coeffs for p in params], dtype=np.float64)
+    got = template_norms(v, overlap, exps, coeffs)
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+    # the same arithmetic one parameter set at a time: each offset's powers
+    # times its coefficient, added offset by offset, and the root of the
+    # summed squares
+    windows = chunk_embedding(v, params[0])
+    loop = []
+    for p in params:
+        template = windows[:, 0] ** np.array([float(p.exps[0])]) * float(p.coeffs[0])
+        for i in range(1, m):
+            template += windows[:, i] ** np.array([float(p.exps[i])]) * float(p.coeffs[i])
+        loop.append(float(np.sqrt((template * template).sum())))
+    assert got.tolist() == loop
 
 
 def test_template_norms_reject_mixed_layouts():
-    with pytest.raises(ValueError):
-        template_norms(np.ones(16), [gen_params(3, 1, 50, seed=1), gen_params(3, 2, 50, seed=1)])
+    # rows of parameter sets of two window widths cannot be stacked as one (N, m) pair
+    with pytest.raises(ValueError, match="one shape"):
+        template_norms(np.ones(16), 1, np.array([[1, 2, 3]]), np.array([[1.0, 2.0]]))
+    with pytest.raises(ValueError, match="one shape"):
+        template_norms(np.ones(16), 1, np.array([1, 2, 3]), np.array([1.0, 2.0, 3.0]))
 
 
 @pytest.mark.parametrize("m,overlap,n", [(3, 1, 9), (5, 4, 12), (10, 9, 12)])  # (10, 9, 12): m > capacity
