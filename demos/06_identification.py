@@ -31,7 +31,7 @@ print(f"pipeline: compress to {cfg.compress_dim}, m={cfg.m}, overlap={cfg.overla
 
 gallery, probes = build_gallery(ds, pipe)
 enrollees, _ = enroll_split(ds)
-params_list = [pipe.params_store[rec.params_id] for rec in gallery]
+params_list = [rec.params for rec in gallery]
 print(f"enrolled {len(gallery)} subjects; {len(probes)} probes held out\n")
 
 probe = probes[0]

@@ -239,12 +239,12 @@ def cmd_enroll(args, out: Path) -> dict:
 
 
 def cmd_identify(args, out: Path) -> dict:
-    gallery, params_store, ctx = load_gallery(args.gallery_dir)
+    gallery, _, ctx = load_gallery(args.gallery_dir)
     probes = load_dataset(args.probes)
     rows = []
     hits = 0
     for i, probe in enumerate(probes):
-        ranked = identify(probe, gallery, params_store, ctx)[: args.top]
+        ranked = identify(probe, gallery, ctx)[: args.top]
         for rank, (sid, score) in enumerate(ranked, start=1):
             rows.append([i, probe.subject_id, rank, sid, repr(score)])
         top_sid = ranked[0][0]

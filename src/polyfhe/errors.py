@@ -62,7 +62,7 @@ class ZeroBaseline(PolyFheError):
 
 
 class UnknownParamsId(PolyFheError):
-    """A gallery record references a params_id absent from the store."""
+    """A gallery being saved or loaded names a params_id it was given no parameters for."""
 
 
 class IntegrityError(PolyFheError, ValueError):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .backend import HEADER_LEN, EncryptionContext, encrypt, serialize_ciphertext
 from .errors import DegenerateLabels, DimensionMismatch, InfeasibleParams, ZeroBaseline
-from .pipeline import ATTRIBUTE_CLASSES, compress_prefix, enroll
+from .pipeline import ATTRIBUTE_CLASSES, _protect, compress_prefix
 from .polyprotect import gen_params, protect_plain
 
 VARIANTS = ("none", "polyprotect", "mrl", "mrl+polyprotect", "mrl+fhe", "mrl+polyprotect+fhe")
@@ -192,7 +192,7 @@ def _variant_features(variant, dataset, ctx, params, compress_dim) -> np.ndarray
     if variant == "mrl+fhe":
         return ciphertext_features([encrypt(compress_prefix(e, compress_dim), ctx) for e in dataset], ctx)
     if variant == "mrl+polyprotect+fhe":
-        return ciphertext_features([enroll(e, params, ctx, compress_dim).template for e in dataset], ctx)
+        return ciphertext_features([_protect(e, params, ctx, compress_dim) for e in dataset], ctx)
     raise ValueError(f"unknown variant {variant!r}")
 
 

@@ -23,7 +23,9 @@ group in one ciphertext, W = 2^ceil(log2 k), record b rotated right by b W:
 N - packs rotations per build or load, by offsets capacity - b W that a real
 backend needs Galois keys for (one more, 64, at the default config, where
 B = 2).  enroll returns a pack of one; build_gallery protects each template
-once and lays the packs out once.  Everything a search needs of the gallery
+once and lays the packs out once.  Every record is made in its pack, by
+_pack_gallery, so the search reads parameters from the packs and takes no
+params store.  Everything a search needs of the gallery
 side is built with the pack (TemplatePack): its masks (coefficients repeated
 over each block's slots), its records' stacked exponent and coefficient rows
 for template_norms, and each row's key into the probe's table of column
@@ -56,7 +58,7 @@ import hmac
 import json
 import math
 import stat
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -137,37 +139,42 @@ class SyntheticSpec:
 @dataclass(eq=False)
 class TemplatePack:
     """The templates of up to capacity // width records of one layout in one
-    ciphertext, record b's in slots [b * width, b * width + k).
+    ciphertext, record b's rotated right by b * width into slots
+    [b * width, b * width + k), width = 2^ceil(log2 k).
 
-    Built from the ciphertext, width = 2^ceil(log2 k), the records' compress
-    dim and their parameter sets by block; everything identify needs of the
-    gallery side is derived here, once, and kept read-only:
+    Built from the records' templates, compress dim and parameter sets by
+    block; the ciphertext and everything identify needs of the gallery side
+    are derived here, once, and kept read-only:
 
     - row r is one record's (column i, exponent e) pair, by column and then
       block: terms[r] = e * m + i keys it in identify's table of column
-      powers, and coeffs[r, b] is record b's coefficient for it if the pair
-      is record b's, else 0.  Records that share a pair keep a row each, so
-      a pack costs m plaintext mults per record whatever the users' secret
-      exponents are.
-    - masks = np.repeat(coeffs, width, axis=1), the plaintexts of the
-      probe's weighted sum before its scales.
+      powers, and masks[r] holds record b's coefficient for it over block
+      b's slots if the pair is record b's, else 0: the plaintexts of the
+      probe's weighted sum before its scales.  Records that share a pair
+      keep a row each, so a pack costs m plaintext mults per record whatever
+      the users' secret exponents are.
     - exps[b] and block_coeffs[b] are record b's exponents and coefficients,
       the rows template_norms reads (zeros past the last record).
     """
 
-    ciphertext: SlotVector
-    width: int
+    templates: InitVar[tuple]  # record b's template at b
     compress_dim: int
     params: tuple  # record b's PolyProtectParams at b
+    ciphertext: SlotVector = field(init=False)
+    width: int = field(init=False)
     terms: tuple = field(init=False)
-    coeffs: np.ndarray = field(init=False, repr=False)
     masks: np.ndarray = field(init=False, repr=False)
     exps: np.ndarray = field(init=False, repr=False)
     block_coeffs: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, templates):
         n, m = len(self.params), self.params[0].m
-        blocks = self.ciphertext.slots.shape[0] // self.width
+        self.width = width = 1 << (output_len(*self.layout) - 1).bit_length()
+        cap = templates[0].slots.shape[0]
+        self.ciphertext = templates[0]
+        for b, template in enumerate(templates[1:], 1):
+            self.ciphertext = add(self.ciphertext, rotate_left(template, cap - b * width))
+        blocks = cap // width
         self.exps = np.zeros((blocks, m), dtype=np.int64)
         self.exps[:n] = [p.exps for p in self.params]
         self.block_coeffs = np.zeros((blocks, m))
@@ -176,9 +183,8 @@ class TemplatePack:
         self.terms = tuple(p.exps[i] * m + i for i in range(m) for p in self.params)
         coeffs = np.zeros((m, n, blocks))
         coeffs[:, np.arange(n), np.arange(n)] = self.block_coeffs[:n].T
-        self.coeffs = coeffs.reshape(m * n, blocks)
-        self.masks = np.repeat(self.coeffs, self.width, axis=1)
-        for array in (self.coeffs, self.masks, self.exps, self.block_coeffs):
+        self.masks = np.repeat(coeffs.reshape(m * n, blocks), width, axis=1)
+        for array in (self.masks, self.exps, self.block_coeffs):
             array.flags.writeable = False
 
     @property
@@ -189,15 +195,25 @@ class TemplatePack:
 
 @dataclass
 class GalleryRecord:
-    """One enrolled subject: its packed template, p_j / ||p|| in slot j, and the ids to resolve it."""
+    """One enrolled subject: its template, p_j / ||p|| in slot j, and the pack that holds it at block."""
 
     subject_id: str
     template: SlotVector
-    params_id: str
-    compress_dim: int
+    pack: TemplatePack = field(repr=False, compare=False)
+    block: int = field(compare=False)
     blob: bytes = field(default=None, repr=False, compare=False)  # the template as saved or loaded
-    pack: TemplatePack = field(default=None, repr=False, compare=False)  # what identify reads, at block
-    block: int = field(default=0, compare=False)
+
+    @property
+    def params(self) -> PolyProtectParams:
+        return self.pack.params[self.block]
+
+    @property
+    def params_id(self) -> str:
+        return self.params.params_id
+
+    @property
+    def compress_dim(self) -> int:
+        return self.pack.compress_dim
 
 
 _ATTR_SHIFT = 2.5
@@ -276,37 +292,30 @@ def _protect(e: Embedding, params: PolyProtectParams, ctx: EncryptionContext, d:
     return protect_encrypted(encrypt_windows(x, params, ctx), params, scale)
 
 
-def _template_width(d: int, params: PolyProtectParams) -> int:
-    return 1 << (output_len(d, params.m, params.overlap) - 1).bit_length()
-
-
 def enroll(e: Embedding, params: PolyProtectParams, ctx: EncryptionContext, d: int) -> GalleryRecord:
     """compress -> encrypt -> protect -> pack, scaled to unit norm by the
     exact template norm; returns the persistable record, a pack of one."""
-    template = _protect(e, params, ctx, d)
-    pack = TemplatePack(template, _template_width(d, params), d, (params,))
-    return GalleryRecord(e.subject_id, template, params.params_id, d, pack=pack)
+    return _pack_gallery([(e.subject_id, _protect(e, params, ctx, d), params, d, None)], ctx)[0]
 
 
-def _pack_gallery(gallery: list, params_store: dict, ctx: EncryptionContext):
-    """Put each layout group's records in TemplatePacks, capacity // W
-    consecutive records each, record b rotated right by b W and added in:
-    len(gallery) - packs rotations."""
+def _pack_gallery(entries: list, ctx: EncryptionContext) -> list:
+    """The GalleryRecords of entries, (subject_id, template, params,
+    compress_dim, blob) each, in order: each layout group's records put in
+    TemplatePacks, capacity // W consecutive records each, at a cost of
+    len(entries) - packs rotations."""
     groups = {}
-    for rec in gallery:
-        params = params_store[rec.params_id]
-        groups.setdefault((rec.compress_dim, params.m, params.overlap), []).append((rec, params))
-    cap = ctx.slot_capacity
-    for (d, _, _), members in groups.items():
-        width = _template_width(d, members[0][1])
-        for start in range(0, len(members), cap // width):
-            chunk = members[start : start + cap // width]
-            ct = chunk[0][0].template
-            for b, (rec, _) in enumerate(chunk[1:], 1):
-                ct = add(ct, rotate_left(rec.template, cap - b * width))
-            pack = TemplatePack(ct, width, d, tuple(params for _, params in chunk))
-            for b, (rec, _) in enumerate(chunk):
-                rec.pack, rec.block = pack, b
+    for i, (_, _, params, d, _) in enumerate(entries):
+        groups.setdefault((d, params.m, params.overlap), []).append(i)
+    records = [None] * len(entries)
+    for layout, members in groups.items():
+        per_pack = ctx.slot_capacity >> (output_len(*layout) - 1).bit_length()
+        for start in range(0, len(members), per_pack):
+            chunk = members[start : start + per_pack]
+            pack = TemplatePack(tuple(entries[i][1] for i in chunk), layout[0], tuple(entries[i][2] for i in chunk))
+            for b, i in enumerate(chunk):
+                subject_id, template, _, _, blob = entries[i]
+                records[i] = GalleryRecord(subject_id, template, pack, b, blob)
+    return records
 
 
 # How far an exact-mode cosine of two unit-norm templates may stray past
@@ -314,10 +323,10 @@ def _pack_gallery(gallery: list, params_store: dict, ctx: EncryptionContext):
 _SCORE_ROUNDING = 1e-9
 
 
-def identify(probe: Embedding, gallery: list, params_store: dict, ctx: EncryptionContext) -> list:
+def identify(probe: Embedding, gallery: list, ctx: EncryptionContext) -> list:
     """Encrypted 1:N search: (subject_id, score) sorted by descending score.
 
-    The probe is protected under each record's own parameters, scaled to
+    The probe is protected under each record's own parameters, its pack's, scaled to
     unit norm, and scored against the record's unit-norm template, per pack
     (see the module docstring): the probe's templates for all the pack's
     blocks are one weighted sum of column powers, under the pack's masks
@@ -332,40 +341,35 @@ def identify(probe: Embedding, gallery: list, params_store: dict, ctx: Encryptio
     """
     if not gallery:
         raise ValueError("identify needs a nonempty gallery")
-    packs = {}
+    layouts = {}  # layout -> pack -> the indices of the pack's listed records
     for i, rec in enumerate(gallery):
-        if rec.params_id not in params_store:
-            raise UnknownParamsId(f"no parameters stored for params_id {rec.params_id}")
-        packs.setdefault(rec.pack, []).append(i)
-    layouts = {}
-    for pack, listed in packs.items():
-        layouts.setdefault(pack.layout, []).append((pack, listed))
+        layouts.setdefault(rec.pack.layout, {}).setdefault(rec.pack, []).append(i)
     cap = ctx.slot_capacity
     scores = np.empty(len(gallery))
-    for (d, m, overlap), members in layouts.items():
+    for (d, m, overlap), packs in layouts.items():
         v = compress_prefix(probe, d)
-        width = members[0][0].width
+        listed = [i for pack_listed in packs.values() for i in pack_listed]
+        width = gallery[listed[0]].pack.width
         blocks = cap // width
-        windows = encrypt_windows(v, members[0][0].params[0], ctx, blocks)
-        listed = [i for _, pack_listed in members for i in pack_listed]
+        windows = encrypt_windows(v, gallery[listed[0]].params, ctx, blocks)
         # each listed record's block among all the packs' blocks, in listed order
         flat = np.array(
-            [row * blocks + gallery[i].block for row, (_, pack_listed) in enumerate(members) for i in pack_listed]
+            [row * blocks + gallery[i].block for row, pack_listed in enumerate(packs.values()) for i in pack_listed]
         )
-        block_scales = np.zeros(len(members) * blocks)
+        block_scales = np.zeros(len(packs) * blocks)
         block_scales[flat] = _unit_scales(
             template_norms(
                 v,
                 overlap,
-                np.concatenate([pack.exps for pack, _ in members])[flat],
-                np.concatenate([pack.block_coeffs for pack, _ in members])[flat],
+                np.concatenate([pack.exps for pack in packs])[flat],
+                np.concatenate([pack.block_coeffs for pack in packs])[flat],
             )
         )
-        slot_scales = np.repeat(block_scales, width).reshape(len(members), cap)
-        keys = sorted(set().union(*[pack.terms for pack, _ in members]))
+        slot_scales = np.repeat(block_scales, width).reshape(len(packs), cap)
+        keys = sorted(set().union(*[pack.terms for pack in packs]))
         powers = dict(zip(keys, window_powers(windows, [(key % m, key // m) for key in keys])))
-        pack_scores = np.empty((len(members), blocks))
-        for row, (pack, _) in enumerate(members):
+        pack_scores = np.empty((len(packs), blocks))
+        for row, pack in enumerate(packs):
             probe_ct = pack_template([powers[key] for key in pack.terms], pack.masks, slot_scales[row])
             pack_scores[row] = decrypt(cosine_unit_encrypted(pack.ciphertext, probe_ct, windows.k), ctx)[::width]
         scores[listed] = pack_scores.reshape(-1)[flat]
@@ -419,8 +423,8 @@ class PipelineConfig:
 
 
 class Pipeline:
-    """Holds one run's context and params store, plus a normalization plan
-    and inverse-sqrt fit.
+    """Holds one run's context, the params store that save_gallery writes
+    from, and a normalization plan and inverse-sqrt fit.
 
     The search scores exact unit-norm templates and uses neither plan nor
     fit.  They size similarity.cosine_encrypted for templates scaled by
@@ -455,7 +459,7 @@ class Pipeline:
         return enroll(e, params, self.ctx, self.cfg.compress_dim)
 
     def identify(self, probe: Embedding, gallery: list) -> list:
-        return identify(probe, gallery, self.params_store, self.ctx)
+        return identify(probe, gallery, self.ctx)
 
 
 def enroll_split(dataset: list) -> tuple:
@@ -474,13 +478,10 @@ def enroll_split(dataset: list) -> tuple:
 def build_gallery(dataset: list, pipeline: Pipeline) -> tuple:
     """Enroll the per-identity split; returns (gallery, probes)."""
     enrollees, probes = enroll_split(dataset)
-    gallery = []
-    for i, e in enumerate(enrollees):
-        params = pipeline.gen_user_params(i)
-        d = pipeline.cfg.compress_dim
-        gallery.append(GalleryRecord(e.subject_id, _protect(e, params, pipeline.ctx, d), params.params_id, d))
-    _pack_gallery(gallery, pipeline.params_store, pipeline.ctx)
-    return gallery, probes
+    d, ctx = pipeline.cfg.compress_dim, pipeline.ctx
+    params = [pipeline.gen_user_params(i) for i in range(len(enrollees))]
+    entries = [(e.subject_id, _protect(e, p, ctx, d), p, d, None) for e, p in zip(enrollees, params)]
+    return _pack_gallery(entries, ctx), probes
 
 
 def rank1_accuracy(dataset: list, cfg: PipelineConfig) -> float:
@@ -569,17 +570,16 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
     Each manifest record carries its blob's tag.  Records loaded from disk
     keep their original blob bytes, so a save -> load -> save round trip is
     bit-identical (re-serializing would draw fresh nonces).  Every record is
-    checked and serialized before anything is written: a record whose
-    params_id is not in params_store raises UnknownParamsId, one whose
-    template is under another key raises KeyMismatch, and either leaves a
-    gallery already in out_dir intact.
+    checked and serialized before anything is written: an empty gallery
+    raises EmptyGallery, a record whose params_id is not in params_store
+    raises UnknownParamsId, one whose template is under another key raises
+    KeyMismatch, and each leaves a gallery already in out_dir intact.
     """
-    used = {}
+    if not gallery:
+        raise EmptyGallery("save_gallery needs a nonempty gallery")
     for rec in gallery:
-        params = params_store.get(rec.params_id)
-        if params is None:
+        if rec.params_id not in params_store:
             raise UnknownParamsId(f"no parameters stored for params_id {rec.params_id}")
-        used[rec.params_id] = params
         if rec.blob is None:
             rec.blob = serialize_ciphertext(rec.template, ctx)
     out = Path(out_dir)
@@ -600,10 +600,10 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
                 "tag": _record_tag(rec.subject_id, rec.params_id, rec.compress_dim, rec.blob, ctx),
             }
         )
-    for pid, params in used.items():
+    for pid in dict.fromkeys(rec.params_id for rec in gallery):
         path = out / "params" / f"{pid}.json"
         named.add(path)
-        save_params(params, path)
+        save_params(params_store[pid], path)
     manifest = {
         "version": GALLERY_VERSION,
         "ctx": {
@@ -671,7 +671,7 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
         raise ValueError("context key does not match the saved gallery")
     blob_len = HEADER_LEN + 8 * meta["slot_capacity"]
     params_store = {}
-    gallery = []
+    entries = []
     for i, rec_meta in enumerate(manifest["records"]):
         pid = rec_meta["params_id"]
         params = params_store.get(pid)
@@ -699,6 +699,5 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
             raise IntegrityError(f"gallery {in_dir}: record {i} ({blob_path}) does not match its tag")
         sv = deserialize_ciphertext(blob, ctx)
         sv.depth_used = protect_depth(params)
-        gallery.append(GalleryRecord(rec_meta["subject_id"], sv, pid, rec_meta["compress_dim"], blob))
-    _pack_gallery(gallery, params_store, ctx)
-    return gallery, params_store, ctx
+        entries.append((rec_meta["subject_id"], sv, params, rec_meta["compress_dim"], blob))
+    return _pack_gallery(entries, ctx), params_store, ctx

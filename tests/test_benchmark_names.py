@@ -5,13 +5,17 @@ the traced public functions, so removing or renaming one of them breaks
 `run.py --trace 1` with a KeyError.  Its workloads also read Pipeline
 attributes (plan, approx, cfg, params_store) and LeakageReport fields.  These
 checks run perfbench's own lookup code and helpers against the current
-library, without tracing anything.
+library, without tracing anything, and drive the identify and enroll
+workloads through one untimed round each, so a library change that breaks a
+workload's calls fails here and not only in a benchmark run.
 """
 
 import os
 import sys
 from pathlib import Path
 from unittest import mock
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 for _path in (ROOT / "src", ROOT / "perfbench"):
@@ -57,3 +61,23 @@ def test_cell_ok_reads_a_leakage_report():
     assert workloads.cell_ok(fhe, base, 100, fhe=True)
     wrong_pg = LeakageReport("gender", "mrl+fhe", a_o=0.9, a_p=0.5, pg=0.3, sr=0.4 / 0.9, chance=0.5)
     assert not workloads.cell_ok(wrong_pg, base, 100, fhe=True)
+
+
+@pytest.mark.parametrize("name,counts", [
+    ("identify", {"rotations": 3.0, "ct_mults": 0.6, "pt_mults": 5.0, "encryptions": 0.025}),
+    ("enroll", {"rotations": 0.0, "ct_mults": 8.0, "pt_mults": 5.0, "encryptions": 5.0}),
+])
+def test_workload_round_passes_its_checks_at_its_he_counts(tmp_path, name, counts):
+    # setup -> prepare -> round -> check -> count, as run.py drives a workload
+    workload = workloads.WORKLOADS[name]
+    st = workload.setup(0, tmp_path)
+    try:
+        workload.prepare(st)
+        out, times = workload.round(st)
+        attempted, failed, fault = workload.check(st, out)
+        got = workload.count(st)
+    finally:
+        workload.teardown(st)
+    assert times and attempted > 0
+    assert (failed, fault) == (0, 0)
+    assert {kind: got[kind] for kind in counts} == counts

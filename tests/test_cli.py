@@ -140,9 +140,9 @@ def test_enroll_identify_match_library(tmp_path):
     assert {r["rank"] for r in rows} <= {"1", "2", "3", "4", "5"}
 
     # library-level call on the same inputs reproduces the CLI's scores
-    gallery, params_store, ctx = load_gallery(out / "gallery")
+    gallery, _, ctx = load_gallery(out / "gallery")
     probes = load_dataset(out / "probes.csv")
-    ranked = identify(probes[0], gallery, params_store, ctx)
+    ranked = identify(probes[0], gallery, ctx)
     cli_first = [r for r in rows if r["probe_index"] == "0"]
     assert cli_first[0]["subject_id"] == ranked[0][0]
     assert float(cli_first[0]["score"]) == pytest.approx(ranked[0][1], abs=1e-12)
@@ -705,6 +705,6 @@ def test_identify_after_enrolling_twice_into_one_gallery_dir(tmp_path):
     with open(tmp_path / "id" / "identify_ranked.csv") as f:
         rows = list(csv.DictReader(f))
     for i, probe in enumerate(probes):
-        ranked = identify(probe, gallery, params_store, ctx)
+        ranked = identify(probe, gallery, ctx)
         got = [(r["subject_id"], float(r["score"])) for r in rows if r["probe_index"] == str(i)]
         assert got == ranked

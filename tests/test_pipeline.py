@@ -211,7 +211,7 @@ def _identify_per_record(probe, gallery, pipe):
     # protected and normalized from scratch for every record.
     scores = []
     for rec in gallery:
-        params = pipe.params_store[rec.params_id]
+        params = rec.params
         v = compress_prefix(probe, rec.compress_dim)
         windows = encrypt_windows(v, params, pipe.ctx)
         scale = 1.0 / template_norms(v, params.overlap, np.array([params.exps]), np.array([params.coeffs], float))[0]
@@ -341,7 +341,7 @@ def _packed_counts(gallery, pipe):
     # count does not depend on the exponents; shared per probe:
     # one encryption per window column and, per column, the power chains of
     # the exponents the records give it
-    params = [pipe.params_store[rec.params_id] for rec in gallery]
+    params = [rec.params for rec in gallery]
     m = params[0].m
     chains = [set().union(*(_power_chain(p.exps[i]) for p in params)) for i in range(m)]
     packs = {rec.pack for rec in gallery}
@@ -392,8 +392,9 @@ def test_identify_plaintext_mults_do_not_depend_on_shared_exponents():
     pipe = Pipeline(PipelineConfig(seed=4))
     shared = pipe.gen_user_params(0)
     for params in ([shared] * 4, [pipe.gen_user_params(i) for i in range(4)]):
-        gallery = [pipe.enroll(e, p) for e, p in zip(enrolled, params)]
-        pl._pack_gallery(gallery, pipe.params_store, pipe.ctx)
+        entries = [(e.subject_id, pl._protect(e, p, pipe.ctx, 64), p, 64, None) for e, p in zip(enrolled, params)]
+        gallery = pl._pack_gallery(entries, pipe.ctx)
+        assert len({rec.pack for rec in gallery}) == 2
         before = pipe.ctx.ops.copy()
         pipe.identify(probes[0], gallery)
         assert (pipe.ctx.ops - before)["pt_mults"] == 4 * shared.m
@@ -403,10 +404,7 @@ def _singles(gallery, ds, pipe):
     # every record of gallery enrolled again on its own: packs of one, the
     # search as it scores records one ciphertext each
     by_id = {e.subject_id: e for e in enroll_split(ds)[0]}
-    return [
-        enroll(by_id[rec.subject_id], pipe.params_store[rec.params_id], pipe.ctx, rec.compress_dim)
-        for rec in gallery
-    ]
+    return [enroll(by_id[rec.subject_id], rec.params, pipe.ctx, rec.compress_dim) for rec in gallery]
 
 
 @pytest.mark.parametrize("cfg,num_ids,blocks", [
@@ -421,9 +419,8 @@ def test_packed_scores_equal_packs_of_one(cfg, num_ids, blocks):
     assert max(rec.block for rec in gallery) == min(blocks, num_ids) - 1
     singles = _singles(gallery, ds, pipe)
     for rec in singles:  # enroll lays a pack of one out as packing one record does
-        terms, coeffs = rec.pack.terms, rec.pack.coeffs
-        pl._pack_gallery([rec], pipe.params_store, pipe.ctx)
-        assert rec.pack.terms == terms and np.array_equal(rec.pack.coeffs, coeffs)
+        (again,) = pl._pack_gallery([(rec.subject_id, rec.template, rec.params, rec.compress_dim, None)], pipe.ctx)
+        assert again.pack.terms == rec.pack.terms and np.array_equal(again.pack.masks, rec.pack.masks)
     for probe in probes[:3]:
         assert pipe.identify(probe, gallery) == pipe.identify(probe, singles)
     before = pipe.ctx.ops.copy()
@@ -445,20 +442,22 @@ def test_packs_hold_their_gallery_side_tables_read_only(tmp_path, cfg, num_ids):
     gallery, _ = build_gallery(ds, pipe)
     save_gallery(gallery, pipe.ctx, pipe.params_store, tmp_path / "g")
     loaded, _, _ = load_gallery(tmp_path / "g", pipe.ctx)
-    single = pipe.enroll(ds[0], pipe.params_store[gallery[0].params_id])
+    single = pipe.enroll(ds[0], gallery[0].params)
     for records in (gallery, loaded, [single]):
         for pack in {rec.pack: None for rec in records}:
             blocks = pipe.cfg.slot_capacity // pack.width
             n, m = len(pack.params), pack.params[0].m
-            assert np.array_equal(pack.masks, np.repeat(pack.coeffs, pack.width, axis=1))
+            assert pack.width == 1 << (pp.output_len(*pack.layout) - 1).bit_length()
+            assert pack.masks.shape == (m * n, pipe.cfg.slot_capacity)
             for r, key in enumerate(pack.terms):  # row r: record r % n's exponent at column r // n
                 i, b = divmod(r, n)
                 assert key == pack.params[b].exps[i] * m + i
-                assert pack.coeffs[r].tolist() == [pack.params[b].coeffs[i] if c == b else 0 for c in range(blocks)]
+                row = [pack.params[b].coeffs[i] if c == b else 0 for c in range(blocks)]
+                assert pack.masks[r].tolist() == np.repeat(row, pack.width).tolist()
             assert pack.exps[:n].tolist() == [list(p.exps) for p in pack.params] and not pack.exps[n:].any()
             assert pack.block_coeffs[:n].tolist() == [list(p.coeffs) for p in pack.params]
             assert not pack.block_coeffs[n:].any() and pack.exps.shape == (blocks, m)
-            for array in (pack.masks, pack.coeffs, pack.exps, pack.block_coeffs):
+            for array in (pack.masks, pack.exps, pack.block_coeffs):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     array[0, 0] = 1
@@ -471,13 +470,12 @@ def test_identify_equals_per_record_reference_at_the_benchmark_shape():
     pipe = Pipeline(PipelineConfig(seed=0))
     gallery, probes = build_gallery(ds, pipe)
     enrolled, _ = enroll_split(ds)
-    others = []
+    entries = []
     for i, e in enumerate(enrolled[:9]):
         params = gen_params(3, 1, 50, seed=[9, i])
-        pipe.params_store[params.params_id] = params
-        others.append(pl.GalleryRecord(e.subject_id + "b", pl._protect(e, params, pipe.ctx, 48), params.params_id, 48))
+        entries.append((e.subject_id + "b", pl._protect(e, params, pipe.ctx, 48), params, 48, None))
+    others = pl._pack_gallery(entries, pipe.ctx)  # k = 24: four per ciphertext, then a pack of one
     mixed = gallery[150:] + others
-    pl._pack_gallery(others, pipe.params_store, pipe.ctx)  # k = 24: four per ciphertext, then a pack of one
     assert gallery[1].block == 1 and gallery[8].pack is gallery[9].pack
     for records in ([gallery[1]], [gallery[8], gallery[8], gallery[3]], mixed):
         for probe in probes[:2]:
@@ -502,9 +500,9 @@ def test_self_match_of_every_loaded_record_scores_one(tmp_path):
     pipe = Pipeline(PipelineConfig(seed=4))
     gallery, _ = build_gallery(ds, pipe)
     save_gallery(gallery, pipe.ctx, pipe.params_store, tmp_path / "g")
-    loaded, store, ctx = load_gallery(tmp_path / "g", pipe.ctx)
+    loaded, _, ctx = load_gallery(tmp_path / "g", pipe.ctx)
     for e, rec in zip(ds, loaded):
-        ((sid, score),) = identify(e, [rec], store, ctx)
+        ((sid, score),) = identify(e, [rec], ctx)
         assert sid == e.subject_id and abs(score - 1.0) <= 1e-12
 
 
@@ -559,13 +557,22 @@ def test_enroll_template_longer_than_capacity():
         build_gallery(ds, pipe)
 
 
-def test_identify_unknown_params_id():
-    ds = gen_synthetic_dataset(small_spec(num_ids=3, samples_per_id=1))
+def test_identify_reads_params_from_the_gallery_not_a_store(tmp_path):
+    # every record's pack holds its parameters: a built or loaded gallery
+    # ranks the same after its pipeline's params store is emptied, and when
+    # a second pipeline of the same config and key searches it
+    ds = gen_synthetic_dataset(small_spec(num_ids=5, samples_per_id=2))
     pipe = Pipeline(PipelineConfig(seed=4))
-    gallery, _ = build_gallery(ds, pipe)
+    gallery, probes = build_gallery(ds, pipe)
+    save_gallery(gallery, pipe.ctx, pipe.params_store, tmp_path / "g")
+    loaded, _, _ = load_gallery(tmp_path / "g", pipe.ctx)
+    want = [pipe.identify(probe, gallery) for probe in probes[:2]]
+    second = Pipeline(pipe.cfg)
+    assert not second.params_store
     pipe.params_store.clear()
-    with pytest.raises(UnknownParamsId):
-        pipe.identify(ds[0], gallery)
+    for searcher in (pipe, second):
+        for records in (gallery, loaded):
+            assert [searcher.identify(probe, records) for probe in probes[:2]] == want
 
 
 def test_rank1_shuffled_labels_at_chance():
@@ -694,8 +701,8 @@ def test_gallery_persistence_round_trip(tmp_path):
 
     # loaded gallery scores exactly like the in-memory one
     probe = probes[0]
-    mem = identify(probe, gallery, pipe.params_store, pipe.ctx)
-    disk = identify(probe, loaded, params_store, ctx)
+    mem = identify(probe, gallery, pipe.ctx)
+    disk = identify(probe, loaded, ctx)
     assert mem == disk
 
 
@@ -754,6 +761,22 @@ def test_gallery_params_files_follow_the_records(tmp_path):
     assert [rec.subject_id for rec in loaded] == [rec.subject_id for rec in gallery]
 
 
+def test_save_empty_gallery_leaves_the_existing_gallery_intact(tmp_path):
+    ds = gen_synthetic_dataset(small_spec(num_ids=3, samples_per_id=1))
+    pipe = Pipeline(PipelineConfig(seed=6))
+    gallery, _ = build_gallery(ds, pipe)
+    out = tmp_path / "g"
+    save_gallery(gallery, pipe.ctx, pipe.params_store, out)
+    saved = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    with pytest.raises(EmptyGallery):
+        save_gallery([], pipe.ctx, pipe.params_store, out)
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == saved
+    assert [rec.blob for rec in load_gallery(out)[0]] == [rec.blob for rec in gallery]
+    with pytest.raises(EmptyGallery):
+        save_gallery([], pipe.ctx, {}, tmp_path / "new")
+    assert not (tmp_path / "new").exists()
+
+
 def test_save_gallery_unknown_params_id(tmp_path):
     ds = gen_synthetic_dataset(small_spec(num_ids=2, samples_per_id=1))
     pipe = Pipeline(PipelineConfig(seed=6))
@@ -770,7 +793,7 @@ def test_failed_save_leaves_the_existing_gallery_intact(tmp_path):
     first, second = gallery[:4], gallery[4:]
     no_params = dict(pipe.params_store)
     del no_params[second[-1].params_id]
-    foreign = second[:-1] + [Pipeline(PipelineConfig(seed=7)).enroll(ds[-1], pipe.params_store[second[-1].params_id])]
+    foreign = second[:-1] + [Pipeline(PipelineConfig(seed=7)).enroll(ds[-1], second[-1].params)]
     for name, records, store, error in [
         ("no-params", second, no_params, UnknownParamsId),
         ("foreign-key", foreign, pipe.params_store, KeyMismatch),
