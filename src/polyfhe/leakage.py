@@ -13,6 +13,11 @@ Ciphertext features deliberately exclude the masking seed: the attacker sees
 only the serialized bytes, which is the point of the experiment.  The chance
 baseline is max(majority-class share, 1/num_classes), since a lazy majority
 vote is the stronger trivial attacker on imbalanced labels.
+
+The attacker steps its (classes, samples) logits, L <- d L - lr G X X^T, and
+forms its weights once at the end (train_attr_classifier).  X X^T is formed
+once when 2f > n for n samples of f features, and an epoch costs one
+rows x n x n product; otherwise two rows x n x f products, (G X) X^T.
 """
 
 from __future__ import annotations
@@ -53,21 +58,35 @@ def train_attr_classifier(
 
     Every head sees the same features, so they train together: the features
     are standardized once (train statistics travel with each head) and the
-    heads' weights are stacked into one (total classes, features) matrix, so
-    an epoch costs one forward and one backward product for all of them.  The
-    softmax runs per head on its own rows.  Each head starts from its own
+    heads' weights are stacked into one (total classes, features) matrix W.
+    The softmax runs per head on its own rows.  Each head starts from its own
     default_rng(seed) draw and nothing couples the heads' gradients, so a head
     trains as it would alone, up to rounding.  Standardizing keeps one
     learning rate workable across feature scales from unit embeddings to byte
     histograms; optional L2 weight decay lets the attacker fall back to the
     class prior when features carry nothing.  Returns one LinearClassifier per
     label list, in order.
+
+    The descent runs on the logits, not the weights.  With X the standardized
+    (n, f) training matrix, G = (P - Y) / n the logit gradient and
+    d = 1 - lr * weight_decay, the weights stay W0 plus a combination of X's
+    rows (the representer theorem): W_t = d^t W0 + Z_t X with
+    Z <- d Z - lr G, so the logits follow L <- d L - lr G X X^T from
+    L0 = W0 X^T, and W is formed once, after the last epoch.  When 2f > n,
+    X X^T is formed once and an epoch costs one rows x n x n product;
+    otherwise it costs two rows x n x f products, (G X) X^T.
     """
     x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionMismatch(f"features must be a (samples, features) matrix, got shape {x.shape}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     n, f = x.shape
     heads = []  # (classes, the head's rows of the stack, label indices)
     rows = 0
     for labels in label_sets:
+        if len(labels) != n:
+            raise DimensionMismatch(f"a label list has {len(labels)} labels for {n} feature rows")
         classes = tuple(sorted(set(labels)))
         if len(classes) < 2:
             raise DegenerateLabels("training needs at least two distinct classes")
@@ -79,22 +98,29 @@ def train_attr_classifier(
     scale = x.std(axis=0)
     scale[scale == 0.0] = 1.0
     xs = (x - mean) / scale
-    xs_t = np.ascontiguousarray(xs.T)
+    gram = xs @ xs.T if 2 * f > n else None
 
-    w = np.vstack([np.random.default_rng(seed).normal(0.0, 0.01, (len(c), f)) for c, _, _ in heads])
+    w0 = np.vstack([np.random.default_rng(seed).normal(0.0, 0.01, (len(c), f)) for c, _, _ in heads])
+    logits = w0 @ xs.T  # (rows, n), without the bias
+    z = np.zeros((rows, n))
     b = np.zeros(rows)
-    onehot = np.zeros((rows, n))  # transposed, like the logits below
+    onehot = np.zeros((rows, n))  # transposed, like the logits
     for _, block, y in heads:
         onehot[block][y, np.arange(n)] = 1.0
+    d = 1.0 - lr * weight_decay
     for _ in range(epochs):
-        p = w @ xs_t + b[:, None]  # (rows, n): the logits, transposed
+        p = logits + b[:, None]
         for _, block, _ in heads:
             p[block] -= p[block].max(axis=0)
             np.exp(p[block], out=p[block])
             p[block] /= p[block].sum(axis=0)
         g = (p - onehot) / n
-        w -= lr * (g @ xs + weight_decay * w)
+        logits *= d
+        logits -= lr * (g @ gram if gram is not None else (g @ xs) @ xs.T)
+        z *= d
+        z -= lr * g
         b -= lr * g.sum(axis=1)
+    w = d**epochs * w0 + z @ xs
     return [LinearClassifier(w[block].copy(), b[block].copy(), c, mean, scale) for c, block, _ in heads]
 
 
@@ -142,15 +168,17 @@ def ciphertext_features(records, ctx: EncryptionContext, masked: bool = True) ->
     masking on both channels are keystream noise; masked=False is the control
     arm where the value channel carries the actual slots.
     """
-    rows = []
-    for ct in records:
+    if not records:
+        raise ValueError("ciphertext_features needs at least one record")
+    out = np.empty((len(records), 256 + records[0].slots.shape[0]))
+    for row, ct in zip(out, records):  # one at a time, in order: each blob draws the next nonce
         blob = serialize_ciphertext(ct, ctx, mask=masked)
-        all_bytes = np.frombuffer(blob, dtype=np.uint8)
-        hist = np.bincount(all_bytes, minlength=256).astype(np.float64) / len(all_bytes)
-        payload = np.frombuffer(blob[HEADER_LEN:], dtype="<f8")
-        values = np.clip(np.nan_to_num(payload, nan=0.0, posinf=10.0, neginf=-10.0), -10.0, 10.0)
-        rows.append(np.concatenate([hist, values]))
-    return np.stack(rows)
+        row[:256] = np.bincount(np.frombuffer(blob, dtype=np.uint8), minlength=256) / len(blob)
+        row[256:] = np.frombuffer(blob[HEADER_LEN:], dtype="<f8")
+    values = out[:, 256:]
+    np.nan_to_num(values, copy=False, nan=0.0, posinf=10.0, neginf=-10.0)
+    np.clip(values, -10.0, 10.0, out=values)
+    return out
 
 
 @dataclass
@@ -242,7 +270,8 @@ def run_leakage_suite(
     distinct variant is reported once, in first-seen order.
     """
     if ctx is None:
-        ctx = EncryptionContext(max(128, compress_dim), 16, key_id=f"leakage-{seed}", nonce_seed=seed)
+        slots = 1 << (max(128, compress_dim) - 1).bit_length()  # the next power of two
+        ctx = EncryptionContext(slots, 16, key_id=f"leakage-{seed}", nonce_seed=seed)
     params = gen_params(m, overlap, c_range, seed=[seed, 7919])
     accs = {}
     for variant in ("none", *protection_variants):

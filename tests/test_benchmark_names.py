@@ -5,9 +5,10 @@ the traced public functions, so removing or renaming one of them breaks
 `run.py --trace 1` with a KeyError.  Its workloads also read Pipeline
 attributes (plan, approx, cfg, params_store) and LeakageReport fields.  These
 checks run perfbench's own lookup code and helpers against the current
-library, without tracing anything, and drive the identify and enroll
-workloads through one untimed round each, so a library change that breaks a
-workload's calls fails here and not only in a benchmark run.
+library, without tracing anything, and drive each workload (identify,
+enroll and leakage) through one untimed round, its checks and its HE count,
+so a library change that breaks a workload's calls or its output checks
+fails here and not only in a benchmark run.
 """
 
 import os
@@ -66,6 +67,7 @@ def test_cell_ok_reads_a_leakage_report():
 @pytest.mark.parametrize("name,counts", [
     ("identify", {"rotations": 3.0, "ct_mults": 0.6, "pt_mults": 5.0, "encryptions": 0.025}),
     ("enroll", {"rotations": 0.0, "ct_mults": 8.0, "pt_mults": 5.0, "encryptions": 5.0}),
+    ("leakage", {"rotations": 0.0, "ct_mults": 8.0, "pt_mults": 5.0, "encryptions": 6.0}),
 ])
 def test_workload_round_passes_its_checks_at_its_he_counts(tmp_path, name, counts):
     # setup -> prepare -> round -> check -> count, as run.py drives a workload
