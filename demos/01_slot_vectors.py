@@ -53,4 +53,4 @@ blob1 = serialize_ciphertext(x, ctx)
 blob2 = serialize_ciphertext(x, ctx)
 print(f"two dumps of x differ: {blob1 != blob2} (fresh nonce each time)")
 back = deserialize_ciphertext(blob1, ctx)
-print("unmasked round trip ->", decrypt(back, ctx)[:3])
+print("masked round trip   ->", decrypt(back, ctx)[:3])

@@ -12,9 +12,10 @@ is a simulation.
 Plaintexts are numpy arrays.  A ciphertext is its slots and its depth, as in
 CKKS (Cheon-Kim-Kim-Song, ASIACRYPT 2017): it does not know how many of its
 slots hold data, and decrypt returns every slot.  Values are immutable:
-every operation returns a new SlotVector.  The noise and seeded-nonce streams
-and the op ledger are ordered state on the context, so noisy products,
-seeded dumps and op counts depend on the order of calls.
+every operation returns a new SlotVector.  Arithmetic is exact: the
+simulator adds no approximation error of its own.  The seeded-nonce stream
+and the op ledger are ordered state on the context, so seeded dumps and op
+counts depend on the order of calls.
 
 Op accounting: each context keeps one ledger, ctx.ops, a Counter to which
 rotate_left, mult, mult_plain and encrypt each add 1 under "rotations",
@@ -84,22 +85,18 @@ class EncryptionContext:
     """Key material and limits for one simulated keypair.
 
     slot_capacity must be a power of two.  masking_seed is derived from the
-    key and drives the serialization keystream; noise_stddev > 0 turns on
-    per-multiplication Gaussian noise (default 0 = exact mode, which all
-    deterministic oracles rely on).  nonce_seed, when given, makes the
-    serialization nonce stream reproducible -- every call still draws a fresh
-    nonce, but two runs with the same seed produce byte-identical dumps,
-    which reproducible experiment outputs depend on.  ops is the context's
-    op ledger (see the module docstring).
+    key and drives the serialization keystream.  nonce_seed, when given,
+    makes the serialization nonce stream reproducible -- every call still
+    draws a fresh nonce, but two runs with the same seed produce
+    byte-identical dumps, which reproducible experiment outputs depend on.
+    ops is the context's op ledger (see the module docstring).
     """
 
     slot_capacity: int
     depth_budget: int = 16
     key_id: bytes = None  # str/bytes/None accepted; normalized to 16 bytes
-    noise_stddev: float = 0.0
     nonce_seed: int = None
     masking_seed: bytes = field(init=False, repr=False, compare=False)
-    _noise_rng: np.random.Generator = field(init=False, repr=False, compare=False)
     _nonce_rng: np.random.Generator = field(init=False, repr=False, compare=False)
     ops: Counter = field(default_factory=Counter, init=False, repr=False, compare=False)
 
@@ -109,14 +106,10 @@ class EncryptionContext:
             raise ValueError(f"slot_capacity must be a power of two, got {cap}")
         if self.depth_budget < 1:
             raise ValueError("depth_budget must be >= 1")
-        if self.noise_stddev < 0:
-            raise ValueError("noise_stddev must be >= 0")
         key = _as_key_bytes(self.key_id)
         object.__setattr__(self, "key_id", key)
         seed = hashlib.sha256(b"polyfhe-mask:" + key).digest()
         object.__setattr__(self, "masking_seed", seed)
-        noise_seed = int.from_bytes(hashlib.sha256(b"polyfhe-noise:" + key).digest()[:8], "little")
-        object.__setattr__(self, "_noise_rng", np.random.default_rng(noise_seed))
         nonce_rng = None if self.nonce_seed is None else np.random.default_rng(self.nonce_seed)
         object.__setattr__(self, "_nonce_rng", nonce_rng)
 
@@ -188,11 +181,8 @@ def mult(a: SlotVector, b: SlotVector) -> SlotVector:
     ctx = a.ctx
     if depth > ctx.depth_budget:
         raise DepthExceeded(f"mult would reach depth {depth} > budget {ctx.depth_budget}")
-    slots = a.slots * b.slots
-    if ctx.noise_stddev > 0.0:
-        slots = slots + ctx._noise_rng.normal(0.0, ctx.noise_stddev, slots.shape[0])
     ctx.ops["ct_mults"] += 1
-    return SlotVector(slots, depth, ctx)
+    return SlotVector(a.slots * b.slots, depth, ctx)
 
 
 def _coerce_scalars(scalars, capacity: int):
@@ -268,30 +258,27 @@ def rotate_left(a: SlotVector, k: int) -> SlotVector:
 # seed, and unmasking is exact.
 
 
-def _keystream(seed: bytes, nonce: bytes, nbytes: int) -> bytes:
-    return hashlib.shake_256(seed + nonce).digest(nbytes)
+def _xor_keystream(payload: bytes, ctx: EncryptionContext, nonce: bytes) -> bytes:
+    """payload XOR the first len(payload) keystream bytes for ctx and nonce;
+    its own inverse."""
+    ks = hashlib.shake_256(ctx.masking_seed + nonce).digest(len(payload))
+    return (np.frombuffer(payload, dtype=np.uint8) ^ np.frombuffer(ks, dtype=np.uint8)).tobytes()
 
 
-def serialize_ciphertext(sv: SlotVector, ctx: EncryptionContext, mask: bool = True) -> bytes:
+def serialize_ciphertext(sv: SlotVector, ctx: EncryptionContext) -> bytes:
     """Encode a ciphertext with a fresh nonce and a keyed XOR keystream.
 
-    mask=False is a debug mode that writes raw slot bytes (used as the
-    control arm of the leakage experiments); the layout is unchanged.
     ctx must hold sv's key, as for decrypt (KeyMismatch otherwise): the
     keystream comes from ctx, so another key's blob could not be read back.
     """
     if sv.ctx.key_id != ctx.key_id:
         raise KeyMismatch("serialize with a foreign context (missing secret key)")
-    cap = sv.slots.shape[0]
     nonce = ctx._fresh_nonce()
-    payload = sv.slots.astype("<f8").tobytes()
-    if mask:
-        ks = _keystream(ctx.masking_seed, nonce, len(payload))
-        payload = (np.frombuffer(payload, dtype=np.uint8) ^ np.frombuffer(ks, dtype=np.uint8)).tobytes()
-    return ctx.key_id + nonce + struct.pack("<I", cap) + payload
+    payload = _xor_keystream(sv.slots.astype("<f8").tobytes(), ctx, nonce)
+    return ctx.key_id + nonce + struct.pack("<I", sv.slots.shape[0]) + payload
 
 
-def deserialize_ciphertext(blob: bytes, ctx: EncryptionContext, masked: bool = True) -> SlotVector:
+def deserialize_ciphertext(blob: bytes, ctx: EncryptionContext) -> SlotVector:
     """Reverse serialize_ciphertext under the producing context.
 
     Depth is not part of the wire format, so the result carries depth 0;
@@ -312,8 +299,5 @@ def deserialize_ciphertext(blob: bytes, ctx: EncryptionContext, masked: bool = T
     payload = blob[HEADER_LEN:]
     if len(payload) != cap * 8:
         raise IntegrityError(f"ciphertext payload is {len(payload)} bytes, expected {cap * 8}")
-    if masked:
-        ks = _keystream(ctx.masking_seed, nonce, len(payload))
-        payload = (np.frombuffer(payload, dtype=np.uint8) ^ np.frombuffer(ks, dtype=np.uint8)).tobytes()
-    slots = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    slots = np.frombuffer(_xor_keystream(payload, ctx, nonce), dtype="<f8").astype(np.float64)
     return SlotVector(slots, 0, ctx)

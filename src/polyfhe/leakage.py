@@ -126,6 +126,8 @@ def train_attr_classifier(
 
 def predict(clf: LinearClassifier, features) -> list:
     x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionMismatch(f"features must be a (samples, features) matrix, got shape {x.shape}")
     if x.shape[1] != clf.weights.shape[1]:
         raise DimensionMismatch(f"features have {x.shape[1]} dims, classifier expects {clf.weights.shape[1]}")
     xs = (x - clf.feat_mean) / clf.feat_scale
@@ -136,6 +138,8 @@ def predict(clf: LinearClassifier, features) -> list:
 def eval_accuracy(clf: LinearClassifier, features, labels) -> float:
     """Fraction of correct predictions."""
     preds = predict(clf, features)
+    if len(labels) != len(preds):
+        raise DimensionMismatch(f"{len(labels)} labels for {len(preds)} feature rows")
     return float(np.mean([p == t for p, t in zip(preds, labels)]))
 
 
@@ -159,20 +163,19 @@ def chance_level(labels) -> float:
     return max(float(counts.max()) / len(labels), 1.0 / len(vals))
 
 
-def ciphertext_features(records, ctx: EncryptionContext, masked: bool = True) -> np.ndarray:
+def ciphertext_features(records, ctx: EncryptionContext) -> np.ndarray:
     """Featurize serialized ciphertexts -- without the masking seed.
 
     Each sample (one SlotVector) becomes one row: a normalized byte histogram
     of its full dump plus a bounded value channel (slot payload bytes
-    reinterpreted as floats, NaN/inf squashed, clipped to [-10, 10]).  With
-    masking on both channels are keystream noise; masked=False is the control
-    arm where the value channel carries the actual slots.
+    reinterpreted as floats, NaN/inf squashed, clipped to [-10, 10]).  The
+    payload is masked, so both channels are keystream noise.
     """
     if not records:
         raise ValueError("ciphertext_features needs at least one record")
     out = np.empty((len(records), 256 + records[0].slots.shape[0]))
     for row, ct in zip(out, records):  # one at a time, in order: each blob draws the next nonce
-        blob = serialize_ciphertext(ct, ctx, mask=masked)
+        blob = serialize_ciphertext(ct, ctx)
         row[:256] = np.bincount(np.frombuffer(blob, dtype=np.uint8), minlength=256) / len(blob)
         row[256:] = np.frombuffer(blob[HEADER_LEN:], dtype="<f8")
     values = out[:, 256:]

@@ -318,8 +318,8 @@ def _pack_gallery(entries: list, ctx: EncryptionContext) -> list:
     return records
 
 
-# How far an exact-mode cosine of two unit-norm templates may stray past
-# [-1, 1] by rounding alone.
+# How far the cosine of two unit-norm templates may stray past [-1, 1] by
+# rounding alone.
 _SCORE_ROUNDING = 1e-9
 
 
@@ -333,11 +333,10 @@ def identify(probe: Embedding, gallery: list, ctx: EncryptionContext) -> list:
     times one row of slot scales that holds each record's probe scale in its
     block and zeros in the blocks of records gallery does not list.  A
     record listed twice is scored twice.  Ties break by subject_id for a
-    stable order.  A decrypted score that is not finite raises IntegrityError
-    naming the first such record, and so, in exact mode (ctx.noise_stddev ==
-    0), does one outside [-1, 1] by more than rounding: both templates have
-    unit norm, so such a score means a record's ciphertext is not what
-    enrollment stored.
+    stable order.  A decrypted score that is not finite, or lies outside
+    [-1, 1] by more than rounding, raises IntegrityError naming the first
+    such record: both templates have unit norm, so such a score means a
+    record's ciphertext is not what enrollment stored.
     """
     if not gallery:
         raise ValueError("identify needs a nonempty gallery")
@@ -373,9 +372,7 @@ def identify(probe: Embedding, gallery: list, ctx: EncryptionContext) -> list:
             probe_ct = pack_template([powers[key] for key in pack.terms], pack.masks, slot_scales[row])
             pack_scores[row] = decrypt(cosine_unit_encrypted(pack.ciphertext, probe_ct, windows.k), ctx)[::width]
         scores[listed] = pack_scores.reshape(-1)[flat]
-    bad = ~np.isfinite(scores)
-    if ctx.noise_stddev == 0.0:
-        bad |= np.abs(scores) > 1.0 + _SCORE_ROUNDING
+    bad = ~(np.abs(scores) <= 1.0 + _SCORE_ROUNDING)  # NaN fails the comparison too
     if bad.any():
         i = int(np.argmax(bad))
         raise IntegrityError(

@@ -211,6 +211,21 @@ def test_eval_dimension_mismatch():
         eval_accuracy(clf, np.ones((4, 7)), ["a"] * 4)
 
 
+def test_eval_accuracy_rejects_a_label_count_unlike_the_row_count():
+    # scored on the overlap, 10 rows against 4 labels would read as accuracy 1.0
+    clf = LinearClassifier(np.zeros((2, 3)), np.array([1.0, 0.0]), ("a", "b"), np.zeros(3), np.ones(3))
+    with pytest.raises(DimensionMismatch, match="4 labels for 10 feature rows"):
+        eval_accuracy(clf, np.ones((10, 3)), ["a"] * 4)
+
+
+def test_predict_rejects_features_that_are_not_a_matrix():
+    clf = LinearClassifier(np.zeros((2, 3)), np.array([1.0, 0.0]), ("a", "b"), np.zeros(3), np.ones(3))
+    with pytest.raises(DimensionMismatch, match=r"\(samples, features\) matrix, got shape \(3,\)"):
+        predict(clf, np.ones(3))
+    with pytest.raises(DimensionMismatch, match=r"got shape \(2, 5, 3\)"):
+        predict(clf, np.ones((2, 5, 3)))
+
+
 def test_constant_predictor_on_balanced_binary():
     clf = LinearClassifier(
         weights=np.zeros((2, 3)),
@@ -276,13 +291,14 @@ def test_masked_features_hide_and_unmasked_reveal():
     labels = [e.attributes["gender"] for e in ds]
     cts = [encrypt(e.values, ctx) for e in ds]
     chance = chance_level(labels[80:])
-    masked = ciphertext_features(cts, ctx, masked=True)
+    masked = ciphertext_features(cts, ctx)
     clf = train_attr_classifier(masked[:80], [labels[:80]], epochs=200, seed=0)[0]
     assert eval_accuracy(clf, masked[80:], labels[80:]) <= chance + 0.05
 
-    raw = ciphertext_features(cts, ctx, masked=False)
+    # control arm: the same attacker on the unencrypted slots recovers the attribute
+    raw = np.array([e.values for e in ds])
     clf = train_attr_classifier(raw[:80], [labels[:80]], epochs=200, seed=0)[0]
-    assert eval_accuracy(clf, raw[80:], labels[80:]) >= chance + 0.20  # control arm recovers
+    assert eval_accuracy(clf, raw[80:], labels[80:]) >= chance + 0.20
 
 
 def suite_dataset(seed=201):

@@ -164,20 +164,6 @@ def test_argmax_ranking_preserved():
     assert int(np.argmax(enc_scores)) == int(np.argmax(plain_scores))
 
 
-def test_noisy_mode_stresses_but_stays_close():
-    # per-mult Gaussian noise flows through the whole score computation;
-    # with a tiny stddev the result is perturbed yet still accurate
-    exact_ctx = EncryptionContext(128, 16, key_id="noisy")
-    noisy_ctx = EncryptionContext(128, 16, key_id="noisy", noise_stddev=1e-8)
-    plan, approx = unit_cosine_setup(64, degree=8)
-    rng = np.random.default_rng(21)
-    a, b = unit(rng, 64), unit(rng, 64)
-    exact = cosine_encrypted_score(encrypt(a, exact_ctx), encrypt(b, exact_ctx), 64, plan, approx, exact_ctx)
-    noisy = cosine_encrypted_score(encrypt(a, noisy_ctx), encrypt(b, noisy_ctx), 64, plan, approx, noisy_ctx)
-    assert noisy != exact
-    assert abs(noisy - exact) < 1e-4
-
-
 def test_depth_consumption_matches_contract():
     # degree + 5 levels from fresh ciphertexts
     degree = 8
