@@ -186,7 +186,8 @@ def cmd_gen_params(args, out: Path) -> dict:
 
 
 def cmd_bench_sum(args, out: Path) -> dict:
-    ctx = EncryptionContext(args.capacity or max(args.sizes), key_id=f"bench-{args.seed}")
+    capacity = args.capacity or 1 << (max(args.sizes) - 1).bit_length()  # the next power of two
+    ctx = EncryptionContext(capacity, key_id=f"bench-{args.seed}")
     rows = bench_summation(args.sizes, ctx, seed=args.seed)
     path = out / "bench_summation.csv"
     write_bench_csv(rows, path)
@@ -327,7 +328,7 @@ def build_parser() -> tuple:
 
     p = add("bench-sum", "benchmark the three summation kernels")
     p.add_argument("--sizes", type=_sizes, default="2..2048", help="'lo..hi' doubling range or comma list")
-    p.add_argument("--capacity", type=_positive_int, default=None, help="slot capacity (default: the largest size)")
+    p.add_argument("--capacity", type=_positive_int, default=None, help="slot capacity (default: max size rounded up to 2^k)")
     p.set_defaults(func=cmd_bench_sum)
 
     p = add("fit-invsqrt", "fit an inverse-sqrt polynomial and dump its error curve")

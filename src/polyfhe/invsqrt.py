@@ -5,7 +5,7 @@ as a weighted least squares on Chebyshev nodes with weight sqrt(x), since
 |p(x) - 1/sqrt(x)| * sqrt(x) is exactly the relative error against 1/sqrt(x).
 Coefficients are stored in ascending powers of raw x; evaluation is Horner,
 in the clear and under the slot contract (where each step is one ciphertext
-mult plus a free plaintext add, consuming exactly `degree` levels).
+mult plus a free plaintext add, consuming exactly len(coeffs) - 1 levels).
 
 Near-zero domains are hopeless for fixed-degree polynomials, so the default
 domain starts at 1e-3 rather than 0; narrow domains centered on a known
@@ -36,13 +36,12 @@ class FitReport:
 
 @dataclass(frozen=True)
 class PolyApprox:
-    """A fitted polynomial with its domain and error report.
+    """A fitted polynomial of degree len(coeffs) - 1, its domain and error report.
 
     Evaluating outside [domain[0], domain[1]] is a contract violation the
     evaluator does not detect; use precheck helpers upstream.
     """
 
-    degree: int
     coeffs: np.ndarray  # ascending powers
     domain: tuple
     fit_report: FitReport
@@ -114,20 +113,20 @@ def fit_inv_sqrt(
         raise IllConditioned(f"degree-{degree} fit on [{lo}, {hi}] is rank deficient ({rank})")
     coeffs = sol / col_scale
 
-    approx = PolyApprox(degree, coeffs, (lo, hi), FitReport(0.0, 0.0, 0, 0))
+    approx = PolyApprox(coeffs, (lo, hi), FitReport(0.0, 0.0, 0, 0))
     report = rel_error_report(approx, report_samples, report_seed)
-    return PolyApprox(degree, coeffs, (lo, hi), report)
+    return PolyApprox(coeffs, (lo, hi), report)
 
 
 def eval_poly_encrypted(sv: SlotVector, approx: PolyApprox) -> SlotVector:
     """Slot-wise Horner under the slot contract.
 
-    Consumes exactly `degree` depth levels above the input (one plaintext
-    mult for the leading step, degree-1 ciphertext mults after); coefficient
-    additions are plaintext adds and cost nothing.
+    Consumes exactly d = len(coeffs) - 1 depth levels above the input (one
+    plaintext mult for the leading step, d-1 ciphertext mults after);
+    coefficient additions are plaintext adds and cost nothing.
     """
     c = approx.coeffs
-    d = approx.degree
+    d = len(c) - 1
     if d == 0:
         return add_plain(mult_plain(sv, 0.0), float(c[0]))
     acc = mult_plain(sv, float(c[d]))
@@ -150,7 +149,7 @@ def save_approx(approx: PolyApprox, path):
     """Write the fit as JSON: degree, domain, coefficients and error report."""
     r = approx.fit_report
     d = {
-        "degree": approx.degree,
+        "degree": len(approx.coeffs) - 1,
         "domain": [approx.domain[0], approx.domain[1]],
         "coeffs": [float(c) for c in approx.coeffs],
         "max_rel_err": r.max_rel_err,

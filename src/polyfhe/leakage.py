@@ -23,7 +23,7 @@ rows x n x n product; otherwise two rows x n x f products, (G X) X^T.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,9 +51,7 @@ class LinearClassifier:
     feat_scale: np.ndarray
 
 
-def train_attr_classifier(
-    features, label_sets, epochs: int = 300, lr: float = 0.5, seed: int = 0, weight_decay: float = 0.0
-) -> list:
+def train_attr_classifier(features, label_sets, epochs: int = 300, seed: int = 0, weight_decay: float = 0.0) -> list:
     """Full-batch gradient descent on softmax cross-entropy, one head per label list.
 
     Every head sees the same features, so they train together: the features
@@ -62,10 +60,10 @@ def train_attr_classifier(
     The softmax runs per head on its own rows.  Each head starts from its own
     default_rng(seed) draw and nothing couples the heads' gradients, so a head
     trains as it would alone, up to rounding.  Standardizing keeps one
-    learning rate workable across feature scales from unit embeddings to byte
-    histograms; optional L2 weight decay lets the attacker fall back to the
-    class prior when features carry nothing.  Returns one LinearClassifier per
-    label list, in order.
+    learning rate, lr = _LR, workable across feature scales from unit
+    embeddings to byte histograms; optional L2 weight decay lets the attacker
+    fall back to the class prior when features carry nothing.  Returns one
+    LinearClassifier per label list, in order.
 
     The descent runs on the logits, not the weights.  With X the standardized
     (n, f) training matrix, G = (P - Y) / n the logit gradient and
@@ -107,7 +105,7 @@ def train_attr_classifier(
     onehot = np.zeros((rows, n))  # transposed, like the logits
     for _, block, y in heads:
         onehot[block][y, np.arange(n)] = 1.0
-    d = 1.0 - lr * weight_decay
+    d = 1.0 - _LR * weight_decay
     for _ in range(epochs):
         p = logits + b[:, None]
         for _, block, _ in heads:
@@ -116,10 +114,10 @@ def train_attr_classifier(
             p[block] /= p[block].sum(axis=0)
         g = (p - onehot) / n
         logits *= d
-        logits -= lr * (g @ gram if gram is not None else (g @ xs) @ xs.T)
+        logits -= _LR * (g @ gram if gram is not None else (g @ xs) @ xs.T)
         z *= d
-        z -= lr * g
-        b -= lr * g.sum(axis=1)
+        z -= _LR * g
+        b -= _LR * g.sum(axis=1)
     w = d**epochs * w0 + z @ xs
     return [LinearClassifier(w[block].copy(), b[block].copy(), c, mean, scale) for c, block, _ in heads]
 
@@ -173,7 +171,7 @@ def ciphertext_features(records, ctx: EncryptionContext) -> np.ndarray:
     """
     if not records:
         raise ValueError("ciphertext_features needs at least one record")
-    out = np.empty((len(records), 256 + records[0].slots.shape[0]))
+    out = np.empty((len(records), 256 + ctx.slot_capacity))
     for row, ct in zip(out, records):  # one at a time, in order: each blob draws the next nonce
         blob = serialize_ciphertext(ct, ctx)
         row[:256] = np.bincount(np.frombuffer(blob, dtype=np.uint8), minlength=256) / len(blob)
@@ -184,9 +182,10 @@ def ciphertext_features(records, ctx: EncryptionContext) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class LeakageReport:
-    """Attribute accuracies with and without protection, plus PG and SR.
+    """Attribute accuracies with and without protection, and the PG and SR
+    computed from them (a zero a_o raises ZeroBaseline).
 
     PG is taken over the attribute accuracies, so the recognition
     performances r_o and r_p are a_o and a_p.  They stay readable under
@@ -197,9 +196,13 @@ class LeakageReport:
     variant: str
     a_o: float
     a_p: float
-    pg: float
-    sr: float
     chance: float
+    pg: float = field(init=False)
+    sr: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pg", privacy_gain(self.a_o, self.a_p))
+        object.__setattr__(self, "sr", suppression_rate(self.a_o, self.a_p))
 
     @property
     def r_o(self) -> float:
@@ -239,7 +242,7 @@ def _attack(x, dataset, seed, epochs) -> dict:
     labels = {attr: [e.attributes[attr] for e in dataset] for attr in ATTRIBUTE_CLASSES}
     train = {attr: [ys[i] for i in train_idx] for attr, ys in labels.items()}
     try:
-        heads = train_attr_classifier(x[train_idx], list(train.values()), epochs, _LR, seed, _WEIGHT_DECAY)
+        heads = train_attr_classifier(x[train_idx], list(train.values()), epochs, seed, _WEIGHT_DECAY)
     except DegenerateLabels as exc:
         attr, classes = next((attr, sorted(set(ys))) for attr, ys in train.items() if len(set(ys)) < 2)
         raise DegenerateLabels(
@@ -287,19 +290,8 @@ def run_leakage_suite(
     reports = []
     for variant in dict.fromkeys(protection_variants):
         for attr in ATTRIBUTE_CLASSES:
-            a_o = accs["none"][attr]
-            a_p = accs[variant][attr]
-            reports.append(
-                LeakageReport(
-                    attribute=attr,
-                    variant=variant,
-                    a_o=a_o,
-                    a_p=a_p,
-                    pg=privacy_gain(a_o, a_p),
-                    sr=suppression_rate(a_o, a_p),
-                    chance=chance_level([dataset[i].attributes[attr] for i in test_idx]),
-                )
-            )
+            chance = chance_level([dataset[i].attributes[attr] for i in test_idx])
+            reports.append(LeakageReport(attr, variant, accs["none"][attr], accs[variant][attr], chance))
     return reports
 
 

@@ -57,6 +57,7 @@ import hashlib
 import hmac
 import json
 import math
+import re
 import stat
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
@@ -170,7 +171,7 @@ class TemplatePack:
     def __post_init__(self, templates):
         n, m = len(self.params), self.params[0].m
         self.width = width = 1 << (output_len(*self.layout) - 1).bit_length()
-        cap = templates[0].slots.shape[0]
+        cap = templates[0].ctx.slot_capacity
         self.ciphertext = templates[0]
         for b, template in enumerate(templates[1:], 1):
             self.ciphertext = add(self.ciphertext, rotate_left(template, cap - b * width))
@@ -618,7 +619,7 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
 
 
 def _read_manifest(src: Path) -> dict:
-    """manifest.json of a version-3 gallery, its shape checked."""
+    """manifest.json of a version-3 gallery, its shape and params ids checked."""
     manifest = read_json_object(src / "manifest.json", {"version": int}, f"gallery {src}: manifest")
     version = manifest["version"]
     if version != GALLERY_VERSION:
@@ -634,6 +635,9 @@ def _read_manifest(src: Path) -> dict:
             {"subject_id": str, "params_id": str, "compress_dim": int, "blob_path": str, "tag": str},
             f"gallery {src}: record {i}",
         )
+        pid = rec_meta["params_id"]
+        if not re.fullmatch("[0-9a-f]{16}", pid):
+            raise IntegrityError(f"gallery {src}: record {i} has params_id {pid!r}, not 16 lowercase hex digits")
     return manifest
 
 
@@ -644,12 +648,13 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
     Ciphertext depth is not on the wire; it is restored from the protection
     parameters that produced each template.  Only the params files the
     manifest's records name are read.  A manifest that is not valid JSON,
-    lacks a key, holds a value of the wrong type, or has a format version
-    other than 3 raises IntegrityError; one with no records raises
-    EmptyGallery.  Record i's blob must be blobs/<i>.ct, a regular file of
-    exactly HEADER_LEN + 8 x slot_capacity bytes, checked before it is
-    opened; anything else raises IntegrityError.  A blob whose tag does not
-    match raises IntegrityError, as does a params file that load_params
+    lacks a key, holds a value of the wrong type or a params_id that is not
+    16 lowercase hex digits, or has a format version other than 3 raises
+    IntegrityError before any params file is opened; one with no records
+    raises EmptyGallery.  Record i's blob must be blobs/<i>.ct, a regular
+    file of exactly HEADER_LEN + 8 x slot_capacity bytes, checked before it
+    is opened; anything else raises IntegrityError.  A blob whose tag does
+    not match raises IntegrityError, as does a params file that load_params
     rejects or whose params_id is not its file name.  A record whose params
     file is missing raises UnknownParamsId.
     """

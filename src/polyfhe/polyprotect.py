@@ -29,7 +29,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -39,15 +39,20 @@ from .errors import CapacityExceeded, InfeasibleParams, InputTooShort, Integrity
 
 @dataclass(frozen=True)
 class PolyProtectParams:
-    """User-specific transform parameters: window width m, overlap, C, E."""
+    """User-specific transform parameters: window width m, overlap, C, E.
+
+    params_id is computed from the values (_params_id), so equal values
+    have one id and a set cannot carry another's.
+    """
 
     m: int
     overlap: int
     coeffs: tuple
     exps: tuple
     c_range: int
-    params_id: str
+    _: KW_ONLY
     seed: int | None = None
+    params_id: str = field(init=False)
 
     def __post_init__(self):
         if self.m < 2:
@@ -60,6 +65,7 @@ class PolyProtectParams:
             raise ValueError("coefficients must be nonzero and pairwise distinct")
         if any(e < 1 for e in self.exps) or len(set(self.exps)) != self.m:
             raise ValueError("exponents must be positive and pairwise distinct")
+        object.__setattr__(self, "params_id", _params_id(self.m, self.overlap, self.c_range, self.coeffs, self.exps))
 
 
 def _params_id(m, overlap, c_range, coeffs, exps) -> str:
@@ -76,8 +82,6 @@ def gen_params(m: int, overlap: int, c_range: int, seed) -> PolyProtectParams:
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    if not 0 <= overlap <= m - 1:
-        raise ValueError("overlap must be in [0, m-1]")
     if 2 * c_range < m:
         raise InfeasibleParams(
             f"c_range={c_range} offers only {2 * c_range} distinct nonzero coefficients, need {m}"
@@ -86,8 +90,7 @@ def gen_params(m: int, overlap: int, c_range: int, seed) -> PolyProtectParams:
     pool = np.concatenate([np.arange(-c_range, 0), np.arange(1, c_range + 1)])
     coeffs = tuple(int(c) for c in rng.choice(pool, size=m, replace=False))
     exps = tuple(int(e) for e in rng.permutation(m) + 1)
-    pid = _params_id(m, overlap, c_range, coeffs, exps)
-    return PolyProtectParams(m, overlap, coeffs, exps, c_range, pid, seed)
+    return PolyProtectParams(m, overlap, coeffs, exps, c_range, seed=seed)
 
 
 def output_len(n: int, m: int, overlap: int) -> int:
@@ -330,12 +333,14 @@ def load_params(path) -> PolyProtectParams:
     d = read_json_object(path, _PARAMS_KEYS, f"params file {path}")
     if any(type(x) is not int for x in d["coeffs"] + d["exps"]):
         raise IntegrityError(f"params file {path} needs 'coeffs' and 'exps' as lists of JSON ints")
-    pid = _params_id(d["m"], d["overlap"], d["c_range"], d["coeffs"], d["exps"])
-    if d["params_id"] != pid:
-        raise IntegrityError(f"params file {path} holds params_id {d['params_id']!r}, not the hash of its values, {pid!r}")
     try:
-        return PolyProtectParams(
-            d["m"], d["overlap"], tuple(d["coeffs"]), tuple(d["exps"]), d["c_range"], d["params_id"], d.get("seed")
+        params = PolyProtectParams(
+            d["m"], d["overlap"], tuple(d["coeffs"]), tuple(d["exps"]), d["c_range"], seed=d.get("seed")
         )
     except ValueError as exc:
         raise IntegrityError(f"params file {path} holds invalid parameters ({exc})") from None
+    if d["params_id"] != params.params_id:
+        raise IntegrityError(
+            f"params file {path} holds params_id {d['params_id']!r}, not the hash of its values, {params.params_id!r}"
+        )
+    return params

@@ -10,16 +10,15 @@ recipe: slot-wise products folded into slot 0 give the dot product and both
 squared norms; the denominator's inverse square root comes from the fitted
 polynomial.  Division by data-dependent values is impossible under
 encryption, so both numerator and denominator are first scaled into known
-ranges by *public* bounds (the normalization plan), and the residual
-constant c_bound/sqrt(d_bound) is multiplied back in at the end -- with the
-standard plan that constant is exactly 1.
+ranges by *public* bounds (the normalization plan).  The plan's
+denominator bound is the square of its numerator bound, so the two scales
+cancel under the square root and nothing is multiplied back in.
 
 Only slot 0 of a result is meaningful; the other slots hold fold leftovers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,32 +34,32 @@ _UNIT_DOMAIN_RATIO = 2.0
 
 @dataclass(frozen=True)
 class NormalizationPlan:
-    """Public scale bounds: numerator / c_bound in [-1, 1], denominator /
-    d_bound in (0, 1], and the closed-form correction c_bound / sqrt(d_bound)
-    that restores the true cosine after the approximate inverse square root.
+    """Public scale bounds: numerator / c_bound in [-1, 1] and denominator /
+    d_bound in (0, 1], with d_bound = c_bound^2, so c_bound / sqrt(d_bound)
+    is 1 and the scaled quotient is the true cosine.
     """
 
     c_bound: float
-    d_bound: float
-    correction: float
 
     def __post_init__(self):
-        if self.c_bound <= 0 or self.d_bound <= 0:
+        if self.c_bound <= 0:
             raise ValueError("bounds must be positive")
+
+    @property
+    def d_bound(self) -> float:
+        return self.c_bound * self.c_bound
 
 
 def make_normalization_plan(templates_bound: float, n: int) -> NormalizationPlan:
     """Derive a plan from a public per-element magnitude bound B on n-vectors.
 
-    |a.b| <= n B^2 and ||a||^2 ||b||^2 <= (n B^2)^2, so the correction is 1.
+    |a.b| <= n B^2 and ||a||^2 ||b||^2 <= (n B^2)^2.
     """
     if templates_bound <= 0:
         raise ValueError("templates_bound must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    c_bound = n * templates_bound * templates_bound
-    d_bound = c_bound * c_bound
-    return NormalizationPlan(c_bound, d_bound, c_bound / math.sqrt(d_bound))
+    return NormalizationPlan(n * templates_bound * templates_bound)
 
 
 def _plain_pair(a, b) -> tuple:
@@ -108,9 +107,7 @@ def cosine_encrypted(c1: SlotVector, c2: SlotVector, n: int, plan: Normalization
     den = mult(d1, d2)
     num = mult_plain(num, 1.0 / plan.c_bound)
     den = mult_plain(den, 1.0 / plan.d_bound)
-    den = eval_poly_encrypted(den, approx)
-    out = mult(num, den)
-    return mult_plain(out, plan.correction)
+    return mult(num, eval_poly_encrypted(den, approx))
 
 
 def cosine_encrypted_score(c1, c2, n, plan, approx, ctx) -> float:

@@ -34,7 +34,7 @@ class SumBenchRow:
 def _check_n(c: SlotVector, n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > c.slots.shape[0]:
+    if n > c.ctx.slot_capacity:
         raise ValueError("n exceeds slot capacity")
 
 
@@ -81,7 +81,7 @@ def dft_sum(c: SlotVector, n: int) -> SlotVector:
     and n plaintext mults, and one depth level.
     """
     _check_n(c, n)
-    cap = c.slots.shape[0]
+    cap = c.ctx.slot_capacity
     e0 = np.zeros(cap, dtype=np.float64)
     e0[0] = 1.0
     acc = mult_plain(c, e0)
@@ -95,7 +95,7 @@ def broadcast_slot0(c: SlotVector, count: int) -> SlotVector:
 
     One plaintext mask mult (a depth level) plus count-1 rotations.
     """
-    cap = c.slots.shape[0]
+    cap = c.ctx.slot_capacity
     if not 1 <= count <= cap:
         raise ValueError("count must be in 1..capacity")
     e0 = np.zeros(cap, dtype=np.float64)

@@ -105,6 +105,16 @@ def test_bench_sum_csv_and_determinism(tmp_path):
     assert len(a) == 1 + 6 * 3  # sizes 2..64 doubling, three methods
 
 
+@pytest.mark.parametrize("sizes,expected", [("3..12", [3, 6, 12]), ("3,5", [3, 5])])
+def test_bench_sum_default_capacity_is_the_next_power_of_two(tmp_path, sizes, expected):
+    assert run_cli("bench-sum", "--sizes", sizes, "--out-dir", str(tmp_path)) == 0
+    with open(tmp_path / "bench_summation.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [(int(r["n"]), r["method"]) for r in rows] == [(n, m) for n in expected for m in ("naive", "dft", "fold")]
+    # each fold takes ceil(log2 n) rotations
+    assert [int(r["rotations"]) for r in rows if r["method"] == "fold"] == [(n - 1).bit_length() for n in expected]
+
+
 def test_fit_invsqrt_outputs(tmp_path):
     rc = run_cli("fit-invsqrt", "--degree", "6", "--out-dir", str(tmp_path))
     assert rc == 0

@@ -63,9 +63,18 @@ def test_frozen_regression_baselines():
 
 
 def test_constant_poly_plain():
-    approx = PolyApprox(0, np.array([1.0]), (0.5, 1.0), FitReport(0, 0, 0, 0))
+    approx = PolyApprox(np.array([1.0]), (0.5, 1.0), FitReport(0, 0, 0, 0))
     assert eval_poly_plain(0.7, approx) == 1.0
     assert np.all(eval_poly_plain(np.linspace(0.5, 1.0, 7), approx) == 1.0)
+
+
+def test_hand_built_fit_evaluates_alike_in_the_clear_and_encrypted():
+    # the degree is read from the coefficients: three of them make a quadratic
+    approx = PolyApprox(np.array([1.0, 2.0, 3.0]), (0.5, 1.0), FitReport(0, 0, 0, 0))
+    ctx = EncryptionContext(8, 2, key_id="fit")
+    out = eval_poly_encrypted(encrypt([0.75], ctx), approx)
+    assert eval_poly_plain(0.75, approx) == decrypt(out, ctx)[0] == 4.1875
+    assert out.depth_used == 2
 
 
 def test_horner_matches_power_sum():
@@ -94,7 +103,7 @@ def test_report_determinism_and_validation():
 
 
 def test_perfect_approximant_degenerate_domain():
-    approx = PolyApprox(0, np.array([1.0]), (1.0, 1.0), FitReport(0, 0, 0, 0))
+    approx = PolyApprox(np.array([1.0]), (1.0, 1.0), FitReport(0, 0, 0, 0))
     assert rel_error_report(approx, 50, seed=1).max_rel_err == 0.0
 
 
@@ -117,7 +126,7 @@ def test_encrypted_depth_consumption():
 
 def test_encrypted_constant_poly_input_independent():
     ctx = EncryptionContext(8, 16, key_id="inv")
-    approx = PolyApprox(0, np.array([3.5]), (1e-1, 1.0), FitReport(0, 0, 0, 0))
+    approx = PolyApprox(np.array([3.5]), (1e-1, 1.0), FitReport(0, 0, 0, 0))
     a = eval_poly_encrypted(encrypt([0.2, 0.9], ctx), approx)
     b = eval_poly_encrypted(encrypt([0.7, 0.4], ctx), approx)
     assert np.allclose(decrypt(a, ctx), 3.5)  # every slot, the padding too
@@ -144,7 +153,7 @@ def test_json_round_trip(tmp_path):
     save_approx(approx, path)
     with open(path) as f:
         back = json.load(f)
-    assert back["degree"] == approx.degree
+    assert back["degree"] == len(approx.coeffs) - 1 == 6
     assert np.allclose(back["coeffs"], approx.coeffs)
     assert tuple(back["domain"]) == approx.domain
     report = FitReport(back["max_rel_err"], back["mean_rel_err"], back["n_samples"], back["seed"])

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from polyfhe.backend import HEADER_LEN, EncryptionContext, encrypt, serialize_ciphertext
 from polyfhe.errors import DegenerateLabels, DimensionMismatch, ZeroBaseline
 from polyfhe.leakage import (
+    LeakageReport,
     LinearClassifier,
     ablation_sweep,
     chance_level,
@@ -56,6 +59,17 @@ def test_pg_sr_algebra(a_o, a_p):
     assert pg == pytest.approx(a_o - a_p, abs=1e-12)
     assert sr * a_o == pytest.approx(a_o - a_p, abs=1e-12)
     assert sr <= 1.0 + 1e-12
+
+
+def test_leakage_report_computes_pg_and_sr_from_its_accuracies():
+    r = LeakageReport("gender", "mrl+fhe", a_o=0.9, a_p=0.5, chance=0.5)
+    assert (r.pg, r.sr, r.r_o, r.r_p) == (privacy_gain(0.9, 0.5), suppression_rate(0.9, 0.5), 0.9, 0.5)
+    with pytest.raises(TypeError):
+        LeakageReport("gender", "mrl+fhe", a_o=0.9, a_p=0.5, pg=0.3, chance=0.5)
+    with pytest.raises(FrozenInstanceError):
+        r.pg = 0.3
+    with pytest.raises(ZeroBaseline):
+        LeakageReport("gender", "none", a_o=0.0, a_p=0.0, chance=0.5)
 
 
 def test_chance_level():
@@ -180,7 +194,7 @@ def test_logit_space_trainer_matches_weight_space_reference(n, f, weight_decay, 
         list(rng.choice(["a", "b", "c"], size=n)),
         ["lo" if v < -0.5 else "mid" if v < 0.5 else "hi" for v in x[:, 1]],
     ][:num_heads]
-    heads = train_attr_classifier(x, label_sets, epochs=150, lr=0.5, seed=7, weight_decay=weight_decay)
+    heads = train_attr_classifier(x, label_sets, epochs=150, seed=7, weight_decay=weight_decay)
     ref = weight_space_reference(x, label_sets, 150, 0.5, 7, weight_decay)
     for head, (w, b) in zip(heads, ref, strict=True):
         assert np.abs(head.weights - w).max() <= 1e-12 * np.abs(w).max()

@@ -857,6 +857,32 @@ def test_load_gallery_bad_manifest_is_integrity_error(tmp_path, edit, problem):
     assert str(tmp_path / "g") in str(exc.value) and problem in str(exc.value)
 
 
+@pytest.mark.parametrize("pid", ["../../outside", "ABCDEF0123456789", "0123456789abcde", "0123456789abcdef0"])
+def test_load_gallery_refuses_a_params_id_that_is_not_16_hex_digits(tmp_path, monkeypatch, pid):
+    path, manifest = _saved_manifest(tmp_path)
+    # a valid params file outside the gallery, where "params/../../outside.json" leads
+    (tmp_path / "outside.json").write_bytes(sorted((path.parent / "params").glob("*.json"))[0].read_bytes())
+    manifest["records"][0]["params_id"] = pid
+    path.write_text(json.dumps(manifest))
+    opened = []
+    load_params = pl.load_params
+    monkeypatch.setattr(pl, "load_params", lambda p: opened.append(p) or load_params(p))
+    with pytest.raises(IntegrityError) as exc:
+        load_gallery(tmp_path / "g")
+    assert f"record 0 has params_id {pid!r}, not 16 lowercase hex digits" in str(exc.value)
+    assert opened == []  # refused while the manifest is read, before any params file
+
+
+def test_hand_built_params_gallery_loads_back(tmp_path):
+    # a parameter set built by hand, not by gen_params, carries the id of its values
+    params = pp.PolyProtectParams(5, 4, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 50)
+    e = gen_synthetic_dataset(small_spec(num_ids=2, samples_per_id=1))[0]
+    pipe = Pipeline(PipelineConfig(seed=6))
+    save_gallery([pipe.enroll(e, params)], pipe.ctx, {params.params_id: params}, tmp_path / "g")
+    loaded, store, _ = load_gallery(tmp_path / "g")
+    assert store == {params.params_id: params} and loaded[0].params == params
+
+
 @pytest.mark.parametrize("data", [b"", b"[]", b'{"version": 2, "ctx": {', b'{"version": 2\xff}'])
 def test_load_gallery_manifest_not_json_object_is_integrity_error(tmp_path, data):
     path, _ = _saved_manifest(tmp_path)

@@ -67,11 +67,22 @@ def test_gen_params_infeasible_range():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        PolyProtectParams(3, 0, (1, 1, 2), (1, 2, 3), 5, "x")  # repeated coeff
+        PolyProtectParams(3, 0, (1, 1, 2), (1, 2, 3), 5)  # repeated coeff
     with pytest.raises(ValueError):
-        PolyProtectParams(3, 0, (1, -1, 2), (1, 2, 2), 5, "x")  # repeated exp
+        PolyProtectParams(3, 0, (1, -1, 2), (1, 2, 2), 5)  # repeated exp
     with pytest.raises(ValueError):
-        PolyProtectParams(3, 0, (0, -1, 2), (1, 2, 3), 5, "x")  # zero coeff
+        PolyProtectParams(3, 0, (0, -1, 2), (1, 2, 3), 5)  # zero coeff
+
+
+def test_params_id_is_computed_from_the_values():
+    a = PolyProtectParams(5, 4, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 50)
+    b = PolyProtectParams(5, 4, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 50)
+    assert a == b and a.params_id == b.params_id == "9aa6ba58b269f043"
+    assert PolyProtectParams(5, 4, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 49).params_id != a.params_id
+    with pytest.raises(TypeError):
+        PolyProtectParams(5, 4, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 50, "manual")  # an id, or a seed, by position
+    with pytest.raises(TypeError):
+        PolyProtectParams(5, 4, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 50, params_id="manual")
 
 
 def test_protect_ones_vector_sums_coefficients():
@@ -84,7 +95,7 @@ def test_protect_ones_vector_sums_coefficients():
 
 def test_protect_stride_zero_overlap_matches_eq_layout():
     # v of length 10, m=5, overlap=0: second output uses v6..v10
-    p = PolyProtectParams(5, 0, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 5, "manual")
+    p = PolyProtectParams(5, 0, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 5)
     v = np.arange(1.0, 11.0)
     out = protect_plain(v, p)
     assert len(out) == 2
@@ -94,7 +105,7 @@ def test_protect_stride_zero_overlap_matches_eq_layout():
 
 def test_protect_stride_max_overlap_matches_eq_layout():
     # v of length 6, m=5, overlap=4: second output starts at v2
-    p = PolyProtectParams(5, 4, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 5, "manual")
+    p = PolyProtectParams(5, 4, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 5)
     v = np.array([0.3, -0.5, 0.2, 0.9, -0.1, 0.4])
     out = protect_plain(v, p)
     assert len(out) == 2
@@ -103,7 +114,7 @@ def test_protect_stride_max_overlap_matches_eq_layout():
 
 
 def test_protect_brute_force_oracle():
-    p = PolyProtectParams(5, 0, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 5, "manual")
+    p = PolyProtectParams(5, 0, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 5)
     v = np.array([0.5, -0.2, 0.1, 0.3, -0.4])
     expected = 0.0
     for c, e, x in zip(p.coeffs, p.exps, v):
@@ -186,7 +197,7 @@ def _protected_slots(v, p, ctx, scale=1.0):
 
 
 def test_protect_encrypted_ones_window_sums_coefficients(ctx):
-    p = PolyProtectParams(5, 0, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), 5, "manual")
+    p = PolyProtectParams(5, 0, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), 5)
     got = _protected_slots(np.ones(5), p, ctx)
     assert got[0] == pytest.approx(15.0, abs=1e-9)  # sum of coeffs
     assert not got[1:].any()
@@ -206,7 +217,7 @@ def test_protect_encrypted_matches_plain_oracle():
 
 
 def test_protect_encrypted_depth_budget(ctx):
-    p = PolyProtectParams(5, 0, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 5, "manual")
+    p = PolyProtectParams(5, 0, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 5)
     windows = encrypt_windows(np.full(5, 0.5), p, ctx)
     out = protect_encrypted(windows, p)
     assert out.depth_used <= 4  # ceil(log2 5) + 1
@@ -290,7 +301,7 @@ def test_protect_encrypted_any_distinct_exponents(exps):
     # parameters loaded from disk may hold any distinct positive exponents,
     # not only a permutation of 1..m
     ctx = EncryptionContext(64, 16, key_id="exps")
-    p = PolyProtectParams(3, 1, (4, -7, 2), exps, 50, "manual")
+    p = PolyProtectParams(3, 1, (4, -7, 2), exps, 50)
     v = np.random.default_rng(sum(exps)).normal(size=40)
     v /= np.linalg.norm(v)
     plain = protect_plain(v, p)
@@ -305,8 +316,8 @@ def test_column_power_memos_are_shared_and_lazy(ctx):
     # each column's powers (and their balanced-split sub-powers) are built
     # once and only when a parameter set needs them; a second parameter set
     # reuses them
-    p = PolyProtectParams(3, 1, (1, 2, 3), (1, 3, 7), 5, "manual")
-    q = PolyProtectParams(3, 1, (5, -1, 4), (7, 3, 1), 5, "manual")
+    p = PolyProtectParams(3, 1, (1, 2, 3), (1, 3, 7), 5)
+    q = PolyProtectParams(3, 1, (5, -1, 4), (7, 3, 1), 5)
     windows = encrypt_windows(np.linspace(-1.0, 1.0, 9), p, ctx)
     protect_encrypted(windows, p)
     assert [set(memo) for memo in windows.memos] == [set(), {2, 3}, {2, 3, 4, 7}]
@@ -351,7 +362,7 @@ def test_template_norms_match_protect_plain(m, overlap):
     v = np.random.default_rng(m).normal(size=64)
     v /= np.linalg.norm(v)
     params = [gen_params(m, overlap, 50, seed=[m, i]) for i in range(6)]
-    params.append(PolyProtectParams(m, overlap, tuple(range(1, m + 1)), tuple(3 * e for e in range(1, m + 1)), 50, "x"))
+    params.append(PolyProtectParams(m, overlap, tuple(range(1, m + 1)), tuple(3 * e for e in range(1, m + 1)), 50))
     want = [np.linalg.norm(protect_plain(v, p)) for p in params]
     exps = np.array([p.exps for p in params])
     coeffs = np.array([p.coeffs for p in params], dtype=np.float64)

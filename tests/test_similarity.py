@@ -68,12 +68,14 @@ def test_plan_algebra():
     plan = make_normalization_plan(1.0, 64)
     assert plan.c_bound == 64
     assert plan.d_bound == 4096
-    assert plan.correction == pytest.approx(1.0, abs=1e-15)
     assert make_normalization_plan(10.0, 64).c_bound == pytest.approx(6400.0)
     with pytest.raises(ValueError):
         make_normalization_plan(0.0, 64)
     with pytest.raises(ValueError):
-        NormalizationPlan(1.0, -1.0, 1.0)
+        NormalizationPlan(-1.0)
+    assert NormalizationPlan(64.0).d_bound == 4096.0  # computed, not passed in
+    with pytest.raises(TypeError):
+        NormalizationPlan(64.0, 4096.0, 2.0)
 
 
 def test_plan_bounds_hold_on_sampled_inputs():
@@ -165,13 +167,13 @@ def test_argmax_ranking_preserved():
 
 
 def test_depth_consumption_matches_contract():
-    # degree + 5 levels from fresh ciphertexts
+    # degree + 4 levels from fresh ciphertexts
     degree = 8
-    ctx = EncryptionContext(128, degree + 5, key_id="cos")
+    ctx = EncryptionContext(128, degree + 4, key_id="cos")
     plan, approx = unit_cosine_setup(64, degree=degree)
     rng = np.random.default_rng(13)
     out = cosine_encrypted(encrypt(unit(rng, 64), ctx), encrypt(unit(rng, 64), ctx), 64, plan, approx)
-    assert out.depth_used == degree + 5
+    assert out.depth_used == degree + 4
 
 
 def test_precheck_denominator():
