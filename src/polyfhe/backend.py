@@ -17,20 +17,32 @@ simulator adds no approximation error of its own.  The seeded-nonce stream
 and the op ledger are ordered state on the context, so seeded dumps and op
 counts depend on the order of calls.
 
+Batches: a SlotVector may hold B ciphertexts at once, a (B, capacity) slot
+array, as SIMD evaluation over many ciphertexts does (Smart-Vercauteren,
+DCC 2014).  encrypt makes one from a (B, n) matrix and decrypt returns
+(B, capacity).  Every op acts row by row, rotations on the last axis, and
+binary ops need operands of one row count.  A batch keeps one depth, the
+greatest of its rows'.  It is B ciphertexts, so take reads rows of it and
+stack joins ciphertexts into a batch, both at no HE cost;
+serialize_ciphertext takes one ciphertext at a time, so a batch is
+serialized row by row and the nonce stream is the one its rows would draw.
+
 Op accounting: each context keeps one ledger, ctx.ops, a Counter to which
-rotate_left, mult, mult_plain and encrypt each add 1 under "rotations",
-"ct_mults", "pt_mults" and "encryptions"; no other op counts.  It counts the
-ops performed, so a value that feeds both sides of an op counts once, and a
-computation's cost is the ledger difference around it.  Depth stays on each
-SlotVector: it belongs to a ciphertext, not to a tally.
+rotate_left, mult, mult_plain and encrypt each add 1 per ciphertext (one per
+row of a batch) under "rotations", "ct_mults", "pt_mults" and
+"encryptions"; no other op counts.  It counts the ops performed, so a value
+that feeds both sides of an op counts once, and a computation's cost is the
+ledger difference around it, whether it ran row by row or as one batch.
+Depth stays on each SlotVector: it belongs to a ciphertext, not to a tally.
 
 Capacity invariant: every SlotVector made under a context holds exactly
-ctx.slot_capacity slots -- encrypt pads to it, deserialize_ciphertext checks
-it, and every op keeps its input's length.  So add and mult check keys and
-capacities only for operands of two different context objects.  A rotation
-is a fixed slot permutation (the Galois automorphism of CKKS); up to
-_GATHER_MAX_CAPACITY slots the simulator applies it as one gather through a
-precomputed read-only index table, above that as two slice copies.
+ctx.slot_capacity slots per row -- encrypt pads to it, deserialize_ciphertext
+checks it, and every op keeps its input's shape.  So add and mult check keys
+and capacities only for operands of two different context objects, and row
+counts by the operands' sizes.  A rotation is a fixed slot permutation (the
+Galois automorphism of CKKS); up to _GATHER_MAX_CAPACITY slots the simulator
+applies it as one gather through a precomputed read-only index table, above
+that as two slice copies.
 """
 
 from __future__ import annotations
@@ -120,7 +132,8 @@ class EncryptionContext:
 
 
 class SlotVector:
-    """A simulated ciphertext: capacity-length slot array plus its depth.
+    """A simulated ciphertext: capacity-length slot array plus its depth, or
+    a batch of B ciphertexts: a (B, capacity) array and one depth.
 
     Treat instances as immutable; all operations below return new values.
     Do not read .slots in application code -- that is the simulator's
@@ -135,25 +148,31 @@ class SlotVector:
         self.ctx = ctx
 
     def __repr__(self):
-        return f"SlotVector(capacity={self.slots.shape[0]}, depth={self.depth_used})"
+        batch = f"rows={self.slots.shape[0]}, " if self.slots.ndim == 2 else ""
+        return f"SlotVector({batch}capacity={self.slots.shape[-1]}, depth={self.depth_used})"
 
 
 def encrypt(values, ctx: EncryptionContext) -> SlotVector:
-    """Encrypt a nonempty 1-D array-like: values in the leading slots, zeros after."""
+    """Encrypt a nonempty 1-D array-like: values in the leading slots, zeros
+    after.  A nonempty (B, n) matrix is encrypted row by row as a batch of B
+    ciphertexts, B encryptions."""
     vals = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    if vals.ndim != 1 or vals.shape[0] < 1:
-        raise ValueError(f"encrypt needs a nonempty 1-D array, got shape {vals.shape}")
-    n = vals.shape[0]
+    if vals.ndim > 2 or vals.size == 0:
+        raise ValueError(f"encrypt needs a nonempty 1-D array or (B, n) matrix, got shape {vals.shape}")
+    n = vals.shape[-1]
     if n > ctx.slot_capacity:
         raise CapacityExceeded(f"plaintext length {n} > slot capacity {ctx.slot_capacity}")
-    slots = np.zeros(ctx.slot_capacity, dtype=np.float64)
-    slots[:n] = vals
-    ctx.ops["encryptions"] += 1
+    slots = np.zeros(vals.shape[:-1] + (ctx.slot_capacity,), dtype=np.float64)
+    if vals.ndim == 1:
+        slots[:n] = vals
+    else:
+        slots[:, :n] = vals
+    ctx.ops["encryptions"] += 1 if vals.ndim == 1 else len(vals)
     return SlotVector(slots, 0, ctx)
 
 
 def decrypt(sv: SlotVector, ctx: EncryptionContext) -> np.ndarray:
-    """A copy of all capacity slots; requires the producing key."""
+    """A copy of all capacity slots, (B, capacity) for a batch; requires the producing key."""
     if sv.ctx.key_id != ctx.key_id:
         raise KeyMismatch("decrypt with a foreign context (missing secret key)")
     return sv.slots.copy()
@@ -162,49 +181,56 @@ def decrypt(sv: SlotVector, ctx: EncryptionContext) -> np.ndarray:
 def _check_pair(a: SlotVector, b: SlotVector):
     if a.ctx.key_id != b.ctx.key_id:
         raise KeyMismatch("binary op across ciphertexts under different keys")
-    if a.slots.shape[0] != b.slots.shape[0]:
+    if a.slots.shape[-1] != b.slots.shape[-1]:
         raise ValueError("binary op across ciphertexts of different capacities")
+    if a.slots.size != b.slots.size:
+        raise ValueError(f"binary op across batches of different sizes, slot shapes {a.slots.shape} and {b.slots.shape}")
 
 
 def add(a: SlotVector, b: SlotVector) -> SlotVector:
     """Slot-wise sum.  Depth is max of the inputs."""
-    if a.ctx is not b.ctx:
+    if a.ctx is not b.ctx or a.slots.size != b.slots.size:
         _check_pair(a, b)
     return SlotVector(a.slots + b.slots, a.depth_used if a.depth_used >= b.depth_used else b.depth_used, a.ctx)
 
 
 def mult(a: SlotVector, b: SlotVector) -> SlotVector:
     """Slot-wise ciphertext-ciphertext product; consumes one depth level."""
-    if a.ctx is not b.ctx:
+    if a.ctx is not b.ctx or a.slots.size != b.slots.size:
         _check_pair(a, b)
     depth = (a.depth_used if a.depth_used >= b.depth_used else b.depth_used) + 1
     ctx = a.ctx
     if depth > ctx.depth_budget:
         raise DepthExceeded(f"mult would reach depth {depth} > budget {ctx.depth_budget}")
-    ctx.ops["ct_mults"] += 1
+    ctx.ops["ct_mults"] += 1 if a.slots.ndim == 1 else len(a.slots)
     return SlotVector(a.slots * b.slots, depth, ctx)
 
 
-def _coerce_scalars(scalars, capacity: int):
-    """A scalar, 0-d or length-1 operand as a float, a capacity-length 1-D
-    one as a float64 array; anything else raises ValueError.  A float64
-    array of shape (capacity,), as the search's masks are, is checked first."""
-    if type(scalars) is np.ndarray and scalars.shape == (capacity,) and scalars.dtype == np.float64:
+def _coerce_scalars(scalars, shape: tuple):
+    """A scalar, 0-d or length-1 operand as a float; a capacity-length 1-D
+    one (applied to every row of a batch), or for a B-row batch a
+    (B, capacity) one or a (B, 1) column of one scalar per row, as a float64
+    array; anything else raises ValueError.  A float64 array of the
+    ciphertext's own shape, as the search's masks are, is checked first."""
+    if type(scalars) is np.ndarray and scalars.shape == shape and scalars.dtype == np.float64:
         return scalars
     if isinstance(scalars, (int, float)):
         return float(scalars)
     vals = np.asarray(scalars, dtype=np.float64)
     if vals.shape in ((), (1,)):
         return float(vals.reshape(-1)[0])
-    if vals.shape != (capacity,):
+    if vals.shape != shape[-1:] and (len(shape) == 1 or vals.shape not in (shape, (shape[0], 1))):
+        batch = f", or of shape {shape} or ({shape[0]}, 1) for this batch" if len(shape) == 2 else ""
         raise ValueError(
-            f"plaintext operand must be a scalar or a 1-D array of length 1 or {capacity}, got shape {vals.shape}"
+            f"plaintext operand must be a scalar or a 1-D array of length 1 or {shape[-1]}{batch}, got shape {vals.shape}"
         )
     return vals
 
 
 def mult_plain(a: SlotVector, scalars) -> SlotVector:
-    """Slot-wise product with a plaintext scalar or capacity-length vector.
+    """Slot-wise product with a plaintext scalar or capacity-length vector,
+    or, for a batch, a (B, capacity) plaintext or a (B, 1) column of
+    scalars, row by row.
 
     Consumes one depth level (conservative CKKS-style rescale accounting).
     """
@@ -212,41 +238,66 @@ def mult_plain(a: SlotVector, scalars) -> SlotVector:
     depth = a.depth_used + 1
     if depth > ctx.depth_budget:
         raise DepthExceeded(f"mult_plain would reach depth {depth} > budget {ctx.depth_budget}")
-    vals = _coerce_scalars(scalars, a.slots.shape[0])
-    ctx.ops["pt_mults"] += 1
-    return SlotVector(a.slots * vals, depth, ctx)
+    s = a.slots
+    vals = _coerce_scalars(scalars, s.shape)
+    ctx.ops["pt_mults"] += 1 if s.ndim == 1 else len(s)
+    return SlotVector(s * vals, depth, ctx)
 
 
 def add_plain(a: SlotVector, scalars) -> SlotVector:
-    """Slot-wise sum with a plaintext scalar or capacity-length vector.
+    """Slot-wise sum with a plaintext operand of the kinds mult_plain takes.
 
     Free of depth cost (plaintext additions do not consume a level).
     """
-    vals = _coerce_scalars(scalars, a.slots.shape[0])
+    vals = _coerce_scalars(scalars, a.slots.shape)
     return SlotVector(a.slots + vals, a.depth_used, a.ctx)
 
 
 def rotate_left(a: SlotVector, k: int) -> SlotVector:
-    """Cyclic left rotation over the full capacity (k reduced mod capacity).
+    """Cyclic left rotation over the full capacity (k reduced mod capacity),
+    of every row of a batch.
 
-    Counts as one rotation even when the reduced offset is zero -- a real
-    scheme still performs the Galois automorphism.
+    Counts as one rotation per row even when the reduced offset is zero -- a
+    real scheme still performs the Galois automorphism.
     """
     if k < 0:
         raise ValueError("rotation offset must be >= 0")
     s = a.slots
-    cap = s.shape[0]
+    cap = s.shape[-1]
     k &= cap - 1  # capacity is a power of two
+    single = s.ndim == 1
     if cap <= _GATHER_MAX_CAPACITY:
-        out = s[_ROTATION_INDEX[cap][k : k + cap]]
+        index = _ROTATION_INDEX[cap][k : k + cap]
+        out = s[index] if single else s[:, index]
     elif k:
         out = np.empty_like(s)
-        out[: cap - k] = s[k:]
-        out[cap - k :] = s[:k]
+        out[..., : cap - k] = s[..., k:]
+        out[..., cap - k :] = s[..., :k]
     else:
         out = s.copy()
-    a.ctx.ops["rotations"] += 1
+    a.ctx.ops["rotations"] += 1 if single else len(s)
     return SlotVector(out, a.depth_used, a.ctx)
+
+
+def take(sv: SlotVector, index) -> SlotVector:
+    """Row index of a batch as a single ciphertext, or rows index (a 1-D
+    sequence of ints) as a batch in that order, at the batch's depth.  No HE
+    op: a batch is its rows."""
+    slots = sv.slots[index] if sv.slots.ndim == 2 else None
+    if slots is None or slots.ndim > 2:
+        raise ValueError("take reads a row or a 1-D list of rows of a batch")
+    return SlotVector(slots, sv.depth_used, sv.ctx)
+
+
+def stack(cts) -> SlotVector:
+    """One batch of the rows of cts (single ciphertexts or batches, under one
+    key and of one capacity), in order, at the greatest of their depths.  No
+    HE op: a batch is its rows."""
+    first = cts[0]
+    if any(ct.ctx.key_id != first.ctx.key_id for ct in cts):
+        raise KeyMismatch("stack across ciphertexts under different keys")
+    slots = np.vstack([ct.slots for ct in cts])  # ValueError across capacities
+    return SlotVector(slots, max(ct.depth_used for ct in cts), first.ctx)
 
 
 # --- keyed serialization -----------------------------------------------------
@@ -266,13 +317,15 @@ def _xor_keystream(payload: bytes, ctx: EncryptionContext, nonce: bytes) -> byte
 
 
 def serialize_ciphertext(sv: SlotVector, ctx: EncryptionContext) -> bytes:
-    """Encode a ciphertext with a fresh nonce and a keyed XOR keystream.
+    """Encode one ciphertext (not a batch) with a fresh nonce and a keyed XOR keystream.
 
     ctx must hold sv's key, as for decrypt (KeyMismatch otherwise): the
     keystream comes from ctx, so another key's blob could not be read back.
     """
     if sv.ctx.key_id != ctx.key_id:
         raise KeyMismatch("serialize with a foreign context (missing secret key)")
+    if sv.slots.ndim != 1:
+        raise ValueError("serialize_ciphertext takes one ciphertext; serialize a batch's rows one at a time")
     nonce = ctx._fresh_nonce()
     payload = _xor_keystream(sv.slots.astype("<f8").tobytes(), ctx, nonce)
     return ctx.key_id + nonce + struct.pack("<I", sv.slots.shape[0]) + payload

@@ -22,8 +22,10 @@ B = capacity // W consecutive records of each (compress_dim, m, overlap)
 group in one ciphertext, W = 2^ceil(log2 k), record b rotated right by b W:
 N - packs rotations per build or load, by offsets capacity - b W that a real
 backend needs Galois keys for (one more, 64, at the default config, where
-B = 2).  enroll returns a pack of one; build_gallery protects each template
-once and lays the packs out once.  Every record is made in its pack, by
+B = 2).  enroll returns a pack of one; build_gallery protects its
+templates in batches of up to _PROTECT_ROWS records (backend batches), at
+enroll's op count per record and with the bytes enroll gives each, and
+lays the packs out once.  Every record is made in its pack, by
 _pack_gallery, so the search reads parameters from the packs and takes no
 params store.  Everything a search needs of the gallery
 side is built with the pack (TemplatePack): its masks (coefficients repeated
@@ -64,7 +66,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import HEADER_LEN, EncryptionContext, SlotVector, add, decrypt, rotate_left
+from .backend import HEADER_LEN, EncryptionContext, SlotVector, add, decrypt, rotate_left, take
 from .backend import deserialize_ciphertext, serialize_ciphertext
 from .errors import (
     EmptyDataset,
@@ -281,22 +283,26 @@ def compress_prefix(e: Embedding, d: int) -> np.ndarray:
 
 def _unit_scales(norms):
     """1 / norm for one template norm or an array of them."""
-    if not np.all(np.asarray(norms) > 0.0):
+    if not (np.asarray(norms) > 0.0).all():
         raise ZeroVector("protected template is the zero vector; its cosine is undefined")
     return 1.0 / norms
 
 
-def _protect(e: Embedding, params: PolyProtectParams, ctx: EncryptionContext, d: int) -> SlotVector:
-    # compress -> encrypt -> protect, scaled to unit norm by the exact template norm
-    x = compress_prefix(e, d)
-    scale = _unit_scales(np.linalg.norm(protect_plain(x, params)))
-    return protect_encrypted(encrypt_windows(x, params, ctx), params, scale)
+def _protect(samples: list, params: list, ctx: EncryptionContext, d: int) -> list:
+    # compress -> encrypt -> protect samples[b] under params[b], all of one
+    # (m, overlap) and one protect_depth, as one batch, each scaled to unit
+    # norm by its exact template norm; the templates, one ciphertext each
+    x = np.array([compress_prefix(e, d) for e in samples])
+    scales = _unit_scales(np.array([np.linalg.norm(t) for t in protect_plain(x, params)]))
+    templates = protect_encrypted(encrypt_windows(x, params[0], ctx), params, scales)
+    return [take(templates, b) for b in range(len(samples))]
 
 
 def enroll(e: Embedding, params: PolyProtectParams, ctx: EncryptionContext, d: int) -> GalleryRecord:
     """compress -> encrypt -> protect -> pack, scaled to unit norm by the
     exact template norm; returns the persistable record, a pack of one."""
-    return _pack_gallery([(e.subject_id, _protect(e, params, ctx, d), params, d, None)], ctx)[0]
+    (template,) = _protect([e], [params], ctx, d)
+    return _pack_gallery([(e.subject_id, template, params, d, None)], ctx)[0]
 
 
 def _pack_gallery(entries: list, ctx: EncryptionContext) -> list:
@@ -473,12 +479,21 @@ def enroll_split(dataset: list) -> tuple:
     return enrollees, probes
 
 
+# build_gallery protects its records in batches of at most this many rows,
+# which bounds the batch's working set (m column batches, their powers and
+# the weighted terms) whatever the gallery's size
+_PROTECT_ROWS = 256
+
+
 def build_gallery(dataset: list, pipeline: Pipeline) -> tuple:
     """Enroll the per-identity split; returns (gallery, probes)."""
     enrollees, probes = enroll_split(dataset)
     d, ctx = pipeline.cfg.compress_dim, pipeline.ctx
     params = [pipeline.gen_user_params(i) for i in range(len(enrollees))]
-    entries = [(e.subject_id, _protect(e, p, ctx, d), p, d, None) for e, p in zip(enrollees, params)]
+    templates = []
+    for i in range(0, len(enrollees), _PROTECT_ROWS):
+        templates += _protect(enrollees[i : i + _PROTECT_ROWS], params[i : i + _PROTECT_ROWS], ctx, d)
+    entries = [(e.subject_id, t, p, d, None) for e, t, p in zip(enrollees, templates, params)]
     return _pack_gallery(entries, ctx), probes
 
 

@@ -16,11 +16,20 @@ from square-and-multiply with sub-powers memoized on the windows, so every
 parameter set with the same (m, overlap) shares them.  Depth is
 ceil(log2 max_exp) + 1 (power chain, coefficient).
 
-In the clear, an embedding's windows are one gather through a read-only
-index built once per (n, m, overlap).  template_norms takes the parameter
-sets as stacked (N, m) exponent and coefficient rows, which a search pack
-builds once, at pack time (pipeline.TemplatePack), so a search does no
-per-parameter-set work in Python.
+B embeddings of one (m, overlap) and one protect_depth are protected as
+one batch: each column ciphertext is a B-row batch (backend), the rows of a
+column that share an exponent run one power chain together, and each row
+is weighted by its own coefficients and scale.  Every row pays the ops it
+would pay alone, and its template, depth included, is bit-identical to its
+own.
+
+In the clear, an embedding's windows, or each row's of a (B, n) batch, are
+one gather through a read-only index built once per (n, m, overlap); the
+clear and encrypted paths, one row or a batch, cut them alike (_windows).
+template_norms takes the parameter sets as stacked (N, m) exponent and
+coefficient rows, which a search pack builds once, at pack time
+(pipeline.TemplatePack), so a search does no per-parameter-set work in
+Python.
 """
 
 from __future__ import annotations
@@ -29,11 +38,12 @@ import functools
 import hashlib
 import json
 import math
+import operator
 from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
-from .backend import EncryptionContext, SlotVector, add, encrypt, mult, mult_plain
+from .backend import EncryptionContext, SlotVector, add, encrypt, mult, mult_plain, stack, take
 from .errors import CapacityExceeded, InfeasibleParams, InputTooShort, IntegrityError, read_json_object
 
 
@@ -42,7 +52,11 @@ class PolyProtectParams:
     """User-specific transform parameters: window width m, overlap, C, E.
 
     params_id is computed from the values (_params_id), so equal values
-    have one id and a set cannot carry another's.
+    have one id and a set cannot carry another's.  The integer fields,
+    coefficients and exponents are stored as Python ints: any integer type
+    (numpy's too) is taken by operator.index, and a float or other
+    non-integer raises ValueError, so 1 and np.int64(1) give one id and 1.0
+    none.
     """
 
     m: int
@@ -55,6 +69,13 @@ class PolyProtectParams:
     params_id: str = field(init=False)
 
     def __post_init__(self):
+        try:
+            values = (*map(operator.index, (self.m, self.overlap, self.c_range)),
+                      tuple(map(operator.index, self.coeffs)), tuple(map(operator.index, self.exps)))
+        except TypeError as exc:
+            raise ValueError(f"m, overlap, c_range, coeffs and exps must be integers ({exc})") from None
+        for name, value in zip(("m", "overlap", "c_range", "coeffs", "exps"), values):
+            object.__setattr__(self, name, value)
         if self.m < 2:
             raise ValueError("m must be >= 2")
         if not 0 <= self.overlap <= self.m - 1:
@@ -88,8 +109,8 @@ def gen_params(m: int, overlap: int, c_range: int, seed) -> PolyProtectParams:
         )
     rng = np.random.default_rng(seed)
     pool = np.concatenate([np.arange(-c_range, 0), np.arange(1, c_range + 1)])
-    coeffs = tuple(int(c) for c in rng.choice(pool, size=m, replace=False))
-    exps = tuple(int(e) for e in rng.permutation(m) + 1)
+    coeffs = rng.choice(pool, size=m, replace=False).tolist()
+    exps = (rng.permutation(m) + 1).tolist()
     return PolyProtectParams(m, overlap, coeffs, exps, c_range, seed=seed)
 
 
@@ -113,34 +134,61 @@ def _window_index(n: int, m: int, overlap: int) -> np.ndarray:
 
 
 def _padded(v, m: int, overlap: int) -> tuple:
-    # v zero-padded to cover its windows, and the window index into it
+    # v, one embedding or a (B, n) batch of them, zero-padded along its last
+    # axis to cover its windows, and the window index into it
     vals = np.asarray(v, dtype=np.float64)
-    if vals.ndim != 1:
-        raise ValueError(f"embedding must be a 1-D array, got shape {vals.shape}")
-    index = _window_index(len(vals), m, overlap)
-    padded = np.zeros(index[-1, -1] + 1, dtype=np.float64)
-    padded[: len(vals)] = vals
+    if vals.ndim not in (1, 2):
+        raise ValueError(f"embedding must be a 1-D array or a (B, n) batch, got shape {vals.shape}")
+    n = vals.shape[-1]
+    index = _window_index(n, m, overlap)
+    padded = np.zeros(vals.shape[:-1] + (index[-1, -1] + 1,), dtype=np.float64)
+    padded[..., :n] = vals
     return padded, index
+
+
+def _windows(v, m: int, overlap: int) -> np.ndarray:
+    # the read-only (k, m) windows of one embedding, or (B, k, m) of a
+    # (B, n) batch: one gather of the padded rows through the cached index
+    padded, index = _padded(v, m, overlap)
+    windows = padded[..., index]
+    windows.flags.writeable = False
+    return windows
 
 
 def chunk_embedding(v, params: PolyProtectParams) -> np.ndarray:
     """An embedding's k m-wide windows, one per row (tail zero-padded).
 
-    Row j holds elements j * (m - overlap) onward of the padded vector; the
-    rows are one gather through a read-only index cached per (n, m,
-    overlap), and the result is read-only.
+    v must be 1-D.  Row j holds elements j * (m - overlap) onward of the
+    padded vector; the rows are one gather through a read-only index cached
+    per (n, m, overlap), and the result is read-only.
     """
-    padded, index = _padded(v, params.m, params.overlap)
-    windows = padded[index]
-    windows.flags.writeable = False
-    return windows
+    if np.ndim(v) != 1:
+        raise ValueError(f"embedding must be a 1-D array, got shape {np.shape(v)}")
+    return _windows(v, params.m, params.overlap)
 
 
-def protect_plain(v, params: PolyProtectParams) -> np.ndarray:
-    """Apply the window polynomial in the clear: the k template values."""
-    coeffs = np.asarray(params.coeffs, dtype=np.float64)
-    exps = np.asarray(params.exps, dtype=np.float64)
-    return (np.power(chunk_embedding(v, params), exps) * coeffs).sum(axis=1)
+def _layout_sets(params) -> tuple:
+    # one parameter set, or a sequence of them, as a tuple of sets that
+    # share one (m, overlap)
+    sets = (params,) if isinstance(params, PolyProtectParams) else tuple(params)
+    if any((p.m, p.overlap) != (sets[0].m, sets[0].overlap) for p in sets):
+        raise ValueError("a batch's parameter sets must share one window width and overlap")
+    return sets
+
+
+def protect_plain(v, params) -> np.ndarray:
+    """Apply the window polynomial in the clear: the k template values.
+
+    A (B, n) batch of embeddings gives a (B, k) array.  params is one set
+    for every row or a sequence of B sets of one (m, overlap), row b's at
+    b; row b is bit-identical to protect_plain(v[b], its set).
+    """
+    sets = _layout_sets(params)
+    coeffs = np.array([p.coeffs for p in sets], dtype=np.float64)
+    exps = np.array([p.exps for p in sets], dtype=np.float64)
+    if len(sets) > 1:  # row b's set against row b's (k, m) windows
+        coeffs, exps = coeffs[:, None], exps[:, None]
+    return (np.power(_windows(v, sets[0].m, sets[0].overlap), exps) * coeffs).sum(axis=-1)
 
 
 def template_norms(v, overlap: int, exps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -158,6 +206,8 @@ def template_norms(v, overlap: int, exps: np.ndarray, coeffs: np.ndarray) -> np.
             f"template_norms needs exps and coeffs of one shape (N, m), got {exps.shape} and {coeffs.shape}"
         )
     padded, index = _padded(v, exps.shape[1], overlap)
+    if padded.ndim != 1:
+        raise ValueError(f"template_norms takes one embedding, a 1-D array, got shape {np.shape(v)}")
     k, m = index.shape
     distinct, which = np.unique(exps, return_inverse=True)
     # each element raised once to each distinct exponent, then cut into windows
@@ -193,6 +243,8 @@ class EncryptedWindows:
     """An embedding's k windows as m encrypted columns, with their memos.
 
     cts[i] holds element i of window j in slot j for j < k and zeros after;
+    for a batch of B embeddings it is a B-row batch, row b embedding b's,
+    and rows is B (1 for one embedding).
     memos[i] caches the powers of cts[i] computed so far, so every parameter
     set with this (m, overlap) shares them.
     """
@@ -201,6 +253,7 @@ class EncryptedWindows:
     k: int
     m: int
     overlap: int
+    rows: int
     memos: tuple = field(repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -208,21 +261,26 @@ class EncryptedWindows:
 
 
 def encrypt_windows(v, params: PolyProtectParams, ctx: EncryptionContext, copies: int = 1) -> EncryptedWindows:
-    """Encrypt the m columns of v's (k, m) window matrix: m encryptions.
+    """Encrypt the m columns of v's (k, m) window matrix: m encryptions.  A
+    (B, n) batch of embeddings gives m B-row batches, m encryptions per
+    embedding.
 
     copies > 1 repeats each column every capacity // copies slots, so every
     power and weighted sum of the columns is computed in each block at once.
     """
-    windows = chunk_embedding(v, params)
-    k, m = windows.shape
+    windows = _windows(v, params.m, params.overlap)
+    by_column = windows.transpose(-1, *range(windows.ndim - 1))  # (m, k), or (m, B, k) for a batch
+    k = windows.shape[-2]
     cap = ctx.slot_capacity
     if k > cap // copies:
         times = f" {copies} times" if copies > 1 else ""
         raise CapacityExceeded(f"{k} windows do not fit slot capacity {cap}{times}")
-    columns = np.zeros((m, cap), dtype=np.float64)
-    columns.reshape(m, copies, cap // copies)[:, :, :k] = windows.T[:, None]
-    cts = tuple(encrypt(column, ctx) for column in columns)
-    return EncryptedWindows(cts, k, m, params.overlap, tuple({} for _ in cts))
+    if copies > 1:  # each column again every capacity // copies slots
+        blocks = np.zeros(by_column.shape[:-1] + (copies, cap // copies), dtype=np.float64)
+        blocks[..., :k] = by_column[..., None, :]
+        by_column = blocks.reshape(by_column.shape[:-1] + (cap,))
+    cts = tuple(encrypt(column, ctx) for column in by_column)  # encrypt zero-pads to capacity
+    return EncryptedWindows(cts, k, params.m, params.overlap, math.prod(windows.shape[:-2]), tuple({} for _ in cts))
 
 
 def window_powers(windows: EncryptedWindows, pairs) -> list:
@@ -233,7 +291,8 @@ def window_powers(windows: EncryptedWindows, pairs) -> list:
 def pack_template(terms, coeffs, scale=1.0) -> SlotVector:
     """The weighted sum sum_i mult_plain(terms[i], coeffs[i] * scale): one
     plaintext mult per term, which also applies the scale.  A coefficient is
-    a scalar or a capacity-length plaintext, and so is the scale: all the
+    a scalar or a plaintext of a shape mult_plain takes (for a batch, a
+    (B, 1) column gives each row its own), and so is the scale: all the
     coefficients times the scale are one product."""
     acc = None
     for term, weight in zip(terms, np.asarray(coeffs, dtype=np.float64) * scale):
@@ -242,17 +301,50 @@ def pack_template(terms, coeffs, scale=1.0) -> SlotVector:
     return acc
 
 
-def protect_encrypted(windows: EncryptedWindows, params: PolyProtectParams, scale: float = 1.0) -> SlotVector:
+def _column_power(ct: SlotVector, exps: tuple) -> SlotVector:
+    # Row b of ct raised to exps[b], for a column whose rows differ in their
+    # exponents.  Rows that share an exponent go through one _pow_ct chain as
+    # a batch, so each row pays the mults its own chain costs.
+    groups = {}
+    for b, e in enumerate(exps):
+        groups.setdefault(e, []).append(b)
+    powered = stack([_pow_ct(take(ct, rows), e, {}) for e, rows in groups.items()])
+    return take(powered, np.argsort(np.concatenate(list(groups.values()))))
+
+
+def protect_encrypted(windows: EncryptedWindows, params, scale=1.0) -> SlotVector:
     """Apply the window polynomial to encrypted window columns.
 
     Returns the packed template: scale * p_j in slot j for j < k, zeros from
     slot k on, at depth protect_depth(params) above the windows.  The powers
     cts[i]^exps[i] it needs are memoized on the windows and reused by every
     later parameter set on them.
+
+    Windows of a batch of B embeddings give a B-row batch of templates.
+    params is then one set for every row or a sequence of B sets, row b's
+    at b, and scale a scalar or B scales.  The sets must share one
+    protect_depth, the batch's one depth, so each row is bit-identical to
+    its own call, depth included, and costs what that call costs
+    (protect_depth's power chains and m plaintext mults).
     """
-    if (windows.m, windows.overlap) != (params.m, params.overlap):
+    sets = _layout_sets(params)
+    if (windows.m, windows.overlap) != (sets[0].m, sets[0].overlap):
         raise ValueError("windows were laid out for a different window width or overlap")
-    return pack_template(window_powers(windows, enumerate(params.exps)), params.coeffs, scale)
+    if len(sets) not in (1, windows.rows):
+        raise ValueError(f"{len(sets)} parameter sets for a batch of {windows.rows} rows: give one or one per row")
+    if len({protect_depth(p) for p in sets}) > 1:
+        raise ValueError("a batch's parameter sets must share one protect_depth")
+    # a column whose rows all share their exponent uses the column's memo
+    terms = [
+        _pow_ct(ct, exps[0], memo) if len(set(exps)) == 1 else _column_power(ct, exps)
+        for ct, exps, memo in zip(windows.cts, zip(*(p.exps for p in sets)), windows.memos)
+    ]
+    # row b's weights are its coefficients times its scale: one scalar per
+    # term when one row of weights serves every row, else a (B, 1) column
+    # of row scalars per term
+    scales = np.asarray(scale, dtype=np.float64).reshape(-1, 1)
+    weights = np.array([p.coeffs for p in sets], dtype=np.float64) * scales
+    return pack_template(terms, weights[0] if len(weights) == 1 else weights.T[:, :, None])
 
 
 def protect_depth(params: PolyProtectParams) -> int:

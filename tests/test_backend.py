@@ -15,6 +15,8 @@ from polyfhe.backend import (
     mult_plain,
     rotate_left,
     serialize_ciphertext,
+    stack,
+    take,
 )
 from polyfhe.errors import CapacityExceeded, DepthExceeded, IntegrityError, KeyMismatch
 from polyfhe.summation import dft_sum, fold_add_all, naive_add_all
@@ -39,11 +41,25 @@ def test_distinct_keys_distinct_masking_seeds():
     assert len(a.masking_seed) == 32
 
 
-def test_encrypt_rejects_empty_or_2d(ctx):
-    for values in (np.array([]), np.zeros((2, 3)), np.zeros((1, 0)), [[1.0, 2.0]]):
+def test_encrypt_rejects_empty_or_3d(ctx):
+    for values in (np.array([]), np.zeros((1, 0)), np.zeros((0, 3)), np.zeros((2, 2, 2)), [[[1.0]]]):
         with pytest.raises(ValueError):
             encrypt(values, ctx)
     assert ctx.ops["encryptions"] == 0
+
+
+def test_encrypt_takes_a_matrix_as_a_batch(ctx):
+    # a (B, n) matrix is B ciphertexts, each padded as a row of its own
+    for values in (np.arange(6.0).reshape(2, 3), [[1.0, 2.0]]):
+        plain = np.asarray(values, dtype=np.float64)
+        before = ctx.ops["encryptions"]
+        batch = encrypt(values, ctx)
+        assert ctx.ops["encryptions"] - before == len(plain)
+        assert batch.depth_used == 0
+        assert decrypt(batch, ctx).shape == (len(plain), ctx.slot_capacity)
+        assert decrypt(batch, ctx).tolist() == [decrypt(encrypt(row, ctx), ctx).tolist() for row in plain]
+    with pytest.raises(CapacityExceeded):
+        encrypt(np.zeros((2, 9)), ctx)
 
 
 def test_encrypt_pads_with_zeros(ctx):
@@ -426,3 +442,124 @@ def test_serialization_byte_frequency_indistinguishable():
     stat = float((((o1 - o2) ** 2) / (o1 + o2 + 1e-12)).sum())
     df = 255
     assert stat < df + 3 * np.sqrt(2 * df)
+
+
+# --- batches -------------------------------------------------------------------
+
+
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=np.float64).tobytes()
+
+
+# 128 slots rotate by one gather, 1024 by two slice copies.
+@pytest.mark.parametrize("cap", [128, 1024])
+def test_batch_ops_are_bit_identical_to_the_same_ops_row_by_row(cap):
+    assert 128 <= backend._GATHER_MAX_CAPACITY < 1024
+    ctx = EncryptionContext(cap, 16, key_id="batch")
+    rng = np.random.default_rng(cap)
+    x, y = rng.normal(size=(3, cap - 3)), rng.normal(size=(3, cap))
+    plain_rows, plain_vec = rng.normal(size=(3, cap)), rng.normal(size=cap)
+    a, b = encrypt(x, ctx), encrypt(y, ctx)
+    ops = {
+        "add": (lambda u, v, i: add(u, v)),
+        "mult": (lambda u, v, i: mult(u, v)),
+        "mult_plain scalar": (lambda u, v, i: mult_plain(u, -1.5)),
+        "mult_plain vector": (lambda u, v, i: mult_plain(u, plain_vec)),
+        "mult_plain per row": (lambda u, v, i: mult_plain(u, plain_rows if i is None else plain_rows[i])),
+        "mult_plain row scalars": (lambda u, v, i: mult_plain(u, plain_rows[:, :1] if i is None else plain_rows[i, 0])),
+        "add_plain per row": (lambda u, v, i: add_plain(u, plain_rows if i is None else plain_rows[i])),
+        **{f"rotate {k}": (lambda u, v, i, k=k: rotate_left(u, k)) for k in (0, 1, 5, cap - 1, cap + 3)},
+    }
+    for name, op in ops.items():
+        batched = decrypt(op(a, b, None), ctx)
+        assert batched.shape == (3, cap), name
+        for i in range(3):
+            single = decrypt(op(encrypt(x[i], ctx), encrypt(y[i], ctx), i), ctx)
+            assert _bits(batched[i]) == _bits(single), (name, i)
+
+
+def test_ledger_counts_one_op_per_row():
+    ctx = EncryptionContext(8, 16, key_id="batch")
+    a = encrypt(np.ones((4, 3)), ctx)
+    assert ctx.ops == {"encryptions": 4}
+    r = rotate_left(a, 1)
+    m = mult(r, a)
+    p = mult_plain(m, np.ones((4, 8)))
+    assert ctx.ops == {"encryptions": 4, "rotations": 4, "ct_mults": 4, "pt_mults": 4}
+    before = ctx.ops.copy()
+    add(p, a)
+    add_plain(p, 1.0)
+    decrypt(p, ctx)
+    parts = [take(p, b) for b in range(4)]
+    stack(parts)
+    take(p, [3, 0])
+    assert ctx.ops == before
+    assert len(parts) == 4 and all(part.depth_used == p.depth_used == 2 for part in parts)
+
+
+def test_take_and_stack_split_and_join_a_batch_at_no_cost(ctx):
+    values = np.arange(12.0).reshape(3, 4)
+    batch = encrypt(values, ctx)
+    singles = [encrypt(row, ctx) for row in values]
+    before = ctx.ops.copy()
+    parts = [take(batch, b) for b in range(3)]
+    assert [decrypt(part, ctx).tolist() for part in parts] == [decrypt(s, ctx).tolist() for s in singles]
+    assert all(decrypt(part, ctx).shape == (ctx.slot_capacity,) for part in parts)
+    picked = take(batch, np.array([2, 0]))
+    assert decrypt(picked, ctx).tolist() == [decrypt(singles[2], ctx).tolist(), decrypt(singles[0], ctx).tolist()]
+    assert decrypt(stack(parts), ctx).tolist() == decrypt(batch, ctx).tolist()
+    assert decrypt(stack(singles), ctx).tolist() == decrypt(batch, ctx).tolist()
+    # batches and single ciphertexts join in order, at the greatest depth
+    deeper = mult(singles[0], singles[0])
+    joined = stack([batch, deeper])
+    assert decrypt(joined, ctx).tolist() == decrypt(batch, ctx).tolist() + [decrypt(deeper, ctx).tolist()]
+    assert joined.depth_used == 1
+    assert ctx.ops - before == {"ct_mults": 1}
+    with pytest.raises(ValueError):  # a single ciphertext has no rows
+        take(singles[0], 0)
+    with pytest.raises(ValueError):  # an index is an int or a 1-D list
+        take(batch, [[0, 1]])
+    with pytest.raises(KeyMismatch):
+        stack([batch, encrypt([1.0], EncryptionContext(8, 16, key_id="eve"))])
+    with pytest.raises(ValueError):
+        stack([batch, encrypt([1.0], EncryptionContext(4, 16, key_id="alice"))])
+
+
+def test_binary_ops_refuse_batches_of_different_sizes(ctx):
+    two, three = encrypt(np.ones((2, 3)), ctx), encrypt(np.ones((3, 3)), ctx)
+    one_row, single = encrypt(np.ones((1, 3)), ctx), encrypt(np.ones(3), ctx)
+    for op in (add, mult):
+        for a, b in ((two, three), (three, two), (two, one_row), (one_row, two), (single, two), (two, single)):
+            with pytest.raises(ValueError, match="batches of"):
+                op(a, b)
+
+
+def test_depth_is_one_number_per_batch(ctx):
+    a = encrypt(np.ones((2, 3)), ctx)
+    assert mult(mult(a, a), a).depth_used == 2
+    assert mult_plain(a, np.ones((2, 8))).depth_used == 1
+
+
+def test_a_batch_takes_plaintexts_of_its_own_shape_or_one_for_every_row(ctx):
+    batch = encrypt(np.ones((2, 3)), ctx)
+    assert decrypt(mult_plain(batch, np.full((2, 8), 2.0)), ctx)[:, 0].tolist() == [2.0, 2.0]
+    assert decrypt(mult_plain(batch, np.full(8, 3.0)), ctx)[:, 0].tolist() == [3.0, 3.0]
+    # a (B, 1) column is one scalar per row, over all of that row's slots
+    assert decrypt(mult_plain(batch, np.array([[2.0], [5.0]])), ctx)[:, :3].tolist() == [[2.0] * 3, [5.0] * 3]
+    for operand in (np.ones((3, 8)), np.ones((3, 1)), np.ones((8, 2)), np.ones((1, 8)), np.ones((2, 4))):
+        for op in (mult_plain, add_plain):
+            with pytest.raises(ValueError, match="scalar or a 1-D array"):
+                op(batch, operand)
+
+
+def test_serialize_refuses_a_batch_and_takes_its_rows(ctx):
+    seeded = EncryptionContext(8, 16, key_id="alice", nonce_seed=3)
+    twin = EncryptionContext(8, 16, key_id="alice", nonce_seed=3)
+    values = np.arange(6.0).reshape(2, 3)
+    batch = encrypt(values, seeded)
+    with pytest.raises(ValueError, match="one ciphertext"):
+        serialize_ciphertext(batch, seeded)
+    # row by row, the blobs and the nonce stream are those of single ciphertexts
+    blobs = [serialize_ciphertext(take(batch, b), seeded) for b in range(2)]
+    assert blobs == [serialize_ciphertext(encrypt(row, twin), twin) for row in values]
+    assert [decrypt(deserialize_ciphertext(blob, seeded), seeded)[:3].tolist() for blob in blobs] == values.tolist()

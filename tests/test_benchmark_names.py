@@ -67,10 +67,25 @@ def test_cell_ok_reads_a_leakage_report():
     ("enroll", {"rotations": 0.0, "ct_mults": 8.0, "pt_mults": 5.0, "encryptions": 5.0}),
     ("leakage", {"rotations": 0.0, "ct_mults": 8.0, "pt_mults": 5.0, "encryptions": 6.0}),
 ])
-def test_workload_round_passes_its_checks_at_its_he_counts(tmp_path, name, counts):
+def test_workload_round_passes_its_checks_at_its_he_counts(tmp_path, monkeypatch, name, counts):
     # setup -> prepare -> round -> check -> count, as run.py drives a workload
     workload = workloads.WORKLOADS[name]
     st = workload.setup(0, tmp_path)
+    # perfbench counts HE ops per call; the ledger counts them per
+    # ciphertext.  On identify and enroll, whose context the workload holds,
+    # each counting pass must read the same from both, so a batch on a
+    # counted path fails here before it can under-read a benchmark.
+    passes = []  # (ledger difference, items, counts per item) per count_he call
+    if name in ("identify", "enroll"):
+        count_he = workloads.count_he
+
+        def counted(run, items):
+            before = st.pipe.ctx.ops.copy()
+            got = count_he(run, items)
+            passes.append((st.pipe.ctx.ops - before, items, got))
+            return got
+
+        monkeypatch.setattr(workloads, "count_he", counted)
     try:
         workload.prepare(st)
         out, times = workload.round(st)
@@ -81,3 +96,6 @@ def test_workload_round_passes_its_checks_at_its_he_counts(tmp_path, name, count
     assert times and attempted > 0
     assert (failed, fault) == (0, 0)
     assert {kind: got[kind] for kind in counts} == counts
+    assert passes or name == "leakage"
+    for ledger, items, per_call in passes:
+        assert {kind: ledger[kind] / items for kind in counts} == {kind: per_call[kind] for kind in counts}

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -295,6 +296,26 @@ def test_seeded_identify_ranked_bytes_are_pinned(tmp_path):
     )
     assert rc == 0
     assert (tmp_path / "i" / "identify_ranked.csv").read_bytes() == csv_bytes(PINNED_IDENTIFY_RANKED)
+
+
+# A seeded enroll of 60 subjects, protected as one batch: the SHA-256 of
+# every gallery file (blobs, params files, manifest) as a sha256sum-style
+# listing sorted by path, and the manifest's own digest.  Recorded from the
+# gallery the same command wrote when every template was protected one
+# record at a time, so the batched build is pinned to those bytes.
+PINNED_GALLERY_FILES = 121
+PINNED_GALLERY_LISTING_SHA256 = "3b2fd1fdd041c48369fae1317123b46fc9b523ef1ae39d85562cc9e4eb8092b6"
+PINNED_GALLERY_MANIFEST_SHA256 = "44bf60962385bdc8c2c297c69571bc15dfce8884dbad271cc56eb211bc46e968"
+
+
+def test_seeded_enroll_gallery_bytes_are_pinned(tmp_path):
+    assert run_cli("enroll", "--num-ids", "60", "--samples-per-id", "2", "--seed", "11", "--out-dir", str(tmp_path)) == 0
+    root = tmp_path / "gallery"
+    files = sorted(path.relative_to(root).as_posix() for path in root.rglob("*") if path.is_file())
+    listing = "".join(f"{hashlib.sha256((root / f).read_bytes()).hexdigest()}  {f}\n" for f in files)
+    assert len(files) == PINNED_GALLERY_FILES
+    assert hashlib.sha256((root / "manifest.json").read_bytes()).hexdigest() == PINNED_GALLERY_MANIFEST_SHA256
+    assert hashlib.sha256(listing.encode()).hexdigest() == PINNED_GALLERY_LISTING_SHA256, listing
 
 
 def test_eval_leakage_reports_a_repeated_variant_once(tmp_path):

@@ -383,6 +383,34 @@ def test_identify_he_counts_per_comparison_at_the_benchmark_shape(tmp_path):
     assert per == {"rotations": 3.0, "ct_mults": 0.6, "pt_mults": 5.0, "encryptions": 0.025}
 
 
+def test_build_gallery_costs_what_enrolling_each_record_costs():
+    # the batched build pays per record what enroll pays (8 ct-ct mults, 5
+    # plaintext mults and 5 encryptions at the default config), and
+    # N - packs rotations to lay the packs out
+    ds = gen_synthetic_dataset(SyntheticSpec(num_ids=200, samples_per_id=2, attribute_correlation=0.6, seed=7))
+    pipe = Pipeline(PipelineConfig(seed=7))
+    before = pipe.ctx.ops.copy()
+    gallery, _ = build_gallery(ds, pipe)
+    n, packs = len(gallery), len({rec.pack for rec in gallery})
+    assert (n, packs) == (200, 100)
+    assert pipe.ctx.ops - before == {"ct_mults": 8 * n, "pt_mults": 5 * n, "encryptions": 5 * n, "rotations": n - packs}
+
+
+def test_build_gallery_templates_equal_enrolled_ones(monkeypatch):
+    # every record's template, bit for bit and at its depth, is the one
+    # enroll makes of its sample alone, also across the build's batches
+    # (here 3 + 3 + 1 rows)
+    monkeypatch.setattr(pl, "_PROTECT_ROWS", 3)
+    ds = gen_synthetic_dataset(small_spec(num_ids=7, samples_per_id=1))
+    pipe = Pipeline(PipelineConfig(seed=4))
+    gallery, _ = build_gallery(ds, pipe)
+    assert [rec.subject_id for rec in gallery] == [e.subject_id for e in ds]
+    for rec, e in zip(gallery, ds):
+        alone = enroll(e, rec.params, pipe.ctx, rec.compress_dim)
+        assert decrypt(rec.template, pipe.ctx).tobytes() == decrypt(alone.template, pipe.ctx).tobytes()
+        assert rec.template.depth_used == alone.template.depth_used == protect_depth(rec.params)
+
+
 def test_identify_plaintext_mults_do_not_depend_on_shared_exponents():
     # records enrolled under one parameter set share every (column,
     # exponent) pair, and still pay m plaintext mults each, as records
@@ -392,7 +420,8 @@ def test_identify_plaintext_mults_do_not_depend_on_shared_exponents():
     pipe = Pipeline(PipelineConfig(seed=4))
     shared = pipe.gen_user_params(0)
     for params in ([shared] * 4, [pipe.gen_user_params(i) for i in range(4)]):
-        entries = [(e.subject_id, pl._protect(e, p, pipe.ctx, 64), p, 64, None) for e, p in zip(enrolled, params)]
+        templates = pl._protect(enrolled, params, pipe.ctx, 64)
+        entries = [(e.subject_id, t, p, 64, None) for e, t, p in zip(enrolled, templates, params)]
         gallery = pl._pack_gallery(entries, pipe.ctx)
         assert len({rec.pack for rec in gallery}) == 2
         before = pipe.ctx.ops.copy()
@@ -470,10 +499,9 @@ def test_identify_equals_per_record_reference_at_the_benchmark_shape():
     pipe = Pipeline(PipelineConfig(seed=0))
     gallery, probes = build_gallery(ds, pipe)
     enrolled, _ = enroll_split(ds)
-    entries = []
-    for i, e in enumerate(enrolled[:9]):
-        params = gen_params(3, 1, 50, seed=[9, i])
-        entries.append((e.subject_id + "b", pl._protect(e, params, pipe.ctx, 48), params, 48, None))
+    params = [gen_params(3, 1, 50, seed=[9, i]) for i in range(9)]
+    templates = pl._protect(enrolled[:9], params, pipe.ctx, 48)
+    entries = [(e.subject_id + "b", t, p, 48, None) for e, t, p in zip(enrolled, templates, params)]
     others = pl._pack_gallery(entries, pipe.ctx)  # k = 24: four per ciphertext, then a pack of one
     mixed = gallery[150:] + others
     assert gallery[1].block == 1 and gallery[8].pack is gallery[9].pack

@@ -85,6 +85,27 @@ def test_params_id_is_computed_from_the_values():
         PolyProtectParams(5, 4, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 50, params_id="manual")
 
 
+def test_params_take_any_integer_type_and_refuse_non_integers():
+    # numpy integers are stored as ints, with the id of the same ints; a
+    # float, even an integral one, is refused rather than given another id
+    a = PolyProtectParams(5, 4, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 50)
+    b = PolyProtectParams(np.int64(5), np.int32(4), tuple(np.array([2, -3, 1, 4, -1])), np.arange(1, 6), np.int64(50))
+    assert a == b and b.params_id == a.params_id == "9aa6ba58b269f043"
+    assert all(type(x) is int for x in (b.m, b.overlap, b.c_range, *b.coeffs, *b.exps))
+    assert type(b.coeffs) is tuple and type(b.exps) is tuple
+    good = dict(m=5, overlap=4, coeffs=(2, -3, 1, 4, -1), exps=(1, 2, 3, 4, 5), c_range=50)
+    for bad in (
+        {"coeffs": (2.0, -3.0, 1.0, 4.0, -1.0)},
+        {"exps": (1.0, 2, 3, 4, 5)},
+        {"exps": np.arange(1.0, 6.0)},
+        {"coeffs": (2, -3, 1, 4, "-1")},
+        {"m": 5.0},
+        {"c_range": 50.0},
+    ):
+        with pytest.raises(ValueError, match="must be integers"):
+            PolyProtectParams(**(good | bad))
+
+
 def test_protect_ones_vector_sums_coefficients():
     # ones kill the exponents, so each window value is just sum(C)
     p = gen_params(5, 0, 50, seed=3)
@@ -294,6 +315,75 @@ def test_protect_packed_equals_pack_of_protect_encrypted(m, overlap, n):
     reused = protect_encrypted(windows, q, 0.37)
     fresh = protect_encrypted(encrypt_windows(v, q, ctx), q, 0.37)
     assert np.array_equal(reused.slots, fresh.slots)
+
+
+def _batch_cases():
+    # layouts, and parameter sets that share or differ in their exponents
+    yield 5, 4, [gen_params(5, 4, 50, seed=[3, b]) for b in range(7)]
+    yield 3, 1, [gen_params(3, 1, 50, seed=[4, b]) for b in range(4)]
+    yield 3, 2, [PolyProtectParams(3, 2, (1, 2, 3), (1, 3, 7), 5)] * 3
+    yield 2, 0, [gen_params(2, 0, 50, seed=[5, b]) for b in range(5)]
+
+
+@pytest.mark.parametrize("m,overlap,sets", list(_batch_cases()))
+def test_protect_batch_rows_equal_each_row_protected_alone(m, overlap, sets):
+    # bit for bit, in the clear and encrypted, at each row's own cost
+    ctx = EncryptionContext(128, 16, key_id="batch")
+    x = np.random.default_rng(m + overlap).normal(size=(len(sets), 40))
+    scales = np.linspace(0.5, 2.0, len(sets))
+    plain = protect_plain(x, sets)
+    before = ctx.ops.copy()
+    batch = protect_encrypted(encrypt_windows(x, sets[0], ctx), sets, scales)
+    batch_ops = ctx.ops - before
+    got = decrypt(batch, ctx)
+    assert got.shape == (len(sets), 128)
+    before = ctx.ops.copy()
+    for b, p in enumerate(sets):
+        assert plain[b].tobytes() == protect_plain(x[b], p).tobytes()
+        alone = protect_encrypted(encrypt_windows(x[b], p, ctx), p, scales[b])
+        assert got[b].tobytes() == decrypt(alone, ctx).tobytes() and alone.depth_used == batch.depth_used
+    assert batch_ops == ctx.ops - before
+
+
+def test_protect_batch_under_one_set_shares_the_column_memos(ctx):
+    p = PolyProtectParams(3, 1, (1, 2, 3), (1, 3, 7), 5)
+    windows = encrypt_windows(np.linspace(-1.0, 1.0, 18).reshape(2, 9), p, ctx)
+    before = ctx.ops["ct_mults"]
+    protect_encrypted(windows, p)
+    protect_encrypted(windows, [p, p])
+    assert [set(memo) for memo in windows.memos] == [set(), {2, 3}, {2, 3, 4, 7}]
+    assert ctx.ops["ct_mults"] - before == 2 * 6  # both rows' chains, once
+
+
+def test_protect_batch_needs_one_layout():
+    ctx = EncryptionContext(128, 16, key_id="batch")
+    x = np.ones((2, 40))
+    sets = [gen_params(3, 1, 50, seed=1), gen_params(3, 2, 50, seed=2)]
+    with pytest.raises(ValueError):
+        protect_plain(x, sets)
+    with pytest.raises(ValueError):
+        protect_encrypted(encrypt_windows(x, sets[0], ctx), sets)
+
+
+def test_protect_batch_needs_one_set_or_one_per_row_and_one_depth():
+    # fewer sets than rows would drop rows, and one depth cannot be two
+    # rows' own depths
+    ctx = EncryptionContext(128, 16, key_id="batch")
+    windows = encrypt_windows(np.linspace(-1.0, 1.0, 120).reshape(3, 40), gen_params(3, 1, 50, seed=1), ctx)
+    sets = [gen_params(3, 1, 50, seed=[6, b]) for b in range(4)]
+    assert len({p.exps for p in sets[:2]}) == 2
+    for wrong in (sets[:2], sets):
+        with pytest.raises(ValueError, match="parameter sets for a batch of 3 rows"):
+            protect_encrypted(windows, wrong)
+    deeper = PolyProtectParams(3, 1, (1, 2, 3), (1, 2, 5), 5)
+    with pytest.raises(ValueError, match="one protect_depth"):
+        protect_encrypted(windows, [*sets[:2], deeper])
+    assert decrypt(protect_encrypted(windows, sets[:3]), ctx).shape == (3, 128)
+
+
+def test_template_norms_take_one_embedding():
+    with pytest.raises(ValueError, match="one embedding"):
+        template_norms(np.ones((2, 16)), 1, np.array([[1, 2, 3]]), np.array([[1.0, 2.0, 3.0]]))
 
 
 @pytest.mark.parametrize("exps", [(1, 3, 7), (7, 1, 3), (2, 5, 4), (9, 1, 16)])
