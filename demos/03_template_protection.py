@@ -41,7 +41,7 @@ print(f"{len(windows)} windows in {len(windows.cts)} encryptions, packed into on
 print(f"powers above 1 built per column: {[sorted(memo) for memo in windows.memos]}")
 print("encrypted  :", np.round(decrypted[: len(plain)], 6))
 print(f"max |diff| : {np.max(np.abs(decrypted[: len(plain)] - plain)):.2e}")
-print(f"depth used : {template.depth_used} (protect_depth: ceil(log2 max exp) + 1 = {protect_depth(params)})")
+print(f"depth used : {template.depth_used} (protect_depth: ceil(log2 m) + 1 = {protect_depth(params)})")
 print("slots after the template:", decrypted[len(plain) :])
 
 other = gen_params(m=5, overlap=2, c_range=50, seed=43)

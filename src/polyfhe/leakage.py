@@ -226,7 +226,7 @@ def _variant_features(variant, dataset, ctx, params, compress_dim) -> np.ndarray
     if variant == "mrl+fhe":
         return ciphertext_features([encrypt(compress_prefix(e, compress_dim), ctx) for e in dataset], ctx)
     if variant == "mrl+polyprotect+fhe":
-        return ciphertext_features([_protect([e], [params], ctx, compress_dim)[0] for e in dataset], ctx)
+        return ciphertext_features([_protect(compress_prefix(e, compress_dim), params, ctx) for e in dataset], ctx)
     raise ValueError(f"unknown variant {variant!r}")
 
 

@@ -23,7 +23,7 @@ group in one ciphertext, W = 2^ceil(log2 k), record b rotated right by b W:
 N - packs rotations per build or load, by offsets capacity - b W that a real
 backend needs Galois keys for (one more, 64, at the default config, where
 B = 2).  enroll returns a pack of one; build_gallery protects its
-templates in batches of up to _PROTECT_ROWS records (backend batches), at
+templates in batches of up to _PROTECT_ROWS records, one set per row, at
 enroll's op count per record and with the bytes enroll gives each, and
 lays the packs out once.  Every record is made in its pack, by
 _pack_gallery, so the search reads parameters from the packs and takes no
@@ -94,7 +94,7 @@ from .polyprotect import (
     template_norms,
     window_powers,
 )
-from .similarity import cosine_plain, cosine_unit_encrypted, make_normalization_plan
+from .similarity import NormalizationPlan, cosine_plain, cosine_unit_encrypted
 
 ATTRIBUTE_CLASSES = {
     "gender": ("female", "male"),
@@ -288,20 +288,20 @@ def _unit_scales(norms):
     return 1.0 / norms
 
 
-def _protect(samples: list, params: list, ctx: EncryptionContext, d: int) -> list:
-    # compress -> encrypt -> protect samples[b] under params[b], all of one
-    # (m, overlap) and one protect_depth, as one batch, each scaled to unit
-    # norm by its exact template norm; the templates, one ciphertext each
-    x = np.array([compress_prefix(e, d) for e in samples])
-    scales = _unit_scales(np.array([np.linalg.norm(t) for t in protect_plain(x, params)]))
-    templates = protect_encrypted(encrypt_windows(x, params[0], ctx), params, scales)
-    return [take(templates, b) for b in range(len(samples))]
+def _protect(x, params, ctx: EncryptionContext) -> SlotVector:
+    # encrypt -> protect the compressed embedding x under its set, or each
+    # row of a (B, n) batch under its own of B sets, scaled to unit norm by
+    # its exact template norm: one template, or a B-row batch of them
+    templates = np.atleast_2d(protect_plain(x, params))
+    scales = _unit_scales(np.array([np.linalg.norm(t) for t in templates]))
+    layout = params if np.ndim(x) == 1 else params[0]
+    return protect_encrypted(encrypt_windows(x, layout, ctx), params, scales)
 
 
 def enroll(e: Embedding, params: PolyProtectParams, ctx: EncryptionContext, d: int) -> GalleryRecord:
     """compress -> encrypt -> protect -> pack, scaled to unit norm by the
     exact template norm; returns the persistable record, a pack of one."""
-    (template,) = _protect([e], [params], ctx, d)
+    template = _protect(compress_prefix(e, d), params, ctx)
     return _pack_gallery([(e.subject_id, template, params, d, None)], ctx)[0]
 
 
@@ -407,12 +407,6 @@ def identify_plain(probe: Embedding, enrollees: list, params_list: list, d: int)
 # --- pipeline object ----------------------------------------------------------
 
 
-# Degree of Pipeline.approx and the ratio by which its fit domain extends
-# either side of the plan's anchor 1/d_bound.
-_APPROX_DEGREE = 16
-_DOMAIN_RATIO = 8.0
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything that determines a run; (config, seed) fixes all outputs."""
@@ -427,31 +421,25 @@ class PipelineConfig:
 
 
 class Pipeline:
-    """Holds one run's context, the params store that save_gallery writes
-    from, and a normalization plan and inverse-sqrt fit.
+    """Holds one run's context, the params store that save_gallery checks
+    the records against, and a normalization plan and inverse-sqrt fit.
 
     The search scores exact unit-norm templates and uses neither plan nor
     fit.  They size similarity.cosine_encrypted for templates scaled by
-    polyprotect.expected_template_norm at this config's (compress_dim, m,
-    overlap), the domain that perfbench's margin figures are measured
-    against.
+    polyprotect.expected_template_norm, the domain perfbench's margin
+    figures are measured against, and are the same for every config: a
+    bound of 4/sqrt(k) per element gives c_bound = k (4/sqrt(k))^2 = 16
+    whatever k is, and the degree-16 fit spans 8x either side of 1/d_bound.
     """
+
+    plan = NormalizationPlan(16.0)
+    approx = fit_inv_sqrt(16, (1.0 / (8.0 * plan.d_bound), 8.0 / plan.d_bound))
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self.ctx = EncryptionContext(
             cfg.slot_capacity, cfg.depth_budget, key_id=f"pipeline-{cfg.seed}", nonce_seed=cfg.seed
         )
-        self.k = output_len(cfg.compress_dim, cfg.m, cfg.overlap)
-        # Templates scaled by expected_template_norm sit near unit norm; bound
-        # 4/sqrt(k) per element keeps the scaled numerator inside [-1, 1]
-        # with slack, and centers the scaled denominator at 1/d_bound where
-        # the inverse-sqrt fit is anchored.
-        self.plan = make_normalization_plan(4.0 / math.sqrt(self.k), self.k)
-        x0 = 1.0 / self.plan.d_bound
-        lo = x0 / _DOMAIN_RATIO
-        hi = min(1.0, x0 * _DOMAIN_RATIO)
-        self.approx = fit_inv_sqrt(_APPROX_DEGREE, (lo, hi))
         self.params_store: dict = {}
 
     def gen_user_params(self, index: int) -> PolyProtectParams:
@@ -492,7 +480,9 @@ def build_gallery(dataset: list, pipeline: Pipeline) -> tuple:
     params = [pipeline.gen_user_params(i) for i in range(len(enrollees))]
     templates = []
     for i in range(0, len(enrollees), _PROTECT_ROWS):
-        templates += _protect(enrollees[i : i + _PROTECT_ROWS], params[i : i + _PROTECT_ROWS], ctx, d)
+        x = np.array([compress_prefix(e, d) for e in enrollees[i : i + _PROTECT_ROWS]])
+        batch = _protect(x, params[i : i + _PROTECT_ROWS], ctx)
+        templates += [take(batch, b) for b in range(len(x))]
     entries = [(e.subject_id, t, p, d, None) for e, t, p in zip(enrollees, templates, params)]
     return _pack_gallery(entries, ctx), probes
 
@@ -576,7 +566,7 @@ def _record_tag(subject_id: str, params_id: str, compress_dim: int, blob: bytes,
 
 def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_dir):
     """Write manifest.json, one ciphertext blob per record, and the params
-    JSON of every parameter set the records use (and no other).  Blobs and
+    JSON of each record's own parameter set (and no other).  Blobs and
     params files that an earlier save left in out_dir and this manifest does
     not name are removed; nothing else in out_dir is touched.
 
@@ -584,15 +574,15 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
     keep their original blob bytes, so a save -> load -> save round trip is
     bit-identical (re-serializing would draw fresh nonces).  Every record is
     checked and serialized before anything is written: an empty gallery
-    raises EmptyGallery, a record whose params_id is not in params_store
-    raises UnknownParamsId, one whose template is under another key raises
+    raises EmptyGallery, a record whose values params_store does not hold
+    under its id UnknownParamsId, one whose template is under another key
     KeyMismatch, and each leaves a gallery already in out_dir intact.
     """
     if not gallery:
         raise EmptyGallery("save_gallery needs a nonempty gallery")
     for rec in gallery:
-        if rec.params_id not in params_store:
-            raise UnknownParamsId(f"no parameters stored for params_id {rec.params_id}")
+        if getattr(params_store.get(rec.params_id), "params_id", None) != rec.params_id:  # the seed plays no part
+            raise UnknownParamsId(f"no parameters stored for params_id {rec.params_id}, or other ones")
         if rec.blob is None:
             rec.blob = serialize_ciphertext(rec.template, ctx)
     out = Path(out_dir)
@@ -613,10 +603,10 @@ def save_gallery(gallery: list, ctx: EncryptionContext, params_store: dict, out_
                 "tag": _record_tag(rec.subject_id, rec.params_id, rec.compress_dim, rec.blob, ctx),
             }
         )
-    for pid in dict.fromkeys(rec.params_id for rec in gallery):
+    for pid, params in {rec.params_id: rec.params for rec in gallery}.items():
         path = out / "params" / f"{pid}.json"
         named.add(path)
-        save_params(params_store[pid], path)
+        save_params(params, path)
     manifest = {
         "version": GALLERY_VERSION,
         "ctx": {

@@ -3,9 +3,9 @@
 An n-dimensional embedding is split into m-wide windows with a configurable
 overlap; each window maps to one output value p_j = sum_i coeffs[i] *
 window[i]**exps[i], with user-specific nonzero distinct integer coefficients
-and distinct positive exponents.  The encrypted path computes the same values
-under the slot contract and packs them into one ciphertext, p_j in slot j,
-which is the stored template and what the encrypted cosine scores.
+and exponents a permutation of 1..m.  The encrypted path computes the same
+values under the slot contract and packs them into one ciphertext, p_j in
+slot j, which is the stored template and what the encrypted cosine scores.
 
 The windows are encrypted column by column (SIMD packing after Smart and
 Vercauteren): ciphertext i holds element i of window j in slot j, zeros from
@@ -14,18 +14,18 @@ A user's template is then one weighted sum, sum_i c_i * cts[i]^e_i: p_j in
 slot j, zeros from slot k on, no fold and no rotation.  Each power comes
 from square-and-multiply with sub-powers memoized on the windows, so every
 parameter set with the same (m, overlap) shares them.  Depth is
-ceil(log2 max_exp) + 1 (power chain, coefficient).
+ceil(log2 m) + 1 (power chain, coefficient) for every set of width m.
 
-B embeddings of one (m, overlap) and one protect_depth are protected as
-one batch: each column ciphertext is a B-row batch (backend), the rows of a
-column that share an exponent run one power chain together, and each row
-is weighted by its own coefficients and scale.  Every row pays the ops it
-would pay alone, and its template, depth included, is bit-identical to its
-own.
+B embeddings of one (m, overlap) are protected as one batch, each row under
+its own parameter set: each column ciphertext is a B-row batch (backend),
+the rows of a column that share an exponent run one power chain together,
+and each row is weighted by its own coefficients and scale.  Every row pays
+the ops it would pay alone, and its template, depth included, is
+bit-identical to its own.
 
 In the clear, an embedding's windows, or each row's of a (B, n) batch, are
 one gather through a read-only index built once per (n, m, overlap); the
-clear and encrypted paths, one row or a batch, cut them alike (_windows).
+clear and encrypted paths cut them alike, with chunk_embedding.
 template_norms takes the parameter sets as stacked (N, m) exponent and
 coefficient rows, which a search pack builds once, at pack time
 (pipeline.TemplatePack), so a search does no per-parameter-set work in
@@ -84,8 +84,8 @@ class PolyProtectParams:
             raise ValueError("coeffs and exps must have length m")
         if any(c == 0 for c in self.coeffs) or len(set(self.coeffs)) != self.m:
             raise ValueError("coefficients must be nonzero and pairwise distinct")
-        if any(e < 1 for e in self.exps) or len(set(self.exps)) != self.m:
-            raise ValueError("exponents must be positive and pairwise distinct")
+        if sorted(self.exps) != list(range(1, self.m + 1)):
+            raise ValueError("exponents must be a permutation of 1..m")
         object.__setattr__(self, "params_id", _params_id(self.m, self.overlap, self.c_range, self.coeffs, self.exps))
 
 
@@ -146,31 +146,30 @@ def _padded(v, m: int, overlap: int) -> tuple:
     return padded, index
 
 
-def _windows(v, m: int, overlap: int) -> np.ndarray:
-    # the read-only (k, m) windows of one embedding, or (B, k, m) of a
-    # (B, n) batch: one gather of the padded rows through the cached index
-    padded, index = _padded(v, m, overlap)
+def chunk_embedding(v, params: PolyProtectParams) -> np.ndarray:
+    """An embedding's k m-wide windows, one per row (tail zero-padded), or
+    a (B, n) batch's (B, k, m), row b's windows at b.
+
+    Row j holds elements j * (m - overlap) onward of the padded vector; the
+    rows are one gather through a read-only index cached per (n, m,
+    overlap), and the result is read-only.
+    """
+    padded, index = _padded(v, params.m, params.overlap)
     windows = padded[..., index]
     windows.flags.writeable = False
     return windows
 
 
-def chunk_embedding(v, params: PolyProtectParams) -> np.ndarray:
-    """An embedding's k m-wide windows, one per row (tail zero-padded).
-
-    v must be 1-D.  Row j holds elements j * (m - overlap) onward of the
-    padded vector; the rows are one gather through a read-only index cached
-    per (n, m, overlap), and the result is read-only.
-    """
-    if np.ndim(v) != 1:
-        raise ValueError(f"embedding must be a 1-D array, got shape {np.shape(v)}")
-    return _windows(v, params.m, params.overlap)
-
-
-def _layout_sets(params) -> tuple:
-    # one parameter set, or a sequence of them, as a tuple of sets that
-    # share one (m, overlap)
-    sets = (params,) if isinstance(params, PolyProtectParams) else tuple(params)
+def _row_sets(params, rows) -> tuple:
+    # one parameter set per row, as a tuple: one embedding (rows None) takes
+    # a set, a batch of B rows a sequence of B sets of one (m, overlap)
+    if rows is None:
+        if not isinstance(params, PolyProtectParams):
+            raise ValueError("one embedding takes one parameter set")
+        return (params,)
+    if isinstance(params, PolyProtectParams) or len(params) != rows:
+        raise ValueError(f"a batch of {rows} rows takes a sequence of {rows} parameter sets, one per row")
+    sets = tuple(params)
     if any((p.m, p.overlap) != (sets[0].m, sets[0].overlap) for p in sets):
         raise ValueError("a batch's parameter sets must share one window width and overlap")
     return sets
@@ -179,16 +178,17 @@ def _layout_sets(params) -> tuple:
 def protect_plain(v, params) -> np.ndarray:
     """Apply the window polynomial in the clear: the k template values.
 
-    A (B, n) batch of embeddings gives a (B, k) array.  params is one set
-    for every row or a sequence of B sets of one (m, overlap), row b's at
-    b; row b is bit-identical to protect_plain(v[b], its set).
+    One embedding takes one parameter set.  A (B, n) batch takes a sequence
+    of B sets of one (m, overlap), row b's at b, and gives a (B, k) array
+    whose row b is bit-identical to protect_plain(v[b], its set).
     """
-    sets = _layout_sets(params)
+    rows = len(v) if np.ndim(v) == 2 else None
+    sets = _row_sets(params, rows)
     coeffs = np.array([p.coeffs for p in sets], dtype=np.float64)
     exps = np.array([p.exps for p in sets], dtype=np.float64)
-    if len(sets) > 1:  # row b's set against row b's (k, m) windows
+    if rows is not None:  # row b's set against row b's (k, m) windows
         coeffs, exps = coeffs[:, None], exps[:, None]
-    return (np.power(_windows(v, sets[0].m, sets[0].overlap), exps) * coeffs).sum(axis=-1)
+    return (np.power(chunk_embedding(v, sets[0]), exps) * coeffs).sum(axis=-1)
 
 
 def template_norms(v, overlap: int, exps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -198,8 +198,8 @@ def template_norms(v, overlap: int, exps: np.ndarray, coeffs: np.ndarray) -> np.
 
     A gallery pack stacks its records' rows once, when it is built
     (pipeline.TemplatePack).  Each element of v is raised once to each
-    distinct exponent and the powers are cut into windows once, so the cost
-    per extra parameter set is a gather and a weighted sum.
+    exponent 1..m and the powers are cut into windows once, so the cost per
+    extra parameter set is a gather and a weighted sum.
     """
     if exps.ndim != 2 or exps.shape != coeffs.shape:
         raise ValueError(
@@ -209,14 +209,13 @@ def template_norms(v, overlap: int, exps: np.ndarray, coeffs: np.ndarray) -> np.
     if padded.ndim != 1:
         raise ValueError(f"template_norms takes one embedding, a 1-D array, got shape {np.shape(v)}")
     k, m = index.shape
-    distinct, which = np.unique(exps, return_inverse=True)
-    # each element raised once to each distinct exponent, then cut into windows
-    powers = (padded ** distinct.astype(np.float64)[:, None])[:, index.T]  # (exponent, offset, window)
-    # row r, offset i reads power (which[r, i], i) through one flat index;
+    # each element raised once to each exponent 1..m, then cut into windows
+    powers = (padded ** np.arange(1.0, m + 1)[:, None])[:, index.T]  # (exponent, offset, window)
+    # row r, offset i reads power (exps[r, i], i) through one flat index;
     # the weighted terms are added offset by offset, so no temporary
     # exceeds (N, k)
     table = powers.reshape(-1, k)
-    flat = which.reshape(exps.shape) * m + np.arange(m)
+    flat = (exps - 1) * m + np.arange(m)
     templates = table[flat[:, 0]] * coeffs[:, :1]
     for i in range(1, m):
         templates += table[flat[:, i]] * coeffs[:, i : i + 1]
@@ -244,7 +243,7 @@ class EncryptedWindows:
 
     cts[i] holds element i of window j in slot j for j < k and zeros after;
     for a batch of B embeddings it is a B-row batch, row b embedding b's,
-    and rows is B (1 for one embedding).
+    and rows is B (None for one embedding).
     memos[i] caches the powers of cts[i] computed so far, so every parameter
     set with this (m, overlap) shares them.
     """
@@ -253,7 +252,7 @@ class EncryptedWindows:
     k: int
     m: int
     overlap: int
-    rows: int
+    rows: int | None
     memos: tuple = field(repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -268,7 +267,7 @@ def encrypt_windows(v, params: PolyProtectParams, ctx: EncryptionContext, copies
     copies > 1 repeats each column every capacity // copies slots, so every
     power and weighted sum of the columns is computed in each block at once.
     """
-    windows = _windows(v, params.m, params.overlap)
+    windows = chunk_embedding(v, params)
     by_column = windows.transpose(-1, *range(windows.ndim - 1))  # (m, k), or (m, B, k) for a batch
     k = windows.shape[-2]
     cap = ctx.slot_capacity
@@ -280,7 +279,8 @@ def encrypt_windows(v, params: PolyProtectParams, ctx: EncryptionContext, copies
         blocks[..., :k] = by_column[..., None, :]
         by_column = blocks.reshape(by_column.shape[:-1] + (cap,))
     cts = tuple(encrypt(column, ctx) for column in by_column)  # encrypt zero-pads to capacity
-    return EncryptedWindows(cts, k, params.m, params.overlap, math.prod(windows.shape[:-2]), tuple({} for _ in cts))
+    rows = len(windows) if windows.ndim == 3 else None
+    return EncryptedWindows(cts, k, params.m, params.overlap, rows, tuple({} for _ in cts))
 
 
 def window_powers(windows: EncryptedWindows, pairs) -> list:
@@ -320,37 +320,33 @@ def protect_encrypted(windows: EncryptedWindows, params, scale=1.0) -> SlotVecto
     cts[i]^exps[i] it needs are memoized on the windows and reused by every
     later parameter set on them.
 
-    Windows of a batch of B embeddings give a B-row batch of templates.
-    params is then one set for every row or a sequence of B sets, row b's
-    at b, and scale a scalar or B scales.  The sets must share one
-    protect_depth, the batch's one depth, so each row is bit-identical to
-    its own call, depth included, and costs what that call costs
-    (protect_depth's power chains and m plaintext mults).
+    The windows of one embedding take one parameter set and one scale.
+    Windows of a batch of B embeddings take one set per row, a sequence of
+    B with row b's at b, and a scalar or B scales, and give a B-row batch of
+    templates.  Every set of width m has one protect_depth, so each row is
+    bit-identical to its own call, depth included, and costs what that call
+    costs (protect_depth's power chains and m plaintext mults).
     """
-    sets = _layout_sets(params)
+    sets = _row_sets(params, windows.rows)
     if (windows.m, windows.overlap) != (sets[0].m, sets[0].overlap):
         raise ValueError("windows were laid out for a different window width or overlap")
-    if len(sets) not in (1, windows.rows):
-        raise ValueError(f"{len(sets)} parameter sets for a batch of {windows.rows} rows: give one or one per row")
-    if len({protect_depth(p) for p in sets}) > 1:
-        raise ValueError("a batch's parameter sets must share one protect_depth")
     # a column whose rows all share their exponent uses the column's memo
     terms = [
         _pow_ct(ct, exps[0], memo) if len(set(exps)) == 1 else _column_power(ct, exps)
         for ct, exps, memo in zip(windows.cts, zip(*(p.exps for p in sets)), windows.memos)
     ]
     # row b's weights are its coefficients times its scale: one scalar per
-    # term when one row of weights serves every row, else a (B, 1) column
-    # of row scalars per term
+    # term for one embedding, a (B, 1) column of row scalars per term for a
+    # batch
     scales = np.asarray(scale, dtype=np.float64).reshape(-1, 1)
     weights = np.array([p.coeffs for p in sets], dtype=np.float64) * scales
-    return pack_template(terms, weights[0] if len(weights) == 1 else weights.T[:, :, None])
+    return pack_template(terms, weights[0] if windows.rows is None else weights.T[:, :, None])
 
 
 def protect_depth(params: PolyProtectParams) -> int:
     """Depth of protect_encrypted's template on top of its windows' depth:
-    power chain, coefficient."""
-    return (max(params.exps) - 1).bit_length() + 1
+    power chain to exponent m, coefficient; ceil(log2 m) + 1."""
+    return (params.m - 1).bit_length() + 1
 
 
 def template_correlation(a, b) -> float:
@@ -382,14 +378,13 @@ def expected_template_norm(params: PolyProtectParams, n: int) -> float:
     template_norms); it sizes the inverse-sqrt fit domain that perfbench's
     domain-margin figures are measured against.
     """
-    dim = n
     second = 0.0
     mean = 0.0
     for c, e in zip(params.coeffs, params.exps):
-        second += c * c * _sphere_even_moment(2 * e, dim)
+        second += c * c * _sphere_even_moment(2 * e, n)
         if e % 2 == 0:
-            mean += c * _sphere_even_moment(e, dim)
-            second -= (c * _sphere_even_moment(e, dim)) ** 2
+            mean += c * _sphere_even_moment(e, n)
+            second -= (c * _sphere_even_moment(e, n)) ** 2
     second += mean * mean
     k = output_len(n, params.m, params.overlap)
     return math.sqrt(max(k * second, 1e-300))

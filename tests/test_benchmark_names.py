@@ -13,6 +13,7 @@ fails here and not only in a benchmark run.
 
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -29,6 +30,7 @@ with mock.patch.dict(os.environ):  # run.py pins BLAS threads for its own proces
     import run  # noqa: E402
 
 import workloads  # noqa: E402
+from polyfhe import backend  # noqa: E402
 from polyfhe.leakage import LeakageReport  # noqa: E402
 from polyfhe.pipeline import Pipeline, PipelineConfig  # noqa: E402
 
@@ -72,20 +74,34 @@ def test_workload_round_passes_its_checks_at_its_he_counts(tmp_path, monkeypatch
     workload = workloads.WORKLOADS[name]
     st = workload.setup(0, tmp_path)
     # perfbench counts HE ops per call; the ledger counts them per
-    # ciphertext.  On identify and enroll, whose context the workload holds,
-    # each counting pass must read the same from both, so a batch on a
-    # counted path fails here before it can under-read a benchmark.
+    # ciphertext.  Each counting pass must read the same from both, so a
+    # batch on a counted path fails here before it can under-read a
+    # benchmark.  The ledgers read are those of the context identify and
+    # enroll hold and of every context made through
+    # polyfhe.backend.EncryptionContext during the pass, as the leakage
+    # workload makes one per suite.
+    made = []
+    context = backend.EncryptionContext
+
+    def recording_context(*args, **kwargs):
+        made.append(context(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(backend, "EncryptionContext", recording_context)
+    held = [st.pipe.ctx] if name in ("identify", "enroll") else []
     passes = []  # (ledger difference, items, counts per item) per count_he call
-    if name in ("identify", "enroll"):
-        count_he = workloads.count_he
+    count_he = workloads.count_he
 
-        def counted(run, items):
-            before = st.pipe.ctx.ops.copy()
-            got = count_he(run, items)
-            passes.append((st.pipe.ctx.ops - before, items, got))
-            return got
+    def counted(run, items):
+        fresh = len(made)
+        before = [ctx.ops.copy() for ctx in held]
+        got = count_he(run, items)
+        ledger = sum((ctx.ops - old for ctx, old in zip(held, before)), Counter())
+        ledger = sum((ctx.ops for ctx in made[fresh:]), ledger)
+        passes.append((ledger, items, got))
+        return got
 
-        monkeypatch.setattr(workloads, "count_he", counted)
+    monkeypatch.setattr(workloads, "count_he", counted)
     try:
         workload.prepare(st)
         out, times = workload.round(st)
@@ -96,6 +112,6 @@ def test_workload_round_passes_its_checks_at_its_he_counts(tmp_path, monkeypatch
     assert times and attempted > 0
     assert (failed, fault) == (0, 0)
     assert {kind: got[kind] for kind in counts} == counts
-    assert passes or name == "leakage"
+    assert passes
     for ledger, items, per_call in passes:
         assert {kind: ledger[kind] / items for kind in counts} == {kind: per_call[kind] for kind in counts}

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from polyfhe.polyprotect import (
     template_correlation,
     template_norms,
 )
-from polyfhe.similarity import cosine_plain, cosine_unit_encrypted
+from polyfhe.similarity import cosine_plain, cosine_unit_encrypted, make_normalization_plan
 
 
 # How far an exact-mode encrypted score may sit from the plaintext oracle's.
@@ -152,6 +153,43 @@ def test_enroll_matches_plaintext_oracle():
     assert got.shape == (pipe.ctx.slot_capacity,) and not got[60:].any()
     assert not got[60:].any()
     assert rec.template.depth_used == protect_depth(params)
+
+
+def test_enroll_encrypts_one_dimensional_columns(monkeypatch):
+    # one embedding is one row: its m window columns are encrypted as single
+    # ciphertexts, not as one-row batches
+    shapes = []
+    encrypt = pp.encrypt
+
+    def spy(values, ctx):
+        shapes.append(np.shape(values))
+        return encrypt(values, ctx)
+
+    monkeypatch.setattr(pp, "encrypt", spy)
+    ds = gen_synthetic_dataset(small_spec())
+    pipe = Pipeline(PipelineConfig(seed=2))
+    rec = pipe.enroll(ds[0], pipe.gen_user_params(0))
+    assert shapes == [(60,)] * 5
+    assert rec.template.slots.shape == (pipe.cfg.slot_capacity,)
+
+
+def test_plan_bound_is_16_for_every_window_count():
+    # a bound of 4/sqrt(k) per element of a k-vector gives c_bound =
+    # k (4/sqrt(k))^2, which is 16 up to rounding whatever k is
+    for k in range(1, 2049):
+        assert abs(make_normalization_plan(4.0 / math.sqrt(k), k).c_bound - 16.0) <= 1e-15 * 16.0
+
+
+def test_plan_and_fit_are_the_same_for_every_config():
+    pipes = [
+        Pipeline(cfg)
+        for cfg in (PipelineConfig(), PipelineConfig(compress_dim=32, m=3, overlap=1), PipelineConfig(compress_dim=128))
+    ]
+    for pipe in pipes:
+        assert pipe.plan == pipes[0].plan and pipe.plan.c_bound == 16.0
+        assert pipe.approx.domain == pipes[0].approx.domain == (1.0 / 2048.0, 1.0 / 32.0)
+        assert pipe.approx.coeffs.tobytes() == pipes[0].approx.coeffs.tobytes()
+        assert pipe.approx.fit_report == pipes[0].approx.fit_report
 
 
 def test_enroll_deterministic_in_exact_mode():
@@ -346,7 +384,7 @@ def _packed_counts(gallery, pipe):
     chains = [set().union(*(_power_chain(p.exps[i]) for p in params)) for i in range(m)]
     packs = {rec.pack for rec in gallery}
     return {
-        "rotations": len(packs) * (pipe.k - 1).bit_length(),
+        "rotations": len(packs) * (pp.output_len(pipe.cfg.compress_dim, m, pipe.cfg.overlap) - 1).bit_length(),
         "ct_mults": len(packs) + sum(len(chain) for chain in chains),
         "pt_mults": m * len(gallery),
         "encryptions": m,
@@ -420,8 +458,10 @@ def test_identify_plaintext_mults_do_not_depend_on_shared_exponents():
     pipe = Pipeline(PipelineConfig(seed=4))
     shared = pipe.gen_user_params(0)
     for params in ([shared] * 4, [pipe.gen_user_params(i) for i in range(4)]):
-        templates = pl._protect(enrolled, params, pipe.ctx, 64)
-        entries = [(e.subject_id, t, p, 64, None) for e, t, p in zip(enrolled, templates, params)]
+        entries = [
+            (e.subject_id, pl._protect(compress_prefix(e, 64), p, pipe.ctx), p, 64, None)
+            for e, p in zip(enrolled, params)
+        ]
         gallery = pl._pack_gallery(entries, pipe.ctx)
         assert len({rec.pack for rec in gallery}) == 2
         before = pipe.ctx.ops.copy()
@@ -500,8 +540,10 @@ def test_identify_equals_per_record_reference_at_the_benchmark_shape():
     gallery, probes = build_gallery(ds, pipe)
     enrolled, _ = enroll_split(ds)
     params = [gen_params(3, 1, 50, seed=[9, i]) for i in range(9)]
-    templates = pl._protect(enrolled[:9], params, pipe.ctx, 48)
-    entries = [(e.subject_id + "b", t, p, 48, None) for e, t, p in zip(enrolled, templates, params)]
+    entries = [
+        (e.subject_id + "b", pl._protect(compress_prefix(e, 48), p, pipe.ctx), p, 48, None)
+        for e, p in zip(enrolled, params)
+    ]
     others = pl._pack_gallery(entries, pipe.ctx)  # k = 24: four per ciphertext, then a pack of one
     mixed = gallery[150:] + others
     assert gallery[1].block == 1 and gallery[8].pack is gallery[9].pack
@@ -811,6 +853,42 @@ def test_save_gallery_unknown_params_id(tmp_path):
     gallery, _ = build_gallery(ds, pipe)
     with pytest.raises(UnknownParamsId):
         save_gallery(gallery, pipe.ctx, {}, tmp_path / "g")
+
+
+def test_save_gallery_writes_each_records_own_params(tmp_path):
+    # writing the set a store holds under a record's params_id, not the
+    # record's own, would make a gallery load_gallery refuses: such a store
+    # is refused before anything is written
+    ds = gen_synthetic_dataset(small_spec(num_ids=2, samples_per_id=1))
+    pipe = Pipeline(PipelineConfig(seed=6))
+    gallery, _ = build_gallery(ds, pipe)
+    store = pipe.params_store | {gallery[0].params_id: gallery[1].params}
+    with pytest.raises(UnknownParamsId, match=gallery[0].params_id):
+        save_gallery(gallery, pipe.ctx, store, tmp_path / "bad")
+    assert not (tmp_path / "bad").exists()
+    save_gallery(gallery, pipe.ctx, pipe.params_store, tmp_path / "g")
+    loaded, loaded_store, _ = load_gallery(tmp_path / "g", pipe.ctx)
+    assert [rec.params for rec in loaded] == [rec.params for rec in gallery]
+    assert loaded_store == {rec.params_id: rec.params for rec in gallery}
+
+
+def test_save_gallery_takes_equal_sets_drawn_under_other_seeds(tmp_path):
+    # with m = 2 and c_range = 1 only four sets exist, so five users share
+    # ids; the store keeps the later seed's set, and the seed is no part of
+    # the id, so each record's set is still the one stored under its id
+    ds = gen_synthetic_dataset(small_spec(num_ids=5, samples_per_id=1))
+    pipe = Pipeline(PipelineConfig(m=2, overlap=1, c_range=1, seed=3))
+    gallery, _ = build_gallery(ds, pipe)
+    assert len(pipe.params_store) < len(gallery)
+    assert any(pipe.params_store[rec.params_id].seed != rec.params.seed for rec in gallery)
+    save_gallery(gallery, pipe.ctx, pipe.params_store, tmp_path / "g")
+    loaded, loaded_store, _ = load_gallery(tmp_path / "g", pipe.ctx)
+    assert [rec.params_id for rec in loaded] == [rec.params_id for rec in gallery]
+    assert loaded_store == pipe.params_store
+    save_gallery(loaded, pipe.ctx, loaded_store, tmp_path / "again")
+    saved = {p.relative_to(tmp_path / "g"): p.read_bytes() for p in (tmp_path / "g").rglob("*") if p.is_file()}
+    again = {p.relative_to(tmp_path / "again"): p.read_bytes() for p in (tmp_path / "again").rglob("*") if p.is_file()}
+    assert again == saved
 
 
 def test_failed_save_leaves_the_existing_gallery_intact(tmp_path):

@@ -74,6 +74,21 @@ def test_params_validation():
         PolyProtectParams(3, 0, (0, -1, 2), (1, 2, 3), 5)  # zero coeff
 
 
+@pytest.mark.parametrize("exps", [(1, 3, 7), (7, 1, 3), (2, 5, 4), (9, 1, 16)])
+def test_params_refuse_exponents_that_are_not_a_permutation(tmp_path, exps):
+    # every set of width m has depth ceil(log2 m) + 1 because its exponents
+    # are a permutation of 1..m; a set, or a params file, with any other
+    # distinct positive exponents is refused
+    with pytest.raises(ValueError, match="permutation of 1..m"):
+        PolyProtectParams(3, 1, (4, -7, 2), exps, 50)
+    path = tmp_path / "params.json"
+    save_params(gen_params(3, 1, 50, seed=1), path)
+    d = json.loads(path.read_text())
+    path.write_text(json.dumps(d | {"exps": list(exps)}))
+    with pytest.raises(IntegrityError, match="permutation of 1..m"):
+        load_params(path)
+
+
 def test_params_id_is_computed_from_the_values():
     a = PolyProtectParams(5, 4, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 50)
     b = PolyProtectParams(5, 4, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 50)
@@ -152,10 +167,20 @@ def test_protect_too_short():
         chunk_embedding(np.ones(4), p)
 
 
-@pytest.mark.parametrize("v", [np.float64(0.5), np.ones((2, 5))])
+@pytest.mark.parametrize("v", [np.float64(0.5), np.ones((2, 2, 5))])
 def test_chunk_rejects_non_1d_input(v):
+    # one embedding or a (B, n) batch of them, nothing else
     with pytest.raises(ValueError):
         chunk_embedding(v, gen_params(2, 0, 50, seed=1))
+
+
+def test_chunk_cuts_each_row_of_a_batch():
+    p = gen_params(3, 1, 50, seed=1)
+    x = np.arange(1.0, 15.0).reshape(2, 7)
+    chunks = chunk_embedding(x, p)
+    assert chunks.shape == (2, 3, 3) and not chunks.flags.writeable
+    for b in range(2):
+        assert chunks[b].tobytes() == chunk_embedding(x[b], p).tobytes()
 
 
 def test_chunk_windows_are_a_read_only_view():
@@ -321,7 +346,7 @@ def _batch_cases():
     # layouts, and parameter sets that share or differ in their exponents
     yield 5, 4, [gen_params(5, 4, 50, seed=[3, b]) for b in range(7)]
     yield 3, 1, [gen_params(3, 1, 50, seed=[4, b]) for b in range(4)]
-    yield 3, 2, [PolyProtectParams(3, 2, (1, 2, 3), (1, 3, 7), 5)] * 3
+    yield 3, 2, [PolyProtectParams(3, 2, (1, 2, 3), (3, 1, 2), 5)] * 3
     yield 2, 0, [gen_params(2, 0, 50, seed=[5, b]) for b in range(5)]
 
 
@@ -346,13 +371,13 @@ def test_protect_batch_rows_equal_each_row_protected_alone(m, overlap, sets):
 
 
 def test_protect_batch_under_one_set_shares_the_column_memos(ctx):
-    p = PolyProtectParams(3, 1, (1, 2, 3), (1, 3, 7), 5)
+    p = PolyProtectParams(3, 1, (1, 2, 3), (1, 2, 3), 5)
     windows = encrypt_windows(np.linspace(-1.0, 1.0, 18).reshape(2, 9), p, ctx)
     before = ctx.ops["ct_mults"]
-    protect_encrypted(windows, p)
     protect_encrypted(windows, [p, p])
-    assert [set(memo) for memo in windows.memos] == [set(), {2, 3}, {2, 3, 4, 7}]
-    assert ctx.ops["ct_mults"] - before == 2 * 6  # both rows' chains, once
+    protect_encrypted(windows, [p, p])
+    assert [set(memo) for memo in windows.memos] == [set(), {2}, {2, 3}]
+    assert ctx.ops["ct_mults"] - before == 2 * 3  # both rows' chains, once
 
 
 def test_protect_batch_needs_one_layout():
@@ -365,19 +390,22 @@ def test_protect_batch_needs_one_layout():
         protect_encrypted(encrypt_windows(x, sets[0], ctx), sets)
 
 
-def test_protect_batch_needs_one_set_or_one_per_row_and_one_depth():
-    # fewer sets than rows would drop rows, and one depth cannot be two
-    # rows' own depths
+def test_protect_batch_needs_one_set_per_row():
+    # fewer sets than rows would drop rows; a batch row has its own set, so
+    # one set does not serve a whole batch, and one embedding takes one set
     ctx = EncryptionContext(128, 16, key_id="batch")
-    windows = encrypt_windows(np.linspace(-1.0, 1.0, 120).reshape(3, 40), gen_params(3, 1, 50, seed=1), ctx)
+    x = np.linspace(-1.0, 1.0, 120).reshape(3, 40)
+    windows = encrypt_windows(x, gen_params(3, 1, 50, seed=1), ctx)
     sets = [gen_params(3, 1, 50, seed=[6, b]) for b in range(4)]
-    assert len({p.exps for p in sets[:2]}) == 2
-    for wrong in (sets[:2], sets):
-        with pytest.raises(ValueError, match="parameter sets for a batch of 3 rows"):
+    for wrong in (sets[:2], sets, sets[0]):
+        with pytest.raises(ValueError, match="a batch of 3 rows takes a sequence of 3 parameter sets"):
             protect_encrypted(windows, wrong)
-    deeper = PolyProtectParams(3, 1, (1, 2, 3), (1, 2, 5), 5)
-    with pytest.raises(ValueError, match="one protect_depth"):
-        protect_encrypted(windows, [*sets[:2], deeper])
+        with pytest.raises(ValueError, match="a batch of 3 rows takes a sequence of 3 parameter sets"):
+            protect_plain(x, wrong)
+    with pytest.raises(ValueError, match="one embedding takes one parameter set"):
+        protect_encrypted(encrypt_windows(x[0], sets[0], ctx), sets[:1])
+    with pytest.raises(ValueError, match="one embedding takes one parameter set"):
+        protect_plain(x[0], sets[:1])
     assert decrypt(protect_encrypted(windows, sets[:3]), ctx).shape == (3, 128)
 
 
@@ -386,39 +414,23 @@ def test_template_norms_take_one_embedding():
         template_norms(np.ones((2, 16)), 1, np.array([[1, 2, 3]]), np.array([[1.0, 2.0, 3.0]]))
 
 
-@pytest.mark.parametrize("exps", [(1, 3, 7), (7, 1, 3), (2, 5, 4), (9, 1, 16)])
-def test_protect_encrypted_any_distinct_exponents(exps):
-    # parameters loaded from disk may hold any distinct positive exponents,
-    # not only a permutation of 1..m
-    ctx = EncryptionContext(64, 16, key_id="exps")
-    p = PolyProtectParams(3, 1, (4, -7, 2), exps, 50)
-    v = np.random.default_rng(sum(exps)).normal(size=40)
-    v /= np.linalg.norm(v)
-    plain = protect_plain(v, p)
-    packed = protect_encrypted(encrypt_windows(v, p, ctx), p)
-    got = decrypt(packed, ctx)
-    assert np.max(np.abs(got[: len(plain)] - plain)) <= 1e-9
-    assert not got[len(plain) :].any()
-    assert packed.depth_used == protect_depth(p) == (max(exps) - 1).bit_length() + 1
-
-
 def test_column_power_memos_are_shared_and_lazy(ctx):
     # each column's powers (and their balanced-split sub-powers) are built
     # once and only when a parameter set needs them; a second parameter set
     # reuses them
-    p = PolyProtectParams(3, 1, (1, 2, 3), (1, 3, 7), 5)
-    q = PolyProtectParams(3, 1, (5, -1, 4), (7, 3, 1), 5)
+    p = PolyProtectParams(3, 1, (1, 2, 3), (1, 2, 3), 5)
+    q = PolyProtectParams(3, 1, (5, -1, 4), (3, 2, 1), 5)
     windows = encrypt_windows(np.linspace(-1.0, 1.0, 9), p, ctx)
     protect_encrypted(windows, p)
-    assert [set(memo) for memo in windows.memos] == [set(), {2, 3}, {2, 3, 4, 7}]
+    assert [set(memo) for memo in windows.memos] == [set(), {2}, {2, 3}]
     before = [dict(memo) for memo in windows.memos]
     mults = ctx.ops["ct_mults"]
     protect_encrypted(windows, p)
     assert ctx.ops["ct_mults"] == mults
     assert all(memo[e] is old[e] for memo, old in zip(windows.memos, before) for e in old)
     protect_encrypted(windows, q)
-    assert [set(memo) for memo in windows.memos] == [{2, 3, 4, 7}, {2, 3}, {2, 3, 4, 7}]
-    assert ctx.ops["ct_mults"] == mults + 4  # column 0's chain to 7
+    assert [set(memo) for memo in windows.memos] == [{2, 3}, {2}, {2, 3}]
+    assert ctx.ops["ct_mults"] == mults + 2  # column 0's chain to 3
 
 
 def test_pack_template_is_the_weighted_sum(ctx):
@@ -452,7 +464,7 @@ def test_template_norms_match_protect_plain(m, overlap):
     v = np.random.default_rng(m).normal(size=64)
     v /= np.linalg.norm(v)
     params = [gen_params(m, overlap, 50, seed=[m, i]) for i in range(6)]
-    params.append(PolyProtectParams(m, overlap, tuple(range(1, m + 1)), tuple(3 * e for e in range(1, m + 1)), 50))
+    params.append(PolyProtectParams(m, overlap, tuple(range(1, m + 1)), tuple(range(m, 0, -1)), 50))
     want = [np.linalg.norm(protect_plain(v, p)) for p in params]
     exps = np.array([p.exps for p in params])
     coeffs = np.array([p.coeffs for p in params], dtype=np.float64)
