@@ -660,8 +660,9 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
     file of exactly HEADER_LEN + 8 x slot_capacity bytes, checked before it
     is opened; anything else raises IntegrityError.  A blob whose tag does
     not match raises IntegrityError, as does a params file that load_params
-    rejects or whose params_id is not its file name.  A record whose params
-    file is missing raises UnknownParamsId.
+    rejects or whose params_id is not its file name, or a record whose
+    compress_dim is below its m or gives more windows than the slot capacity.
+    A record whose params file is missing raises UnknownParamsId.
     """
     src = Path(in_dir)
     manifest = _read_manifest(src)
@@ -691,6 +692,12 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
                 raise IntegrityError(
                     f"gallery {src}: {rel} holds params_id {params.params_id!r}; it must equal the file name"
                 )
+        d = rec_meta["compress_dim"]
+        if d < params.m or output_len(d, params.m, params.overlap) > ctx.slot_capacity:
+            raise IntegrityError(
+                f"gallery {in_dir}: record {i} has compress_dim {d}, which needs to be at least m={params.m} "
+                f"and give at most {ctx.slot_capacity} windows"
+            )
         blob_path = rec_meta["blob_path"]
         if blob_path != f"blobs/{i}.ct":
             raise IntegrityError(f"gallery {in_dir}: record {i} names blob {blob_path!r}; it must be blobs/{i}.ct")
@@ -701,10 +708,10 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
         if info is None or not stat.S_ISREG(info.st_mode) or info.st_size != blob_len:
             raise IntegrityError(f"gallery {in_dir}: {blob_path} is not a regular file of {blob_len} bytes")
         blob = (src / blob_path).read_bytes()
-        tag = _record_tag(rec_meta["subject_id"], pid, rec_meta["compress_dim"], blob, ctx)
+        tag = _record_tag(rec_meta["subject_id"], pid, d, blob, ctx)
         if not hmac.compare_digest(tag.encode(), rec_meta["tag"].encode()):
             raise IntegrityError(f"gallery {in_dir}: record {i} ({blob_path}) does not match its tag")
         sv = deserialize_ciphertext(blob, ctx)
         sv.depth_used = protect_depth(params)
-        entries.append((rec_meta["subject_id"], sv, params, rec_meta["compress_dim"], blob))
+        entries.append((rec_meta["subject_id"], sv, params, d, blob))
     return _pack_gallery(entries, ctx), params_store, ctx

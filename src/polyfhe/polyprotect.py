@@ -12,8 +12,9 @@ Vercauteren): ciphertext i holds element i of window j in slot j, zeros from
 slot k on, so m encryptions hold all k windows and no slot ever has to move.
 A user's template is then one weighted sum, sum_i c_i * cts[i]^e_i: p_j in
 slot j, zeros from slot k on, no fold and no rotation.  Each power comes
-from square-and-multiply with sub-powers memoized on the windows, so every
-parameter set with the same (m, overlap) shares them.  Depth is
+from square-and-multiply with sub-powers memoized within one call, so a
+call's cost depends only on its arguments; a search that needs many powers
+of one column asks for them in one window_powers call.  Depth is
 ceil(log2 m) + 1 (power chain, coefficient) for every set of width m.
 
 B embeddings of one (m, overlap) are protected as one batch, each row under
@@ -160,18 +161,18 @@ def chunk_embedding(v, params: PolyProtectParams) -> np.ndarray:
     return windows
 
 
-def _row_sets(params, rows) -> tuple:
+def _row_sets(params, rows, layout=None) -> tuple:
     # one parameter set per row, as a tuple: one embedding (rows None) takes
-    # a set, a batch of B rows a sequence of B sets of one (m, overlap)
-    if rows is None:
-        if not isinstance(params, PolyProtectParams):
-            raise ValueError("one embedding takes one parameter set")
-        return (params,)
-    if isinstance(params, PolyProtectParams) or len(params) != rows:
+    # a set, a batch of B rows a sequence of B sets; every set has the
+    # (m, overlap) layout, or the first set's when none is given
+    if rows is None and not isinstance(params, PolyProtectParams):
+        raise ValueError("one embedding takes one parameter set")
+    if rows is not None and (isinstance(params, PolyProtectParams) or len(params) != rows):
         raise ValueError(f"a batch of {rows} rows takes a sequence of {rows} parameter sets, one per row")
-    sets = tuple(params)
-    if any((p.m, p.overlap) != (sets[0].m, sets[0].overlap) for p in sets):
-        raise ValueError("a batch's parameter sets must share one window width and overlap")
+    sets = (params,) if rows is None else tuple(params)
+    layout = layout or (sets[0].m, sets[0].overlap)
+    if any((p.m, p.overlap) != layout for p in sets):
+        raise ValueError(f"every parameter set must have window width and overlap {layout}")
     return sets
 
 
@@ -224,8 +225,7 @@ def template_norms(v, overlap: int, exps: np.ndarray, coeffs: np.ndarray) -> np.
 
 def _pow_ct(sv: SlotVector, e: int, memo: dict) -> SlotVector:
     # Balanced split keeps depth at exactly ceil(log2 e); memo shares
-    # sub-powers across exponents of one column ciphertext and across every
-    # parameter set applied to it.
+    # sub-powers across the exponents one call asks of one column ciphertext.
     if e == 1:
         return sv
     got = memo.get(e)
@@ -239,13 +239,12 @@ def _pow_ct(sv: SlotVector, e: int, memo: dict) -> SlotVector:
 
 @dataclass(frozen=True)
 class EncryptedWindows:
-    """An embedding's k windows as m encrypted columns, with their memos.
+    """An embedding's k windows as m encrypted columns.
 
     cts[i] holds element i of window j in slot j for j < k and zeros after;
     for a batch of B embeddings it is a B-row batch, row b embedding b's,
-    and rows is B (None for one embedding).
-    memos[i] caches the powers of cts[i] computed so far, so every parameter
-    set with this (m, overlap) shares them.
+    and rows is B (None for one embedding).  The value holds no computed
+    powers: every call on it pays for the powers it needs.
     """
 
     cts: tuple
@@ -253,7 +252,6 @@ class EncryptedWindows:
     m: int
     overlap: int
     rows: int | None
-    memos: tuple = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.k
@@ -280,12 +278,14 @@ def encrypt_windows(v, params: PolyProtectParams, ctx: EncryptionContext, copies
         by_column = blocks.reshape(by_column.shape[:-1] + (cap,))
     cts = tuple(encrypt(column, ctx) for column in by_column)  # encrypt zero-pads to capacity
     rows = len(windows) if windows.ndim == 3 else None
-    return EncryptedWindows(cts, k, params.m, params.overlap, rows, tuple({} for _ in cts))
+    return EncryptedWindows(cts, k, params.m, params.overlap, rows)
 
 
 def window_powers(windows: EncryptedWindows, pairs) -> list:
-    """cts[i]^e for each (column i, exponent e) in pairs, memoized on the windows."""
-    return [_pow_ct(windows.cts[i], e, windows.memos[i]) for i, e in pairs]
+    """cts[i]^e for each (column i, exponent e) in pairs; the pairs on one
+    column share their sub-powers, memoized for this call only."""
+    memos = [{} for _ in windows.cts]
+    return [_pow_ct(windows.cts[i], e, memos[i]) for i, e in pairs]
 
 
 def pack_template(terms, coeffs, scale=1.0) -> SlotVector:
@@ -302,12 +302,14 @@ def pack_template(terms, coeffs, scale=1.0) -> SlotVector:
 
 
 def _column_power(ct: SlotVector, exps: tuple) -> SlotVector:
-    # Row b of ct raised to exps[b], for a column whose rows differ in their
-    # exponents.  Rows that share an exponent go through one _pow_ct chain as
-    # a batch, so each row pays the mults its own chain costs.
+    # Row b of ct raised to exps[b], one embedding being one row.  Rows that
+    # share an exponent, or all of ct's, go through one _pow_ct chain
+    # together, so each row pays the mults its own chain costs.
     groups = {}
     for b, e in enumerate(exps):
         groups.setdefault(e, []).append(b)
+    if len(groups) == 1:
+        return _pow_ct(ct, exps[0], {})
     powered = stack([_pow_ct(take(ct, rows), e, {}) for e, rows in groups.items()])
     return take(powered, np.argsort(np.concatenate(list(groups.values()))))
 
@@ -316,9 +318,9 @@ def protect_encrypted(windows: EncryptedWindows, params, scale=1.0) -> SlotVecto
     """Apply the window polynomial to encrypted window columns.
 
     Returns the packed template: scale * p_j in slot j for j < k, zeros from
-    slot k on, at depth protect_depth(params) above the windows.  The powers
-    cts[i]^exps[i] it needs are memoized on the windows and reused by every
-    later parameter set on them.
+    slot k on, at depth protect_depth(params) above the windows.  It builds
+    the powers cts[i]^exps[i] it needs and keeps none, so its cost depends
+    only on its arguments.
 
     The windows of one embedding take one parameter set and one scale.
     Windows of a batch of B embeddings take one set per row, a sequence of
@@ -327,14 +329,8 @@ def protect_encrypted(windows: EncryptedWindows, params, scale=1.0) -> SlotVecto
     bit-identical to its own call, depth included, and costs what that call
     costs (protect_depth's power chains and m plaintext mults).
     """
-    sets = _row_sets(params, windows.rows)
-    if (windows.m, windows.overlap) != (sets[0].m, sets[0].overlap):
-        raise ValueError("windows were laid out for a different window width or overlap")
-    # a column whose rows all share their exponent uses the column's memo
-    terms = [
-        _pow_ct(ct, exps[0], memo) if len(set(exps)) == 1 else _column_power(ct, exps)
-        for ct, exps, memo in zip(windows.cts, zip(*(p.exps for p in sets)), windows.memos)
-    ]
+    sets = _row_sets(params, windows.rows, (windows.m, windows.overlap))
+    terms = [_column_power(ct, exps) for ct, exps in zip(windows.cts, zip(*(p.exps for p in sets)))]
     # row b's weights are its coefficients times its scale: one scalar per
     # term for one embedding, a (B, 1) column of row scalars per term for a
     # batch

@@ -6,7 +6,7 @@ import pytest
 
 from polyfhe import pipeline as pl
 from polyfhe import polyprotect as pp
-from polyfhe.backend import HEADER_LEN, decrypt
+from polyfhe.backend import HEADER_LEN, EncryptionContext, decrypt
 from polyfhe.errors import (
     CapacityExceeded,
     EmptyDataset,
@@ -961,6 +961,22 @@ def test_load_gallery_bad_manifest_is_integrity_error(tmp_path, edit, problem):
     with pytest.raises(IntegrityError) as exc:
         load_gallery(tmp_path / "g")
     assert str(tmp_path / "g") in str(exc.value) and problem in str(exc.value)
+
+
+@pytest.mark.parametrize("d", [0, PipelineConfig().m - 1, 300])
+def test_load_gallery_refuses_a_compress_dim_its_windows_cannot_take(tmp_path, d):
+    # under a tag recomputed for the new value, as anyone who can read the
+    # gallery's key id can: fewer than m values give no window, and 300
+    # values give more windows than the 128 slots hold
+    path, manifest = _saved_manifest(tmp_path)
+    meta, rec = manifest["ctx"], manifest["records"][1]
+    ctx = EncryptionContext(meta["slot_capacity"], meta["depth_budget"], key_id=bytes.fromhex(meta["key_id"]))
+    blob = (path.parent / rec["blob_path"]).read_bytes()
+    rec.update(compress_dim=d, tag=pl._record_tag(rec["subject_id"], rec["params_id"], d, blob, ctx))
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(IntegrityError) as exc:
+        load_gallery(tmp_path / "g")
+    assert str(tmp_path / "g") in str(exc.value) and f"record 1 has compress_dim {d}," in str(exc.value)
 
 
 @pytest.mark.parametrize("pid", ["../../outside", "ABCDEF0123456789", "0123456789abcde", "0123456789abcdef0"])

@@ -21,6 +21,7 @@ from polyfhe.polyprotect import (
     save_params,
     template_correlation,
     template_norms,
+    window_powers,
 )
 from polyfhe.summation import fold_add_all
 
@@ -323,7 +324,7 @@ def _packed_cases(cap=128):
 @pytest.mark.parametrize("m,overlap,n", list(_packed_cases()))
 def test_protect_packed_equals_pack_of_protect_encrypted(m, overlap, n):
     # The packed template holds scale * p_j in slot j and zeros after, at the
-    # depth protect_depth states, whatever power memos it reuses.
+    # depth protect_depth states.
     ctx = EncryptionContext(128, 16, key_id="packed")
     p = gen_params(m, overlap, 50, seed=[m, overlap, n])
     v = np.random.default_rng(n).normal(size=n)
@@ -335,7 +336,7 @@ def test_protect_packed_equals_pack_of_protect_encrypted(m, overlap, n):
     assert np.allclose(packed.slots[:k], 0.37 * protect_plain(v, p), rtol=1e-9, atol=1e-12)
     assert not packed.slots[k:].any()
     assert packed.depth_used == protect_depth(p)
-    # a second parameter set reuses the same windows and their power memos
+    # a second parameter set on the same windows gives its own template
     q = gen_params(m, overlap, 50, seed=[m, overlap, n, 1])
     reused = protect_encrypted(windows, q, 0.37)
     fresh = protect_encrypted(encrypt_windows(v, q, ctx), q, 0.37)
@@ -370,14 +371,23 @@ def test_protect_batch_rows_equal_each_row_protected_alone(m, overlap, sets):
     assert batch_ops == ctx.ops - before
 
 
-def test_protect_batch_under_one_set_shares_the_column_memos(ctx):
+@pytest.mark.parametrize("rows", [None, 2])
+def test_a_calls_cost_depends_only_on_its_arguments(ctx, rows):
+    # the windows keep no powers, so a repeated call pays what the first did;
+    # within one window_powers call, pairs on one column share sub-powers
     p = PolyProtectParams(3, 1, (1, 2, 3), (1, 2, 3), 5)
-    windows = encrypt_windows(np.linspace(-1.0, 1.0, 18).reshape(2, 9), p, ctx)
-    before = ctx.ops["ct_mults"]
-    protect_encrypted(windows, [p, p])
-    protect_encrypted(windows, [p, p])
-    assert [set(memo) for memo in windows.memos] == [set(), {2}, {2, 3}]
-    assert ctx.ops["ct_mults"] - before == 2 * 3  # both rows' chains, once
+    x = np.linspace(-1.0, 1.0, 18).reshape(2, 9)
+    windows = encrypt_windows(x if rows else x[0], p, ctx)
+    sets = [p] * rows if rows else p
+    pairs = [(0, 3), (1, 2), (2, 3), (2, 2)]
+    costs = []
+    for call in [lambda: protect_encrypted(windows, sets)] * 2 + [lambda: window_powers(windows, pairs)] * 2:
+        before = ctx.ops.copy()
+        call()
+        costs.append(ctx.ops - before)
+    per_row = rows or 1
+    assert costs[0] == costs[1] == {"ct_mults": 3 * per_row, "pt_mults": 3 * per_row}
+    assert costs[2] == costs[3] == {"ct_mults": 5 * per_row}
 
 
 def test_protect_batch_needs_one_layout():
@@ -412,25 +422,6 @@ def test_protect_batch_needs_one_set_per_row():
 def test_template_norms_take_one_embedding():
     with pytest.raises(ValueError, match="one embedding"):
         template_norms(np.ones((2, 16)), 1, np.array([[1, 2, 3]]), np.array([[1.0, 2.0, 3.0]]))
-
-
-def test_column_power_memos_are_shared_and_lazy(ctx):
-    # each column's powers (and their balanced-split sub-powers) are built
-    # once and only when a parameter set needs them; a second parameter set
-    # reuses them
-    p = PolyProtectParams(3, 1, (1, 2, 3), (1, 2, 3), 5)
-    q = PolyProtectParams(3, 1, (5, -1, 4), (3, 2, 1), 5)
-    windows = encrypt_windows(np.linspace(-1.0, 1.0, 9), p, ctx)
-    protect_encrypted(windows, p)
-    assert [set(memo) for memo in windows.memos] == [set(), {2}, {2, 3}]
-    before = [dict(memo) for memo in windows.memos]
-    mults = ctx.ops["ct_mults"]
-    protect_encrypted(windows, p)
-    assert ctx.ops["ct_mults"] == mults
-    assert all(memo[e] is old[e] for memo, old in zip(windows.memos, before) for e in old)
-    protect_encrypted(windows, q)
-    assert [set(memo) for memo in windows.memos] == [{2, 3}, {2}, {2, 3}]
-    assert ctx.ops["ct_mults"] == mults + 2  # column 0's chain to 3
 
 
 def test_pack_template_is_the_weighted_sum(ctx):
