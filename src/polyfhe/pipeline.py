@@ -5,15 +5,16 @@ identity Gaussian clusters on the unit sphere, with a configurable fraction
 of coordinates carrying attribute-aligned mean shifts so attribute
 classifiers have something to find.
 
-A gallery record holds its template directly: one packed ciphertext, built
-at enrollment by the same encrypted transform that a search applies to the
-probe.  The key holder scales each packed template, in the clear, by 1/||p||
-for its exact plaintext template p, so every stored or searched template has
-unit norm and a comparison's cosine is one product folded into slot 0
-(Boddeti, BTAS 2018): ceil(log2 k) rotations, one ciphertext mult, no inverse
-square root.  The scale is a plaintext per template, folded into the
-coefficient mults, so nothing new leaves the key holder and the stored
-ciphertext does not carry its template's norm.
+A gallery record holds its template directly: one packed ciphertext, built at
+enrollment by the same encrypted transform that a search applies to the probe.
+The key holder scales each packed template, in the clear, by 1/||p|| for its
+exact plaintext template p, from template_norms on both sides, so every stored
+or searched template has unit norm, an embedding gets one scale, bit for bit,
+as a record and as a probe, and a comparison's cosine is one product folded
+into slot 0 (Boddeti, BTAS 2018): ceil(log2 k) rotations, one ciphertext mult,
+no inverse square root.  The scale is a plaintext per template, folded into
+the coefficient mults, so nothing new leaves the key holder and no ciphertext
+carries its template's norm.
 
 Protection parameters are per user, so a 1:N search protects the probe under
 each record's own parameters.  Templates are searched packed (HERS,
@@ -291,11 +292,11 @@ def _unit_scales(norms):
 def _protect(x, params, ctx: EncryptionContext) -> SlotVector:
     # encrypt -> protect the compressed embedding x under its set, or each
     # row of a (B, n) batch under its own of B sets, scaled to unit norm by
-    # its exact template norm: one template, or a B-row batch of them
-    templates = np.atleast_2d(protect_plain(x, params))
-    scales = _unit_scales(np.array([np.linalg.norm(t) for t in templates]))
-    layout = params if np.ndim(x) == 1 else params[0]
-    return protect_encrypted(encrypt_windows(x, layout, ctx), params, scales)
+    # template_norms, as the search scales a probe: one template or B of them
+    sets = [params] if np.ndim(x) == 1 else params
+    exps, coeffs = (np.array([getattr(p, name) for p in sets], dtype=np.float64) for name in ("exps", "coeffs"))
+    scales = _unit_scales(template_norms(x, sets[0].overlap, exps, coeffs))
+    return protect_encrypted(encrypt_windows(x, sets[0], ctx), params, scales)
 
 
 def enroll(e: Embedding, params: PolyProtectParams, ctx: EncryptionContext, d: int) -> GalleryRecord:

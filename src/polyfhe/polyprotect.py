@@ -10,27 +10,22 @@ slot j, which is the stored template and what the encrypted cosine scores.
 The windows are encrypted column by column (SIMD packing after Smart and
 Vercauteren): ciphertext i holds element i of window j in slot j, zeros from
 slot k on, so m encryptions hold all k windows and no slot ever has to move.
-A user's template is then one weighted sum, sum_i c_i * cts[i]^e_i: p_j in
-slot j, zeros from slot k on, no fold and no rotation.  Each power comes
-from square-and-multiply with sub-powers memoized within one call, so a
-call's cost depends only on its arguments; a search that needs many powers
-of one column asks for them in one window_powers call.  Depth is
-ceil(log2 m) + 1 (power chain, coefficient) for every set of width m.
+A user's template is then one weighted sum, sum_i c_i * cts[i]^e_i, with no
+fold and no rotation.  Powers come from square-and-multiply, sub-powers
+memoized within one call (window_powers takes all a search needs), so a
+call's cost depends only on its arguments.  Depth is ceil(log2 m) + 1.
 
 B embeddings of one (m, overlap) are protected as one batch, each row under
-its own parameter set: each column ciphertext is a B-row batch (backend),
-the rows of a column that share an exponent run one power chain together,
-and each row is weighted by its own coefficients and scale.  Every row pays
-the ops it would pay alone, and its template, depth included, is
-bit-identical to its own.
+its own parameter set and scale (each column ciphertext a B-row batch, see
+backend); every row pays the ops it would pay alone, and its template, depth
+included, is bit-identical to its own.
 
-In the clear, an embedding's windows, or each row's of a (B, n) batch, are
-one gather through a read-only index built once per (n, m, overlap); the
-clear and encrypted paths cut them alike, with chunk_embedding.
-template_norms takes the parameter sets as stacked (N, m) exponent and
-coefficient rows, which a search pack builds once, at pack time
-(pipeline.TemplatePack), so a search does no per-parameter-set work in
-Python.
+In the clear, windows are one gather through a read-only index built once
+per (n, m, overlap), cut alike for both paths by chunk_embedding.  One
+kernel computes every clear template and template_norms, which enrollment
+and the search both scale by, is the one template norm; each sums in one
+fixed order, so a row's bits do not depend on the rows it came with.  A
+search pack stacks its sets' exponent and coefficient rows once.
 """
 
 from __future__ import annotations
@@ -98,9 +93,9 @@ def _params_id(m, overlap, c_range, coeffs, exps) -> str:
 def gen_params(m: int, overlap: int, c_range: int, seed) -> PolyProtectParams:
     """Sample per-user parameters deterministically from a seed.
 
-    Coefficients: m draws without replacement from the nonzero integers in
-    [-c_range, c_range].  Exponents: a random permutation of {1..m}, keeping
-    encrypted depth at ceil(log2 m) + 1.
+    Coefficients: m distinct nonzero integers in [-c_range, c_range], c_range
+    at most 2**53 (float64 holds each exactly), drawn as positions in that
+    pool, which is never built.  Exponents: a permutation of {1..m}.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -108,9 +103,12 @@ def gen_params(m: int, overlap: int, c_range: int, seed) -> PolyProtectParams:
         raise InfeasibleParams(
             f"c_range={c_range} offers only {2 * c_range} distinct nonzero coefficients, need {m}"
         )
+    if c_range > 2**53:
+        raise InfeasibleParams(f"c_range={c_range} exceeds 2**53, past which float64 cannot hold every coefficient")
     rng = np.random.default_rng(seed)
-    pool = np.concatenate([np.arange(-c_range, 0), np.arange(1, c_range + 1)])
-    coeffs = rng.choice(pool, size=m, replace=False).tolist()
+    # position j of the pool -c_range..-1, 1..c_range, skipping 0
+    draws = rng.choice(2 * c_range, size=m, replace=False)
+    coeffs = np.where(draws < c_range, draws - c_range, draws - c_range + 1).tolist()
     exps = (rng.permutation(m) + 1).tolist()
     return PolyProtectParams(m, overlap, coeffs, exps, c_range, seed=seed)
 
@@ -176,6 +174,30 @@ def _row_sets(params, rows, layout=None) -> tuple:
     return sets
 
 
+def _templates(v, overlap: int, exps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    # The (N, k) clear templates of the sets in the rows of exps and coeffs,
+    # applied to v, or row r to v[r] of an (N, n) batch.  Exponent arrays have
+    # their base's shape (numpy squares some elements of a broadcast one and
+    # calls pow for others) and terms are added in column order, so both
+    # methods give a row the same bits.
+    padded, index = _padded(v, exps.shape[-1], overlap)
+    if exps.ndim != 2 or exps.shape != coeffs.shape or padded.ndim == 2 and len(padded) != len(exps):
+        raise ValueError(f"an embedding, or a batch of N, takes (N, m) exps and coeffs of one shape, "
+                         f"not {exps.shape} and {coeffs.shape} for shape {np.shape(v)}")
+    k, m = index.shape
+    if padded.ndim == 1 and len(exps) > 1:  # one embedding, many sets: one table of its powers 1..m
+        table = np.power(padded, np.repeat(np.arange(1.0, m + 1), len(padded)).reshape(m, -1))[:, index.T].reshape(-1, k)
+        flat = (exps.astype(np.intp) - 1) * m + np.arange(m)  # row r, offset i: power exps[r, i] of offset i
+        terms = (table[flat[:, i]] * coeffs[:, i : i + 1] for i in range(m))
+    else:  # each row's windows raised to its own exponents, as (N, m, k)
+        powers = np.power(padded[..., index.T], np.repeat(exps.astype(np.float64)[..., None], k, axis=-1))
+        terms = iter((powers * coeffs[..., None]).transpose(1, 0, 2))
+    templates = next(terms).copy()
+    for term in terms:
+        templates += term
+    return templates
+
+
 def protect_plain(v, params) -> np.ndarray:
     """Apply the window polynomial in the clear: the k template values.
 
@@ -185,42 +207,19 @@ def protect_plain(v, params) -> np.ndarray:
     """
     rows = len(v) if np.ndim(v) == 2 else None
     sets = _row_sets(params, rows)
-    coeffs = np.array([p.coeffs for p in sets], dtype=np.float64)
-    exps = np.array([p.exps for p in sets], dtype=np.float64)
-    if rows is not None:  # row b's set against row b's (k, m) windows
-        coeffs, exps = coeffs[:, None], exps[:, None]
-    return (np.power(chunk_embedding(v, sets[0]), exps) * coeffs).sum(axis=-1)
+    exps, coeffs = (np.array([getattr(p, name) for p in sets], dtype=np.float64) for name in ("exps", "coeffs"))
+    return _templates(v, sets[0].overlap, exps, coeffs).reshape(np.shape(v)[:-1] + (-1,))
 
 
 def template_norms(v, overlap: int, exps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """||protect_plain(v, p)|| for each parameter set p of window width m and
-    this overlap, whose exponents and coefficients are a row of the (N, m)
-    arrays exps and coeffs; one array of N norms.
+    """||protect_plain(x, p)|| for the N sets p of this overlap in the rows of
+    the (N, m) arrays exps and coeffs, x being v, or v[r] of an (N, n) batch.
 
-    A gallery pack stacks its records' rows once, when it is built
-    (pipeline.TemplatePack).  Each element of v is raised once to each
-    exponent 1..m and the powers are cut into windows once, so the cost per
-    extra parameter set is a gather and a weighted sum.
-    """
-    if exps.ndim != 2 or exps.shape != coeffs.shape:
-        raise ValueError(
-            f"template_norms needs exps and coeffs of one shape (N, m), got {exps.shape} and {coeffs.shape}"
-        )
-    padded, index = _padded(v, exps.shape[1], overlap)
-    if padded.ndim != 1:
-        raise ValueError(f"template_norms takes one embedding, a 1-D array, got shape {np.shape(v)}")
-    k, m = index.shape
-    # each element raised once to each exponent 1..m, then cut into windows
-    powers = (padded ** np.arange(1.0, m + 1)[:, None])[:, index.T]  # (exponent, offset, window)
-    # row r, offset i reads power (exps[r, i], i) through one flat index;
-    # the weighted terms are added offset by offset, so no temporary
-    # exceeds (N, k)
-    table = powers.reshape(-1, k)
-    flat = (exps - 1) * m + np.arange(m)
-    templates = table[flat[:, 0]] * coeffs[:, :1]
-    for i in range(1, m):
-        templates += table[flat[:, i]] * coeffs[:, i : i + 1]
-    return np.linalg.norm(templates, axis=1)
+    Enrollment and the search both scale by it.  Squares are summed in
+    numpy's pairwise order over one contiguous row, with no BLAS, so a row's
+    norm does not depend on N or on its place in the batch."""
+    templates = np.ascontiguousarray(_templates(v, overlap, exps, coeffs))
+    return np.sqrt(np.add.reduce(templates * templates, axis=-1))
 
 
 def _pow_ct(sv: SlotVector, e: int, memo: dict) -> SlotVector:

@@ -369,9 +369,9 @@ PINNED_SUITE_SEED_3 = [
     ("gender", "mrl+fhe", 1.0, 0.5291666666666667, 0.4708333333333333, 0.4708333333333333, 0.5166666666666667),
     ("age_band", "mrl+fhe", 1.0, 0.26666666666666666, 0.7333333333333334, 0.7333333333333334, 0.3125),
     ("ethnicity", "mrl+fhe", 1.0, 0.30833333333333335, 0.6916666666666667, 0.6916666666666667, 0.3333333333333333),
-    ("gender", "mrl+polyprotect+fhe", 1.0, 0.5208333333333334, 0.47916666666666663, 0.47916666666666663, 0.5166666666666667),
-    ("age_band", "mrl+polyprotect+fhe", 1.0, 0.25, 0.75, 0.75, 0.3125),
-    ("ethnicity", "mrl+polyprotect+fhe", 1.0, 0.24166666666666667, 0.7583333333333333, 0.7583333333333333, 0.3333333333333333),
+    ("gender", "mrl+polyprotect+fhe", 1.0, 0.5041666666666667, 0.49583333333333335, 0.49583333333333335, 0.5166666666666667),
+    ("age_band", "mrl+polyprotect+fhe", 1.0, 0.24583333333333332, 0.7541666666666667, 0.7541666666666667, 0.3125),
+    ("ethnicity", "mrl+polyprotect+fhe", 1.0, 0.2791666666666667, 0.7208333333333333, 0.7208333333333333, 0.3333333333333333),
 ]
 
 

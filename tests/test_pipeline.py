@@ -244,6 +244,35 @@ def test_identify_plain_rejects_params_list_of_another_length():
         identify_plain(ds[0], ds[:1], params_list, 64)
 
 
+def test_enroll_and_the_search_scale_by_one_template_norm(monkeypatch):
+    # 40 embeddings x 50 parameter sets at the default config: the scale
+    # enroll gives each embedding under each set equals, bit for bit, the
+    # scale identify gives it as a probe against the record of that set, and
+    # the scale of its row in a batch
+    pipe = Pipeline(PipelineConfig(seed=8))
+    d, ctx = pipe.cfg.compress_dim, pipe.ctx
+    values = np.random.default_rng(8).normal(size=(40, 512))
+    people = [Embedding(v / np.linalg.norm(v), f"id{i:04d}", {}) for i, v in enumerate(values)]
+    params = [pipe.gen_user_params(i) for i in range(50)]
+    gallery = [enroll(people[0], p, ctx, d) for p in params]
+    taken = []
+    unit_scales = pl._unit_scales
+    monkeypatch.setattr(pl, "_unit_scales", lambda norms: taken.append(unit_scales(norms)) or taken[-1])
+    enrolled = np.empty((40, 50))
+    searched = np.empty((40, 50))
+    for i, e in enumerate(people):
+        for j, p in enumerate(params):
+            enroll(e, p, ctx, d)
+            enrolled[i, j] = taken.pop()[0]
+        identify(e, gallery, ctx)
+        searched[i] = taken.pop()
+    assert enrolled.tobytes() == searched.tobytes()
+    x = np.array([compress_prefix(e, d) for e in people])
+    for j, p in enumerate(params[:5]):
+        pl._protect(x, [p] * len(x), ctx)
+        assert taken.pop().tobytes() == enrolled[:, j].tobytes()
+
+
 def _identify_per_record(probe, gallery, pipe):
     # The search without shared probe work: the probe is encrypted,
     # protected and normalized from scratch for every record.

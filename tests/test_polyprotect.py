@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,36 @@ def test_gen_params_infeasible_range():
     with pytest.raises(InfeasibleParams):
         gen_params(5, 0, 2, seed=1)  # only 4 distinct nonzero values available
     gen_params(5, 0, 3, seed=1)  # 6 available: feasible
+    with pytest.raises(InfeasibleParams, match="exceeds 2\\*\\*53"):
+        gen_params(5, 0, 2**53 + 1, seed=1)  # a coefficient past 2**53 is not exact in float64
+    with pytest.raises(InfeasibleParams):
+        gen_params(5, 0, 2**64, seed=1)
+
+
+@pytest.mark.parametrize("c_range", [3, 50, 10**4])
+def test_gen_params_draws_from_the_pool_without_building_it(c_range):
+    # the same draws as choosing from the whole nonzero pool, so seeded
+    # parameters do not change
+    for m, seed in [(5, 7), (6, [3, 1]), (2, 0)]:
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([np.arange(-c_range, 0), np.arange(1, c_range + 1)])
+        want = rng.choice(pool, size=m, replace=False).tolist(), (rng.permutation(m) + 1).tolist()
+        p = gen_params(m, 1, c_range, seed=seed)
+        assert (list(p.coeffs), list(p.exps)) == want
+
+
+def test_gen_params_cost_does_not_grow_with_the_range():
+    # the pool of 2 * c_range values is never allocated (30 MiB at 10**6)
+    for c_range in (10**6, 10**12, 2**53):
+        tracemalloc.start()
+        try:
+            p = gen_params(5, 4, c_range, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert len(set(p.coeffs)) == 5 and all(c != 0 and -c_range <= c <= c_range for c in p.coeffs)
+        assert all(float(c) == c for c in p.coeffs)
 
 
 def test_params_validation():
@@ -419,9 +450,44 @@ def test_protect_batch_needs_one_set_per_row():
     assert decrypt(protect_encrypted(windows, sets[:3]), ctx).shape == (3, 128)
 
 
-def test_template_norms_take_one_embedding():
-    with pytest.raises(ValueError, match="one embedding"):
-        template_norms(np.ones((2, 16)), 1, np.array([[1, 2, 3]]), np.array([[1.0, 2.0, 3.0]]))
+def test_template_norms_take_one_set_per_batch_row():
+    exps, coeffs = np.array([[1, 2, 3]] * 3), np.array([[1.0, 2.0, 3.0]] * 3)
+    for rows in (1, 2, 4):
+        with pytest.raises(ValueError, match=r"a batch of N, takes \(N, m\) exps and coeffs of one shape"):
+            template_norms(np.ones((rows, 16)), 1, exps, coeffs)
+    assert template_norms(np.ones((3, 16)), 1, exps, coeffs).shape == (3,)
+
+
+@pytest.mark.parametrize("n,m,overlap", [(64, 5, 4), (64, 2, 0), (5, 5, 4), (6, 5, 0), (64, 10, 9), (300, 7, 2)])
+def test_a_rows_template_and_norm_do_not_depend_on_its_batch(n, m, overlap):
+    # bit for bit, each row of a (B, n) batch and each set applied to one
+    # embedding give what the row or set gives alone, whatever the layout
+    # (one window, m = 2, m >= 8) and the row's place
+    rng = np.random.default_rng(n + m)
+    x = rng.normal(size=(40, n))
+    sets = [gen_params(m, overlap, 50, seed=[n, m, b]) for b in range(40)]
+    exps, coeffs = np.array([p.exps for p in sets]), np.array([p.coeffs for p in sets], dtype=np.float64)
+    batch, shared = template_norms(x, overlap, exps, coeffs), template_norms(x[0], overlap, exps, coeffs)
+    plain = protect_plain(x, sets)
+    for b, p in enumerate(sets):
+        alone = (exps[b : b + 1], coeffs[b : b + 1])
+        assert batch[b] == template_norms(x[b], overlap, *alone)[0]
+        assert shared[b] == template_norms(x[0], overlap, *alone)[0]
+        template = protect_plain(x[b], p)
+        assert plain[b].tobytes() == template.tobytes()
+        assert batch[b] == np.sqrt(np.add.reduce(template * template))
+
+
+def test_protect_plain_adds_its_terms_in_column_order():
+    # at m = 10 numpy's own sum over the terms would go pairwise
+    p = gen_params(10, 9, 50, seed=4)
+    v = np.random.default_rng(4).normal(size=64)
+    windows = chunk_embedding(v, p)
+    terms = np.power(windows, np.tile(np.array(p.exps, dtype=np.float64), (len(windows), 1))) * np.array(p.coeffs)
+    want = terms[:, 0].copy()
+    for i in range(1, 10):
+        want += terms[:, i]
+    assert protect_plain(v, p).tobytes() == want.tobytes()
 
 
 def test_pack_template_is_the_weighted_sum(ctx):
