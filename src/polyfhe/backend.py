@@ -20,16 +20,16 @@ counts depend on the order of calls.
 Batches: a SlotVector may hold B ciphertexts at once, a (B, capacity) slot
 array, as SIMD evaluation over many ciphertexts does (Smart-Vercauteren,
 DCC 2014).  encrypt makes one from a (B, n) matrix and decrypt returns
-(B, capacity).  Every op acts row by row, rotations on the last axis, and
-binary ops need operands of one row count.  A batch keeps one depth, the
-greatest of its rows'.  It is B ciphertexts, so take reads rows of it and
-stack joins ciphertexts into a batch, both at no HE cost;
-serialize_ciphertext takes one ciphertext at a time, so a batch is
-serialized row by row and the nonce stream is the one its rows would draw.
+(B, capacity).  Every op acts row by row, rotations on the last axis;
+binary ops need one row count, and a single ciphertext is no one-row batch.
+A batch keeps one depth, the greatest of its rows'.  It is B ciphertexts,
+so take reads rows of it and stack joins ciphertexts into a batch, both at
+no HE cost; serialize_ciphertext takes one ciphertext at a time, so a batch
+is serialized row by row and the nonce stream is the one its rows draw.
 
 Op accounting: each context keeps one ledger, ctx.ops, a Counter to which
-rotate_left, mult, mult_plain and encrypt each add 1 per ciphertext (one per
-row of a batch) under "rotations", "ct_mults", "pt_mults" and
+rotate_left, mult, mult_plain and encrypt each add 1 per ciphertext (rows
+or 1: one per row of a batch) under "rotations", "ct_mults", "pt_mults" and
 "encryptions"; no other op counts.  It counts the ops performed, so a value
 that feeds both sides of an op counts once, and a computation's cost is the
 ledger difference around it, whether it ran row by row or as one batch.
@@ -37,12 +37,12 @@ Depth stays on each SlotVector: it belongs to a ciphertext, not to a tally.
 
 Capacity invariant: every SlotVector made under a context holds exactly
 ctx.slot_capacity slots per row -- encrypt pads to it, deserialize_ciphertext
-checks it, and every op keeps its input's shape.  So add and mult check keys
-and capacities only for operands of two different context objects, and row
-counts by the operands' sizes.  A rotation is a fixed slot permutation (the
-Galois automorphism of CKKS); up to _GATHER_MAX_CAPACITY slots the simulator
-applies it as one gather through a precomputed read-only index table, above
-that as two slice copies.
+checks it, and every op keeps its input's shape and rows (see SlotVector).
+So add and mult check keys, capacities and shapes only for operands of two
+context objects or two row counts.  A rotation is a fixed slot permutation
+(the Galois automorphism of CKKS): up to _GATHER_MAX_CAPACITY slots one
+gather through a read-only index view precomputed per (capacity, offset),
+above that two slice copies.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, DepthExceeded, IntegrityError, KeyMismatch
 
+_FLOAT64 = np.dtype(np.float64)
 _KEY_LEN = 16
 _NONCE_LEN = 16
 HEADER_LEN = _KEY_LEN + _NONCE_LEN + 4  # key, nonce, capacity; the slot payload follows
@@ -75,9 +76,16 @@ def _doubled_range(cap: int) -> np.ndarray:
     return idx
 
 
-# Per power-of-two capacity c up to the limit, arange(c) twice and read-only:
-# a left rotation by k gathers slots _ROTATION_INDEX[c][k : k + c].
+# Per power-of-two capacity c up to the limit, arange(c) twice, read-only;
+# a left rotation by k < c gathers its view _ROTATION_VIEWS[c][k], [k, k + c).
 _ROTATION_INDEX = {1 << i: _doubled_range(1 << i) for i in range(_GATHER_MAX_CAPACITY.bit_length())}
+_ROTATION_VIEWS = {c: tuple(idx[k : k + c] for k in range(c)) for c, idx in _ROTATION_INDEX.items()}
+
+
+class _Ledger(Counter):
+    # dict's item assignment: Counter's Python __delitem__ adds ~80 ns per op
+    __setitem__ = dict.__setitem__
+    __delitem__ = dict.__delitem__
 
 
 def _as_key_bytes(key_id) -> bytes:
@@ -110,7 +118,7 @@ class EncryptionContext:
     nonce_seed: int = None
     masking_seed: bytes = field(init=False, repr=False, compare=False)
     _nonce_rng: np.random.Generator = field(init=False, repr=False, compare=False)
-    ops: Counter = field(default_factory=Counter, init=False, repr=False, compare=False)
+    ops: Counter = field(default_factory=_Ledger, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cap = self.slot_capacity
@@ -135,20 +143,22 @@ class SlotVector:
     """A simulated ciphertext: capacity-length slot array plus its depth, or
     a batch of B ciphertexts: a (B, capacity) array and one depth.
 
-    Treat instances as immutable; all operations below return new values.
-    Do not read .slots in application code -- that is the simulator's
-    backstage, not part of the encrypted-domain contract.
+    rows is None for one ciphertext and B for a batch, set by the op that
+    makes the value.  Treat instances as immutable; all operations below
+    return new values.  Do not read .slots in application code -- that is
+    the simulator's backstage, not part of the encrypted-domain contract.
     """
 
-    __slots__ = ("slots", "depth_used", "ctx")
+    __slots__ = ("slots", "depth_used", "ctx", "rows")
 
-    def __init__(self, slots, depth_used, ctx):
+    def __init__(self, slots, depth_used, ctx, rows):
         self.slots = slots
         self.depth_used = depth_used
         self.ctx = ctx
+        self.rows = rows
 
     def __repr__(self):
-        batch = f"rows={self.slots.shape[0]}, " if self.slots.ndim == 2 else ""
+        batch = "" if self.rows is None else f"rows={self.rows}, "
         return f"SlotVector({batch}capacity={self.slots.shape[-1]}, depth={self.depth_used})"
 
 
@@ -164,11 +174,11 @@ def encrypt(values, ctx: EncryptionContext) -> SlotVector:
         raise CapacityExceeded(f"plaintext length {n} > slot capacity {ctx.slot_capacity}")
     slots = np.zeros(vals.shape[:-1] + (ctx.slot_capacity,), dtype=np.float64)
     if vals.ndim == 1:
-        slots[:n] = vals
+        slots[:n], rows = vals, None
     else:
-        slots[:, :n] = vals
-    ctx.ops["encryptions"] += 1 if vals.ndim == 1 else len(vals)
-    return SlotVector(slots, 0, ctx)
+        slots[:, :n], rows = vals, len(vals)
+    ctx.ops["encryptions"] += rows or 1
+    return SlotVector(slots, 0, ctx, rows)
 
 
 def decrypt(sv: SlotVector, ctx: EncryptionContext) -> np.ndarray:
@@ -183,37 +193,34 @@ def _check_pair(a: SlotVector, b: SlotVector):
         raise KeyMismatch("binary op across ciphertexts under different keys")
     if a.slots.shape[-1] != b.slots.shape[-1]:
         raise ValueError("binary op across ciphertexts of different capacities")
-    if a.slots.size != b.slots.size:
-        raise ValueError(f"binary op across batches of different sizes, slot shapes {a.slots.shape} and {b.slots.shape}")
+    if a.slots.shape != b.slots.shape:  # a single ciphertext is not a one-row batch
+        raise ValueError(f"binary op across batches of different shapes, {a.slots.shape} and {b.slots.shape}")
 
 
 def add(a: SlotVector, b: SlotVector) -> SlotVector:
     """Slot-wise sum.  Depth is max of the inputs."""
-    if a.ctx is not b.ctx or a.slots.size != b.slots.size:
+    if a.ctx is not b.ctx or a.rows != b.rows:
         _check_pair(a, b)
-    return SlotVector(a.slots + b.slots, a.depth_used if a.depth_used >= b.depth_used else b.depth_used, a.ctx)
+    return SlotVector(a.slots + b.slots, a.depth_used if a.depth_used >= b.depth_used else b.depth_used, a.ctx, a.rows)
 
 
 def mult(a: SlotVector, b: SlotVector) -> SlotVector:
     """Slot-wise ciphertext-ciphertext product; consumes one depth level."""
-    if a.ctx is not b.ctx or a.slots.size != b.slots.size:
+    if a.ctx is not b.ctx or a.rows != b.rows:
         _check_pair(a, b)
     depth = (a.depth_used if a.depth_used >= b.depth_used else b.depth_used) + 1
     ctx = a.ctx
     if depth > ctx.depth_budget:
         raise DepthExceeded(f"mult would reach depth {depth} > budget {ctx.depth_budget}")
-    ctx.ops["ct_mults"] += 1 if a.slots.ndim == 1 else len(a.slots)
-    return SlotVector(a.slots * b.slots, depth, ctx)
+    ctx.ops["ct_mults"] += a.rows or 1
+    return SlotVector(a.slots * b.slots, depth, ctx, a.rows)
 
 
 def _coerce_scalars(scalars, shape: tuple):
     """A scalar, 0-d or length-1 operand as a float; a capacity-length 1-D
     one (applied to every row of a batch), or for a B-row batch a
     (B, capacity) one or a (B, 1) column of one scalar per row, as a float64
-    array; anything else raises ValueError.  A float64 array of the
-    ciphertext's own shape, as the search's masks are, is checked first."""
-    if type(scalars) is np.ndarray and scalars.shape == shape and scalars.dtype == np.float64:
-        return scalars
+    array; anything else raises ValueError."""
     if isinstance(scalars, (int, float)):
         return float(scalars)
     vals = np.asarray(scalars, dtype=np.float64)
@@ -239,9 +246,11 @@ def mult_plain(a: SlotVector, scalars) -> SlotVector:
     if depth > ctx.depth_budget:
         raise DepthExceeded(f"mult_plain would reach depth {depth} > budget {ctx.depth_budget}")
     s = a.slots
-    vals = _coerce_scalars(scalars, s.shape)
-    ctx.ops["pt_mults"] += 1 if s.ndim == 1 else len(s)
-    return SlotVector(s * vals, depth, ctx)
+    # a float64 array of the ciphertext's shape (the search's masks) as it is
+    if type(scalars) is not np.ndarray or scalars.dtype != _FLOAT64 or scalars.shape != s.shape:
+        scalars = _coerce_scalars(scalars, s.shape)
+    ctx.ops["pt_mults"] += a.rows or 1
+    return SlotVector(s * scalars, depth, ctx, a.rows)
 
 
 def add_plain(a: SlotVector, scalars) -> SlotVector:
@@ -250,7 +259,7 @@ def add_plain(a: SlotVector, scalars) -> SlotVector:
     Free of depth cost (plaintext additions do not consume a level).
     """
     vals = _coerce_scalars(scalars, a.slots.shape)
-    return SlotVector(a.slots + vals, a.depth_used, a.ctx)
+    return SlotVector(a.slots + vals, a.depth_used, a.ctx, a.rows)
 
 
 def rotate_left(a: SlotVector, k: int) -> SlotVector:
@@ -265,28 +274,27 @@ def rotate_left(a: SlotVector, k: int) -> SlotVector:
     s = a.slots
     cap = s.shape[-1]
     k &= cap - 1  # capacity is a power of two
-    single = s.ndim == 1
     if cap <= _GATHER_MAX_CAPACITY:
-        index = _ROTATION_INDEX[cap][k : k + cap]
-        out = s[index] if single else s[:, index]
+        index = _ROTATION_VIEWS[cap][k]
+        out = s[index] if a.rows is None else s[:, index]
     elif k:
         out = np.empty_like(s)
         out[..., : cap - k] = s[..., k:]
         out[..., cap - k :] = s[..., :k]
     else:
         out = s.copy()
-    a.ctx.ops["rotations"] += 1 if single else len(s)
-    return SlotVector(out, a.depth_used, a.ctx)
+    a.ctx.ops["rotations"] += a.rows or 1
+    return SlotVector(out, a.depth_used, a.ctx, a.rows)
 
 
 def take(sv: SlotVector, index) -> SlotVector:
     """Row index of a batch as a single ciphertext, or rows index (a 1-D
     sequence of ints) as a batch in that order, at the batch's depth.  No HE
     op: a batch is its rows."""
-    slots = sv.slots[index] if sv.slots.ndim == 2 else None
+    slots = None if sv.rows is None else sv.slots[index]
     if slots is None or slots.ndim > 2:
         raise ValueError("take reads a row or a 1-D list of rows of a batch")
-    return SlotVector(slots, sv.depth_used, sv.ctx)
+    return SlotVector(slots, sv.depth_used, sv.ctx, None if slots.ndim == 1 else len(slots))
 
 
 def stack(cts) -> SlotVector:
@@ -297,7 +305,7 @@ def stack(cts) -> SlotVector:
     if any(ct.ctx.key_id != first.ctx.key_id for ct in cts):
         raise KeyMismatch("stack across ciphertexts under different keys")
     slots = np.vstack([ct.slots for ct in cts])  # ValueError across capacities
-    return SlotVector(slots, max(ct.depth_used for ct in cts), first.ctx)
+    return SlotVector(slots, max(ct.depth_used for ct in cts), first.ctx, len(slots))
 
 
 # --- keyed serialization -----------------------------------------------------
@@ -324,7 +332,7 @@ def serialize_ciphertext(sv: SlotVector, ctx: EncryptionContext) -> bytes:
     """
     if sv.ctx.key_id != ctx.key_id:
         raise KeyMismatch("serialize with a foreign context (missing secret key)")
-    if sv.slots.ndim != 1:
+    if sv.rows is not None:
         raise ValueError("serialize_ciphertext takes one ciphertext; serialize a batch's rows one at a time")
     nonce = ctx._fresh_nonce()
     payload = _xor_keystream(sv.slots.astype("<f8").tobytes(), ctx, nonce)
@@ -353,4 +361,4 @@ def deserialize_ciphertext(blob: bytes, ctx: EncryptionContext) -> SlotVector:
     if len(payload) != cap * 8:
         raise IntegrityError(f"ciphertext payload is {len(payload)} bytes, expected {cap * 8}")
     slots = np.frombuffer(_xor_keystream(payload, ctx, nonce), dtype="<f8").astype(np.float64)
-    return SlotVector(slots, 0, ctx)
+    return SlotVector(slots, 0, ctx, None)

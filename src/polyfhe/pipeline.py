@@ -33,14 +33,15 @@ side is built with the pack (TemplatePack): its masks (coefficients repeated
 over each block's slots), its records' stacked exponent and coefficient rows
 for template_norms, and each row's key into the probe's table of column
 powers; all read-only.  The probe's windows are encrypted once per group as
-m column ciphertexts copied into every block, each (column, exponent) power
-any pack needs is computed once, and the template norms of every listed
-record come from one call.  Each pack then pays one mask product in the
-clear, one plaintext mult per column of each of its records (m per record:
-records that share a (column, exponent) pair are not merged, so the count
-does not depend on the users' secret exponents), one product and one fold;
-record b's score is slot b W, bit-identical to a pack of one's, and a pack's
-scores are read with one strided gather.  Per comparison at the default
+m column ciphertexts copied into every block, all m^2 column powers 1..m are
+computed once (m (m - 1) ct mults, whatever exponents the records use), and
+the template norms of every listed record come from one call.  Each pack
+then pays one mask product in the clear, one plaintext mult per column of
+each of its records (m per record: records that share a (column, exponent)
+pair are not merged), one product and one fold, so a search's cost depends
+only on m and the gallery's shape.  Record b's score is slot b W,
+bit-identical to a pack of one's, and a group's scores are read with one
+decrypt of its packs' stacked products.  Per comparison at the default
 config and N = 200: 3 rotations, 0.6 ct-ct mults, 5 plaintext mults, 0.025
 encryptions (6, 1.1, 5 and 0.025 unpacked).  The comparison adds one level
 to protect_depth (5 at the default config).
@@ -67,7 +68,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import HEADER_LEN, EncryptionContext, SlotVector, add, decrypt, rotate_left, take
+from .backend import HEADER_LEN, EncryptionContext, SlotVector, add, decrypt, rotate_left, stack, take
 from .backend import deserialize_ciphertext, serialize_ciphertext
 from .errors import (
     EmptyDataset,
@@ -334,52 +335,57 @@ _SCORE_ROUNDING = 1e-9
 def identify(probe: Embedding, gallery: list, ctx: EncryptionContext) -> list:
     """Encrypted 1:N search: (subject_id, score) sorted by descending score.
 
-    The probe is protected under each record's own parameters, its pack's, scaled to
-    unit norm, and scored against the record's unit-norm template, per pack
-    (see the module docstring): the probe's templates for all the pack's
-    blocks are one weighted sum of column powers, under the pack's masks
-    times one row of slot scales that holds each record's probe scale in its
-    block and zeros in the blocks of records gallery does not list.  A
-    record listed twice is scored twice.  Ties break by subject_id for a
-    stable order.  A decrypted score that is not finite, or lies outside
-    [-1, 1] by more than rounding, raises IntegrityError naming the first
-    such record: both templates have unit norm, so such a score means a
-    record's ciphertext is not what enrollment stored.
+    The probe is protected under each record's own parameters, its pack's,
+    scaled to unit norm, and scored against the record's unit-norm template,
+    per pack (see the module docstring): the probe's templates for all the
+    pack's blocks are one weighted sum of its m^2 column powers, built once
+    per layout group, under the pack's masks times one row of slot scales
+    that holds each record's probe scale in its block and zeros in the
+    blocks of records gallery does not list.  Each layout group's products
+    are decrypted as one stack.  A record listed twice is scored twice.
+    Ties break by subject_id for a stable order.  A decrypted score that is
+    not finite, or lies outside [-1, 1] by more than rounding, raises
+    IntegrityError naming the first such record: both templates have unit
+    norm, so such a score means a record's ciphertext is not what
+    enrollment stored.
     """
     if not gallery:
         raise ValueError("identify needs a nonempty gallery")
-    layouts = {}  # layout -> pack -> the indices of the pack's listed records
+    packs = {}  # pack -> the indices of its listed records
     for i, rec in enumerate(gallery):
-        layouts.setdefault(rec.pack.layout, {}).setdefault(rec.pack, []).append(i)
+        packs.setdefault(rec.pack, []).append(i)
+    layouts = {}  # layout -> [(pack, its listed records)]
+    for pack, pack_listed in packs.items():
+        layouts.setdefault(pack.layout, []).append((pack, pack_listed))
     cap = ctx.slot_capacity
     scores = np.empty(len(gallery))
-    for (d, m, overlap), packs in layouts.items():
+    for (d, m, overlap), group in layouts.items():
         v = compress_prefix(probe, d)
-        listed = [i for pack_listed in packs.values() for i in pack_listed]
-        width = gallery[listed[0]].pack.width
+        width = group[0][0].width
         blocks = cap // width
-        windows = encrypt_windows(v, gallery[listed[0]].params, ctx, blocks)
+        windows = encrypt_windows(v, group[0][0].params[0], ctx, blocks)
+        listed = [i for _, pack_listed in group for i in pack_listed]
         # each listed record's block among all the packs' blocks, in listed order
         flat = np.array(
-            [row * blocks + gallery[i].block for row, pack_listed in enumerate(packs.values()) for i in pack_listed]
+            [row * blocks + gallery[i].block for row, (_, pack_listed) in enumerate(group) for i in pack_listed]
         )
-        block_scales = np.zeros(len(packs) * blocks)
+        block_scales = np.zeros(len(group) * blocks)
         block_scales[flat] = _unit_scales(
             template_norms(
                 v,
                 overlap,
-                np.concatenate([pack.exps for pack in packs])[flat],
-                np.concatenate([pack.block_coeffs for pack in packs])[flat],
+                np.concatenate([pack.exps for pack, _ in group])[flat],
+                np.concatenate([pack.block_coeffs for pack, _ in group])[flat],
             )
         )
-        slot_scales = np.repeat(block_scales, width).reshape(len(packs), cap)
-        keys = sorted(set().union(*[pack.terms for pack in packs]))
-        powers = dict(zip(keys, window_powers(windows, [(key % m, key // m) for key in keys])))
-        pack_scores = np.empty((len(packs), blocks))
-        for row, pack in enumerate(packs):
+        slot_scales = np.repeat(block_scales, width).reshape(len(group), cap)
+        # every column's powers 1..m; index e * m + i, a pack's key, is column i ** e
+        powers = [None] * m + window_powers(windows, [(key % m, key // m) for key in range(m, m * m + m)])
+        products = []
+        for row, (pack, _) in enumerate(group):
             probe_ct = pack_template([powers[key] for key in pack.terms], pack.masks, slot_scales[row])
-            pack_scores[row] = decrypt(cosine_unit_encrypted(pack.ciphertext, probe_ct, windows.k), ctx)[::width]
-        scores[listed] = pack_scores.reshape(-1)[flat]
+            products.append(cosine_unit_encrypted(pack.ciphertext, probe_ct, windows.k))
+        scores[listed] = decrypt(stack(products), ctx)[:, ::width].reshape(-1)[flat]
     bad = ~(np.abs(scores) <= 1.0 + _SCORE_ROUNDING)  # NaN fails the comparison too
     if bad.any():
         i = int(np.argmax(bad))
@@ -387,7 +393,8 @@ def identify(probe: Embedding, gallery: list, ctx: EncryptionContext) -> list:
             f"record {i} (subject {gallery[i].subject_id}) scores {scores[i]}, "
             "not the cosine of two unit-norm templates"
         )
-    return sorted(zip([rec.subject_id for rec in gallery], scores.tolist()), key=lambda t: (-t[1], t[0]))
+    ranked = sorted(zip((-scores).tolist(), [rec.subject_id for rec in gallery]))
+    return [(subject_id, -score) for score, subject_id in ranked]
 
 
 def identify_plain(probe: Embedding, enrollees: list, params_list: list, d: int) -> list:

@@ -563,3 +563,50 @@ def test_serialize_refuses_a_batch_and_takes_its_rows(ctx):
     blobs = [serialize_ciphertext(take(batch, b), seeded) for b in range(2)]
     assert blobs == [serialize_ciphertext(encrypt(row, twin), twin) for row in values]
     assert [decrypt(deserialize_ciphertext(blob, seeded), seeded)[:3].tolist() for blob in blobs] == values.tolist()
+
+
+def test_a_single_ciphertext_and_a_one_row_batch_do_not_mix(ctx):
+    # equal slot counts, different shapes: the sum would be a one-row batch
+    # that serialize_ciphertext refuses
+    single, one_row = encrypt(np.ones(3), ctx), encrypt(np.ones((1, 3)), ctx)
+    twin = EncryptionContext(8, 16, key_id="alice")  # another context object of the same key
+    for op in (add, mult):
+        for a, b in ((single, one_row), (one_row, single), (single, encrypt(np.ones((1, 3)), twin))):
+            with pytest.raises(ValueError, match="batches of"):
+                op(a, b)
+    assert add(one_row, one_row).rows == mult(one_row, one_row).rows == 1
+
+
+def _rows_of(slots) -> int | None:
+    return None if slots.ndim == 1 else len(slots)
+
+
+@pytest.mark.parametrize("values", [np.arange(3.0), np.arange(6.0).reshape(2, 3), np.ones((1, 3))])
+def test_every_op_sets_rows_and_the_ledger_counts_rows_or_one(ctx, values):
+    # rows is None for one ciphertext and B for a B-row batch, on every op
+    # that makes a SlotVector; a counted op adds rows or 1 to its kind
+    made = encrypt(values, ctx)
+    assert made.rows == _rows_of(made.slots) == (None if values.ndim == 1 else len(values))
+    assert ctx.ops == {"encryptions": made.rows or 1}
+    plain = np.full(made.slots.shape, 2.0)
+    ops = {
+        "add": (lambda: add(made, made), None),
+        "mult": (lambda: mult(made, made), "ct_mults"),
+        "mult_plain scalar": (lambda: mult_plain(made, 2.0), "pt_mults"),
+        "mult_plain own shape": (lambda: mult_plain(made, plain), "pt_mults"),
+        "add_plain": (lambda: add_plain(made, plain), None),
+        "rotate_left": (lambda: rotate_left(made, 3), "rotations"),
+        "encrypt": (lambda: encrypt(values, ctx), "encryptions"),
+        "stack": (lambda: stack([made, made]), None),
+    }
+    if made.rows is None:
+        ops["deserialize_ciphertext"] = (lambda: deserialize_ciphertext(serialize_ciphertext(made, ctx), ctx), None)
+    else:
+        ops["take row"] = (lambda: take(made, 0), None)
+        ops["take rows"] = (lambda: take(made, [0] * made.rows), None)
+    for name, (op, kind) in ops.items():
+        before = ctx.ops.copy()
+        out = op()
+        assert out.rows == _rows_of(out.slots), name
+        assert ctx.ops - before == ({kind: out.rows or 1} if kind else {}), name
+    assert stack([made, made]).rows == 2 * (made.rows or 1)

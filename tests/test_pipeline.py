@@ -404,17 +404,14 @@ def test_enroll_he_counts():
 
 def _packed_counts(gallery, pipe):
     # per pack: ceil(log2 k) rotations, one product, and one plaintext mult
-    # per column of each of its records, shared pairs not merged, so the
-    # count does not depend on the exponents; shared per probe:
-    # one encryption per window column and, per column, the power chains of
-    # the exponents the records give it
-    params = [rec.params for rec in gallery]
-    m = params[0].m
-    chains = [set().union(*(_power_chain(p.exps[i]) for p in params)) for i in range(m)]
+    # per column of each of its records, shared pairs not merged; shared per
+    # probe: one encryption per window column and powers 2..m of every
+    # column, m - 1 ct mults each; so no count depends on the exponents
+    m = gallery[0].params.m
     packs = {rec.pack for rec in gallery}
     return {
         "rotations": len(packs) * (pp.output_len(pipe.cfg.compress_dim, m, pipe.cfg.overlap) - 1).bit_length(),
-        "ct_mults": len(packs) + sum(len(chain) for chain in chains),
+        "ct_mults": len(packs) + m * (m - 1),
         "pt_mults": m * len(gallery),
         "encryptions": m,
     }
@@ -1096,3 +1093,20 @@ def test_load_gallery_bad_params_file_is_integrity_error(tmp_path, edit, rename,
     with pytest.raises(IntegrityError) as exc:
         load_gallery(tmp_path / "g")
     assert str(tmp_path / "g") in str(exc.value) and problem in str(exc.value)
+
+
+@pytest.mark.parametrize("n", [1, 5, 20])
+def test_a_search_costs_what_the_galleries_shape_fixes(n):
+    # every gallery of N records of one layout, whatever its records'
+    # secret exponents, costs one probe the same ledger difference: all m^2
+    # column powers are built, not only those the listed records use
+    costs = []
+    for seed in range(4):
+        ds = gen_synthetic_dataset(small_spec(num_ids=20, samples_per_id=2, seed=seed))
+        pipe = Pipeline(PipelineConfig(seed=seed))
+        gallery, probes = build_gallery(ds, pipe)
+        before = pipe.ctx.ops.copy()
+        pipe.identify(probes[0], gallery[:n])
+        costs.append(pipe.ctx.ops - before)
+    assert all(cost == costs[0] for cost in costs)
+    assert costs[0]["ct_mults"] == len({rec.pack for rec in gallery[:n]}) + 5 * 4  # packs + m (m - 1)
