@@ -29,8 +29,8 @@ import numpy as np
 
 from .backend import HEADER_LEN, EncryptionContext, encrypt, serialize_ciphertext
 from .errors import DegenerateLabels, DimensionMismatch, InfeasibleParams, ZeroBaseline
-from .pipeline import ATTRIBUTE_CLASSES, _protect, compress_prefix
-from .polyprotect import gen_params, protect_plain
+from .pipeline import _PROTECT_ROWS, ATTRIBUTE_CLASSES, _protect, compress_prefix
+from .polyprotect import gen_params, output_len, protect_plain
 
 VARIANTS = ("none", "polyprotect", "mrl", "mrl+polyprotect", "mrl+fhe", "mrl+polyprotect+fhe")
 
@@ -213,16 +213,26 @@ class LeakageReport:
         return self.a_p
 
 
+def _protect_rows(rows, params) -> np.ndarray:
+    # protect_plain of each row under params, stacked: _PROTECT_ROWS rows per
+    # call, which bounds the working set; each row's bits are its own call's
+    out = np.empty((len(rows), output_len(len(rows[0]), params.m, params.overlap)))
+    for i in range(0, len(rows), _PROTECT_ROWS):
+        batch = rows[i : i + _PROTECT_ROWS]
+        out[i : i + len(batch)] = protect_plain(np.stack(batch), [params] * len(batch))
+    return out
+
+
 def _variant_features(variant, dataset, ctx, params, compress_dim) -> np.ndarray:
     """The (samples, features) matrix the attacker sees for one variant."""
     if variant == "none":
         return np.stack([e.values for e in dataset])
     if variant == "polyprotect":
-        return np.stack([protect_plain(e.values, params) for e in dataset])
+        return _protect_rows([e.values for e in dataset], params)
     if variant == "mrl":
         return np.stack([compress_prefix(e, compress_dim) for e in dataset])
     if variant == "mrl+polyprotect":
-        return np.stack([protect_plain(compress_prefix(e, compress_dim), params) for e in dataset])
+        return _protect_rows([compress_prefix(e, compress_dim) for e in dataset], params)
     if variant == "mrl+fhe":
         return ciphertext_features([encrypt(compress_prefix(e, compress_dim), ctx) for e in dataset], ctx)
     if variant == "mrl+polyprotect+fhe":
@@ -313,6 +323,7 @@ def ablation_sweep(
     """
     if param not in ("overlap", "m", "c_range"):
         raise ValueError("param must be one of overlap, m, c_range")
+    x = [e.values for e in dataset]
     rows = []
     for value in dict.fromkeys(values):
         m, overlap, c_range = base_m, base_overlap, base_c_range
@@ -328,7 +339,7 @@ def ablation_sweep(
         except (InfeasibleParams, ValueError) as exc:
             rows.append({"param": param, "value": value, "error": type(exc).__name__})
             continue
-        accs = _attack(np.stack([protect_plain(e.values, params) for e in dataset]), dataset, seed, epochs)
+        accs = _attack(_protect_rows(x, params), dataset, seed, epochs)
         rows += [{"param": param, "value": value, "attribute": attr, "accuracy": acc} for attr, acc in accs.items()]
     return rows
 

@@ -475,9 +475,10 @@ def enroll_split(dataset: list) -> tuple:
     return enrollees, probes
 
 
-# build_gallery protects its records in batches of at most this many rows,
-# which bounds the batch's working set (m column batches, their powers and
-# the weighted terms) whatever the gallery's size
+# build_gallery protects its records, and the leakage suite and ablation
+# sweep their clear templates, in batches of at most this many rows, which
+# bounds a batch's working set (m column batches or power tables, and the
+# weighted terms) whatever the number of rows
 _PROTECT_ROWS = 256
 
 

@@ -24,8 +24,11 @@ In the clear, windows are one gather through a read-only index built once
 per (n, m, overlap), cut alike for both paths by chunk_embedding.  One
 kernel computes every clear template and template_norms, which enrollment
 and the search both scale by, is the one template norm; each sums in one
-fixed order, so a row's bits do not depend on the rows it came with.  A
-search pack stacks its sets' exponent and coefficient rows once.
+fixed order, so a row's bits do not depend on the rows it came with.  Its
+powers come from the multiplication chain the encrypted side runs, never
+from pow, so a clear power is the decrypted one bit for bit on any host
+with IEEE arithmetic.  A search pack stacks its sets' exponent and
+coefficient rows once.
 """
 
 from __future__ import annotations
@@ -176,23 +179,31 @@ def _row_sets(params, rows, layout=None) -> tuple:
 
 def _templates(v, overlap: int, exps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     # The (N, k) clear templates of the sets in the rows of exps and coeffs,
-    # applied to v, or row r to v[r] of an (N, n) batch.  Exponent arrays have
-    # their base's shape (numpy squares some elements of a broadcast one and
-    # calls pow for others) and terms are added in column order, so both
-    # methods give a row the same bits.
+    # applied to v, or row r to v[r] of an (N, n) batch.  The powers 1..m of
+    # the padded input come from _pow_ct's balanced split, so a clear power
+    # is the encrypted one bit for bit, and terms are added in column order,
+    # so both gathers give a row the same bits.
     padded, index = _padded(v, exps.shape[-1], overlap)
     if exps.ndim != 2 or exps.shape != coeffs.shape or padded.ndim == 2 and len(padded) != len(exps):
         raise ValueError(f"an embedding, or a batch of N, takes (N, m) exps and coeffs of one shape, "
                          f"not {exps.shape} and {coeffs.shape} for shape {np.shape(v)}")
     k, m = index.shape
-    if padded.ndim == 1 and len(exps) > 1:  # one embedding, many sets: one table of its powers 1..m
-        table = np.power(padded, np.repeat(np.arange(1.0, m + 1), len(padded)).reshape(m, -1))[:, index.T].reshape(-1, k)
-        flat = (exps.astype(np.intp) - 1) * m + np.arange(m)  # row r, offset i: power exps[r, i] of offset i
+    table = np.empty((m,) + padded.shape)  # power e at e - 1: (m, width), or (m, N, width) for a batch
+    table[0] = padded
+    powers = [None, *table]  # power e at e, a view of table
+    for e in range(2, m + 1):
+        np.multiply(powers[e // 2], powers[e - e // 2], out=powers[e])
+    at = exps.astype(np.intp) - 1
+    if padded.ndim == 1 and len(exps) > 1:  # one embedding, many sets: one (m * m, k) table of window powers
+        table = table[:, index.T].reshape(-1, k)
+        flat = at * m + np.arange(m)  # row r, offset i: power exps[r, i] of offset i
         terms = (table[flat[:, i]] * coeffs[:, i : i + 1] for i in range(m))
-    else:  # each row's windows raised to its own exponents, as (N, m, k)
-        powers = np.power(padded[..., index.T], np.repeat(exps.astype(np.float64)[..., None], k, axis=-1))
-        terms = iter((powers * coeffs[..., None]).transpose(1, 0, 2))
-    templates = next(terms).copy()
+    else:  # row r's windows, offset i gathered from power exps[r, i] of row r, one gather per offset
+        start = (at * len(exps) + np.arange(len(exps))[:, None]) * padded.shape[-1]  # into the flat table
+        table = table.reshape(-1)
+        columns = zip(start.T[..., None], index.T, coeffs.T[..., None])
+        terms = (table.take(first + offsets) * c for first, offsets, c in columns)
+    templates = next(terms)
     for term in terms:
         templates += term
     return templates
@@ -242,15 +253,15 @@ class EncryptedWindows:
 
     cts[i] holds element i of window j in slot j for j < k and zeros after;
     for a batch of B embeddings it is a B-row batch, row b embedding b's,
-    and rows is B (None for one embedding).  The value holds no computed
-    powers: every call on it pays for the powers it needs.
+    so the row count is the columns' own (cts[0].rows, None for one
+    embedding).  The value holds no computed powers: every call on it pays
+    for the powers it needs.
     """
 
     cts: tuple
     k: int
     m: int
     overlap: int
-    rows: int | None
 
     def __len__(self) -> int:
         return self.k
@@ -276,8 +287,7 @@ def encrypt_windows(v, params: PolyProtectParams, ctx: EncryptionContext, copies
         blocks[..., :k] = by_column[..., None, :]
         by_column = blocks.reshape(by_column.shape[:-1] + (cap,))
     cts = tuple(encrypt(column, ctx) for column in by_column)  # encrypt zero-pads to capacity
-    rows = len(windows) if windows.ndim == 3 else None
-    return EncryptedWindows(cts, k, params.m, params.overlap, rows)
+    return EncryptedWindows(cts, k, params.m, params.overlap)
 
 
 def window_powers(windows: EncryptedWindows, pairs) -> list:
@@ -328,14 +338,15 @@ def protect_encrypted(windows: EncryptedWindows, params, scale=1.0) -> SlotVecto
     bit-identical to its own call, depth included, and costs what that call
     costs (protect_depth's power chains and m plaintext mults).
     """
-    sets = _row_sets(params, windows.rows, (windows.m, windows.overlap))
+    rows = windows.cts[0].rows
+    sets = _row_sets(params, rows, (windows.m, windows.overlap))
     terms = [_column_power(ct, exps) for ct, exps in zip(windows.cts, zip(*(p.exps for p in sets)))]
     # row b's weights are its coefficients times its scale: one scalar per
     # term for one embedding, a (B, 1) column of row scalars per term for a
     # batch
     scales = np.asarray(scale, dtype=np.float64).reshape(-1, 1)
     weights = np.array([p.coeffs for p in sets], dtype=np.float64) * scales
-    return pack_template(terms, weights[0] if windows.rows is None else weights.T[:, :, None])
+    return pack_template(terms, weights[0] if rows is None else weights.T[:, :, None])
 
 
 def protect_depth(params: PolyProtectParams) -> int:

@@ -300,12 +300,13 @@ def test_seeded_identify_ranked_bytes_are_pinned(tmp_path):
 
 # A seeded enroll of 60 subjects, protected as one batch: the SHA-256 of
 # every gallery file (blobs, params files, manifest) as a sha256sum-style
-# listing sorted by path, and the manifest's own digest.  Recorded from the
-# gallery the same command wrote when every template was protected one
-# record at a time, so the batched build is pinned to those bytes.
+# listing sorted by path, and the manifest's own digest.  Recorded once clear
+# powers came from the encrypted side's multiplication chain, not np.power
+# (each template's scale moved in its last bits), from a gallery protected
+# one record at a time, so the batched build is pinned to those bytes.
 PINNED_GALLERY_FILES = 121
-PINNED_GALLERY_LISTING_SHA256 = "18601b378a2c02edb493669812bd5b407c3cd73177925aac70f9e392ad9f7f3f"
-PINNED_GALLERY_MANIFEST_SHA256 = "98e27c6653b257b400267c297fb461315542d80efacf0bf4d9dff00d6420366d"
+PINNED_GALLERY_LISTING_SHA256 = "247ed314447400a7efb1ed3ad55018237fc28249df8d904a72fafdcbef17b654"
+PINNED_GALLERY_MANIFEST_SHA256 = "98175e1870cd242996bc8f4f1c9d525bb1b30bcd6528b177dafdd54bfd7cf057"
 
 
 def test_seeded_enroll_gallery_bytes_are_pinned(tmp_path):

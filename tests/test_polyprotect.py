@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from polyfhe.backend import EncryptionContext, decrypt, encrypt
 from polyfhe.errors import CapacityExceeded, InfeasibleParams, InputTooShort, IntegrityError
 from polyfhe.polyprotect import (
+    EncryptedWindows,
     PolyProtectParams,
+    _templates,
     chunk_embedding,
     encrypt_windows,
     gen_params,
@@ -479,15 +481,49 @@ def test_a_rows_template_and_norm_do_not_depend_on_its_batch(n, m, overlap):
 
 
 def test_protect_plain_adds_its_terms_in_column_order():
-    # at m = 10 numpy's own sum over the terms would go pairwise
+    # at m = 10 numpy's own sum over the terms would go pairwise; each power
+    # is _pow_ct's balanced split, power e the product of powers e // 2 and
+    # e - e // 2
     p = gen_params(10, 9, 50, seed=4)
     v = np.random.default_rng(4).normal(size=64)
     windows = chunk_embedding(v, p)
-    terms = np.power(windows, np.tile(np.array(p.exps, dtype=np.float64), (len(windows), 1))) * np.array(p.coeffs)
+    powers = [None, windows]
+    for e in range(2, 11):
+        powers.append(powers[e // 2] * powers[e - e // 2])
+    terms = np.stack([powers[e][:, i] for i, e in enumerate(p.exps)], axis=1) * np.array(p.coeffs)
     want = terms[:, 0].copy()
     for i in range(1, 10):
         want += terms[:, i]
     assert protect_plain(v, p).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [5, 10])
+def test_a_clear_power_is_the_decrypted_encrypted_power(m):
+    # one row per (column i, exponent e): coefficient 1 at i, 0 elsewhere, so
+    # the clear template is power e of column i, through both gathers (one
+    # embedding under many sets, and a batch of one row per set)
+    ctx = EncryptionContext(128, 16, key_id="powers")
+    p = gen_params(m, m - 1, 50, seed=m)
+    v = np.random.default_rng(m).normal(size=64)
+    pairs = [(i, e) for i in range(m) for e in range(1, m + 1)]
+    exps = np.array([[e if j == i else 1 for j in range(m)] for i, e in pairs], dtype=np.float64)
+    coeffs = np.array([[float(j == i) for j in range(m)] for i, _ in pairs])
+    k = output_len(64, m, m - 1)
+    want = np.array([decrypt(ct, ctx)[:k] for ct in window_powers(encrypt_windows(v, p, ctx), pairs)])
+    assert np.array_equal(_templates(v, m - 1, exps, coeffs), want)
+    assert np.array_equal(_templates(np.tile(v, (len(pairs), 1)), m - 1, exps, coeffs), want)
+
+
+def test_a_windows_row_count_is_its_columns():
+    # the columns of a 2-row batch make a 2-row windows value, whatever one
+    # builds around them: one set for the batch is refused
+    ctx = EncryptionContext(128, 16, key_id="rows")
+    sets = [gen_params(5, 4, 50, seed=[8, b]) for b in range(2)]
+    w = encrypt_windows(np.linspace(-1.0, 1.0, 128).reshape(2, 64), sets[0], ctx)
+    rebuilt = EncryptedWindows(w.cts, w.k, w.m, w.overlap)
+    with pytest.raises(ValueError, match="a batch of 2 rows takes a sequence of 2 parameter sets"):
+        protect_encrypted(rebuilt, sets[0])
+    assert protect_encrypted(rebuilt, sets).rows == 2
 
 
 def test_pack_template_is_the_weighted_sum(ctx):
