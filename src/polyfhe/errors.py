@@ -95,7 +95,7 @@ def read_json_object(path, keys: dict, where: str) -> dict:
 
 
 class EmptyDataset(PolyFheError):
-    """A dataset file holds a header but no samples."""
+    """A dataset, or a dataset file under its header, holds no samples."""
 
 
 class MalformedDataset(PolyFheError):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import HEADER_LEN, EncryptionContext, encrypt, serialize_ciphertext
-from .errors import DegenerateLabels, DimensionMismatch, InfeasibleParams, ZeroBaseline
+from .errors import DegenerateLabels, DimensionMismatch, EmptyDataset, InfeasibleParams, ZeroBaseline
 from .pipeline import _PROTECT_ROWS, ATTRIBUTE_CLASSES, _protect, compress_prefix
 from .polyprotect import gen_params, output_len, protect_plain
 
@@ -283,8 +283,14 @@ def run_leakage_suite(
     the transform itself rather than on parameter diversity.  Variants are
     featurized in order, "none" first and each distinct variant once, since
     the ciphertext variants draw from the context's nonce stream; each
-    distinct variant is reported once, in first-seen order.
+    distinct variant is reported once, in first-seen order.  Every variant
+    name is checked, and the dataset found nonempty, before any work.
     """
+    unknown = [variant for variant in protection_variants if variant not in VARIANTS]
+    if unknown:
+        raise ValueError(f"unknown variant {unknown[0]!r}")
+    if not dataset:
+        raise EmptyDataset("the leakage suite needs at least one sample")
     if ctx is None:
         slots = 1 << (max(128, compress_dim) - 1).bit_length()  # the next power of two
         ctx = EncryptionContext(slots, 16, key_id=f"leakage-{seed}", nonce_seed=seed)
@@ -323,6 +329,8 @@ def ablation_sweep(
     """
     if param not in ("overlap", "m", "c_range"):
         raise ValueError("param must be one of overlap, m, c_range")
+    if not dataset:
+        raise EmptyDataset("the ablation sweep needs at least one sample")
     x = [e.values for e in dataset]
     rows = []
     for value in dict.fromkeys(values):

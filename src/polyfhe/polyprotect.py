@@ -20,8 +20,10 @@ its own parameter set and scale (each column ciphertext a B-row batch, see
 backend); every row pays the ops it would pay alone, and its template, depth
 included, is bit-identical to its own.
 
-In the clear, windows are one gather through a read-only index built once
-per (n, m, overlap), cut alike for both paths by chunk_embedding.  One
+Column i of the windows is one strided slice of the zero-padded input,
+elements i, i + stride, ... (stride m - overlap): the encrypted path
+encrypts each slice, the clear kernel reads each, and chunk_embedding
+stacks them into the (k, m) view; nothing is cached between calls.  One
 kernel computes every clear template and template_norms, which enrollment
 and the search both scale by, is the one template norm; each sums in one
 fixed order, so a row's bits do not depend on the rows it came with.  Its
@@ -33,7 +35,6 @@ coefficient rows once.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -124,40 +125,30 @@ def output_len(n: int, m: int, overlap: int) -> int:
     return (n - m + stride - 1) // stride + 1
 
 
-@functools.lru_cache(maxsize=64)
-def _window_index(n: int, m: int, overlap: int) -> np.ndarray:
-    # (k, m) read-only positions into the zero-padded n-vector, row j
-    # starting at j * (m - overlap); cached, as a call costs more than the
-    # gather it serves
-    k = output_len(n, m, overlap)
-    index = np.arange(k)[:, None] * (m - overlap) + np.arange(m)
-    index.flags.writeable = False
-    return index
-
-
 def _padded(v, m: int, overlap: int) -> tuple:
     # v, one embedding or a (B, n) batch of them, zero-padded along its last
-    # axis to cover its windows, and the window index into it
+    # axis to cover its windows, and the m column slices into it: column i
+    # holds element i of every window, i, i + stride, ... (k of them)
     vals = np.asarray(v, dtype=np.float64)
     if vals.ndim not in (1, 2):
         raise ValueError(f"embedding must be a 1-D array or a (B, n) batch, got shape {vals.shape}")
     n = vals.shape[-1]
-    index = _window_index(n, m, overlap)
-    padded = np.zeros(vals.shape[:-1] + (index[-1, -1] + 1,), dtype=np.float64)
+    stride = m - overlap
+    span = (output_len(n, m, overlap) - 1) * stride + 1
+    padded = np.zeros(vals.shape[:-1] + (span + m - 1,), dtype=np.float64)
     padded[..., :n] = vals
-    return padded, index
+    return padded, [slice(i, i + span, stride) for i in range(m)]
 
 
 def chunk_embedding(v, params: PolyProtectParams) -> np.ndarray:
     """An embedding's k m-wide windows, one per row (tail zero-padded), or
     a (B, n) batch's (B, k, m), row b's windows at b.
 
-    Row j holds elements j * (m - overlap) onward of the padded vector; the
-    rows are one gather through a read-only index cached per (n, m,
-    overlap), and the result is read-only.
+    Row j holds elements j * (m - overlap) onward of the padded vector, and
+    column i is one strided slice of it; the result is read-only.
     """
-    padded, index = _padded(v, params.m, params.overlap)
-    windows = padded[..., index]
+    padded, columns = _padded(v, params.m, params.overlap)
+    windows = np.stack([padded[..., column] for column in columns], axis=-1)
     windows.flags.writeable = False
     return windows
 
@@ -180,32 +171,24 @@ def _row_sets(params, rows, layout=None) -> tuple:
 def _templates(v, overlap: int, exps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     # The (N, k) clear templates of the sets in the rows of exps and coeffs,
     # applied to v, or row r to v[r] of an (N, n) batch.  The powers 1..m of
-    # the padded input come from _pow_ct's balanced split, so a clear power
-    # is the encrypted one bit for bit, and terms are added in column order,
-    # so both gathers give a row the same bits.
-    padded, index = _padded(v, exps.shape[-1], overlap)
+    # the padded rows (one embedding is a one-row table) come from _pow_ct's
+    # balanced split, so a clear power is the encrypted one bit for bit, and
+    # terms are added in column order.
+    padded, columns = _padded(v, exps.shape[-1], overlap)
     if exps.ndim != 2 or exps.shape != coeffs.shape or padded.ndim == 2 and len(padded) != len(exps):
         raise ValueError(f"an embedding, or a batch of N, takes (N, m) exps and coeffs of one shape, "
                          f"not {exps.shape} and {coeffs.shape} for shape {np.shape(v)}")
-    k, m = index.shape
-    table = np.empty((m,) + padded.shape)  # power e at e - 1: (m, width), or (m, N, width) for a batch
+    m = len(columns)
+    table = np.empty((m,) + np.atleast_2d(padded).shape)  # power e of row r at [e - 1, r]
     table[0] = padded
     powers = [None, *table]  # power e at e, a view of table
     for e in range(2, m + 1):
         np.multiply(powers[e // 2], powers[e - e // 2], out=powers[e])
     at = exps.astype(np.intp) - 1
-    if padded.ndim == 1 and len(exps) > 1:  # one embedding, many sets: one (m * m, k) table of window powers
-        table = table[:, index.T].reshape(-1, k)
-        flat = at * m + np.arange(m)  # row r, offset i: power exps[r, i] of offset i
-        terms = (table[flat[:, i]] * coeffs[:, i : i + 1] for i in range(m))
-    else:  # row r's windows, offset i gathered from power exps[r, i] of row r, one gather per offset
-        start = (at * len(exps) + np.arange(len(exps))[:, None]) * padded.shape[-1]  # into the flat table
-        table = table.reshape(-1)
-        columns = zip(start.T[..., None], index.T, coeffs.T[..., None])
-        terms = (table.take(first + offsets) * c for first, offsets, c in columns)
-    templates = next(terms)
-    for term in terms:
-        templates += term
+    row = np.arange(len(exps)) if padded.ndim == 2 else 0
+    templates = table[at[:, 0], row, columns[0]] * coeffs[:, :1]
+    for i in range(1, m):
+        templates += table[at[:, i], row, columns[i]] * coeffs[:, i : i + 1]
     return templates
 
 
@@ -228,7 +211,11 @@ def template_norms(v, overlap: int, exps: np.ndarray, coeffs: np.ndarray) -> np.
 
     Enrollment and the search both scale by it.  Squares are summed in
     numpy's pairwise order over one contiguous row, with no BLAS, so a row's
-    norm does not depend on N or on its place in the batch."""
+    norm does not depend on N or on its place in the batch.  A row of exps
+    that is not a permutation of 1..m raises ValueError."""
+    m = exps.shape[-1]
+    if not (np.sort(exps, axis=-1) == np.arange(1, m + 1)).all():
+        raise ValueError(f"every row of exps must be a permutation of 1..{m}")
     templates = np.ascontiguousarray(_templates(v, overlap, exps, coeffs))
     return np.sqrt(np.add.reduce(templates * templates, axis=-1))
 
@@ -275,18 +262,19 @@ def encrypt_windows(v, params: PolyProtectParams, ctx: EncryptionContext, copies
     copies > 1 repeats each column every capacity // copies slots, so every
     power and weighted sum of the columns is computed in each block at once.
     """
-    windows = chunk_embedding(v, params)
-    by_column = windows.transpose(-1, *range(windows.ndim - 1))  # (m, k), or (m, B, k) for a batch
-    k = windows.shape[-2]
+    padded, columns = _padded(v, params.m, params.overlap)
+    columns = [padded[..., column] for column in columns]  # (k,), or (B, k) for a batch
+    k = columns[0].shape[-1]
     cap = ctx.slot_capacity
     if k > cap // copies:
         times = f" {copies} times" if copies > 1 else ""
         raise CapacityExceeded(f"{k} windows do not fit slot capacity {cap}{times}")
     if copies > 1:  # each column again every capacity // copies slots
-        blocks = np.zeros(by_column.shape[:-1] + (copies, cap // copies), dtype=np.float64)
-        blocks[..., :k] = by_column[..., None, :]
-        by_column = blocks.reshape(by_column.shape[:-1] + (cap,))
-    cts = tuple(encrypt(column, ctx) for column in by_column)  # encrypt zero-pads to capacity
+        blocks = np.zeros((params.m,) + padded.shape[:-1] + (copies, cap // copies), dtype=np.float64)
+        for block, column in zip(blocks, columns):
+            block[..., :k] = column[..., None, :]
+        columns = blocks.reshape(blocks.shape[:-2] + (-1,))
+    cts = tuple(encrypt(column, ctx) for column in columns)  # encrypt zero-pads to capacity
     return EncryptedWindows(cts, k, params.m, params.overlap)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from polyfhe import leakage
 from polyfhe.backend import HEADER_LEN, EncryptionContext, encrypt, serialize_ciphertext
-from polyfhe.errors import DegenerateLabels, DimensionMismatch, ZeroBaseline
+from polyfhe.errors import DegenerateLabels, DimensionMismatch, EmptyDataset, ZeroBaseline
 from polyfhe.leakage import (
     LeakageReport,
     LinearClassifier,
@@ -435,6 +435,31 @@ def test_clear_features_are_each_rows_own_template_in_bounded_batches(monkeypatc
     rows = [e.values for e in ds] if variant == "polyprotect" else [compress_prefix(e, 64) for e in ds]
     assert calls == [_PROTECT_ROWS, 300 - _PROTECT_ROWS]
     assert got.tobytes() == np.stack([protect_plain(x, params) for x in rows]).tobytes()
+
+
+def test_suite_checks_every_variant_name_before_any_work(monkeypatch):
+    # the typo comes after an attacker-trained variant and a ciphertext one:
+    # no attacker is trained and no nonce is drawn before the error
+    ds = gen_synthetic_dataset(SyntheticSpec(num_ids=12, samples_per_id=4, dim=64, seed=5))
+    calls, train = [], leakage.train_attr_classifier
+
+    def counted(x, *args):
+        calls.append(len(x))
+        return train(x, *args)
+
+    monkeypatch.setattr(leakage, "train_attr_classifier", counted)
+    ctx = EncryptionContext(128, 16, key_id="typo", nonce_seed=4)
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        run_leakage_suite(ds, ("mrl", "mrl+fhe", "bogus"), ctx, epochs=5)
+    assert calls == []
+    assert ctx._fresh_nonce() == EncryptionContext(128, 16, key_id="typo", nonce_seed=4)._fresh_nonce()
+
+
+def test_suite_and_ablation_refuse_an_empty_dataset():
+    with pytest.raises(EmptyDataset):
+        run_leakage_suite([], ("none", "polyprotect"))
+    with pytest.raises(EmptyDataset):
+        ablation_sweep("m", [3, 5], [])
 
 
 def test_attacker_learning_rate_is_not_an_option():

@@ -500,8 +500,8 @@ def test_protect_plain_adds_its_terms_in_column_order():
 @pytest.mark.parametrize("m", [5, 10])
 def test_a_clear_power_is_the_decrypted_encrypted_power(m):
     # one row per (column i, exponent e): coefficient 1 at i, 0 elsewhere, so
-    # the clear template is power e of column i, through both gathers (one
-    # embedding under many sets, and a batch of one row per set)
+    # the clear template is power e of column i, for one embedding under many
+    # sets and for a batch of one row per set
     ctx = EncryptionContext(128, 16, key_id="powers")
     p = gen_params(m, m - 1, 50, seed=m)
     v = np.random.default_rng(m).normal(size=64)
@@ -512,6 +512,49 @@ def test_a_clear_power_is_the_decrypted_encrypted_power(m):
     want = np.array([decrypt(ct, ctx)[:k] for ct in window_powers(encrypt_windows(v, p, ctx), pairs)])
     assert np.array_equal(_templates(v, m - 1, exps, coeffs), want)
     assert np.array_equal(_templates(np.tile(v, (len(pairs), 1)), m - 1, exps, coeffs), want)
+
+
+@pytest.mark.parametrize("row", [[0, 2, 3, 4, 5], [1.5, 2, 3, 4, 5], [9, 2, 3, 4, 5], [1, 1, 3, 4, 5]])
+def test_template_norms_refuse_exponent_rows_that_are_not_permutations(row):
+    # a bad row among good ones, for one embedding and for a batch: none is
+    # read as some other exponent
+    exps = np.array([[1, 2, 3, 4, 5], row], dtype=np.float64)
+    coeffs = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]] * 2)
+    for v in (np.linspace(-1.0, 1.0, 64), np.ones((2, 64))):
+        with pytest.raises(ValueError, match=r"every row of exps must be a permutation of 1\.\.5"):
+            template_norms(v, 4, exps, coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=st.integers(2, 10), sets=st.integers(1, 8))
+def test_window_columns_are_one_slice_path_for_every_shape(data, m, sets):
+    # bit for bit: one embedding under N sets is the tiled (N, n) batch and
+    # each set's own one-row call, and encrypted column i is column i of
+    # chunk_embedding followed by zeros, once or repeated per block
+    overlap = data.draw(st.integers(0, m - 1), label="overlap")
+    n = data.draw(st.integers(m, 130), label="n")
+    v = np.random.default_rng([m, overlap, n]).normal(size=n)
+    params = [gen_params(m, overlap, 50, seed=[m, overlap, n, b]) for b in range(sets)]
+    exps, coeffs = np.array([p.exps for p in params]), np.array([p.coeffs for p in params], dtype=np.float64)
+    tiled = np.tile(v, (sets, 1))
+    shared = _templates(v, overlap, exps, coeffs)
+    assert shared.tobytes() == protect_plain(tiled, params).tobytes()
+    norms = template_norms(v, overlap, exps, coeffs)
+    assert norms.tobytes() == template_norms(tiled, overlap, exps, coeffs).tobytes()
+    for b, p in enumerate(params):
+        assert shared[b].tobytes() == protect_plain(v, p).tobytes()
+        assert norms[b] == template_norms(v, overlap, exps[b : b + 1], coeffs[b : b + 1])[0]
+    ctx = EncryptionContext(512, 16, key_id="slices")
+    windows = chunk_embedding(v, params[0])
+    k = len(windows)
+    copies = data.draw(st.integers(1, min(4, 512 // k)), label="copies")
+    block = 512 // copies
+    for x, sign in ((v, 1.0), (np.stack([v, -v]), np.array([[1.0], [-1.0]]))):
+        cts = encrypt_windows(x, params[0], ctx, copies).cts
+        for i, ct in enumerate(cts):
+            column = np.zeros(512)  # the copies, then zeros past copies * block
+            column[: copies * block] = np.tile(np.concatenate([windows[:, i], np.zeros(block - k)]), copies)
+            assert decrypt(ct, ctx).tobytes() == (sign * column + 0.0).tobytes()
 
 
 def test_a_windows_row_count_is_its_columns():
