@@ -52,5 +52,5 @@ except KeyMismatch as exc:
 blob1 = serialize_ciphertext(x, ctx)
 blob2 = serialize_ciphertext(x, ctx)
 print(f"two dumps of x differ: {blob1 != blob2} (fresh nonce each time)")
-back = deserialize_ciphertext(blob1, ctx)
+back = deserialize_ciphertext(blob1, ctx, x.depth_used)  # depth is not on the wire
 print("masked round trip   ->", decrypt(back, ctx)[:3])

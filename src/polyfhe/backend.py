@@ -40,9 +40,10 @@ ctx.slot_capacity slots per row -- encrypt pads to it, deserialize_ciphertext
 checks it, and every op keeps its input's shape and rows (see SlotVector).
 So add and mult check keys, capacities and shapes only for operands of two
 context objects or two row counts.  A rotation is a fixed slot permutation
-(the Galois automorphism of CKKS): up to _GATHER_MAX_CAPACITY slots one
-gather through a read-only index view precomputed per (capacity, offset),
-above that two slice copies.
+(the Galois automorphism of CKKS): a single ciphertext of up to
+_GATHER_MAX_CAPACITY slots is one gather through a read-only index view
+precomputed per (capacity, offset); a batch, and a ciphertext of more
+slots, joins its two slices.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityExceeded, DepthExceeded, IntegrityError, KeyMismatch
 
@@ -62,24 +64,22 @@ _KEY_LEN = 16
 _NONCE_LEN = 16
 HEADER_LEN = _KEY_LEN + _NONCE_LEN + 4  # key, nonce, capacity; the slot payload follows
 
-# Largest capacity rotated by one gather.  Measured per rotation (timeit,
-# 2 vCPUs, numpy on Python 3.11): the gather takes 0.5-0.8 us at 128 slots
-# and 0.9 us at 512, where two slice copies take 1.2-2.7 and 1.2-2.1 us; the
-# two tie near 1024 (1.4-1.5 vs 1.2-1.6 us), and from 2048 slots on (2.5-3.5
-# vs 1.6-2.6 us at 2048) the slice copies win.
+# Largest capacity at which a single ciphertext is rotated by one gather.
+# Measured per rotation (timeit, 2 vCPUs, numpy on Python 3.11): the gather
+# takes 0.5-0.8 us at 128 slots and 0.9 us at 512, where two slice copies
+# take 1.2-2.7 and 1.2-2.1 us; the two tie near 1024 (1.4-1.5 vs 1.2-1.6 us),
+# and from 2048 slots on (2.5-3.5 vs 1.6-2.6 us at 2048) the slice copies
+# win.  A batch gathers more slowly than it joins its two slices at every
+# capacity: 2.33 vs 1.20 us at 128 slots with 2 rows, 2.46 vs 1.52 with 10,
+# and 5.99 vs 2.35 us at 512 slots with 10 rows.
 _GATHER_MAX_CAPACITY = 512
 
-
-def _doubled_range(cap: int) -> np.ndarray:
-    idx = np.tile(np.arange(cap), 2)
-    idx.flags.writeable = False
-    return idx
-
-
-# Per power-of-two capacity c up to the limit, arange(c) twice, read-only;
-# a left rotation by k < c gathers its view _ROTATION_VIEWS[c][k], [k, k + c).
-_ROTATION_INDEX = {1 << i: _doubled_range(1 << i) for i in range(_GATHER_MAX_CAPACITY.bit_length())}
-_ROTATION_VIEWS = {c: tuple(idx[k : k + c] for k in range(c)) for c, idx in _ROTATION_INDEX.items()}
+# Per power-of-two capacity c up to the limit, the c read-only windows of
+# arange(c) twice: a left rotation by k < c gathers window k, [k, k + c).
+_ROTATION_VIEWS = {
+    c: tuple(sliding_window_view(np.tile(np.arange(c), 2), c)[:c])
+    for c in (1 << i for i in range(_GATHER_MAX_CAPACITY.bit_length()))
+}
 
 
 class _Ledger(Counter):
@@ -274,15 +274,10 @@ def rotate_left(a: SlotVector, k: int) -> SlotVector:
     s = a.slots
     cap = s.shape[-1]
     k &= cap - 1  # capacity is a power of two
-    if cap <= _GATHER_MAX_CAPACITY:
-        index = _ROTATION_VIEWS[cap][k]
-        out = s[index] if a.rows is None else s[:, index]
-    elif k:
-        out = np.empty_like(s)
-        out[..., : cap - k] = s[..., k:]
-        out[..., cap - k :] = s[..., :k]
+    if a.rows is None and cap <= _GATHER_MAX_CAPACITY:
+        out = s[_ROTATION_VIEWS[cap][k]]
     else:
-        out = s.copy()
+        out = np.concatenate((s[..., k:], s[..., :k]), axis=-1)
     a.ctx.ops["rotations"] += a.rows or 1
     return SlotVector(out, a.depth_used, a.ctx, a.rows)
 
@@ -339,13 +334,13 @@ def serialize_ciphertext(sv: SlotVector, ctx: EncryptionContext) -> bytes:
     return ctx.key_id + nonce + struct.pack("<I", sv.slots.shape[0]) + payload
 
 
-def deserialize_ciphertext(blob: bytes, ctx: EncryptionContext) -> SlotVector:
+def deserialize_ciphertext(blob: bytes, ctx: EncryptionContext, depth: int) -> SlotVector:
     """Reverse serialize_ciphertext under the producing context.
 
-    Depth is not part of the wire format, so the result carries depth 0;
-    callers that track depth across persistence restore it from what they
-    know produced the value.  Every slot is on the wire, so decrypt gives the
-    same array before serialization and after.
+    Depth is not part of the wire format, so the result carries the depth
+    the caller passes, which it knows from what produced the value.  Every
+    slot is on the wire, so decrypt gives the same array before
+    serialization and after.
     A blob whose header or payload has the wrong length raises IntegrityError.
     """
     if len(blob) < HEADER_LEN:
@@ -361,4 +356,4 @@ def deserialize_ciphertext(blob: bytes, ctx: EncryptionContext) -> SlotVector:
     if len(payload) != cap * 8:
         raise IntegrityError(f"ciphertext payload is {len(payload)} bytes, expected {cap * 8}")
     slots = np.frombuffer(_xor_keystream(payload, ctx, nonce), dtype="<f8").astype(np.float64)
-    return SlotVector(slots, 0, ctx, None)
+    return SlotVector(slots, depth, ctx, None)

@@ -383,7 +383,7 @@ def identify(probe: Embedding, gallery: list, ctx: EncryptionContext) -> list:
         powers = [None] * m + window_powers(windows, [(key % m, key // m) for key in range(m, m * m + m)])
         products = []
         for row, (pack, _) in enumerate(group):
-            probe_ct = pack_template([powers[key] for key in pack.terms], pack.masks, slot_scales[row])
+            probe_ct = pack_template([powers[key] for key in pack.terms], pack.masks * slot_scales[row])
             products.append(cosine_unit_encrypted(pack.ciphertext, probe_ct, windows.k))
         scores[listed] = decrypt(stack(products), ctx)[:, ::width].reshape(-1)[flat]
     bad = ~(np.abs(scores) <= 1.0 + _SCORE_ROUNDING)  # NaN fails the comparison too
@@ -720,7 +720,6 @@ def load_gallery(in_dir, ctx: EncryptionContext = None) -> tuple:
         tag = _record_tag(rec_meta["subject_id"], pid, d, blob, ctx)
         if not hmac.compare_digest(tag.encode(), rec_meta["tag"].encode()):
             raise IntegrityError(f"gallery {in_dir}: record {i} ({blob_path}) does not match its tag")
-        sv = deserialize_ciphertext(blob, ctx)
-        sv.depth_used = protect_depth(params)
+        sv = deserialize_ciphertext(blob, ctx, protect_depth(params))
         entries.append((rec_meta["subject_id"], sv, params, d, blob))
     return _pack_gallery(entries, ctx), params_store, ctx

@@ -56,7 +56,9 @@ class PolyProtectParams:
     coefficients and exponents are stored as Python ints: any integer type
     (numpy's too) is taken by operator.index, and a float or other
     non-integer raises ValueError, so 1 and np.int64(1) give one id and 1.0
-    none.
+    none.  c_range bounds the coefficients: it lies in 1..2**53 (float64
+    holds every integer up to it exactly) and no coefficient's magnitude
+    exceeds it, or ValueError.
     """
 
     m: int
@@ -86,6 +88,10 @@ class PolyProtectParams:
             raise ValueError("coefficients must be nonzero and pairwise distinct")
         if sorted(self.exps) != list(range(1, self.m + 1)):
             raise ValueError("exponents must be a permutation of 1..m")
+        if not 1 <= self.c_range <= 2**53:
+            raise ValueError(f"c_range must be in 1..2**53, got {self.c_range}")
+        if any(abs(c) > self.c_range for c in self.coeffs):
+            raise ValueError(f"every coefficient must lie in [-c_range, c_range], c_range={self.c_range}")
         object.__setattr__(self, "params_id", _params_id(self.m, self.overlap, self.c_range, self.coeffs, self.exps))
 
 
@@ -285,14 +291,13 @@ def window_powers(windows: EncryptedWindows, pairs) -> list:
     return [_pow_ct(windows.cts[i], e, memos[i]) for i, e in pairs]
 
 
-def pack_template(terms, coeffs, scale=1.0) -> SlotVector:
-    """The weighted sum sum_i mult_plain(terms[i], coeffs[i] * scale): one
-    plaintext mult per term, which also applies the scale.  A coefficient is
-    a scalar or a plaintext of a shape mult_plain takes (for a batch, a
-    (B, 1) column gives each row its own), and so is the scale: all the
-    coefficients times the scale are one product."""
+def pack_template(terms, weights) -> SlotVector:
+    """The weighted sum sum_i mult_plain(terms[i], weights[i]): one
+    plaintext mult per term.  A weight is a scalar or a plaintext of a shape
+    mult_plain takes (for a batch, a (B, 1) column gives each row its own);
+    a caller that scales the sum folds its scale into the weights."""
     acc = None
-    for term, weight in zip(terms, np.asarray(coeffs, dtype=np.float64) * scale):
+    for term, weight in zip(terms, weights):
         weighted = mult_plain(term, weight)
         acc = weighted if acc is None else add(acc, weighted)
     return acc

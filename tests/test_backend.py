@@ -249,7 +249,7 @@ def test_ledger_ignores_additions_decryption_and_serialization(ctx):
     add(x, x)
     add_plain(x, 1.0)
     decrypt(x, ctx)
-    deserialize_ciphertext(serialize_ciphertext(x, ctx), ctx)
+    deserialize_ciphertext(serialize_ciphertext(x, ctx), ctx, 0)
     assert ctx.ops == before == {"encryptions": 1}
 
 
@@ -277,27 +277,29 @@ def test_rotation_group_law(a, b):
     assert composed.slots.tolist() == rotate_left(sv, a + b).slots.tolist()
 
 
-# Capacities on both sides of the gather limit: 1, 2 and 128 gather, 1024 and up copy two slices.
+# Capacities on both sides of the gather limit: a single ciphertext of 1, 2
+# or 128 slots is gathered, one of 1024 and up and every batch join two slices.
 ROTATION_CAPACITIES = [1, 2, 128, 1024, 2048, 4096]
 
 
 @settings(max_examples=60, deadline=None)
-@given(cap=st.sampled_from(ROTATION_CAPACITIES), data=st.data())
-def test_rotate_left_is_a_cyclic_shift_into_a_fresh_array(cap, data):
+@given(cap=st.sampled_from(ROTATION_CAPACITIES), rows=st.sampled_from([None, 2, 3]), data=st.data())
+def test_rotate_left_is_a_cyclic_shift_into_a_fresh_array(cap, rows, data):
     assert 128 <= backend._GATHER_MAX_CAPACITY < 1024
     k = data.draw(st.integers(min_value=0, max_value=3 * cap), label="k")
     ctx = EncryptionContext(cap, 16, key_id="rot")
-    slots = np.random.default_rng(cap).normal(size=cap)
+    slots = np.random.default_rng(cap).normal(size=(cap,) if rows is None else (rows, cap))
     sv = encrypt(slots, ctx)
     out = rotate_left(sv, k)
-    assert ctx.ops == {"encryptions": 1, "rotations": 1}
-    assert out.slots.tolist() == np.roll(slots, -k).tolist()
-    out.slots[:] = np.nan  # the result is the caller's own: the input and the index tables keep their values
+    assert ctx.ops == {"encryptions": rows or 1, "rotations": rows or 1}
+    assert out.rows == rows
+    assert out.slots.tolist() == np.roll(slots, -k, axis=-1).tolist()
+    out.slots[:] = np.nan  # the result is the caller's own: the input and the index views keep their values
     assert sv.slots.tolist() == slots.tolist()
-    assert sorted(backend._ROTATION_INDEX) == [1 << i for i in range(backend._GATHER_MAX_CAPACITY.bit_length())]
-    for c, idx in backend._ROTATION_INDEX.items():
-        assert not idx.flags.writeable
-        assert idx.tolist() == list(range(c)) * 2
+    assert sorted(backend._ROTATION_VIEWS) == [1 << i for i in range(backend._GATHER_MAX_CAPACITY.bit_length())]
+    for c, views in backend._ROTATION_VIEWS.items():
+        assert len(views) == c and not any(view.flags.writeable for view in views)
+        assert np.array_equal(views, (np.arange(c)[:, None] + np.arange(c)) % c)  # view k is [k, k + c) mod c
 
 
 @settings(max_examples=30, deadline=None)
@@ -313,7 +315,7 @@ def test_every_op_carries_its_input_context(log_cap, key, k):
         mult_plain(a, 3.0),
         add_plain(a, 1.0),
         rotate_left(a, k),
-        deserialize_ciphertext(serialize_ciphertext(a, ctx), ctx),
+        deserialize_ciphertext(serialize_ciphertext(a, ctx), ctx, 0),
         naive_add_all(a, 1 << log_cap),
         fold_add_all(a, 1 << log_cap),
         dft_sum(a, 1 << log_cap),
@@ -364,13 +366,14 @@ def test_pair_check_across_contexts_of_one_key():
 def test_serialize_round_trip_exact(ctx):
     rng = np.random.default_rng(5)
     sv = encrypt(rng.normal(size=8), ctx)
-    back = deserialize_ciphertext(serialize_ciphertext(sv, ctx), ctx)
+    back = deserialize_ciphertext(serialize_ciphertext(sv, ctx), ctx, 3)
     assert np.max(np.abs(back.slots - sv.slots)) < 1e-12
+    assert back.depth_used == 3  # not on the wire: the caller's depth
 
 
 def test_decrypt_is_the_same_before_and_after_serialization(ctx):
     sv = encrypt([1, 2, 3], ctx)
-    back = deserialize_ciphertext(serialize_ciphertext(sv, ctx), ctx)
+    back = deserialize_ciphertext(serialize_ciphertext(sv, ctx), ctx, 0)
     assert np.array_equal(decrypt(back, ctx), decrypt(sv, ctx))
     assert decrypt(back, ctx).shape == (ctx.slot_capacity,)
 
@@ -404,7 +407,7 @@ def test_deserialize_foreign_key_rejected(ctx):
     other = EncryptionContext(8, 16, key_id="eve")
     blob = serialize_ciphertext(encrypt([1.0], ctx), ctx)
     with pytest.raises(KeyMismatch):
-        deserialize_ciphertext(blob, other)
+        deserialize_ciphertext(blob, other, 0)
 
 
 def test_serialize_under_a_foreign_context_rejected(ctx):
@@ -414,7 +417,7 @@ def test_serialize_under_a_foreign_context_rejected(ctx):
     sv = encrypt([1.0, 2.0, 3.0], ctx)
     with pytest.raises(KeyMismatch):
         serialize_ciphertext(sv, other)
-    assert decrypt(deserialize_ciphertext(serialize_ciphertext(sv, ctx), ctx), ctx)[:3].tolist() == [1, 2, 3]
+    assert decrypt(deserialize_ciphertext(serialize_ciphertext(sv, ctx), ctx, 0), ctx)[:3].tolist() == [1, 2, 3]
 
 
 @pytest.mark.parametrize("size", [0, 20, 34, 35, 36, 37, 99, 101])
@@ -422,9 +425,9 @@ def test_deserialize_wrong_length_is_integrity_error(ctx, size):
     blob = serialize_ciphertext(encrypt([1.0, 2.0], ctx), ctx)  # 100 bytes at capacity 8
     blob = (blob + b"\0")[:size]
     with pytest.raises(IntegrityError):
-        deserialize_ciphertext(blob, ctx)
+        deserialize_ciphertext(blob, ctx, 0)
     with pytest.raises(ValueError):  # IntegrityError is also a ValueError
-        deserialize_ciphertext(blob, ctx)
+        deserialize_ciphertext(blob, ctx, 0)
 
 
 def test_serialization_byte_frequency_indistinguishable():
@@ -451,7 +454,9 @@ def _bits(values) -> bytes:
     return np.ascontiguousarray(values, dtype=np.float64).tobytes()
 
 
-# 128 slots rotate by one gather, 1024 by two slice copies.
+# A batch joins two slices at every capacity.  At 128 slots its rows are
+# checked against single ciphertexts rotated by a gather, at 1024 against
+# single ones that join two slices as well.
 @pytest.mark.parametrize("cap", [128, 1024])
 def test_batch_ops_are_bit_identical_to_the_same_ops_row_by_row(cap):
     assert 128 <= backend._GATHER_MAX_CAPACITY < 1024
@@ -562,7 +567,7 @@ def test_serialize_refuses_a_batch_and_takes_its_rows(ctx):
     # row by row, the blobs and the nonce stream are those of single ciphertexts
     blobs = [serialize_ciphertext(take(batch, b), seeded) for b in range(2)]
     assert blobs == [serialize_ciphertext(encrypt(row, twin), twin) for row in values]
-    assert [decrypt(deserialize_ciphertext(blob, seeded), seeded)[:3].tolist() for blob in blobs] == values.tolist()
+    assert [decrypt(deserialize_ciphertext(blob, seeded, 0), seeded)[:3].tolist() for blob in blobs] == values.tolist()
 
 
 def test_a_single_ciphertext_and_a_one_row_batch_do_not_mix(ctx):
@@ -600,7 +605,7 @@ def test_every_op_sets_rows_and_the_ledger_counts_rows_or_one(ctx, values):
         "stack": (lambda: stack([made, made]), None),
     }
     if made.rows is None:
-        ops["deserialize_ciphertext"] = (lambda: deserialize_ciphertext(serialize_ciphertext(made, ctx), ctx), None)
+        ops["deserialize_ciphertext"] = (lambda: deserialize_ciphertext(serialize_ciphertext(made, ctx), ctx, 0), None)
     else:
         ops["take row"] = (lambda: take(made, 0), None)
         ops["take rows"] = (lambda: take(made, [0] * made.rows), None)

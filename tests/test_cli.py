@@ -24,7 +24,7 @@ from polyfhe.pipeline import (
     save_dataset,
     save_gallery,
 )
-from polyfhe.polyprotect import gen_params
+from polyfhe.polyprotect import _params_id, gen_params
 from polyfhe.invsqrt import FitReport, fit_inv_sqrt
 
 
@@ -644,6 +644,21 @@ def test_identify_truncated_params_file_exits_1(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error: IntegrityError:" in err and "not valid JSON" in err
+
+
+def test_identify_params_file_with_a_coefficient_beyond_c_range_exits_1(tmp_path, capsys):
+    # rewritten under the hash of its new values, so only the c_range check can refuse it
+    out = _enrolled(tmp_path)
+    params_file = next((out / "gallery" / "params").glob("*.json"))
+    d = json.loads(params_file.read_text())
+    d["coeffs"][0] = d["c_range"] + 1
+    d["params_id"] = _params_id(d["m"], d["overlap"], d["c_range"], d["coeffs"], d["exps"])
+    params_file.write_text(json.dumps(d))
+    rc = run_cli("identify", "--gallery-dir", str(out / "gallery"), "--probes", str(out / "probes.csv"),
+                 "--out-dir", str(out / "id"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: IntegrityError:" in err and "every coefficient must lie in [-c_range, c_range]" in err
 
 
 def test_identify_missing_params_file_exits_1(tmp_path, capsys):

@@ -1071,9 +1071,10 @@ def _rehashed(d):
     (lambda text, d: d | {"m": "5"}, False, "needs 'm' as a JSON int"),
     (lambda text, d: d | {"overlap": True}, False, "needs 'overlap' as a JSON int"),
     (lambda text, d: d | {"coeffs": [1.5] + d["coeffs"][1:]}, False, "lists of JSON ints"),
-    (lambda text, d: d | {"coeffs": [d["coeffs"][0] + 100] + d["coeffs"][1:]}, False, "not the hash of its values"),
+    (lambda text, d: d | {"coeffs": d["coeffs"][::-1]}, False, "not the hash of its values"),
     (lambda text, d: _rehashed(d | {"c_range": 51}), False, "must equal the file name"),
     (lambda text, d: _rehashed(d | {"coeffs": [1] * d["m"]}), True, "holds invalid parameters"),
+    (lambda text, d: _rehashed(d | {"coeffs": [d["c_range"] + 1] + d["coeffs"][1:]}), False, "holds invalid parameters"),
     (lambda text, d: _rehashed(d | {"m": 1, "overlap": 0, "coeffs": [1], "exps": [1]}), True, "holds invalid parameters"),
 ])
 def test_load_gallery_bad_params_file_is_integrity_error(tmp_path, edit, rename, problem):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyfhe import polyprotect as pp
 from polyfhe.backend import EncryptionContext, decrypt, encrypt
 from polyfhe.errors import CapacityExceeded, InfeasibleParams, InputTooShort, IntegrityError
 from polyfhe.polyprotect import (
@@ -106,6 +107,26 @@ def test_params_validation():
         PolyProtectParams(3, 0, (1, -1, 2), (1, 2, 2), 5)  # repeated exp
     with pytest.raises(ValueError):
         PolyProtectParams(3, 0, (0, -1, 2), (1, 2, 3), 5)  # zero coeff
+
+
+@pytest.mark.parametrize("coeffs,c_range,problem", [
+    ((10**20, 3), 5, "coefficient must lie in"),
+    ((1, -6), 5, "coefficient must lie in"),
+    ((1, 3), -7, "c_range must be in 1..2"),
+    ((1, -1), 0, "c_range must be in 1..2"),
+    ((1, 2), 2**53 + 1, "c_range must be in 1..2"),
+])
+def test_params_refuse_a_c_range_that_does_not_bound_the_coefficients(tmp_path, coeffs, c_range, problem):
+    # c_range is hashed into params_id, so it is checked too: 1..2**53, the
+    # integers float64 holds exactly, and no coefficient beyond it; a params
+    # file holding such values under their own hash is refused as well
+    with pytest.raises(ValueError, match=problem):
+        PolyProtectParams(2, 0, coeffs, (2, 1), c_range)
+    path = tmp_path / "params.json"
+    d = dict(m=2, overlap=0, c_range=c_range, coeffs=list(coeffs), exps=[2, 1], seed=None)
+    path.write_text(json.dumps(d | {"params_id": pp._params_id(2, 0, c_range, coeffs, (2, 1))}))
+    with pytest.raises(IntegrityError, match=problem):
+        load_params(path)
 
 
 @pytest.mark.parametrize("exps", [(1, 3, 7), (7, 1, 3), (2, 5, 4), (9, 1, 16)])
@@ -571,7 +592,7 @@ def test_a_windows_row_count_is_its_columns():
 
 def test_pack_template_is_the_weighted_sum(ctx):
     terms = [encrypt([1.0, 2.0], ctx), encrypt([0.5, -1.0], ctx)]
-    out = pack_template(terms, (3, -2), 0.5)
+    out = pack_template(terms, 0.5 * np.array([3, -2]))
     assert decrypt(out, ctx).tolist() == [0.5 * (3 * 1.0 - 2 * 0.5), 0.5 * (3 * 2.0 + 2 * 1.0), 0, 0, 0, 0, 0, 0]
     assert out.depth_used == 1
 
