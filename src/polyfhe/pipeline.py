@@ -23,28 +23,28 @@ B = capacity // W consecutive records of each (compress_dim, m, overlap)
 group in one ciphertext, W = 2^ceil(log2 k), record b rotated right by b W:
 N - packs rotations per build or load, by offsets capacity - b W that a real
 backend needs Galois keys for (one more, 64, at the default config, where
-B = 2).  enroll returns a pack of one; build_gallery protects its
-templates in batches of up to _PROTECT_ROWS records, one set per row, at
-enroll's op count per record and with the bytes enroll gives each, and
-lays the packs out once.  Every record is made in its pack, by
-_pack_gallery, so the search reads parameters from the packs and takes no
-params store.  Everything a search needs of the gallery
-side is built with the pack (TemplatePack): its masks (coefficients repeated
-over each block's slots), its records' stacked exponent and coefficient rows
-for template_norms, and each row's key into the probe's table of column
-powers; all read-only.  The probe's windows are encrypted once per group as
-m column ciphertexts copied into every block, all m^2 column powers 1..m are
-computed once (m (m - 1) ct mults, whatever exponents the records use), and
-the template norms of every listed record come from one call.  Each pack
-then pays one mask product in the clear, one plaintext mult per column of
-each of its records (m per record: records that share a (column, exponent)
-pair are not merged), one product and one fold, so a search's cost depends
-only on m and the gallery's shape.  Record b's score is slot b W,
-bit-identical to a pack of one's, and a group's scores are read with one
-decrypt of its packs' stacked products.  Per comparison at the default
-config and N = 200: 3 rotations, 0.6 ct-ct mults, 5 plaintext mults, 0.025
-encryptions (6, 1.1, 5 and 0.025 unpacked).  The comparison adds one level
-to protect_depth (5 at the default config).
+B = 2).  A (B, n) batch, build_gallery's up to _PROTECT_ROWS records, one
+set per row, takes the batch code and pays its set checks, gathers and
+stacked arrays once.  One embedding, enroll's and the leakage suite's, takes
+a short path to the same ops and bits, since that bookkeeping cost it more
+than its HE ops (_protect: 60 against 94 us at the default config, 27 of
+them its 23 counted backend calls).  enroll returns a pack of one, and
+build_gallery lays its packs out once.  Every record is made in its pack,
+by _pack_gallery, so the search reads parameters from the packs and takes
+no params store.  Everything a search needs of the gallery side is built
+with the pack, read-only (TemplatePack).  The probe's windows are encrypted
+once per group as m column ciphertexts copied into every block, all m^2
+column powers 1..m are computed once (m (m - 1) ct mults, whatever exponents
+the records use), and the template norms of every listed record come from
+one call.  Each pack then pays one mask product in the clear, one plaintext
+mult per column of each of its records (m per record: records that share a
+(column, exponent) pair are not merged), one product and one fold, so a
+search's cost depends only on m and the gallery's shape.  Record b's score
+is slot b W, bit-identical to a pack of one's, and a group's scores are read
+with one decrypt of its packs' stacked products.  Per comparison at the
+default config and N = 200: 3 rotations, 0.6 ct-ct mults, 5 plaintext
+mults, 0.025 encryptions (6, 1.1, 5 and 0.025 unpacked).  The comparison
+adds one level to protect_depth (5 at the default config).
 
 Gallery format version 3: manifest.json, one masked ciphertext blob per
 record (its own template, not its pack), and one params file per parameter
@@ -82,6 +82,7 @@ from .errors import (
     read_json_object,
 )
 from .invsqrt import fit_inv_sqrt
+from .polyprotect import _columns_and_norm, protect_columns
 from .polyprotect import (
     PolyProtectParams,
     encrypt_windows,
@@ -278,6 +279,8 @@ def compress_prefix(e: Embedding, d: int) -> np.ndarray:
         raise ValueError(f"compress dim {d} outside 1..{len(e.values)}")
     prefix = e.values[:d]
     norm = np.linalg.norm(prefix)
+    if not math.isfinite(norm):
+        raise ValueError(f"prefix of {d} coordinates has norm {norm}: a coordinate is NaN or inf, or it overflows")
     if norm == 0.0:
         raise ZeroPrefix("prefix is the zero vector; cannot renormalize")
     return prefix / norm
@@ -291,13 +294,17 @@ def _unit_scales(norms):
 
 
 def _protect(x, params, ctx: EncryptionContext) -> SlotVector:
-    # encrypt -> protect the compressed embedding x under its set, or each
-    # row of a (B, n) batch under its own of B sets, scaled to unit norm by
-    # template_norms, as the search scales a probe: one template or B of them
-    sets = [params] if np.ndim(x) == 1 else params
-    exps, coeffs = (np.array([getattr(p, name) for p in sets], dtype=np.float64) for name in ("exps", "coeffs"))
-    scales = _unit_scales(template_norms(x, sets[0].overlap, exps, coeffs))
-    return protect_encrypted(encrypt_windows(x, sets[0], ctx), params, scales)
+    # encrypt -> protect x under its set, or each row of a (B, n) batch under
+    # its own of B sets, scaled to unit norm as the search scales a probe; one
+    # embedding takes a short path, the batch code's ops and bits in 60 us, not 94
+    if np.ndim(x) != 1:
+        exps, coeffs = (np.array([getattr(p, name) for p in params], dtype=np.float64) for name in ("exps", "coeffs"))
+        scales = _unit_scales(template_norms(x, params[0].overlap, exps, coeffs))
+        return protect_encrypted(encrypt_windows(x, params[0], ctx), params, scales)
+    if not isinstance(params, PolyProtectParams):
+        raise ValueError("one embedding takes one parameter set")
+    columns, norm = _columns_and_norm(x, params)
+    return protect_columns(columns, params, _unit_scales(norm)[0], ctx)
 
 
 def enroll(e: Embedding, params: PolyProtectParams, ctx: EncryptionContext, d: int) -> GalleryRecord:

@@ -18,19 +18,20 @@ call's cost depends only on its arguments.  Depth is ceil(log2 m) + 1.
 B embeddings of one (m, overlap) are protected as one batch, each row under
 its own parameter set and scale (each column ciphertext a B-row batch, see
 backend); every row pays the ops it would pay alone, and its template, depth
-included, is bit-identical to its own.
+included, is bit-identical to its own (one embedding takes a short path to
+those ops and bits, _columns_and_norm and protect_columns).
 
 Column i of the windows is one strided slice of the zero-padded input,
 elements i, i + stride, ... (stride m - overlap): the encrypted path
-encrypts each slice, the clear kernel reads each, and chunk_embedding
-stacks them into the (k, m) view; nothing is cached between calls.  One
-kernel computes every clear template and template_norms, which enrollment
-and the search both scale by, is the one template norm; each sums in one
-fixed order, so a row's bits do not depend on the rows it came with.  Its
-powers come from the multiplication chain the encrypted side runs, never
-from pow, so a clear power is the decrypted one bit for bit on any host
-with IEEE arithmetic.  A search pack stacks its sets' exponent and
-coefficient rows once.
+encrypts each slice, the clear kernels read each, and chunk_embedding
+stacks them into the (k, m) view; nothing is cached between calls.  Clear
+powers come from one table built by the multiplication chain the encrypted
+side runs, never from pow, so a clear power is the decrypted one bit for bit
+on any host with IEEE arithmetic.  template_norms, which enrollment and the
+search both scale by, is the one template norm (_columns_and_norm gives its
+bits for one set); each sums in one fixed order, so a row's bits do not
+depend on the rows it came with.  A search pack stacks its sets' exponent
+and coefficient rows once.
 """
 
 from __future__ import annotations
@@ -174,22 +175,27 @@ def _row_sets(params, rows, layout=None) -> tuple:
     return sets
 
 
+def _power_table(padded: np.ndarray, m: int) -> np.ndarray:
+    # Powers 1..m of padded, power e at [e - 1], by _pow_ct's balanced split,
+    # so a clear power is the encrypted one bit for bit.
+    table = np.empty((m,) + padded.shape)
+    table[0] = padded
+    powers = [None, *table]  # power e at e, a view of table
+    for e in range(2, m + 1):
+        np.multiply(powers[e // 2], powers[e - e // 2], out=powers[e])
+    return table
+
+
 def _templates(v, overlap: int, exps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     # The (N, k) clear templates of the sets in the rows of exps and coeffs,
-    # applied to v, or row r to v[r] of an (N, n) batch.  The powers 1..m of
-    # the padded rows (one embedding is a one-row table) come from _pow_ct's
-    # balanced split, so a clear power is the encrypted one bit for bit, and
-    # terms are added in column order.
+    # applied to v, or row r to v[r] of an (N, n) batch, from the padded rows'
+    # _power_table (one embedding is one row), terms added in column order.
     padded, columns = _padded(v, exps.shape[-1], overlap)
     if exps.ndim != 2 or exps.shape != coeffs.shape or padded.ndim == 2 and len(padded) != len(exps):
         raise ValueError(f"an embedding, or a batch of N, takes (N, m) exps and coeffs of one shape, "
                          f"not {exps.shape} and {coeffs.shape} for shape {np.shape(v)}")
     m = len(columns)
-    table = np.empty((m,) + np.atleast_2d(padded).shape)  # power e of row r at [e - 1, r]
-    table[0] = padded
-    powers = [None, *table]  # power e at e, a view of table
-    for e in range(2, m + 1):
-        np.multiply(powers[e // 2], powers[e - e // 2], out=powers[e])
+    table = _power_table(np.atleast_2d(padded), m)  # power e of row r at [e - 1, r]
     at = exps.astype(np.intp) - 1
     row = np.arange(len(exps)) if padded.ndim == 2 else 0
     templates = table[at[:, 0], row, columns[0]] * coeffs[:, :1]
@@ -224,6 +230,17 @@ def template_norms(v, overlap: int, exps: np.ndarray, coeffs: np.ndarray) -> np.
         raise ValueError(f"every row of exps must be a permutation of 1..{m}")
     templates = np.ascontiguousarray(_templates(v, overlap, exps, coeffs))
     return np.sqrt(np.add.reduce(templates * templates, axis=-1))
+
+
+def _columns_and_norm(x, params: PolyProtectParams) -> tuple:
+    # One embedding's m window columns, padded once, and its template_norms
+    # under one set, bit for bit, as a one-element array: _templates' power
+    # table, products and column order, column i's power read by slicing.
+    padded, columns = _padded(x, params.m, params.overlap)
+    table = _power_table(padded, params.m)
+    terms = [table[e - 1, column] * c for column, e, c in zip(columns, params.exps, params.coeffs)]
+    template = sum(terms[1:], terms[0])[None]  # one (1, k) row, summed as template_norms sums
+    return [padded[column] for column in columns], np.sqrt(np.add.reduce(template * template, axis=-1))
 
 
 def _pow_ct(sv: SlotVector, e: int, memo: dict) -> SlotVector:
@@ -340,6 +357,12 @@ def protect_encrypted(windows: EncryptedWindows, params, scale=1.0) -> SlotVecto
     scales = np.asarray(scale, dtype=np.float64).reshape(-1, 1)
     weights = np.array([p.coeffs for p in sets], dtype=np.float64) * scales
     return pack_template(terms, weights[0] if rows is None else weights.T[:, :, None])
+
+
+def protect_columns(columns, params: PolyProtectParams, scale, ctx: EncryptionContext) -> SlotVector:
+    """protect_encrypted(encrypt_windows(v, params, ctx), params, scale), op and bit for bit, from v's m columns."""
+    powers = [_pow_ct(encrypt(column, ctx), e, {}) for column, e in zip(columns, params.exps)]
+    return pack_template(powers, [c * scale for c in params.coeffs])
 
 
 def protect_depth(params: PolyProtectParams) -> int:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,15 @@ from polyfhe.similarity import cosine_plain, cosine_unit_encrypted, make_normali
 
 # How far an exact-mode encrypted score may sit from the plaintext oracle's.
 EXACT_SCORE_TOL = 1e-12
+
+
+# The layouts that the search and enrollment are held bit-equal under: the
+# default config, a narrower window, and one whose k equals the capacity.
+LAYOUTS = {
+    "default": {},
+    "m3-overlap1": dict(compress_dim=48, m=3, overlap=1),
+    "k-equals-capacity": dict(compress_dim=130, m=3, overlap=2),  # k = 128 = capacity
+}
 
 
 def small_spec(**kw):
@@ -113,6 +123,29 @@ def test_compress_zero_prefix():
         compress_prefix(Embedding(v, "s", {}), 4)
     with pytest.raises(ValueError):
         compress_prefix(Embedding(v, "s", {}), 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_prefix_is_refused_before_any_encryption(bad):
+    # a NaN or inf among the first compress_dim coordinates is its own
+    # error, raised before anything is encrypted and with no numpy warning;
+    # past the prefix it plays no part
+    ds = gen_synthetic_dataset(small_spec(num_ids=3, samples_per_id=1))
+    pipe = Pipeline(PipelineConfig(seed=4))
+    gallery = [pipe.enroll(e, pipe.gen_user_params(i)) for i, e in enumerate(ds)]
+    values = ds[0].values.copy()
+    values[7] = bad
+    e = Embedding(values, "bad", {})
+    before = pipe.ctx.ops.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="prefix of 64 coordinates has norm"):
+            pipe.enroll(e, pipe.gen_user_params(3))
+        with pytest.raises(ValueError, match="prefix of 64 coordinates has norm"):
+            pipe.identify(e, gallery)
+        values[7], values[100] = ds[0].values[7], bad
+        assert compress_prefix(Embedding(values, "bad", {}), 64).tobytes() == compress_prefix(ds[0], 64).tobytes()
+    assert pipe.ctx.ops == before
 
 
 def test_rank1_compression_plateau():
@@ -244,12 +277,13 @@ def test_identify_plain_rejects_params_list_of_another_length():
         identify_plain(ds[0], ds[:1], params_list, 64)
 
 
-def test_enroll_and_the_search_scale_by_one_template_norm(monkeypatch):
-    # 40 embeddings x 50 parameter sets at the default config: the scale
-    # enroll gives each embedding under each set equals, bit for bit, the
-    # scale identify gives it as a probe against the record of that set, and
-    # the scale of its row in a batch
-    pipe = Pipeline(PipelineConfig(seed=8))
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_enroll_and_the_search_scale_by_one_template_norm(monkeypatch, layout):
+    # 40 embeddings x 50 parameter sets under each layout: the scale enroll
+    # gives each embedding under each set equals, bit for bit, the scale
+    # identify gives it as a probe against the record of that set, and the
+    # scale of its row in a batch
+    pipe = Pipeline(PipelineConfig(seed=8, **layout))
     d, ctx = pipe.cfg.compress_dim, pipe.ctx
     values = np.random.default_rng(8).normal(size=(40, 512))
     people = [Embedding(v / np.linalg.norm(v), f"id{i:04d}", {}) for i, v in enumerate(values)]
@@ -460,13 +494,15 @@ def test_build_gallery_costs_what_enrolling_each_record_costs():
     assert pipe.ctx.ops - before == {"ct_mults": 8 * n, "pt_mults": 5 * n, "encryptions": 5 * n, "rotations": n - packs}
 
 
-def test_build_gallery_templates_equal_enrolled_ones(monkeypatch):
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_build_gallery_templates_equal_enrolled_ones(monkeypatch, layout):
     # every record's template, bit for bit and at its depth, is the one
     # enroll makes of its sample alone, also across the build's batches
-    # (here 3 + 3 + 1 rows)
+    # (here 3 + 3 + 1 rows): the batch path and enroll's one-embedding path
+    # run different code
     monkeypatch.setattr(pl, "_PROTECT_ROWS", 3)
     ds = gen_synthetic_dataset(small_spec(num_ids=7, samples_per_id=1))
-    pipe = Pipeline(PipelineConfig(seed=4))
+    pipe = Pipeline(PipelineConfig(seed=4, **layout))
     gallery, _ = build_gallery(ds, pipe)
     assert [rec.subject_id for rec in gallery] == [e.subject_id for e in ds]
     for rec, e in zip(gallery, ds):
@@ -651,6 +687,21 @@ def test_enroll_template_longer_than_capacity():
     pipe = Pipeline(PipelineConfig(slot_capacity=32, seed=4))  # k = 60 windows
     with pytest.raises(CapacityExceeded):
         build_gallery(ds, pipe)
+    before = pipe.ctx.ops.copy()
+    with pytest.raises(CapacityExceeded):
+        pipe.enroll(ds[0], pipe.gen_user_params(0))
+    assert pipe.ctx.ops == before
+
+
+def test_enroll_refuses_a_list_of_sets_before_any_op():
+    # one embedding takes one parameter set, not a one-element list of them
+    ds = gen_synthetic_dataset(small_spec(num_ids=2, samples_per_id=1))
+    pipe = Pipeline(PipelineConfig(seed=4))
+    params = pipe.gen_user_params(0)
+    before = pipe.ctx.ops.copy()
+    with pytest.raises(ValueError, match="one embedding takes one parameter set"):
+        enroll(ds[0], [params], pipe.ctx, pipe.cfg.compress_dim)
+    assert pipe.ctx.ops == before
 
 
 def test_identify_reads_params_from_the_gallery_not_a_store(tmp_path):
