@@ -22,10 +22,10 @@ array, as SIMD evaluation over many ciphertexts does (Smart-Vercauteren,
 DCC 2014).  encrypt makes one from a (B, n) matrix and decrypt returns
 (B, capacity).  Every op acts row by row, rotations on the last axis;
 binary ops need one row count, and a single ciphertext is no one-row batch.
-A batch keeps one depth, the greatest of its rows'.  It is B ciphertexts,
-so take reads rows of it and stack joins ciphertexts into a batch, both at
-no HE cost; serialize_ciphertext takes one ciphertext at a time, so a batch
-is serialized row by row and the nonce stream is the one its rows draw.
+A batch keeps one depth, the greatest of its rows'.  It is B >= 1
+ciphertexts: take reads rows and stack joins ciphertexts, at no HE cost,
+and neither makes a zero-row batch; serialize_ciphertext takes one at a
+time, so a batch is serialized row by row and draws its rows' nonces.
 
 Op accounting: each context keeps one ledger, ctx.ops, a Counter to which
 rotate_left, mult, mult_plain and encrypt each add 1 per ciphertext (rows
@@ -166,7 +166,8 @@ def encrypt(values, ctx: EncryptionContext) -> SlotVector:
     """Encrypt a nonempty 1-D array-like: values in the leading slots, zeros
     after.  A nonempty (B, n) matrix is encrypted row by row as a batch of B
     ciphertexts, B encryptions."""
-    vals = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    vals = np.asarray(values, dtype=np.float64)
+    vals = vals.reshape(1) if vals.ndim == 0 else vals  # np.atleast_1d costs 0.3 us a call
     if vals.ndim > 2 or vals.size == 0:
         raise ValueError(f"encrypt needs a nonempty 1-D array or (B, n) matrix, got shape {vals.shape}")
     n = vals.shape[-1]
@@ -287,8 +288,8 @@ def take(sv: SlotVector, index) -> SlotVector:
     sequence of ints) as a batch in that order, at the batch's depth.  No HE
     op: a batch is its rows."""
     slots = None if sv.rows is None else sv.slots[index]
-    if slots is None or slots.ndim > 2:
-        raise ValueError("take reads a row or a 1-D list of rows of a batch")
+    if slots is None or slots.ndim > 2 or len(slots) == 0:
+        raise ValueError("take reads a row or a nonempty 1-D list of rows of a batch")
     return SlotVector(slots, sv.depth_used, sv.ctx, None if slots.ndim == 1 else len(slots))
 
 
@@ -296,6 +297,8 @@ def stack(cts) -> SlotVector:
     """One batch of the rows of cts (single ciphertexts or batches, under one
     key and of one capacity), in order, at the greatest of their depths.  No
     HE op: a batch is its rows."""
+    if not cts:
+        raise ValueError("stack needs at least one ciphertext")
     first = cts[0]
     if any(ct.ctx.key_id != first.ctx.key_id for ct in cts):
         raise KeyMismatch("stack across ciphertexts under different keys")

@@ -24,11 +24,9 @@ group in one ciphertext, W = 2^ceil(log2 k), record b rotated right by b W:
 N - packs rotations per build or load, by offsets capacity - b W that a real
 backend needs Galois keys for (one more, 64, at the default config, where
 B = 2).  A (B, n) batch, build_gallery's up to _PROTECT_ROWS records, one
-set per row, takes the batch code and pays its set checks, gathers and
-stacked arrays once.  One embedding, enroll's and the leakage suite's, takes
-a short path to the same ops and bits, since that bookkeeping cost it more
-than its HE ops (_protect: 60 against 94 us at the default config, 27 of
-them its 23 counted backend calls).  enroll returns a pack of one, and
+set per row, and one embedding, enroll's and the leakage suite's, each take
+protect_encrypted's one path for their shape; one embedding is padded once,
+for its scale and its encrypted columns.  enroll returns a pack of one, and
 build_gallery lays its packs out once.  Every record is made in its pack,
 by _pack_gallery, so the search reads parameters from the packs and takes
 no params store.  Everything a search needs of the gallery side is built
@@ -82,7 +80,7 @@ from .errors import (
     read_json_object,
 )
 from .invsqrt import fit_inv_sqrt
-from .polyprotect import _columns_and_norm, protect_columns
+from .polyprotect import _columns_and_norm, _encrypt_columns
 from .polyprotect import (
     PolyProtectParams,
     encrypt_windows,
@@ -287,8 +285,8 @@ def compress_prefix(e: Embedding, d: int) -> np.ndarray:
 
 
 def _unit_scales(norms):
-    """1 / norm for one template norm or an array of them."""
-    if not (np.asarray(norms) > 0.0).all():
+    """1 / norm for an array of template norms; a zero or NaN norm raises ZeroVector."""
+    if not norms.min() > 0.0:
         raise ZeroVector("protected template is the zero vector; its cosine is undefined")
     return 1.0 / norms
 
@@ -296,7 +294,7 @@ def _unit_scales(norms):
 def _protect(x, params, ctx: EncryptionContext) -> SlotVector:
     # encrypt -> protect x under its set, or each row of a (B, n) batch under
     # its own of B sets, scaled to unit norm as the search scales a probe; one
-    # embedding takes a short path, the batch code's ops and bits in 60 us, not 94
+    # embedding is padded once, for its norm and for its encrypted columns
     if np.ndim(x) != 1:
         exps, coeffs = (np.array([getattr(p, name) for p in params], dtype=np.float64) for name in ("exps", "coeffs"))
         scales = _unit_scales(template_norms(x, params[0].overlap, exps, coeffs))
@@ -304,7 +302,8 @@ def _protect(x, params, ctx: EncryptionContext) -> SlotVector:
     if not isinstance(params, PolyProtectParams):
         raise ValueError("one embedding takes one parameter set")
     columns, norm = _columns_and_norm(x, params)
-    return protect_columns(columns, params, _unit_scales(norm)[0], ctx)
+    scale = _unit_scales(norm)[0]  # a zero template is refused before anything is encrypted
+    return protect_encrypted(_encrypt_columns(columns, params, ctx), params, scale)
 
 
 def enroll(e: Embedding, params: PolyProtectParams, ctx: EncryptionContext, d: int) -> GalleryRecord:

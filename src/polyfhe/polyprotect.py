@@ -18,8 +18,8 @@ call's cost depends only on its arguments.  Depth is ceil(log2 m) + 1.
 B embeddings of one (m, overlap) are protected as one batch, each row under
 its own parameter set and scale (each column ciphertext a B-row batch, see
 backend); every row pays the ops it would pay alone, and its template, depth
-included, is bit-identical to its own (one embedding takes a short path to
-those ops and bits, _columns_and_norm and protect_columns).
+included, is bit-identical to its own.  Each input shape has one encrypted
+path, protect_encrypted's, whoever calls it.
 
 Column i of the windows is one strided slice of the zero-padded input,
 elements i, i + stride, ... (stride m - overlap): the encrypted path
@@ -29,9 +29,8 @@ powers come from one table built by the multiplication chain the encrypted
 side runs, never from pow, so a clear power is the decrypted one bit for bit
 on any host with IEEE arithmetic.  template_norms, which enrollment and the
 search both scale by, is the one template norm (_columns_and_norm gives its
-bits for one set); each sums in one fixed order, so a row's bits do not
-depend on the rows it came with.  A search pack stacks its sets' exponent
-and coefficient rows once.
+bits for one embedding, padded once for its norm and its columns); each sums
+in one fixed order, so a row's bits do not depend on the rows it came with.
 """
 
 from __future__ import annotations
@@ -126,6 +125,8 @@ def gen_params(m: int, overlap: int, c_range: int, seed) -> PolyProtectParams:
 
 def output_len(n: int, m: int, overlap: int) -> int:
     """Number of windows covering an n-vector: ceil((n-m)/(m-overlap)) + 1."""
+    if not 0 <= overlap <= m - 1:
+        raise ValueError("overlap must be in [0, m-1]")
     if n < m:
         raise InputTooShort(f"embedding length {n} < window width m={m}")
     stride = m - overlap
@@ -166,6 +167,8 @@ def _row_sets(params, rows, layout=None) -> tuple:
     # (m, overlap) layout, or the first set's when none is given
     if rows is None and not isinstance(params, PolyProtectParams):
         raise ValueError("one embedding takes one parameter set")
+    if rows == 0:
+        raise ValueError("a batch needs at least one row")
     if rows is not None and (isinstance(params, PolyProtectParams) or len(params) != rows):
         raise ValueError(f"a batch of {rows} rows takes a sequence of {rows} parameter sets, one per row")
     sets = (params,) if rows is None else tuple(params)
@@ -286,18 +289,21 @@ def encrypt_windows(v, params: PolyProtectParams, ctx: EncryptionContext, copies
     power and weighted sum of the columns is computed in each block at once.
     """
     padded, columns = _padded(v, params.m, params.overlap)
-    columns = [padded[..., column] for column in columns]  # (k,), or (B, k) for a batch
+    return _encrypt_columns([padded[..., column] for column in columns], params, ctx, copies)
+
+
+def _encrypt_columns(columns, params: PolyProtectParams, ctx: EncryptionContext, copies: int = 1) -> EncryptedWindows:
+    # encrypt_windows of the m window columns, (k,) each or (B, k) for a batch
     k = columns[0].shape[-1]
     cap = ctx.slot_capacity
     if k > cap // copies:
-        times = f" {copies} times" if copies > 1 else ""
-        raise CapacityExceeded(f"{k} windows do not fit slot capacity {cap}{times}")
+        raise CapacityExceeded(f"{k} windows do not fit slot capacity {cap}" + (f" {copies} times" if copies > 1 else ""))
     if copies > 1:  # each column again every capacity // copies slots
-        blocks = np.zeros((params.m,) + padded.shape[:-1] + (copies, cap // copies), dtype=np.float64)
+        blocks = np.zeros((params.m,) + columns[0].shape[:-1] + (copies, cap // copies), dtype=np.float64)
         for block, column in zip(blocks, columns):
             block[..., :k] = column[..., None, :]
         columns = blocks.reshape(blocks.shape[:-2] + (-1,))
-    cts = tuple(encrypt(column, ctx) for column in columns)  # encrypt zero-pads to capacity
+    cts = tuple([encrypt(column, ctx) for column in columns])  # encrypt zero-pads to capacity
     return EncryptedWindows(cts, k, params.m, params.overlap)
 
 
@@ -321,14 +327,11 @@ def pack_template(terms, weights) -> SlotVector:
 
 
 def _column_power(ct: SlotVector, exps: tuple) -> SlotVector:
-    # Row b of ct raised to exps[b], one embedding being one row.  Rows that
-    # share an exponent, or all of ct's, go through one _pow_ct chain
-    # together, so each row pays the mults its own chain costs.
+    # Row b of the batch ct raised to exps[b]; rows that share an exponent
+    # share one _pow_ct chain, so each row pays the mults of its own chain.
     groups = {}
     for b, e in enumerate(exps):
         groups.setdefault(e, []).append(b)
-    if len(groups) == 1:
-        return _pow_ct(ct, exps[0], {})
     powered = stack([_pow_ct(take(ct, rows), e, {}) for e, rows in groups.items()])
     return take(powered, np.argsort(np.concatenate(list(groups.values()))))
 
@@ -341,28 +344,23 @@ def protect_encrypted(windows: EncryptedWindows, params, scale=1.0) -> SlotVecto
     the powers cts[i]^exps[i] it needs and keeps none, so its cost depends
     only on its arguments.
 
-    The windows of one embedding take one parameter set and one scale.
-    Windows of a batch of B embeddings take one set per row, a sequence of
-    B with row b's at b, and a scalar or B scales, and give a B-row batch of
-    templates.  Every set of width m has one protect_depth, so each row is
-    bit-identical to its own call, depth included, and costs what that call
-    costs (protect_depth's power chains and m plaintext mults).
+    The windows of one embedding take one parameter set and one scale: one
+    power chain per column, weighted by c_i * scale, no batch bookkeeping.
+    The windows of a batch of B embeddings take B sets, row b's at b, and a
+    scalar or B scales, and give a B-row batch of templates, each row
+    bit-identical to its own call, depth and cost included.
     """
     rows = windows.cts[0].rows
-    sets = _row_sets(params, rows, (windows.m, windows.overlap))
+    layout = (windows.m, windows.overlap)
+    if rows is None and isinstance(params, PolyProtectParams) and (params.m, params.overlap) == layout:
+        powers = [_pow_ct(ct, e, {}) for ct, e in zip(windows.cts, params.exps)]
+        return pack_template(powers, [c * scale for c in params.coeffs])
+    sets = _row_sets(params, rows, layout)  # refuses one embedding that the branch above did not take
     terms = [_column_power(ct, exps) for ct, exps in zip(windows.cts, zip(*(p.exps for p in sets)))]
-    # row b's weights are its coefficients times its scale: one scalar per
-    # term for one embedding, a (B, 1) column of row scalars per term for a
-    # batch
+    # row b's weights, its coefficients times its scale: a (B, 1) column per term
     scales = np.asarray(scale, dtype=np.float64).reshape(-1, 1)
     weights = np.array([p.coeffs for p in sets], dtype=np.float64) * scales
-    return pack_template(terms, weights[0] if rows is None else weights.T[:, :, None])
-
-
-def protect_columns(columns, params: PolyProtectParams, scale, ctx: EncryptionContext) -> SlotVector:
-    """protect_encrypted(encrypt_windows(v, params, ctx), params, scale), op and bit for bit, from v's m columns."""
-    powers = [_pow_ct(encrypt(column, ctx), e, {}) for column, e in zip(columns, params.exps)]
-    return pack_template(powers, [c * scale for c in params.coeffs])
+    return pack_template(terms, weights.T[:, :, None])
 
 
 def protect_depth(params: PolyProtectParams) -> int:

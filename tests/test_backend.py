@@ -530,6 +530,18 @@ def test_take_and_stack_split_and_join_a_batch_at_no_cost(ctx):
         stack([batch, encrypt([1.0], EncryptionContext(4, 16, key_id="alice"))])
 
 
+def test_take_and_stack_refuse_to_make_a_zero_row_batch(ctx):
+    # a zero-row batch would count as one ciphertext on every op (rows or 1)
+    batch = encrypt(np.ones((2, 3)), ctx)
+    before = ctx.ops.copy()
+    for index in ([], np.array([], dtype=np.intp)):
+        with pytest.raises(ValueError, match="nonempty 1-D list of rows"):
+            take(batch, index)
+    with pytest.raises(ValueError, match="at least one ciphertext"):
+        stack([])
+    assert ctx.ops == before
+
+
 def test_binary_ops_refuse_batches_of_different_sizes(ctx):
     two, three = encrypt(np.ones((2, 3)), ctx), encrypt(np.ones((3, 3)), ctx)
     one_row, single = encrypt(np.ones((1, 3)), ctx), encrypt(np.ones(3), ctx)

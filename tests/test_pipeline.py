@@ -188,6 +188,18 @@ def test_enroll_matches_plaintext_oracle():
     assert rec.template.depth_used == protect_depth(params)
 
 
+def test_enroll_makes_its_template_with_protect_encrypted(monkeypatch):
+    # one embedding has the encrypted path that the unit tests and criterion
+    # 4 check: enroll's template is what protect_encrypted returned
+    made = []
+    protect = pl.protect_encrypted
+    monkeypatch.setattr(pl, "protect_encrypted", lambda *args: made.append(protect(*args)) or made[-1])
+    ds = gen_synthetic_dataset(small_spec())
+    pipe = Pipeline(PipelineConfig(seed=2))
+    rec = pipe.enroll(ds[0], pipe.gen_user_params(0))
+    assert len(made) == 1 and rec.template is made[0]
+
+
 def test_enroll_encrypts_one_dimensional_columns(monkeypatch):
     # one embedding is one row: its m window columns are encrypted as single
     # ciphertexts, not as one-row batches
@@ -314,19 +326,21 @@ def _identify_per_record(probe, gallery, pipe):
     for rec in gallery:
         params = rec.params
         v = compress_prefix(probe, rec.compress_dim)
+        before = pipe.ctx.ops.copy()
         windows = encrypt_windows(v, params, pipe.ctx)
         scale = 1.0 / template_norms(v, params.overlap, np.array([params.exps]), np.array([params.coeffs], float))[0]
         probe_ct = protect_encrypted(windows, params, scale)
+        spent, before = pipe.ctx.ops - before, pipe.ctx.ops.copy()
+        # what enroll runs for one embedding: the same bits, depth and ops
+        enrolled = pl._protect(v, params, pipe.ctx)
+        assert pipe.ctx.ops - before == spent
+        assert (enrolled.slots.tobytes(), enrolled.depth_used) == (probe_ct.slots.tobytes(), probe_ct.depth_used)
         ct = cosine_unit_encrypted(rec.template, probe_ct, windows.k)
         scores.append((rec.subject_id, float(decrypt(ct, pipe.ctx)[0])))
     return sorted(scores, key=lambda t: (-t[1], t[0]))
 
 
-@pytest.mark.parametrize("cfg", [
-    PipelineConfig(seed=4),
-    PipelineConfig(compress_dim=48, m=3, overlap=1, seed=5),
-    PipelineConfig(compress_dim=130, m=3, overlap=2, seed=6),  # k = 128 = capacity
-])
+@pytest.mark.parametrize("cfg", [PipelineConfig(seed=seed, **layout) for seed, layout in zip((4, 5, 6), LAYOUTS.values())])
 def test_identify_scores_equal_per_record_protection(cfg):
     ds = gen_synthetic_dataset(small_spec(num_ids=6, samples_per_id=2, seed=cfg.seed))
     pipe = Pipeline(cfg)
@@ -683,12 +697,14 @@ def test_identify_rejects_a_score_no_unit_templates_give(tamper):
 
 
 def test_enroll_template_longer_than_capacity():
+    # a batch and one embedding are refused by one check, in one wording,
+    # before anything is encrypted
     ds = gen_synthetic_dataset(small_spec(num_ids=2, samples_per_id=2))
     pipe = Pipeline(PipelineConfig(slot_capacity=32, seed=4))  # k = 60 windows
-    with pytest.raises(CapacityExceeded):
+    with pytest.raises(CapacityExceeded, match="^60 windows do not fit slot capacity 32$"):
         build_gallery(ds, pipe)
     before = pipe.ctx.ops.copy()
-    with pytest.raises(CapacityExceeded):
+    with pytest.raises(CapacityExceeded, match="^60 windows do not fit slot capacity 32$"):
         pipe.enroll(ds[0], pipe.gen_user_params(0))
     assert pipe.ctx.ops == before
 

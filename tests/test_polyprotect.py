@@ -454,6 +454,18 @@ def test_protect_batch_needs_one_layout():
         protect_encrypted(encrypt_windows(x, sets[0], ctx), sets)
 
 
+@pytest.mark.parametrize("overlap", [5, 3, -2])
+def test_output_len_refuses_an_overlap_outside_0_to_m_minus_1(overlap):
+    # 5 gave -1 windows, 3 a zero stride, -2 a stride of 5 that skips coordinates
+    with pytest.raises(ValueError, match=r"overlap must be in \[0, m-1\]"):
+        output_len(10, 3, overlap)
+
+
+def test_protect_plain_refuses_a_zero_row_batch():
+    with pytest.raises(ValueError, match="a batch needs at least one row"):
+        protect_plain(np.zeros((0, 64)), [])
+
+
 def test_protect_batch_needs_one_set_per_row():
     # fewer sets than rows would drop rows; a batch row has its own set, so
     # one set does not serve a whole batch, and one embedding takes one set
