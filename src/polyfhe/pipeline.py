@@ -26,11 +26,12 @@ backend needs Galois keys for (one more, 64, at the default config, where
 B = 2).  A (B, n) batch, build_gallery's up to _PROTECT_ROWS records, one
 set per row, and one embedding, enroll's and the leakage suite's, each take
 protect_encrypted's one path for their shape; one embedding is padded once,
-for its scale and its encrypted columns.  enroll returns a pack of one, and
-build_gallery lays its packs out once.  Every record is made in its pack,
-by _pack_gallery, so the search reads parameters from the packs and takes
-no params store.  Everything a search needs of the gallery side is built
-with the pack, read-only (TemplatePack).  The probe's windows are encrypted
+for its scale and its encrypted columns.  enroll builds its record's pack
+of one with TemplatePack; build_gallery and load_gallery lay their records
+out in packs once, by layout (_pack_gallery).  Every record is made in its
+pack, so the search reads parameters from the packs and takes no params
+store.  Everything a search needs of the gallery side is built with the
+pack, read-only (TemplatePack).  The probe's windows are encrypted
 once per group as m column ciphertexts copied into every block, all m^2
 column powers 1..m are computed once (m (m - 1) ct mults, whatever exponents
 the records use), and the template norms of every listed record come from
@@ -183,11 +184,12 @@ class TemplatePack:
         self.exps[:n] = [p.exps for p in self.params]
         self.block_coeffs = np.zeros((blocks, m))
         self.block_coeffs[:n] = [p.coeffs for p in self.params]
-        # row i * n + b is record b's pair at column i
+        # row i * n + b is record b's pair at column i: record b's m rows and
+        # block b's slots are one strided slice of the masks
         self.terms = tuple(p.exps[i] * m + i for i in range(m) for p in self.params)
-        coeffs = np.zeros((m, n, blocks))
-        coeffs[:, np.arange(n), np.arange(n)] = self.block_coeffs[:n].T
-        self.masks = np.repeat(coeffs.reshape(m * n, blocks), width, axis=1)
+        self.masks = np.zeros((m * n, blocks * width))
+        for b in range(n):
+            self.masks[b::n, b * width : (b + 1) * width] = self.block_coeffs[b, :, None]
         for array in (self.masks, self.exps, self.block_coeffs):
             array.flags.writeable = False
 
@@ -310,7 +312,7 @@ def enroll(e: Embedding, params: PolyProtectParams, ctx: EncryptionContext, d: i
     """compress -> encrypt -> protect -> pack, scaled to unit norm by the
     exact template norm; returns the persistable record, a pack of one."""
     template = _protect(compress_prefix(e, d), params, ctx)
-    return _pack_gallery([(e.subject_id, template, params, d, None)], ctx)[0]
+    return GalleryRecord(e.subject_id, template, TemplatePack((template,), d, (params,)), 0)
 
 
 def _pack_gallery(entries: list, ctx: EncryptionContext) -> list:
@@ -338,6 +340,9 @@ def _pack_gallery(entries: list, ctx: EncryptionContext) -> list:
 _SCORE_ROUNDING = 1e-9
 
 
+# numpy's float warnings are off once per call, not per backend op: the inf
+# or NaN a tampered record carries reaches the range check, IntegrityError
+@np.errstate(invalid="ignore", over="ignore")
 def identify(probe: Embedding, gallery: list, ctx: EncryptionContext) -> list:
     """Encrypted 1:N search: (subject_id, score) sorted by descending score.
 

@@ -72,31 +72,32 @@ class PolyProtectParams:
 
     def __post_init__(self):
         try:
-            values = (*map(operator.index, (self.m, self.overlap, self.c_range)),
-                      tuple(map(operator.index, self.coeffs)), tuple(map(operator.index, self.exps)))
+            m, overlap, c_range = map(operator.index, (self.m, self.overlap, self.c_range))
+            coeffs, exps = tuple(map(operator.index, self.coeffs)), tuple(map(operator.index, self.exps))
         except TypeError as exc:
             raise ValueError(f"m, overlap, c_range, coeffs and exps must be integers ({exc})") from None
-        for name, value in zip(("m", "overlap", "c_range", "coeffs", "exps"), values):
-            object.__setattr__(self, name, value)
-        if self.m < 2:
+        if m < 2:
             raise ValueError("m must be >= 2")
-        if not 0 <= self.overlap <= self.m - 1:
+        if not 0 <= overlap <= m - 1:
             raise ValueError("overlap must be in [0, m-1]")
-        if len(self.coeffs) != self.m or len(self.exps) != self.m:
+        if len(coeffs) != m or len(exps) != m:
             raise ValueError("coeffs and exps must have length m")
-        if any(c == 0 for c in self.coeffs) or len(set(self.coeffs)) != self.m:
+        if 0 in coeffs or len(set(coeffs)) != m:
             raise ValueError("coefficients must be nonzero and pairwise distinct")
-        if sorted(self.exps) != list(range(1, self.m + 1)):
+        if set(exps) != set(range(1, m + 1)):
             raise ValueError("exponents must be a permutation of 1..m")
-        if not 1 <= self.c_range <= 2**53:
-            raise ValueError(f"c_range must be in 1..2**53, got {self.c_range}")
-        if any(abs(c) > self.c_range for c in self.coeffs):
-            raise ValueError(f"every coefficient must lie in [-c_range, c_range], c_range={self.c_range}")
-        object.__setattr__(self, "params_id", _params_id(self.m, self.overlap, self.c_range, self.coeffs, self.exps))
+        if not 1 <= c_range <= 2**53:
+            raise ValueError(f"c_range must be in 1..2**53, got {c_range}")
+        if max(map(abs, coeffs)) > c_range:
+            raise ValueError(f"every coefficient must lie in [-c_range, c_range], c_range={c_range}")
+        params_id = _params_id(m, overlap, c_range, coeffs, exps)
+        self.__dict__.update(m=m, overlap=overlap, c_range=c_range, coeffs=coeffs, exps=exps, params_id=params_id)
 
 
 def _params_id(m, overlap, c_range, coeffs, exps) -> str:
-    canon = json.dumps([m, overlap, c_range, list(coeffs), list(exps)]).encode()
+    # the hash of the JSON text [m, overlap, c_range, [coeffs], [exps]], which
+    # str() of the same Python ints spells byte for byte
+    canon = str([m, overlap, c_range, [*coeffs], [*exps]]).encode()
     return hashlib.sha256(canon).hexdigest()[:16]
 
 
@@ -105,7 +106,9 @@ def gen_params(m: int, overlap: int, c_range: int, seed) -> PolyProtectParams:
 
     Coefficients: m distinct nonzero integers in [-c_range, c_range], c_range
     at most 2**53 (float64 holds each exactly), drawn as positions in that
-    pool, which is never built.  Exponents: a permutation of {1..m}.
+    pool, which is never built.  Exponents: a permutation of {1..m}.  Both
+    come from one default_rng(seed) stream, choice then shuffle, so a seed
+    gives the set it always gave, the one every saved gallery holds.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -117,9 +120,9 @@ def gen_params(m: int, overlap: int, c_range: int, seed) -> PolyProtectParams:
         raise InfeasibleParams(f"c_range={c_range} exceeds 2**53, past which float64 cannot hold every coefficient")
     rng = np.random.default_rng(seed)
     # position j of the pool -c_range..-1, 1..c_range, skipping 0
-    draws = rng.choice(2 * c_range, size=m, replace=False)
-    coeffs = np.where(draws < c_range, draws - c_range, draws - c_range + 1).tolist()
-    exps = (rng.permutation(m) + 1).tolist()
+    coeffs = [j - c_range + (j >= c_range) for j in rng.choice(2 * c_range, m, replace=False).tolist()]
+    exps = list(range(1, m + 1))
+    rng.shuffle(exps)  # the draws permutation(m) makes, on a list
     return PolyProtectParams(m, overlap, coeffs, exps, c_range, seed=seed)
 
 
@@ -241,9 +244,11 @@ def _columns_and_norm(x, params: PolyProtectParams) -> tuple:
     # table, products and column order, column i's power read by slicing.
     padded, columns = _padded(x, params.m, params.overlap)
     table = _power_table(padded, params.m)
-    terms = [table[e - 1, column] * c for column, e, c in zip(columns, params.exps, params.coeffs)]
-    template = sum(terms[1:], terms[0])[None]  # one (1, k) row, summed as template_norms sums
-    return [padded[column] for column in columns], np.sqrt(np.add.reduce(template * template, axis=-1))
+    template = table[params.exps[0] - 1, columns[0]] * params.coeffs[0]
+    for column, e, c in zip(columns[1:], params.exps[1:], params.coeffs[1:]):
+        template += table[e - 1, column] * c  # in column order, as _templates adds
+    template *= template  # summed as template_norms sums one contiguous row
+    return [padded[column] for column in columns], np.sqrt(np.add.reduce(template, keepdims=True))
 
 
 def _pow_ct(sv: SlotVector, e: int, memo: dict) -> SlotVector:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from polyfhe import polyprotect as pp
 from polyfhe.backend import EncryptionContext, decrypt, encrypt
 from polyfhe.errors import CapacityExceeded, InfeasibleParams, InputTooShort, IntegrityError
+from polyfhe.pipeline import Pipeline, PipelineConfig
 from polyfhe.polyprotect import (
     EncryptedWindows,
     PolyProtectParams,
@@ -153,6 +155,65 @@ def test_params_id_is_computed_from_the_values():
         PolyProtectParams(5, 4, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 50, "manual")  # an id, or a seed, by position
     with pytest.raises(TypeError):
         PolyProtectParams(5, 4, (2, -3, 1, 4, -1), (1, 2, 3, 4, 5), 50, params_id="manual")
+
+
+# (seed, index) of Pipeline(PipelineConfig(seed=seed)).gen_user_params(index),
+# then the coefficients, exponents and params_id it draws
+PINNED_USER_DRAWS = [
+    (0, 0, (12, 1, -24, -20, 32), (5, 4, 2, 3, 1), "fde2fbd57bbd3ed8"),
+    (0, 1, (6, 37, 48, 1, -20), (1, 5, 2, 3, 4), "d4aea98fc1ce5aec"),
+    (0, 199, (36, -2, -8, -22, 10), (3, 5, 1, 4, 2), "30059da5564564e3"),
+    (5, 0, (30, 29, 15, -4, -48), (5, 1, 2, 4, 3), "d2a5350025c09a81"),
+    (5, 1, (-38, 26, 27, 38, -4), (1, 2, 3, 5, 4), "cc15d12921c42297"),
+    (5, 199, (-37, 44, 2, -48, 47), (1, 5, 4, 2, 3), "ff85113b55af9f28"),
+]
+
+# (m, c_range) of gen_params(m, m - 1, c_range, seed=[m, 7]), then the same
+PINNED_RANGE_DRAWS = [
+    (2, 1, (1, -1), (1, 2), "b06f2406a26c3a6d"),
+    (8, 10**12,
+     (-739960310165, 845203960219, -540591048845, -523882617612, -671138455813, 916598486919, -241396963247, 46402604391),
+     (3, 1, 8, 7, 6, 5, 2, 4), "f2b5277547a65fb4"),
+    (5, 2**53,
+     (8300598998595702, 224996862677562, 5715682391912984, -3742245342269887, -5382215678764264),
+     (5, 4, 1, 3, 2), "59de3244d3a371c3"),
+]
+
+
+@pytest.mark.parametrize("seed,index,coeffs,exps,params_id", PINNED_USER_DRAWS)
+def test_gen_params_draws_the_sets_saved_galleries_hold(seed, index, coeffs, exps, params_id):
+    # every saved params file and manifest holds sets drawn from these
+    # streams; a faster draw must give the same sets and ids
+    p = Pipeline(PipelineConfig(seed=seed)).gen_user_params(index)
+    assert (p.coeffs, p.exps, p.params_id) == (coeffs, exps, params_id)
+
+
+@pytest.mark.parametrize("m,c_range,coeffs,exps,params_id", PINNED_RANGE_DRAWS)
+def test_gen_params_draws_the_same_sets_at_every_range(m, c_range, coeffs, exps, params_id):
+    # from a pool of 2 to one of 2**54, which Generator.choice draws with
+    # 32- and 64-bit words
+    p = gen_params(m, m - 1, c_range, seed=[m, 7])
+    assert (p.coeffs, p.exps, p.params_id) == (coeffs, exps, params_id)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(2, 8), data=st.data())
+def test_params_id_hashes_the_json_of_the_values(m, data):
+    # the bytes every params file and manifest was written with
+    overlap = data.draw(st.integers(0, m - 1), label="overlap")
+    magnitude = st.integers(-(2**53), 2**53).filter(bool)
+    coeffs = tuple(data.draw(st.lists(magnitude, min_size=m, max_size=m, unique=True), label="coeffs"))
+    exps = tuple(data.draw(st.permutations(range(1, m + 1)), label="exps"))
+    c_range = data.draw(st.integers(max(map(abs, coeffs)), 2**53), label="c_range")
+    canon = json.dumps([m, overlap, c_range, list(coeffs), list(exps)]).encode()
+    assert PolyProtectParams(m, overlap, coeffs, exps, c_range).params_id == hashlib.sha256(canon).hexdigest()[:16]
+
+
+def test_params_report_the_first_rule_a_set_breaks():
+    # a zero coefficient and exponents that are not a permutation: the
+    # coefficients are checked first
+    with pytest.raises(ValueError, match="^coefficients must be nonzero and pairwise distinct$"):
+        PolyProtectParams(3, 1, (0, -7, 2), (1, 1, 3), 50)
 
 
 def test_params_take_any_integer_type_and_refuse_non_integers():
