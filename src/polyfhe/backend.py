@@ -247,7 +247,7 @@ def mult_plain(a: SlotVector, scalars) -> SlotVector:
     if depth > ctx.depth_budget:
         raise DepthExceeded(f"mult_plain would reach depth {depth} > budget {ctx.depth_budget}")
     s = a.slots
-    # a float64 array of the ciphertext's shape (the search's masks) as it is
+    # a float64 array of the ciphertext's shape (the search's weights) as it is
     if type(scalars) is not np.ndarray or scalars.dtype != _FLOAT64 or scalars.shape != s.shape:
         scalars = _coerce_scalars(scalars, s.shape)
     ctx.ops["pt_mults"] += a.rows or 1

@@ -134,10 +134,12 @@ def predict(clf: LinearClassifier, features) -> list:
 
 
 def eval_accuracy(clf: LinearClassifier, features, labels) -> float:
-    """Fraction of correct predictions."""
+    """Fraction of correct predictions; no feature rows raises EmptyDataset."""
     preds = predict(clf, features)
     if len(labels) != len(preds):
         raise DimensionMismatch(f"{len(labels)} labels for {len(preds)} feature rows")
+    if not len(preds):
+        raise EmptyDataset("eval_accuracy needs at least one feature row; features and labels are empty")
     return float(np.mean([p == t for p, t in zip(preds, labels)]))
 
 

@@ -30,13 +30,14 @@ for its scale and its encrypted columns.  enroll builds its record's pack
 of one with TemplatePack; build_gallery and load_gallery lay their records
 out in packs once, by layout (_pack_gallery).  Every record is made in its
 pack, so the search reads parameters from the packs and takes no params
-store.  Everything a search needs of the gallery side is built with the
-pack, read-only (TemplatePack).  The probe's windows are encrypted
-once per group as m column ciphertexts copied into every block, all m^2
-column powers 1..m are computed once (m (m - 1) ct mults, whatever exponents
-the records use), and the template norms of every listed record come from
-one call.  Each pack then pays one mask product in the clear, one plaintext
-mult per column of each of its records (m per record: records that share a
+store.  A pack keeps its records' parameters once, as read-only exponent
+and coefficient rows by block (TemplatePack).  The probe's windows are
+encrypted once per group as m column ciphertexts copied into every block,
+all m^2 column powers 1..m are computed once (m (m - 1) ct mults, whatever
+exponents the records use), the template norms of every listed record come
+from one call, and the power keys and plaintext weights of every pack come
+from the group's rows at once.  Each pack then pays one plaintext mult per
+column of each of its records (m per record: records that share a
 (column, exponent) pair are not merged), one product and one fold, so a
 search's cost depends only on m and the gallery's shape.  Record b's score
 is slot b W, bit-identical to a pack of one's, and a group's scores are read
@@ -148,18 +149,9 @@ class TemplatePack:
     [b * width, b * width + k), width = 2^ceil(log2 k).
 
     Built from the records' templates, compress dim and parameter sets by
-    block; the ciphertext and everything identify needs of the gallery side
-    are derived here, once, and kept read-only:
-
-    - row r is one record's (column i, exponent e) pair, by column and then
-      block: terms[r] = e * m + i keys it in identify's table of column
-      powers, and masks[r] holds record b's coefficient for it over block
-      b's slots if the pair is record b's, else 0: the plaintexts of the
-      probe's weighted sum before its scales.  Records that share a pair
-      keep a row each, so a pack costs m plaintext mults per record whatever
-      the users' secret exponents are.
-    - exps[b] and block_coeffs[b] are record b's exponents and coefficients,
-      the rows template_norms reads (zeros past the last record).
+    block; the ciphertext and the rows identify reads of the gallery side
+    are derived here, once, and kept read-only: exps[b] and block_coeffs[b]
+    are record b's exponents and coefficients (zeros past the last record).
     """
 
     templates: InitVar[tuple]  # record b's template at b
@@ -167,8 +159,6 @@ class TemplatePack:
     params: tuple  # record b's PolyProtectParams at b
     ciphertext: SlotVector = field(init=False)
     width: int = field(init=False)
-    terms: tuple = field(init=False)
-    masks: np.ndarray = field(init=False, repr=False)
     exps: np.ndarray = field(init=False, repr=False)
     block_coeffs: np.ndarray = field(init=False, repr=False)
 
@@ -184,14 +174,7 @@ class TemplatePack:
         self.exps[:n] = [p.exps for p in self.params]
         self.block_coeffs = np.zeros((blocks, m))
         self.block_coeffs[:n] = [p.coeffs for p in self.params]
-        # row i * n + b is record b's pair at column i: record b's m rows and
-        # block b's slots are one strided slice of the masks
-        self.terms = tuple(p.exps[i] * m + i for i in range(m) for p in self.params)
-        self.masks = np.zeros((m * n, blocks * width))
-        for b in range(n):
-            self.masks[b::n, b * width : (b + 1) * width] = self.block_coeffs[b, :, None]
-        for array in (self.masks, self.exps, self.block_coeffs):
-            array.flags.writeable = False
+        self.exps.flags.writeable = self.block_coeffs.flags.writeable = False
 
     @property
     def layout(self) -> tuple:
@@ -350,15 +333,15 @@ def identify(probe: Embedding, gallery: list, ctx: EncryptionContext) -> list:
     scaled to unit norm, and scored against the record's unit-norm template,
     per pack (see the module docstring): the probe's templates for all the
     pack's blocks are one weighted sum of its m^2 column powers, built once
-    per layout group, under the pack's masks times one row of slot scales
-    that holds each record's probe scale in its block and zeros in the
-    blocks of records gallery does not list.  Each layout group's products
-    are decrypted as one stack.  A record listed twice is scored twice.
-    Ties break by subject_id for a stable order.  A decrypted score that is
-    not finite, or lies outside [-1, 1] by more than rounding, raises
-    IntegrityError naming the first such record: both templates have unit
-    norm, so such a score means a record's ciphertext is not what
-    enrollment stored.
+    per layout group: record b's term at column i is column i raised to its
+    exponent, weighted by its coefficient times its probe scale over block
+    b's slots and zeros elsewhere, the scale 0 for a record gallery does not
+    list.  Each layout group's products are decrypted as one stack.  A
+    record listed twice is scored twice.  Ties break by subject_id for a
+    stable order.  A decrypted score that is not finite, or lies outside
+    [-1, 1] by more than rounding, raises IntegrityError naming the first
+    such record: both templates have unit norm, so such a score means a
+    record's ciphertext is not what enrollment stored.
     """
     if not gallery:
         raise ValueError("identify needs a nonempty gallery")
@@ -380,21 +363,28 @@ def identify(probe: Embedding, gallery: list, ctx: EncryptionContext) -> list:
         flat = np.array(
             [row * blocks + gallery[i].block for row, (_, pack_listed) in enumerate(group) for i in pack_listed]
         )
+        exps = np.concatenate([pack.exps for pack, _ in group])
+        coeffs = np.concatenate([pack.block_coeffs for pack, _ in group])
         block_scales = np.zeros(len(group) * blocks)
-        block_scales[flat] = _unit_scales(
-            template_norms(
-                v,
-                overlap,
-                np.concatenate([pack.exps for pack, _ in group])[flat],
-                np.concatenate([pack.block_coeffs for pack, _ in group])[flat],
-            )
-        )
-        slot_scales = np.repeat(block_scales, width).reshape(len(group), cap)
-        # every column's powers 1..m; index e * m + i, a pack's key, is column i ** e
+        block_scales[flat] = _unit_scales(template_norms(v, overlap, exps[flat], coeffs[flat]))
+        # term (p, i, b) is record b of pack p at column i: key e * m + i is
+        # column i ** e, weighted by its coefficient times the record's probe
+        # scale over block b's slots
+        keys = (exps * m + np.arange(m)).reshape(len(group), blocks, m).transpose(0, 2, 1)
+        scaled = (coeffs * block_scales[:, None]).reshape(len(group), blocks, m, 1)
+        weights = np.zeros((len(group), m, blocks, cap))
+        for b in range(blocks):
+            weights[:, :, b, b * width : (b + 1) * width] = scaled[:, b]
+        # every column's powers 1..m
         powers = [None] * m + window_powers(windows, [(key % m, key // m) for key in range(m, m * m + m)])
+        # the keys of blocks past a pack's last record (exponent 0) fall below
+        # m, so each pack's m * n terms are the next run of this list
+        terms = [powers[key] for key in keys[keys >= m].tolist()]
         products = []
         for row, (pack, _) in enumerate(group):
-            probe_ct = pack_template([powers[key] for key in pack.terms], pack.masks * slot_scales[row])
+            n = len(pack.params)
+            probe_ct = pack_template(terms[: m * n], weights[row, :, :n].reshape(m * n, cap))
+            del terms[: m * n]
             products.append(cosine_unit_encrypted(pack.ciphertext, probe_ct, windows.k))
         scores[listed] = decrypt(stack(products), ctx)[:, ::width].reshape(-1)[flat]
     bad = ~(np.abs(scores) <= 1.0 + _SCORE_ROUNDING)  # NaN fails the comparison too
@@ -524,7 +514,10 @@ def rank1_accuracy(dataset: list, cfg: PipelineConfig) -> float:
 
 
 def save_dataset(dataset: list, path):
-    """CSV with columns id,gender,age_band,ethnicity,v0..v{dim-1}."""
+    """CSV with columns id,gender,age_band,ethnicity,v0..v{dim-1}; an empty
+    dataset raises EmptyDataset before the file is opened."""
+    if not dataset:
+        raise EmptyDataset(f"save_dataset needs at least one sample for {path}")
     dim = len(dataset[0].values)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)

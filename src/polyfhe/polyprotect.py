@@ -375,11 +375,15 @@ def protect_depth(params: PolyProtectParams) -> int:
 
 
 def template_correlation(a, b) -> float:
-    """Pearson correlation between two plaintext templates (unlinkability probe)."""
+    """Pearson correlation between two plaintext templates (unlinkability
+    probe); a constant template, whose correlation is undefined, raises
+    ValueError."""
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
     if len(x) != len(y):
         raise ValueError("templates must have equal length to correlate")
+    if not len(x) or np.ptp(x) == 0 or np.ptp(y) == 0:
+        raise ValueError("correlation is undefined for a constant template")
     return float(np.corrcoef(x, y)[0, 1])
 
 

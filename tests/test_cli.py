@@ -468,12 +468,18 @@ def test_bad_count_flag_is_usage_error(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", ["bench-sum", "eval-leakage"])
-def test_depth_budget_flag_is_gone(tmp_path, capsys, command):
+@pytest.mark.parametrize("command,flag,args", [
+    ("gen-params", "--jobs", ["--out-dir", "{tmp}"]),
+    ("bench-sum", "--depth-budget", ["--out-dir", "{tmp}"]),
+    ("eval-leakage", "--depth-budget", ["--out-dir", "{tmp}"]),
+    ("enroll", "--approx-degree", ["--out-dir", "{tmp}"]),
+    ("identify", "--approx-degree", ["--gallery-dir", "{tmp}", "--probes", "{tmp}/p.csv"]),
+], ids=["gen-params", "bench-sum", "eval-leakage", "enroll", "identify"])
+def test_removed_flag_is_gone(tmp_path, capsys, command, flag, args):
     with pytest.raises(SystemExit) as exc:
-        run_cli(command, "--depth-budget", "16", "--out-dir", str(tmp_path))
+        run_cli(command, flag, "8", *[arg.format(tmp=tmp_path) for arg in args])
     assert exc.value.code == 2
-    assert "--depth-budget" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 def test_failed_runs_write_no_manifest(tmp_path, capsys):
@@ -511,13 +517,6 @@ def test_degenerate_training_split_names_the_attribute(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error: DegenerateLabels: attribute 'gender'" in err and "4-sample training split" in err
-
-
-def test_jobs_flag_is_gone(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("gen-params", "--jobs", "8", "--out-dir", str(tmp_path))
-    assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fault", ["non-numeric value", "short row"])
@@ -628,13 +627,6 @@ def test_non_finite_class_separation_exits_1(tmp_path, command, sep):
     assert not list(tmp_path.iterdir())
 
 
-def test_enroll_approx_degree_flag_is_gone(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("enroll", "--approx-degree", "8", "--out-dir", str(tmp_path))
-    assert exc.value.code == 2
-    assert "--approx-degree" in capsys.readouterr().err
-
-
 def test_identify_truncated_params_file_exits_1(tmp_path, capsys):
     out = _enrolled(tmp_path)
     params_file = next((out / "gallery" / "params").glob("*.json"))
@@ -693,14 +685,6 @@ def test_identify_mixed_gallery_ranks_like_the_library(tmp_path):
     for i, probe in enumerate(load_dataset(tmp_path / "probes.csv")):
         got = [(r["subject_id"], float(r["score"])) for r in rows if r["probe_index"] == str(i)]
         assert got == pipe.identify(probe, gallery)
-
-
-def test_identify_approx_degree_flag_is_gone(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("identify", "--gallery-dir", str(tmp_path), "--probes", str(tmp_path / "p.csv"),
-                "--approx-degree", "8")
-    assert exc.value.code == 2
-    assert "--approx-degree" in capsys.readouterr().err
 
 
 def test_identify_flipped_payload_bit_exits_1(tmp_path, capsys):

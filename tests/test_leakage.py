@@ -233,6 +233,13 @@ def test_eval_accuracy_rejects_a_label_count_unlike_the_row_count():
         eval_accuracy(clf, np.ones((10, 3)), ["a"] * 4)
 
 
+def test_eval_accuracy_of_no_feature_rows_is_error():
+    # the mean of no predictions was NaN, with numpy's empty-slice warning
+    clf = LinearClassifier(np.zeros((2, 3)), np.array([1.0, 0.0]), ("a", "b"), np.zeros(3), np.ones(3))
+    with pytest.raises(EmptyDataset, match="at least one feature row"):
+        eval_accuracy(clf, np.zeros((0, 3)), [])
+
+
 def test_predict_rejects_features_that_are_not_a_matrix():
     clf = LinearClassifier(np.zeros((2, 3)), np.array([1.0, 0.0]), ("a", "b"), np.zeros(3), np.ones(3))
     with pytest.raises(DimensionMismatch, match=r"\(samples, features\) matrix, got shape \(3,\)"):

@@ -354,7 +354,7 @@ def _counting(monkeypatch, module, name):
     fn = getattr(module, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
@@ -565,8 +565,8 @@ def test_packed_scores_equal_packs_of_one(cfg, num_ids, blocks):
     singles = _singles(gallery, ds, pipe)
     for rec in singles:  # enroll lays a pack of one out as packing one record does
         (again,) = pl._pack_gallery([(rec.subject_id, rec.template, rec.params, rec.compress_dim, None)], pipe.ctx)
-        assert rec.block == 0 and rec.template is rec.pack.ciphertext and again.pack.terms == rec.pack.terms
-        for name in ("masks", "exps", "block_coeffs"):
+        assert rec.block == 0 and rec.template is rec.pack.ciphertext
+        for name in ("exps", "block_coeffs"):
             assert getattr(again.pack, name).tobytes() == getattr(rec.pack, name).tobytes()
     for probe in probes[:3]:
         assert pipe.identify(probe, gallery) == pipe.identify(probe, singles)
@@ -596,19 +596,63 @@ def test_packs_hold_their_gallery_side_tables_read_only(tmp_path, cfg, num_ids):
             blocks = pipe.cfg.slot_capacity // pack.width
             n, m = len(pack.params), pack.params[0].m
             assert pack.width == 1 << (pp.output_len(*pack.layout) - 1).bit_length()
-            assert pack.masks.shape == (m * n, pipe.cfg.slot_capacity)
-            for r, key in enumerate(pack.terms):  # row r: record r % n's exponent at column r // n
-                i, b = divmod(r, n)
-                assert key == pack.params[b].exps[i] * m + i
-                row = [pack.params[b].coeffs[i] if c == b else 0 for c in range(blocks)]
-                assert pack.masks[r].tolist() == np.repeat(row, pack.width).tolist()
             assert pack.exps[:n].tolist() == [list(p.exps) for p in pack.params] and not pack.exps[n:].any()
             assert pack.block_coeffs[:n].tolist() == [list(p.coeffs) for p in pack.params]
             assert not pack.block_coeffs[n:].any() and pack.exps.shape == (blocks, m)
-            for array in (pack.masks, pack.exps, pack.block_coeffs):
+            for array in (pack.exps, pack.block_coeffs):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     array[0, 0] = 1
+
+
+@pytest.mark.parametrize("cfg,num_ids", [
+    (PipelineConfig(seed=4), 1),  # an enrolled pack of one
+    (PipelineConfig(seed=4), 4),  # k = 60: two full packs of two at 128 slots
+    (PipelineConfig(compress_dim=32, m=3, overlap=1, seed=5), 11),  # eight per ciphertext, the last pack of three
+])
+def test_identify_weights_each_pack_by_its_records_coefficients_and_scales(monkeypatch, cfg, num_ids):
+    # a pack of n records gets one probe template: row i * n + b of its
+    # weights is record b's coefficient at column i times record b's probe
+    # scale over block b's slots, zero elsewhere, and its term is the
+    # probe's column i raised to record b's exponent
+    ds = gen_synthetic_dataset(small_spec(num_ids=max(num_ids, 2), samples_per_id=2, seed=cfg.seed))
+    pipe = Pipeline(cfg)
+    gallery, probes = build_gallery(ds, pipe)
+    if num_ids == 1:
+        gallery = [pipe.enroll(ds[0], gallery[0].params)]
+    calls = _counting(monkeypatch, pl, "pack_template")
+    pipe.identify(probes[0], gallery)
+    packs = list({rec.pack: None for rec in gallery})
+    assert len(calls) == len(packs) and sum(len(pack.params) for pack in packs) == num_ids
+    cap, m = cfg.slot_capacity, cfg.m
+    v = compress_prefix(probes[0], cfg.compress_dim)
+    for pack, (terms, weights) in zip(packs, calls):
+        n, width = len(pack.params), pack.width
+        windows = encrypt_windows(v, pack.params[0], pipe.ctx, cap // width)
+        assert len(terms) == m * n and weights.shape == (m * n, cap)
+        for b, p in enumerate(pack.params):
+            (norm,) = template_norms(v, cfg.overlap, np.array([p.exps]), np.array([p.coeffs]))
+            for i in range(m):
+                want = np.zeros(cap)
+                want[b * width : (b + 1) * width] = p.coeffs[i] * (1.0 / norm)
+                assert weights[i * n + b].tobytes() == want.tobytes()
+                (power,) = pp.window_powers(windows, [(i, p.exps[i])])
+                assert decrypt(terms[i * n + b], pipe.ctx).tobytes() == decrypt(power, pipe.ctx).tobytes()
+
+
+def test_a_pack_stores_no_array_that_grows_with_the_capacity():
+    # k = 60 at 2048 slots: W = 64, 32 blocks; besides its ciphertext a pack
+    # holds its records' exponent and coefficient rows, 2 * blocks * m
+    # numbers, whether it is full or an enrolled pack of one
+    cfg = PipelineConfig(slot_capacity=2048, seed=6)
+    ds = gen_synthetic_dataset(small_spec(num_ids=32, samples_per_id=1, seed=cfg.seed))
+    pipe = Pipeline(cfg)
+    gallery, _ = build_gallery(ds, pipe)
+    single = pipe.enroll(ds[0], gallery[0].params)
+    for pack in (gallery[0].pack, single.pack):
+        assert pack.width == 64 and cfg.slot_capacity // pack.width == 32
+        held = sum(value.size for value in vars(pack).values() if isinstance(value, np.ndarray))
+        assert held <= 2 * 32 * cfg.m
 
 
 def test_identify_equals_per_record_reference_at_the_benchmark_shape():
@@ -805,6 +849,13 @@ def test_load_dataset_without_samples_is_error(tmp_path, text):
     path.write_text(text)
     with pytest.raises(EmptyDataset):
         load_dataset(path)
+
+
+def test_save_dataset_refuses_an_empty_dataset_before_opening_the_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    with pytest.raises(EmptyDataset, match="at least one sample"):
+        save_dataset([], path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("row,line", [

@@ -407,6 +407,17 @@ def test_unlinkability_precursor_quick():
     assert np.mean(cors) < 0.5
 
 
+@pytest.mark.parametrize("a,b", [
+    ([2.0, 2.0, 2.0], [1.0, 0.5, -3.0]),
+    ([1.0, 0.5, -3.0], [0.0, 0.0, 0.0]),
+    ([1.0], [2.0]),
+])
+def test_template_correlation_of_a_constant_template_is_undefined(a, b):
+    # np.corrcoef gave NaN, with two RuntimeWarnings, for a zero variance
+    with pytest.raises(ValueError, match="undefined for a constant template"):
+        template_correlation(a, b)
+
+
 def test_pack_template_positions_and_scale(ctx):
     p = gen_params(5, 0, 50, seed=3)
     v = np.random.default_rng(1).normal(size=15)
