@@ -104,7 +104,8 @@ def _as_key_bytes(key_id) -> bytes:
 class EncryptionContext:
     """Key material and limits for one simulated keypair.
 
-    slot_capacity must be a power of two.  masking_seed is derived from the
+    slot_capacity must be a power of two of at most 2^16 slots, checked
+    before anything is allocated.  masking_seed is derived from the
     key and drives the serialization keystream.  nonce_seed, when given,
     makes the serialization nonce stream reproducible -- every call still
     draws a fresh nonce, but two runs with the same seed produce
@@ -122,8 +123,10 @@ class EncryptionContext:
 
     def __post_init__(self):
         cap = self.slot_capacity
-        if cap < 1 or cap & (cap - 1):
-            raise ValueError(f"slot_capacity must be a power of two, got {cap}")
+        # a CKKS ring of degree N gives N / 2 slots: none in the HE Standard's
+        # tables (N <= 2^15) or in common libraries (N <= 2^17) gives more than 2^16
+        if cap < 1 or cap & (cap - 1) or cap > 65536:
+            raise ValueError(f"slot_capacity must be a power of two up to 65536, got {cap}")
         if self.depth_budget < 1:
             raise ValueError("depth_budget must be >= 1")
         key = _as_key_bytes(self.key_id)

@@ -386,7 +386,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         _write_manifest(out, args.command, vars(args) | args.func(args, out))
         return 0
-    except (PolyFheError, OSError, ValueError) as exc:
+    except (PolyFheError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -31,11 +31,11 @@ of one with TemplatePack; build_gallery and load_gallery lay their records
 out in packs once, by layout (_pack_gallery).  Every record is made in its
 pack, so the search reads parameters from the packs and takes no params
 store.  A pack keeps its records' parameters once, as read-only exponent
-and coefficient rows by block (TemplatePack).  The probe's windows are
+and coefficient rows by record (TemplatePack).  The probe's windows are
 encrypted once per group as m column ciphertexts copied into every block,
 all m^2 column powers 1..m are computed once (m (m - 1) ct mults, whatever
 exponents the records use), the template norms of every listed record come
-from one call, and the power keys and plaintext weights of every pack come
+from one call, and the terms and weights of all records, record by record,
 from the group's rows at once.  Each pack then pays one plaintext mult per
 column of each of its records (m per record: records that share a
 (column, exponent) pair are not merged), one product and one fold, so a
@@ -150,8 +150,8 @@ class TemplatePack:
 
     Built from the records' templates, compress dim and parameter sets by
     block; the ciphertext and the rows identify reads of the gallery side
-    are derived here, once, and kept read-only: exps[b] and block_coeffs[b]
-    are record b's exponents and coefficients (zeros past the last record).
+    are derived here, once, and kept read-only: exps[b] and coeffs[b] are
+    record b's exponents and coefficients, (n, m) for n records.
     """
 
     templates: InitVar[tuple]  # record b's template at b
@@ -160,21 +160,17 @@ class TemplatePack:
     ciphertext: SlotVector = field(init=False)
     width: int = field(init=False)
     exps: np.ndarray = field(init=False, repr=False)
-    block_coeffs: np.ndarray = field(init=False, repr=False)
+    coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, templates):
-        n, m = len(self.params), self.params[0].m
         self.width = width = 1 << (output_len(*self.layout) - 1).bit_length()
         cap = templates[0].ctx.slot_capacity
         self.ciphertext = templates[0]
         for b, template in enumerate(templates[1:], 1):
             self.ciphertext = add(self.ciphertext, rotate_left(template, cap - b * width))
-        blocks = cap // width
-        self.exps = np.zeros((blocks, m), dtype=np.int64)
-        self.exps[:n] = [p.exps for p in self.params]
-        self.block_coeffs = np.zeros((blocks, m))
-        self.block_coeffs[:n] = [p.coeffs for p in self.params]
-        self.exps.flags.writeable = self.block_coeffs.flags.writeable = False
+        self.exps = np.array([p.exps for p in self.params], dtype=np.int64)
+        self.coeffs = np.array([p.coeffs for p in self.params], dtype=np.float64)
+        self.exps.flags.writeable = self.coeffs.flags.writeable = False
 
     @property
     def layout(self) -> tuple:
@@ -333,15 +329,15 @@ def identify(probe: Embedding, gallery: list, ctx: EncryptionContext) -> list:
     scaled to unit norm, and scored against the record's unit-norm template,
     per pack (see the module docstring): the probe's templates for all the
     pack's blocks are one weighted sum of its m^2 column powers, built once
-    per layout group: record b's term at column i is column i raised to its
-    exponent, weighted by its coefficient times its probe scale over block
-    b's slots and zeros elsewhere, the scale 0 for a record gallery does not
-    list.  Each layout group's products are decrypted as one stack.  A
-    record listed twice is scored twice.  Ties break by subject_id for a
-    stable order.  A decrypted score that is not finite, or lies outside
-    [-1, 1] by more than rounding, raises IntegrityError naming the first
-    such record: both templates have unit norm, so such a score means a
-    record's ciphertext is not what enrollment stored.
+    per layout group: the pack's term b * m + i, record b's at column i, is
+    column i raised to its exponent, weighted by its coefficient times its
+    probe scale over block b's slots and zeros elsewhere, the scale 0 for a
+    record gallery does not list.  Each layout group's products are decrypted
+    as one stack.  A record listed twice is scored twice.  Ties break by
+    subject_id for a stable order.  A decrypted score that is not finite, or
+    lies outside [-1, 1] by more than rounding, raises IntegrityError naming
+    the first such record: both templates have unit norm, so such a score
+    means a record's ciphertext is not what enrollment stored.
     """
     if not gallery:
         raise ValueError("identify needs a nonempty gallery")
@@ -359,34 +355,29 @@ def identify(probe: Embedding, gallery: list, ctx: EncryptionContext) -> list:
         blocks = cap // width
         windows = encrypt_windows(v, group[0][0].params[0], ctx, blocks)
         listed = [i for _, pack_listed in group for i in pack_listed]
-        # each listed record's block among all the packs' blocks, in listed order
-        flat = np.array(
-            [row * blocks + gallery[i].block for row, (_, pack_listed) in enumerate(group) for i in pack_listed]
-        )
+        # row r of the group is record r, pack after pack: pack p's records
+        # are rows starts[p]:starts[p + 1], its record b row starts[p] + b
+        starts = np.cumsum([0] + [len(pack.params) for pack, _ in group])
+        listed_rows = np.array([s + gallery[i].block for s, (_, on) in zip(starts.tolist(), group) for i in on])
+        row_pack = np.repeat(np.arange(len(group)), np.diff(starts))
+        row_block = np.arange(starts[-1]) - starts[row_pack]
         exps = np.concatenate([pack.exps for pack, _ in group])
-        coeffs = np.concatenate([pack.block_coeffs for pack, _ in group])
-        block_scales = np.zeros(len(group) * blocks)
-        block_scales[flat] = _unit_scales(template_norms(v, overlap, exps[flat], coeffs[flat]))
-        # term (p, i, b) is record b of pack p at column i: key e * m + i is
-        # column i ** e, weighted by its coefficient times the record's probe
-        # scale over block b's slots
-        keys = (exps * m + np.arange(m)).reshape(len(group), blocks, m).transpose(0, 2, 1)
-        scaled = (coeffs * block_scales[:, None]).reshape(len(group), blocks, m, 1)
-        weights = np.zeros((len(group), m, blocks, cap))
-        for b in range(blocks):
-            weights[:, :, b, b * width : (b + 1) * width] = scaled[:, b]
+        coeffs = np.concatenate([pack.coeffs for pack, _ in group])
+        scales = np.zeros(len(exps))
+        scales[listed_rows] = _unit_scales(template_norms(v, overlap, exps[listed_rows], coeffs[listed_rows]))
+        # term r * m + i is record r's at column i: column i ** e_ri, weighted
+        # by c_ri times the record's probe scale over its own block's slots
+        weights = np.zeros((len(exps), m, blocks, width))
+        weights[np.arange(len(exps)), :, row_block] = (coeffs * scales[:, None])[..., None]
+        weights = weights.reshape(len(exps) * m, cap)
         # every column's powers 1..m
         powers = [None] * m + window_powers(windows, [(key % m, key // m) for key in range(m, m * m + m)])
-        # the keys of blocks past a pack's last record (exponent 0) fall below
-        # m, so each pack's m * n terms are the next run of this list
-        terms = [powers[key] for key in keys[keys >= m].tolist()]
+        terms = [powers[key] for key in (exps * m + np.arange(m)).ravel().tolist()]
         products = []
-        for row, (pack, _) in enumerate(group):
-            n = len(pack.params)
-            probe_ct = pack_template(terms[: m * n], weights[row, :, :n].reshape(m * n, cap))
-            del terms[: m * n]
+        for (pack, _), s, e in zip(group, starts[:-1].tolist(), starts[1:].tolist()):
+            probe_ct = pack_template(terms[m * s : m * e], weights[m * s : m * e])
             products.append(cosine_unit_encrypted(pack.ciphertext, probe_ct, windows.k))
-        scores[listed] = decrypt(stack(products), ctx)[:, ::width].reshape(-1)[flat]
+        scores[listed] = decrypt(stack(products), ctx)[:, ::width][row_pack, row_block][listed_rows]
     bad = ~(np.abs(scores) <= 1.0 + _SCORE_ROUNDING)  # NaN fails the comparison too
     if bad.any():
         i = int(np.argmax(bad))
@@ -533,26 +524,30 @@ def load_dataset(path) -> list:
     """Read a CSV written by save_dataset.
 
     A file with no samples raises EmptyDataset; a row whose field count
-    differs from the header's, or whose values are not finite numbers,
-    raises MalformedDataset naming the file and line.
+    differs from the header's, whose values are not finite numbers, or that
+    the csv module cannot read (a field past its size limit, say, header
+    included), raises MalformedDataset naming the file and line.
     """
     out = []
     with open(path, newline="") as f:
         r = csv.reader(f)
-        width = len(next(r, []))
-        for row in r:
-            if width < 5:
-                raise MalformedDataset(f"{path}, line 1: header has {width} fields; needs id, 3 attributes, values")
-            if len(row) != width:
-                raise MalformedDataset(f"{path}, line {r.line_num}: {len(row)} fields, header has {width}")
-            try:
-                values = np.array([float(x) for x in row[4:]])
-            except ValueError as exc:
-                raise MalformedDataset(f"{path}, line {r.line_num}: {exc}") from None
-            if not np.isfinite(values).all():
-                raise MalformedDataset(f"{path}, line {r.line_num}: value is not finite")
-            attrs = {"gender": row[1], "age_band": row[2], "ethnicity": row[3]}
-            out.append(Embedding(values, row[0], attrs))
+        try:
+            width = len(next(r, []))
+            for row in r:
+                if width < 5:
+                    raise MalformedDataset(f"{path}, line 1: header has {width} fields; needs id, 3 attributes, values")
+                if len(row) != width:
+                    raise MalformedDataset(f"{path}, line {r.line_num}: {len(row)} fields, header has {width}")
+                try:
+                    values = np.array([float(x) for x in row[4:]])
+                except ValueError as exc:
+                    raise MalformedDataset(f"{path}, line {r.line_num}: {exc}") from None
+                if not np.isfinite(values).all():
+                    raise MalformedDataset(f"{path}, line {r.line_num}: value is not finite")
+                attrs = {"gender": row[1], "age_band": row[2], "ethnicity": row[3]}
+                out.append(Embedding(values, row[0], attrs))
+        except csv.Error as exc:
+            raise MalformedDataset(f"{path}, line {r.line_num}: {exc}") from None
     if not out:
         raise EmptyDataset(f"dataset {path} has no samples")
     return out

@@ -34,6 +34,13 @@ def test_context_validation():
         EncryptionContext(8, 0)
 
 
+def test_context_refuses_more_slots_than_a_ckks_ring_gives():
+    # checked before anything is allocated: 2^17 slots would need a ring of degree 2^18
+    EncryptionContext(2**16, 16)
+    with pytest.raises(ValueError, match="power of two up to 65536, got 131072"):
+        EncryptionContext(2**17, 16)
+
+
 def test_distinct_keys_distinct_masking_seeds():
     a = EncryptionContext(8, 16, key_id="alice")
     b = EncryptionContext(8, 16, key_id="bob")

@@ -600,6 +600,41 @@ def test_config_file_store_true_flag(tmp_path, value, saved):
 
 
 @pytest.mark.parametrize("argv", [
+    ["enroll", "--num-ids", "2", "--samples-per-id", "1"],
+    ["eval-leakage", "--num-ids", "8", "--samples-per-id", "3", "--epochs", "5"],
+], ids=lambda argv: argv[0])
+def test_slot_capacity_past_any_ckks_ring_exits_1(tmp_path, argv):
+    # small runs otherwise: the context refuses 2^17 slots before allocating them
+    proc = run_module(*argv, "--dim", "64", "--slot-capacity", "131072", "--out-dir", str(tmp_path))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: ValueError: slot_capacity must be a power of two up to 65536, got 131072"]
+
+
+def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 GiB")
+
+    monkeypatch.setattr("polyfhe.cli.gen_params", refuse)
+    assert run_cli("gen-params", "--out-dir", str(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: MemoryError: Unable to allocate 64.0 GiB\n"
+
+
+@pytest.mark.parametrize("command", ["enroll", "identify"])
+def test_dataset_field_past_the_csv_limit_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "big.csv"
+    path.write_text("id,gender,age_band,ethnicity,v0\nid0,female,0-22,white," + "1" * 200_000 + "\n")
+    if command == "enroll":
+        rc = run_cli("enroll", "--dataset", str(path), "--out-dir", str(tmp_path / "run"))
+    else:
+        out = _enrolled(tmp_path)
+        rc = run_cli("identify", "--gallery-dir", str(out / "gallery"), "--probes", str(path),
+                     "--out-dir", str(out / "id"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedDataset:") and "line 2: field larger than field limit" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["gen-params", "--m", "1"],
     ["enroll", "--num-ids", "1"],
     ["enroll", "--slot-capacity", "100"],

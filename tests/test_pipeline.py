@@ -566,7 +566,7 @@ def test_packed_scores_equal_packs_of_one(cfg, num_ids, blocks):
     for rec in singles:  # enroll lays a pack of one out as packing one record does
         (again,) = pl._pack_gallery([(rec.subject_id, rec.template, rec.params, rec.compress_dim, None)], pipe.ctx)
         assert rec.block == 0 and rec.template is rec.pack.ciphertext
-        for name in ("exps", "block_coeffs"):
+        for name in ("exps", "coeffs"):
             assert getattr(again.pack, name).tobytes() == getattr(rec.pack, name).tobytes()
     for probe in probes[:3]:
         assert pipe.identify(probe, gallery) == pipe.identify(probe, singles)
@@ -593,13 +593,12 @@ def test_packs_hold_their_gallery_side_tables_read_only(tmp_path, cfg, num_ids):
     single = pipe.enroll(ds[0], gallery[0].params)
     for records in (gallery, loaded, [single]):
         for pack in {rec.pack: None for rec in records}:
-            blocks = pipe.cfg.slot_capacity // pack.width
             n, m = len(pack.params), pack.params[0].m
             assert pack.width == 1 << (pp.output_len(*pack.layout) - 1).bit_length()
-            assert pack.exps[:n].tolist() == [list(p.exps) for p in pack.params] and not pack.exps[n:].any()
-            assert pack.block_coeffs[:n].tolist() == [list(p.coeffs) for p in pack.params]
-            assert not pack.block_coeffs[n:].any() and pack.exps.shape == (blocks, m)
-            for array in (pack.exps, pack.block_coeffs):
+            assert pack.exps.tolist() == [list(p.exps) for p in pack.params]
+            assert pack.coeffs.tolist() == [list(p.coeffs) for p in pack.params]
+            assert pack.exps.shape == pack.coeffs.shape == (n, m)
+            for array in (pack.exps, pack.coeffs):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     array[0, 0] = 1
@@ -611,7 +610,7 @@ def test_packs_hold_their_gallery_side_tables_read_only(tmp_path, cfg, num_ids):
     (PipelineConfig(compress_dim=32, m=3, overlap=1, seed=5), 11),  # eight per ciphertext, the last pack of three
 ])
 def test_identify_weights_each_pack_by_its_records_coefficients_and_scales(monkeypatch, cfg, num_ids):
-    # a pack of n records gets one probe template: row i * n + b of its
+    # a pack of n records gets one probe template: row b * m + i of its
     # weights is record b's coefficient at column i times record b's probe
     # scale over block b's slots, zero elsewhere, and its term is the
     # probe's column i raised to record b's exponent
@@ -635,14 +634,14 @@ def test_identify_weights_each_pack_by_its_records_coefficients_and_scales(monke
             for i in range(m):
                 want = np.zeros(cap)
                 want[b * width : (b + 1) * width] = p.coeffs[i] * (1.0 / norm)
-                assert weights[i * n + b].tobytes() == want.tobytes()
+                assert weights[b * m + i].tobytes() == want.tobytes()
                 (power,) = pp.window_powers(windows, [(i, p.exps[i])])
-                assert decrypt(terms[i * n + b], pipe.ctx).tobytes() == decrypt(power, pipe.ctx).tobytes()
+                assert decrypt(terms[b * m + i], pipe.ctx).tobytes() == decrypt(power, pipe.ctx).tobytes()
 
 
 def test_a_pack_stores_no_array_that_grows_with_the_capacity():
     # k = 60 at 2048 slots: W = 64, 32 blocks; besides its ciphertext a pack
-    # holds its records' exponent and coefficient rows, 2 * blocks * m
+    # of n records holds their exponent and coefficient rows, 2 * n * m
     # numbers, whether it is full or an enrolled pack of one
     cfg = PipelineConfig(slot_capacity=2048, seed=6)
     ds = gen_synthetic_dataset(small_spec(num_ids=32, samples_per_id=1, seed=cfg.seed))
@@ -652,7 +651,7 @@ def test_a_pack_stores_no_array_that_grows_with_the_capacity():
     for pack in (gallery[0].pack, single.pack):
         assert pack.width == 64 and cfg.slot_capacity // pack.width == 32
         held = sum(value.size for value in vars(pack).values() if isinstance(value, np.ndarray))
-        assert held <= 2 * 32 * cfg.m
+        assert held == 2 * len(pack.params) * cfg.m
 
 
 def test_identify_equals_per_record_reference_at_the_benchmark_shape():
@@ -872,6 +871,18 @@ def test_load_dataset_malformed_row_is_error(tmp_path, row, line):
     with pytest.raises(MalformedDataset) as exc:
         load_dataset(path)
     assert str(path) in str(exc.value) and line in str(exc.value)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("id,gender,age_band,ethnicity,v0\nid0,female,0-22,white," + "1" * 200_000 + "\n", "line 2"),
+    ("id,gender,age_band,ethnicity," + "v" * 200_000 + "\nid0,female,0-22,white,0.5\n", "line 1"),
+])
+def test_load_dataset_field_past_the_csv_limit_is_error(tmp_path, text, line):
+    path = tmp_path / "big.csv"
+    path.write_text(text)
+    with pytest.raises(MalformedDataset, match="field larger than field limit") as exc:
+        load_dataset(path)
+    assert str(exc.value).startswith(f"{path}, {line}:")
 
 
 def test_load_dataset_header_without_values_is_error(tmp_path):
