@@ -108,14 +108,14 @@ ATTRIBUTE_CLASSES = {
 
 @dataclass(frozen=True)
 class Embedding:
-    """A labeled embedding vector."""
+    """A labeled embedding vector, held as a contiguous float64 array."""
 
     values: np.ndarray
     subject_id: str
     attributes: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        object.__setattr__(self, "values", np.ascontiguousarray(self.values, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -211,10 +211,21 @@ def gen_synthetic_dataset(spec: SyntheticSpec) -> list:
     three attributes; each attribute class adds a fixed pattern on its block
     to the identity center, so classifiers can recover labels across
     identities.  attribute_correlation = 0 leaves labels independent of the
-    embedding.  A sample whose norm overflows or is zero raises ValueError.
+    embedding.
+
+    Every seed's corpus, and so every pinned gallery and leakage CSV, rests
+    on the draw order: the coordinate permutation and the class patterns,
+    then per identity its three labels, its center (`dim` normals) and one
+    (samples_per_id, dim) block of noise, which reads the stream as
+    samples_per_id draws of `dim` would.  A sample is its noise row plus
+    class_separation * center, and its norm is the square root of its row's
+    dot product, `np.linalg.norm` of the row bit for bit; every norm comes
+    from one stacked product over the corpus, and each identity's unit
+    samples are the rows of an array of their own.  A sample whose norm
+    overflows or is zero raises ValueError naming the first such sample.
     """
     rng = np.random.default_rng(spec.seed)
-    dim = spec.dim
+    dim, per_id = spec.dim, spec.samples_per_id
     n_attr = int(round(spec.attribute_correlation * dim))
     coords = rng.permutation(dim)[:n_attr]
     blocks = {}
@@ -223,43 +234,59 @@ def gen_synthetic_dataset(spec: SyntheticSpec) -> list:
         size = n_attr // 3 + (1 if i < n_attr % 3 else 0)
         blocks[attr] = coords[start : start + size]
         start += size
-    patterns = {
-        attr: {cls: rng.normal(0.0, 1.0, len(blocks[attr])) for cls in classes}
+    shifts = {
+        attr: {cls: _ATTR_SHIFT * rng.normal(0.0, 1.0, len(blocks[attr])) for cls in classes}
         for attr, classes in ATTRIBUTE_CLASSES.items()
     }
 
-    out = []
+    values = np.empty((spec.num_ids * per_id, dim))
+    ids = []
     with np.errstate(over="ignore"):  # a norm that overflows is the error raised below
         for i in range(spec.num_ids):
             labels = {attr: classes[rng.integers(len(classes))] for attr, classes in ATTRIBUTE_CLASSES.items()}
             center = rng.normal(0.0, 1.0, dim)
             for attr, block in blocks.items():
                 if len(block):
-                    center[block] += _ATTR_SHIFT * patterns[attr][labels[attr]]
-            center /= np.linalg.norm(center)
-            sid = f"id{i:04d}"
-            for _ in range(spec.samples_per_id):
-                x = spec.class_separation * center + rng.normal(0.0, 1.0, dim)
-                norm = np.linalg.norm(x)
-                if not (math.isfinite(norm) and norm > 0.0):
-                    raise ValueError(f"sample {len(out)} has norm {norm} at class_separation {spec.class_separation}")
-                x /= norm
-                out.append(Embedding(x, sid, dict(labels)))
-    return out
+                    center[block] += shifts[attr][labels[attr]]
+            center /= math.sqrt(center.dot(center))  # np.linalg.norm's own formula
+            samples = rng.normal(0.0, 1.0, (per_id, dim))
+            np.add(samples, spec.class_separation * center, out=values[i * per_id : (i + 1) * per_id])
+            ids.append((f"id{i:04d}", labels))
+        norms = np.sqrt((values[:, None, :] @ values[:, :, None])[:, 0, 0])
+    ok = (norms > 0.0) & (norms < math.inf)
+    if not ok.all():
+        bad = int(ok.argmin())  # the first failing sample
+        raise ValueError(f"sample {bad} has norm {norms[bad]} at class_separation {spec.class_separation}")
+    # each identity's unit samples are a block of their own, so a sample
+    # that is kept keeps only its identity's block, not the whole corpus
+    norms = norms[:, None]
+    return [
+        Embedding(x, sid, dict(labels))
+        for i, (sid, labels) in enumerate(ids)
+        for x in values[i * per_id : (i + 1) * per_id] / norms[i * per_id : (i + 1) * per_id]
+    ]
 
 
 def compress_prefix(e: Embedding, d: int) -> np.ndarray:
     """The first d coordinates of e, renormalized to unit length.
 
     Assumes nested-prefix embeddings; training such embeddings is upstream of
-    this library.
+    this library.  A finite, nonzero prefix whose squares underflow or
+    overflow is first scaled by its largest magnitude; a NaN or inf
+    coordinate raises ValueError and the zero prefix ZeroPrefix.
     """
     if not 1 <= d <= len(e.values):
         raise ValueError(f"compress dim {d} outside 1..{len(e.values)}")
     prefix = e.values[:d]
-    norm = np.linalg.norm(prefix)
+    # np.linalg.norm's own formula on a contiguous vector, bit for bit; vdot
+    # raises no warning when the squares overflow, which is handled here
+    norm = math.sqrt(np.vdot(prefix, prefix))
+    if (norm == 0.0 or norm == math.inf) and np.isfinite(prefix).all() and prefix.any():
+        # finite and nonzero, but its squares underflow or overflow
+        prefix = prefix / np.abs(prefix).max()
+        norm = math.sqrt(np.vdot(prefix, prefix))
     if not math.isfinite(norm):
-        raise ValueError(f"prefix of {d} coordinates has norm {norm}: a coordinate is NaN or inf, or it overflows")
+        raise ValueError(f"prefix of {d} coordinates has norm {norm}: a coordinate is NaN or inf")
     if norm == 0.0:
         raise ZeroPrefix("prefix is the zero vector; cannot renormalize")
     return prefix / norm

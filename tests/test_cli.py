@@ -12,6 +12,7 @@ import polyfhe
 from polyfhe.backend import HEADER_LEN
 from polyfhe.cli import main
 from polyfhe.pipeline import (
+    Embedding,
     Pipeline,
     PipelineConfig,
     SyntheticSpec,
@@ -695,6 +696,28 @@ def test_identify_missing_params_file_exits_1(tmp_path, capsys):
                  "--out-dir", str(out / "id"))
     assert rc == 1
     assert "error: UnknownParamsId:" in capsys.readouterr().err
+
+
+def test_identify_a_probe_whose_squares_underflow_or_overflow_exits_0(tmp_path):
+    # each probe scaled by 1e-300 and by 1e200 is finite and nonzero, and
+    # ranks the gallery as the probe itself does
+    out = _enrolled(tmp_path)
+    probes = load_dataset(out / "probes.csv")
+    scaled = [Embedding(p.values * s, p.subject_id, p.attributes) for s in (1.0, 1e-300, 1e200) for p in probes]
+    save_dataset(scaled, out / "scaled.csv")
+    rc = run_cli("identify", "--gallery-dir", str(out / "gallery"), "--probes", str(out / "scaled.csv"),
+                 "--top", "2", "--out-dir", str(out / "id"))
+    assert rc == 0
+    with open(out / "id" / "identify_ranked.csv") as f:
+        rows = list(csv.DictReader(f))
+    ranked = {}
+    for r in rows:
+        ranked.setdefault(int(r["probe_index"]), []).append((r["subject_id"], float(r["score"])))
+    n = len(probes)
+    for i in range(n):
+        for j in (i + n, i + 2 * n):
+            assert [sid for sid, _ in ranked[j]] == [sid for sid, _ in ranked[i]]
+            assert all(abs(a - b) <= 1e-12 for (_, a), (_, b) in zip(ranked[j], ranked[i]))
 
 
 def test_identify_mixed_gallery_ranks_like_the_library(tmp_path):

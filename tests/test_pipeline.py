@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -96,6 +97,41 @@ def test_synthetic_deterministic():
     assert all(x.attributes == y.attributes for x, y in zip(a, b))
 
 
+# perfbench's three corpora (identify, enroll, leakage) and edge specs: no
+# shift, every coordinate shifted, dims of 1 and 3, a weak separation
+PINNED_CORPUS_SPECS = (
+    dict(num_ids=200, samples_per_id=2, attribute_correlation=0.6, seed=11),
+    dict(num_ids=15, samples_per_id=1, attribute_correlation=0.6, seed=12),
+    dict(num_ids=50, samples_per_id=16, attribute_correlation=0.6, seed=13),
+    dict(num_ids=20, samples_per_id=3, attribute_correlation=0.0, seed=14),
+    dict(num_ids=20, samples_per_id=3, attribute_correlation=1.0, seed=15),
+    dict(num_ids=20, samples_per_id=3, dim=1, attribute_correlation=1.0, seed=16),
+    dict(num_ids=20, samples_per_id=3, dim=3, attribute_correlation=0.6, seed=17),
+    dict(num_ids=20, samples_per_id=3, class_separation=0.5, attribute_correlation=0.6, seed=18),
+)
+PINNED_CORPUS_SHA256 = "33c162443e8249848885e278fd7dfd2e816ca51823ab5ccf74f7220be6521119"
+
+
+def test_synthetic_corpus_bytes_are_pinned():
+    # every seeded corpus, and so every pinned gallery, ranking and leakage
+    # CSV, rests on these bytes
+    h = hashlib.sha256()
+    for spec in PINNED_CORPUS_SPECS:
+        for e in gen_synthetic_dataset(SyntheticSpec(**spec)):
+            h.update(e.values.tobytes())
+            h.update(e.subject_id.encode())
+            h.update(json.dumps(e.attributes, sort_keys=True).encode())
+    assert h.hexdigest() == PINNED_CORPUS_SHA256
+
+
+def test_a_kept_sample_keeps_at_most_its_identitys_samples_alive():
+    # a caller that keeps a few samples of a corpus must not keep the corpus
+    ds = gen_synthetic_dataset(small_spec(num_ids=20, samples_per_id=3))
+    for e in ds:
+        owner = e.values if e.values.base is None else e.values.base
+        assert owner.nbytes <= 3 * 512 * 8
+
+
 def test_synthetic_unit_norm_and_labels():
     for e in gen_synthetic_dataset(small_spec()):
         assert np.linalg.norm(e.values) == pytest.approx(1.0, abs=1e-9)
@@ -146,6 +182,32 @@ def test_non_finite_prefix_is_refused_before_any_encryption(bad):
         values[7], values[100] = ds[0].values[7], bad
         assert compress_prefix(Embedding(values, "bad", {}), 64).tobytes() == compress_prefix(ds[0], 64).tobytes()
     assert pipe.ctx.ops == before
+
+
+@pytest.mark.parametrize("value", [1e-300, 5e-324, 1e200, 1e308])
+def test_a_finite_nonzero_prefix_whose_squares_underflow_or_overflow_is_renormalized(value):
+    # its norm reads 0 or inf, yet it is neither the zero vector nor
+    # non-finite: scaled by its largest magnitude it is the +-1 prefix
+    signs = np.where(np.arange(96) % 3 == 0, -1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = compress_prefix(Embedding(value * signs, "s", {}), 64)
+    assert got.tobytes() == compress_prefix(Embedding(signs, "s", {}), 64).tobytes()
+    assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("value, bad", [(1e-300, math.nan), (1e200, math.inf), (1e-300, -math.inf)])
+def test_a_non_finite_coordinate_is_refused_whatever_the_others_magnitude(value, bad):
+    v = np.full(96, value)
+    v[7] = bad
+    with pytest.raises(ValueError, match="prefix of 64 coordinates has norm"):
+        compress_prefix(Embedding(v, "s", {}), 64)
+
+
+def test_a_prefix_of_mixed_tiny_magnitudes_keeps_its_direction():
+    v = np.array([3e-300, 4e-300, 1e-310, 0.0])
+    got = compress_prefix(Embedding(v, "s", {}), 4)
+    assert np.allclose(got, [0.6, 0.8, 0.0, 0.0], rtol=0, atol=1e-10) and got[2] > 0.0
 
 
 def test_rank1_compression_plateau():
